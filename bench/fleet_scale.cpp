@@ -18,6 +18,7 @@
 // once per device, which is what makes million-device cells tractable on
 // one host (and is proven invisible to results by the shard test battery).
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -71,15 +72,26 @@ const sim::PlatformProfile& fleet_profile() {
     return profile;
 }
 
-std::vector<std::size_t> parse_csv(const char* s) {
+/// Parses a comma-separated list of decimal counts. An empty or
+/// non-numeric token prints the usage line and exits 2.
+std::vector<std::size_t> parse_csv(const char* arg) {
     std::vector<std::size_t> out;
-    while (*s != '\0') {
+    for (const char* s = arg;;) {
         char* end = nullptr;
-        out.push_back(std::strtoul(s, &end, 10));
-        s = (end != nullptr && *end == ',') ? end + 1 : (end != nullptr ? end : s + 1);
-        if (end == nullptr) break;
+        if (std::isdigit(static_cast<unsigned char>(*s))) {
+            out.push_back(std::strtoull(s, &end, 10));
+        }
+        if (end == nullptr || (*end != ',' && *end != '\0')) {
+            std::fprintf(stderr,
+                         "fleet_scale: bad count list '%s'\n"
+                         "usage: fleet_scale [devices_csv] [shards_csv] [edges_csv] "
+                         "[max_run_seconds]\n",
+                         arg);
+            std::exit(2);
+        }
+        if (*end == '\0') return out;
+        s = end + 1;
     }
-    return out;
 }
 
 struct CellResult {

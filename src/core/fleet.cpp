@@ -1,46 +1,10 @@
 #include "core/fleet.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <functional>
-#include <limits>
 #include <memory>
-
-#include "common/rng.hpp"
-#include "core/fleet_detail.hpp"
-#include "sim/chaos.hpp"
-#include "sim/energy.hpp"
 
 namespace upkit::core {
 
 namespace {
-
-using detail::CohortPartition;
-using detail::CohortState;
-
-/// Everything the engine tracks for one fleet member: its clock view onto
-/// the campaign timeline, the in-flight attempt's transport + driver, and
-/// the accumulating result.
-struct DeviceCtx {
-    FleetMember* member = nullptr;
-    CampaignDeviceResult result;
-    sim::DeviceClockView view;
-    Rng jitter_rng{0};
-    unsigned attempt = 0;  // attempts launched so far (1-based once running)
-    double e0 = 0.0;
-    std::unique_ptr<net::Transport> transport;
-    std::unique_ptr<SessionDriver> driver;
-    SessionReport last;
-    bool done = false;
-    double enqueue_t = 0.0;
-    unsigned cohort = 0;
-    bool released = false;
-    /// Regional edge currently serving this device's attempt (-1 = origin).
-    /// Chosen when the request targets a queue; the driver's outage probe
-    /// and the transport's chaos binding follow it.
-    int serving_region = -1;
-};
 
 void mix(std::uint64_t& h, std::uint64_t v) {
     // FNV-1a over the value's bytes, 8 at a time.
@@ -178,594 +142,6 @@ Status FleetCampaign::add_synthetic(const SyntheticFleetSpec& spec) {
         owned_.push_back(std::move(device));
     }
     return Status::kOk;
-}
-
-CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& policy) {
-    if (shards_ > 0) return run_sharded(app_id, policy, shards_);
-    return run_reference(app_id, policy);
-}
-
-CampaignReport FleetCampaign::run_reference(std::uint32_t app_id,
-                                            const FleetPolicy& policy) {
-    CampaignReport report;
-    sim::EventScheduler sched;
-    const server::ServerStats stats_before = server_->stats();
-    const crypto::VerifyMemoStats memo_before = crypto::verify_memo_stats();
-    const server::ServerModel& model = server_->model();
-    const unsigned service_cap = model.concurrency == 0
-                                     ? std::numeric_limits<unsigned>::max()
-                                     : model.concurrency;
-
-    std::vector<DeviceCtx> ctxs(members_.size());  // sized once: lambdas keep refs
-
-    // Serving targets: regional edges 0..edges-1 (when configured) plus the
-    // origin as the last entry. Without edges the origin is target 0 and
-    // every code path below reduces to the legacy single-queue engine.
-    const EdgeTopology& topo = edges_;
-    const std::size_t edge_count = topo.edges;
-    const std::size_t origin_target = edge_count;
-    struct Target {
-        std::deque<std::size_t> queue;  // FIFO admission queue of ctx indices
-        unsigned in_service = 0;
-        unsigned cap = 0;
-        ServerQueueStats stats;     // per-target detail (edge topologies)
-        server::EdgeCache cache;    // edges only
-        std::uint64_t fallbacks = 0;
-    };
-    std::vector<Target> targets(edge_count + 1);
-    for (std::size_t r = 0; r < edge_count; ++r) {
-        targets[r].cap = topo.model.concurrency == 0
-                             ? std::numeric_limits<unsigned>::max()
-                             : topo.model.concurrency;
-    }
-    targets[origin_target].cap = service_cap;
-
-    // Fault injection, when the server model carries a chaos plan.
-    const sim::ChaosPlan* chaos = model.chaos;
-
-    // Cohort partition: canary first (when configured), then wave_size
-    // chunks in add() order. Cohorts are contiguous index ranges.
-    const CohortPartition part(members_.size(), policy.wave_size, policy.canary_size);
-    const std::size_t wave_size = part.wave_size;
-    const unsigned cohort_count = part.count();
-
-    // Gated-rollout state. `aborted` stops retries and promotions for good;
-    // `paused` defers them until the breaker's cool-down elapses.
-    const bool gated = policy.gated() && !members_.empty();
-    std::vector<CohortState> cohorts(cohort_count);
-    unsigned next_release = 0;  // next cohort index to release
-    unsigned trips = 0;
-    bool aborted = false;
-    bool paused = false;
-    std::vector<std::pair<std::size_t, double>> paused_retries;
-
-    const auto trace = [&](sim::TraceType type, std::uint32_t device_id,
-                           std::uint32_t code, double value) {
-        if (tracer_ != nullptr) {
-            tracer_->emit(sim::TraceEvent{.t = sched.now(),
-                                          .device_id = device_id,
-                                          .type = type,
-                                          .from = {},
-                                          .to = {},
-                                          .code = code,
-                                          .value = value});
-        }
-    };
-
-    // The event handlers form a cycle (pump → enqueue → admit → pump), so
-    // they live in std::functions declared up front. Handlers never recurse
-    // through the scheduler — continuations are scheduled, not called — so
-    // stack depth stays flat no matter how long a session runs.
-    std::function<void(std::size_t)> pump;
-    std::function<void(std::size_t)> admit;
-    std::function<void(std::size_t)> start_attempt;
-    std::function<void(std::size_t)> session_done;
-    std::function<void(unsigned)> release_cohort;
-    std::function<void()> maybe_promote;
-    std::function<void(unsigned, double, bool)> trip_breaker;
-
-    pump = [&](std::size_t i) {
-        DeviceCtx& c = ctxs[i];
-        // Idle the device forward to the campaign instant first: queue
-        // waits, backoff sleeps, and wave stagger all pass for it too.
-        c.view.sync_to(sched.now());
-        const SessionDriver::StepResult r = c.driver->step();
-        // The step advanced the device clock by its cost; its consequence
-        // (next step, server request, completion) lands at that instant.
-        const double t = c.view.campaign_now();
-        switch (r.want) {
-            case SessionDriver::Want::kDelay:
-                sched.schedule_at(t, [&pump, i] { pump(i); });
-                break;
-            case SessionDriver::Want::kServer:
-                sched.schedule_at(t, [&, i] {
-                    DeviceCtx& d = ctxs[i];
-                    // The serving target was pinned at attempt start (home
-                    // region, or the origin after a connect-time fallback);
-                    // here we only handle faults that began mid-attempt.
-                    std::size_t target =
-                        d.serving_region >= 0
-                            ? static_cast<std::size_t>(d.serving_region)
-                            : origin_target;
-                    if (chaos != nullptr) {
-                        bool down = target == origin_target
-                                        ? chaos->server_down(sched.now())
-                                        : chaos->region_down(
-                                              static_cast<unsigned>(target),
-                                              sched.now());
-                        if (down && target != origin_target &&
-                            topo.origin_fallback &&
-                            !chaos->server_down(sched.now())) {
-                            // Regional outage, origin healthy: retarget.
-                            ++targets[target].fallbacks;
-                            trace(sim::TraceType::kEdgeFallback, d.result.device_id,
-                                  static_cast<std::uint32_t>(target), 0.0);
-                            target = origin_target;
-                            d.serving_region = -1;
-                            down = false;
-                        }
-                        if (down) {
-                            // The deployment is down: the request never reaches
-                            // the admission queue — the device's connect timeout
-                            // expires and the attempt sees kUnavailable (the
-                            // driver's reconnect path then waits the outage out).
-                            ++report.server.outage_rejections;
-                            if (edge_count > 0) {
-                                ++targets[target].stats.outage_rejections;
-                            }
-                            trace(sim::TraceType::kServerOutage, d.result.device_id, 0,
-                                  policy.outage_timeout_s);
-                            sched.schedule_in(policy.outage_timeout_s, [&, i] {
-                                ctxs[i].driver->provide_response(Status::kUnavailable);
-                                pump(i);
-                            });
-                            return;
-                        }
-                    }
-                    d.enqueue_t = sched.now();
-                    Target& tg = targets[target];
-                    tg.queue.push_back(i);
-                    report.server.peak_depth =
-                        std::max(report.server.peak_depth,
-                                 static_cast<unsigned>(tg.queue.size()));
-                    if (edge_count > 0) {
-                        tg.stats.peak_depth =
-                            std::max(tg.stats.peak_depth,
-                                     static_cast<unsigned>(tg.queue.size()));
-                    }
-                    trace(sim::TraceType::kQueueEnter, d.result.device_id,
-                          static_cast<std::uint32_t>(tg.queue.size()), 0.0);
-                    admit(target);
-                });
-                break;
-            case SessionDriver::Want::kFinished:
-                sched.schedule_at(t, [&session_done, i] { session_done(i); });
-                break;
-        }
-    };
-
-    admit = [&](std::size_t target) {
-        Target& tg = targets[target];
-        const bool is_origin = target == origin_target;
-        const server::ServerModel& tmodel = is_origin ? model : topo.model;
-        while (tg.in_service < tg.cap && !tg.queue.empty()) {
-            const std::size_t i = tg.queue.front();
-            tg.queue.pop_front();
-            DeviceCtx& c = ctxs[i];
-            const double wait = sched.now() - c.enqueue_t;
-            c.result.queue_wait_s += wait;
-            ++report.server.requests;
-            report.server.total_wait_s += wait;
-            report.server.max_wait_s = std::max(report.server.max_wait_s, wait);
-            if (edge_count > 0) {
-                ++tg.stats.requests;
-                tg.stats.total_wait_s += wait;
-                tg.stats.max_wait_s = std::max(tg.stats.max_wait_s, wait);
-            }
-            trace(sim::TraceType::kQueueExit, c.result.device_id,
-                  static_cast<std::uint32_t>(tg.queue.size()), wait);
-
-            // The request occupies a service slot while the server builds
-            // the device-bound image (prepare_update is the work product;
-            // the model says what the deployment charges for it — in
-            // measured mode, from the request's ServiceReceipt: signatures
-            // issued, cache hit or miss, payload dispatched). With edges the
-            // origin still prepares and signs every response — the edge is a
-            // payload cache, never a signing authority.
-            auto response = std::make_shared<Expected<server::UpdateResponse>>(
-                server_->prepare_update(app_id, c.driver->token()));
-            if (*response) {
-                const server::ServiceReceipt& r = (*response)->receipt;
-                std::uint32_t bits = 0;
-                if (r.chunked) bits |= sim::kCacheBitChunked;
-                if (r.response_cache_hit) bits |= sim::kCacheBitResponseHit;
-                if (r.delta_attempted) bits |= sim::kCacheBitDeltaAttempt;
-                trace(sim::TraceType::kServerCache, c.result.device_id, bits,
-                      static_cast<double>(r.sign_ops));
-            }
-            double service = *response ? tmodel.service_seconds((*response)->receipt)
-                                       : tmodel.service_seconds(std::size_t{0});
-            if (!is_origin && *response) {
-                // Edge payload cache: a miss pulls the bytes from the
-                // origin over the backhaul before serving.
-                const bool hit = tg.cache.serve(**response);
-                trace(sim::TraceType::kEdgeCache, c.result.device_id,
-                      static_cast<std::uint32_t>(target), hit ? 1.0 : 0.0);
-                if (!hit) {
-                    service += topo.backhaul_rtt_s +
-                               topo.backhaul_per_kb_s *
-                                   static_cast<double>((*response)->payload.size() +
-                                                       (*response)->manifest_bytes.size()) /
-                                   1024.0;
-                }
-            }
-            ++tg.in_service;
-            report.server.peak_in_service =
-                std::max(report.server.peak_in_service, tg.in_service);
-            report.server.busy_s += service;
-            if (edge_count > 0) {
-                tg.stats.peak_in_service =
-                    std::max(tg.stats.peak_in_service, tg.in_service);
-                tg.stats.busy_s += service;
-            }
-            sched.schedule_in(service, [&, i, target, response, service] {
-                --targets[target].in_service;
-                trace(sim::TraceType::kServiceDone, ctxs[i].result.device_id, 0, service);
-                if (chaos != nullptr) {
-                    // The payload transfers under the serving target's fault
-                    // domain (home edge, or the origin after a fallback).
-                    DeviceCtx& d = ctxs[i];
-                    d.transport->set_chaos({.plan = chaos,
-                                            .device_id = d.result.device_id,
-                                            .campaign_offset = d.view.offset(),
-                                            .payload_via_server = true,
-                                            .region = d.serving_region});
-                }
-                ctxs[i].driver->provide_response(std::move(*response));
-                admit(target);  // the freed slot may admit the next request
-                pump(i);
-            });
-        }
-    };
-
-    start_attempt = [&](std::size_t i) {
-        DeviceCtx& c = ctxs[i];
-        ++c.attempt;
-        c.result.attempts = c.attempt;
-        c.view.sync_to(sched.now());
-        Device& device = *c.member->device;
-        // Fresh loss seed per attempt: a retry sees new channel conditions,
-        // not a replay of the exact packet losses that sank the previous
-        // attempt.
-        c.transport = std::make_unique<net::Transport>(
-            c.member->link, device.clock(), &device.meter(),
-            c.result.device_id * 1000003ull + (c.attempt - 1));
-        c.transport->set_max_retries(policy.transport_max_retries);
-        c.driver = std::make_unique<SessionDriver>(device, *c.transport, tracer_,
-                                                   c.view.offset());
-        c.driver->set_transport_resumes(policy.transport_resumes);
-        // The attempt's serving target is chosen now, before the uplink: the
-        // transport's fault domain and the driver's outage probe are bound to
-        // it for the whole attempt. A device whose home region is already dark
-        // retargets the origin here (when fallback is on and the origin is
-        // up) — otherwise its uplink would time the outage out without ever
-        // reaching the admission queue.
-        c.serving_region = edge_count > 0 ? static_cast<int>(i % edge_count) : -1;
-        if (chaos != nullptr) {
-            if (c.serving_region >= 0 && topo.origin_fallback &&
-                chaos->region_down(static_cast<unsigned>(c.serving_region),
-                                   sched.now()) &&
-                !chaos->server_down(sched.now())) {
-                ++targets[static_cast<std::size_t>(c.serving_region)].fallbacks;
-                trace(sim::TraceType::kEdgeFallback, c.result.device_id,
-                      static_cast<std::uint32_t>(c.serving_region), 0.0);
-                c.serving_region = -1;
-            }
-            c.transport->set_chaos({.plan = chaos,
-                                    .device_id = c.result.device_id,
-                                    .campaign_offset = c.view.offset(),
-                                    .payload_via_server = true,
-                                    .region = c.serving_region});
-            c.driver->set_outage_probe([&c, chaos] {
-                const double t = c.view.campaign_now();
-                return c.serving_region >= 0
-                           ? chaos->region_down(
-                                 static_cast<unsigned>(c.serving_region), t)
-                           : chaos->server_down(t);
-            });
-            c.driver->set_reconnect_backoff(policy.reconnect_backoff_s);
-            c.driver->set_chunk_chaos(chaos);
-        }
-        trace(sim::TraceType::kSessionStart, c.result.device_id, c.attempt, 0.0);
-        pump(i);
-    };
-
-    trip_breaker = [&](unsigned k, double failure_rate, bool force_abort) {
-        ++trips;
-        const bool abort_now =
-            force_abort || policy.breaker_abort || trips > policy.breaker_max_trips;
-        report.breaker_trips.push_back(BreakerTrip{.t = sched.now(),
-                                                   .wave = k,
-                                                   .failures = cohorts[k].attempts_failed,
-                                                   .completed = cohorts[k].attempts_done,
-                                                   .released = cohorts[k].released,
-                                                   .failure_rate = failure_rate,
-                                                   .aborted = abort_now});
-        trace(sim::TraceType::kBreakerTrip, 0, k, failure_rate);
-        if (abort_now) {
-            aborted = true;
-            return;
-        }
-        paused = true;
-        sched.schedule_in(policy.breaker_pause_s, [&] {
-            if (aborted) return;
-            paused = false;
-            // Windowed breaker: restart the failure window, or the pre-pause
-            // failures would instantly re-trip it on resume.
-            for (CohortState& w : cohorts) {
-                w.attempts_done = 0;
-                w.attempts_failed = 0;
-            }
-            auto deferred = std::move(paused_retries);
-            paused_retries.clear();
-            for (const auto& [idx, delay] : deferred) {
-                sched.schedule_in(delay, [&start_attempt, idx] { start_attempt(idx); });
-            }
-            maybe_promote();
-        });
-    };
-
-    session_done = [&](std::size_t i) {
-        DeviceCtx& c = ctxs[i];
-        c.last = c.driver->report();
-        c.result.bytes_over_air += c.last.bytes_over_air;  // all attempts count
-        c.result.verification_s += c.last.phases.verification_s;
-        c.result.transport_resumes += c.last.transport_resumes;
-        c.result.token_refreshes += c.last.token_refreshes;
-        c.result.chunk_retries += c.last.chunk_retries;
-        if (c.last.confirmed) c.result.confirmed = true;
-        if (c.last.rolled_back) c.result.rolled_back = true;
-        c.driver.reset();
-        c.transport.reset();
-
-        // Attempt-level breaker window: count the outcome, then let the
-        // breaker react before this device decides whether to retry.
-        CohortState* w = gated ? &cohorts[c.cohort] : nullptr;
-        if (w != nullptr) {
-            ++w->attempts_done;
-            if (c.last.status != Status::kOk) ++w->attempts_failed;
-            if (!aborted && !paused && policy.breaker_failure_rate > 0.0 &&
-                w->attempts_failed >= policy.breaker_min_failures) {
-                const double rate = static_cast<double>(w->attempts_failed) /
-                                    static_cast<double>(w->attempts_done);
-                if (rate > policy.breaker_failure_rate) {
-                    trip_breaker(c.cohort, rate, /*force_abort=*/false);
-                }
-            }
-        }
-
-        const bool give_up = c.last.status == Status::kOk ||
-                             // A stale offer will not get fresher by retrying.
-                             c.last.status == Status::kStaleVersion ||
-                             // The image booted but failed its self-test; a
-                             // re-download installs the same bad image.
-                             c.last.status == Status::kSelfTestFailed ||
-                             aborted ||
-                             c.attempt >= policy.max_attempts;
-        if (!give_up) {
-            double delay = 0.0;
-            if (policy.initial_backoff_s > 0) {
-                delay = policy.initial_backoff_s *
-                        std::pow(policy.backoff_factor,
-                                 static_cast<double>(c.attempt - 1));
-                delay = std::min(delay, policy.max_backoff_s);
-                // u uniform in [-1, 1): delay stays positive for jitter < 1.
-                const double u =
-                    static_cast<double>(c.jitter_rng.next_u32()) / 2147483648.0 - 1.0;
-                delay *= 1.0 + policy.jitter * u;
-                c.result.backoff_s += delay;
-            }
-            trace(sim::TraceType::kRetryScheduled, c.result.device_id, c.attempt + 1,
-                  delay);
-            if (paused) {
-                // Deferred until the breaker resumes (jitter already drawn,
-                // so the rng stream is identical either way).
-                paused_retries.emplace_back(i, delay);
-            } else {
-                sched.schedule_in(delay, [&start_attempt, i] { start_attempt(i); });
-            }
-            return;
-        }
-
-        Device& device = *c.member->device;
-        c.done = true;
-        c.result.status = c.last.status;
-        c.result.final_version = device.identity().installed_version;
-        c.result.differential = c.last.differential;
-        c.result.chunked = c.last.chunked;
-        c.result.end_s = sched.now();
-        c.result.time_s = c.result.end_s - c.result.start_s;
-        c.result.energy_mj = device.meter().total_millijoules() - c.e0;
-        device.set_tracer(nullptr);
-
-        if (w != nullptr) {
-            ++w->terminal;
-            if (c.result.status == Status::kOk) ++w->succeeded;
-            else ++w->failed;
-            if (c.result.rolled_back) ++w->rolled_back;
-            w->complete_s = sched.now();
-            maybe_promote();
-        }
-    };
-
-    // Binds device i to the campaign timeline at the current instant.
-    const auto setup_device = [&](std::size_t i, unsigned wave) {
-        DeviceCtx& c = ctxs[i];
-        c.member = &members_[i];
-        Device& device = *c.member->device;
-        c.result.device_id = device.identity().device_id;
-        c.result.wave = wave;
-        c.cohort = wave;
-        c.released = true;
-        c.result.start_s = sched.now();
-        // Deterministic jitter stream: a function of the device id only,
-        // so a rerun of the same campaign replays the same delays.
-        c.jitter_rng.reseed(0x9E3779B97F4A7C15ull ^ c.result.device_id);
-        // Oscillator drift (chaos plans): exactly 1.0 when unconfigured,
-        // which keeps the clock-view arithmetic bit-identical to pre-drift.
-        const double rate =
-            chaos != nullptr ? chaos->device_clock_rate(c.result.device_id) : 1.0;
-        c.view = sim::DeviceClockView(device.clock(), sched.now(), rate);
-        c.e0 = device.meter().total_millijoules();
-        device.set_tracer(tracer_, c.view.offset());
-        if (chaos != nullptr) {
-            const std::uint32_t id = c.result.device_id;
-            device.set_health_hook([chaos, id](std::uint16_t version) {
-                return chaos->self_test_passes(id, version);
-            });
-        }
-    };
-
-    release_cohort = [&](unsigned k) {
-        if (aborted) return;
-        if (paused) {
-            // Promotion landed inside a breaker pause: wait it out.
-            sched.schedule_in(policy.breaker_pause_s,
-                              [&release_cohort, k] { release_cohort(k); });
-            return;
-        }
-        CohortState& w = cohorts[k];
-        w.released_flag = true;
-        w.release_s = sched.now();
-        trace(sim::TraceType::kWaveStart, 0, k, 0.0);
-        const auto [lo, hi] = part.range(k);
-        for (std::size_t i = lo; i < hi; ++i) {
-            setup_device(i, k);
-            ++w.released;
-            start_attempt(i);
-        }
-    };
-
-    maybe_promote = [&] {
-        if (!gated || aborted || paused) return;
-        if (next_release == 0 || next_release >= cohort_count) return;
-        const CohortState& prev = cohorts[next_release - 1];
-        if (!prev.released_flag || prev.terminal < prev.released) return;
-        const double rate =
-            prev.released == 0
-                ? 1.0
-                : static_cast<double>(prev.succeeded) / static_cast<double>(prev.released);
-        if (policy.promote_success_rate > 0.0 && rate < policy.promote_success_rate) {
-            // Gate failure: the cohort's devices are already terminal — a
-            // pause cannot heal them, so a failed gate always aborts.
-            trip_breaker(next_release - 1, 1.0 - rate, /*force_abort=*/true);
-            return;
-        }
-        const unsigned k = next_release;
-        ++next_release;  // bumped at scheduling time: no double promotion
-        trace(sim::TraceType::kWavePromote, 0, k, rate);
-        sched.schedule_in(policy.wave_stagger_s,
-                          [&release_cohort, k] { release_cohort(k); });
-    };
-
-    if (gated) {
-        // Staged promotion: only the canary releases up front; every later
-        // wave is earned by the cohort before it passing its gate.
-        next_release = 1;
-        sched.schedule_at(0.0, [&release_cohort] { release_cohort(0); });
-    } else {
-        // Legacy release: the whole schedule is fixed up front.
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            const std::size_t wave = i / wave_size;
-            const double release_t = static_cast<double>(wave) * policy.wave_stagger_s;
-            sched.schedule_at(release_t, [&, i, wave] {
-                setup_device(i, static_cast<unsigned>(wave));
-                if (i % wave_size == 0) {
-                    trace(sim::TraceType::kWaveStart, 0,
-                          static_cast<std::uint32_t>(wave), 0.0);
-                }
-                start_attempt(i);
-            });
-        }
-    }
-
-    sched.run(event_budget_);
-
-    // Aggregate in member order (stable regardless of interleaving).
-    report.devices.reserve(ctxs.size());
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-        DeviceCtx& c = ctxs[i];
-        if (gated && !c.released) {
-            // The breaker halted the campaign before this device's wave:
-            // contained, never offered the update — not an OTA failure.
-            c.result.device_id = members_[i].device->identity().device_id;
-            c.result.wave = part.cohort_of(i);
-            c.result.status = Status::kCampaignHalted;
-            c.result.halted = true;
-            ++report.halted_devices;
-            report.devices.push_back(std::move(c.result));
-            continue;
-        }
-        if (!c.done) {
-            // Event budget exhausted mid-session: surface the stuck device
-            // rather than pretending it failed over the air.
-            c.result.status = Status::kResourceExhausted;
-            if (c.member != nullptr) c.member->device->set_tracer(nullptr);
-        }
-        if (c.result.status == Status::kOk) {
-            ++report.succeeded;
-            if (c.result.differential) ++report.differential_updates;
-            if (c.result.chunked) ++report.chunked_updates;
-        } else {
-            ++report.failed;
-        }
-        report.chunk_retries += c.result.chunk_retries;
-        if (c.member != nullptr) {
-            // Battery cost of the verification seconds: CPU active draw plus
-            // the HSM's supply current where one did the verifying.
-            const Device& device = *c.member->device;
-            const double draw_ma = device.config().platform->cpu_active_ma +
-                                   device.verifier().backend().costs().active_current_ma;
-            c.result.verification_mah =
-                sim::milliamp_hours(c.result.verification_s, draw_ma);
-        }
-        ++report.exposed_devices;
-        if (c.result.confirmed) ++report.confirmed_devices;
-        if (c.result.rolled_back) ++report.rolled_back_devices;
-        report.verification_mah += c.result.verification_mah;
-        report.total_energy_mj += c.result.energy_mj;
-        report.total_bytes += c.result.bytes_over_air;
-        report.verification_s += c.result.verification_s;
-        report.makespan_s = std::max(report.makespan_s, c.result.end_s);
-        report.devices.push_back(std::move(c.result));
-    }
-    if (gated) {
-        for (unsigned k = 0; k < cohort_count; ++k) {
-            const CohortState& w = cohorts[k];
-            if (!w.released_flag) continue;
-            report.waves.push_back(WaveStats{.wave = k,
-                                             .released = w.released,
-                                             .succeeded = w.succeeded,
-                                             .failed = w.failed,
-                                             .rolled_back = w.rolled_back,
-                                             .release_s = w.release_s,
-                                             .complete_s = w.complete_s});
-        }
-    }
-    if (edge_count > 0) {
-        for (std::size_t r = 0; r < edge_count; ++r) {
-            report.edges.push_back(EdgeReport{.region = static_cast<unsigned>(r),
-                                              .queue = targets[r].stats,
-                                              .cache = targets[r].cache.stats(),
-                                              .fallbacks = targets[r].fallbacks});
-        }
-    }
-    report.events_processed = sched.events_processed();
-    report.server_stats = detail::stats_delta(server_->stats(), stats_before);
-    const crypto::VerifyMemoStats memo_after = crypto::verify_memo_stats();
-    report.verify_memo = {memo_after.hits - memo_before.hits,
-                          memo_after.misses - memo_before.misses};
-    return report;
 }
 
 }  // namespace upkit::core

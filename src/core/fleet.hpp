@@ -281,10 +281,10 @@ struct CampaignReport {
     std::vector<EdgeReport> edges;
 
     /// FNV-1a over every field of the report, per-device results included.
-    /// Equal fingerprints == equal reports; the differential battery pins
-    /// sharded runs to the reference engine with this (and the bench proves
-    /// the same identity at million-device scale, where storing two full
-    /// reports for a diff would be silly).
+    /// Equal fingerprints == equal reports; tests/fleet_shard_test.cpp pins
+    /// golden fingerprints at every shard count with this (and the bench
+    /// proves the same identity across shard counts at million-device
+    /// scale, where storing two full reports for a diff would be silly).
     std::uint64_t fingerprint() const;
 };
 
@@ -304,13 +304,14 @@ public:
 
     std::size_t size() const { return members_.size(); }
 
-    /// Shards the engine across `shards` worker threads (devices are
-    /// space-partitioned by fleet index, index % shards). 0 — the default —
-    /// runs the retained single-heap reference engine. Any non-zero count
-    /// replays byte-identically to the reference: device session segments
-    /// run ahead on their shard, and the coordinator replays their event
-    /// descriptors through one heap in the reference's exact
-    /// (time, sequence) order, blocking only when a shard hasn't caught up.
+    /// Where device sessions step. 0 — the default — steps them inline on
+    /// the campaign's one coordinator thread. A non-zero count runs them on
+    /// `shards` worker threads (devices are space-partitioned by fleet
+    /// index, index % shards): session segments run ahead on their shard,
+    /// and the coordinator replays their steps through its one heap in the
+    /// same (time, sequence) order, blocking only when a shard hasn't
+    /// caught up. Every shard count produces byte-identical reports and
+    /// traces.
     void set_shards(unsigned shards) { shards_ = shards; }
 
     /// Regional edge topology (see EdgeTopology). Must be configured before
@@ -329,10 +330,6 @@ public:
     CampaignReport run(std::uint32_t app_id, const FleetPolicy& policy = {});
 
 private:
-    CampaignReport run_reference(std::uint32_t app_id, const FleetPolicy& policy);
-    CampaignReport run_sharded(std::uint32_t app_id, const FleetPolicy& policy,
-                               unsigned shards);
-
     server::UpdateServer* server_;
     std::vector<FleetMember> members_;
     std::vector<std::unique_ptr<Device>> owned_;  // add_synthetic devices

@@ -1,18 +1,26 @@
-// Differential determinism battery for the sharded fleet engine.
+// Determinism battery for the fleet engine's two segment sources.
 //
-// The sharded engine (core/fleet_shard.cpp) claims byte-identical replay of
-// the single-heap reference engine for ANY shard count. These tests pin that
-// claim, not just shard-to-shard consistency:
-//   1. Differential battery — shard counts {1, 2, 4, 8} each reproduce the
-//      reference engine's JSONL trace (byte-for-byte), its trace
-//      fingerprint, and its CampaignReport fingerprint, on a plain
-//      campaign, a tie-heavy campaign, and a gated chaos campaign with a
-//      multi-edge topology, regional outages, and clock drift.
-//   2. Reruns — the sharded engine is stable against itself across runs.
+// FleetCampaign::run is one coordinator at every shard count. At 0 shards
+// it steps each device's session driver itself, one step per event; at N
+// shards worker threads run whole segments ahead and the coordinator
+// replays their records in (time, sequence) order. These tests pin both:
+//   1. Golden battery — seven campaigns (plain; gated + chaos + 3 edges +
+//      clock drift; tie-heavy one-wave release; more shards than devices;
+//      a pinned outage-window edge; a region outage opening mid-attempt;
+//      an add_synthetic fleet) reproduce a pinned report fingerprint,
+//      trace fingerprint, trace event count and events_processed at shard
+//      counts {0, 1, 2, 4, 8}, and every threaded run reproduces the
+//      inline run's JSONL trace byte for byte.
+//      The pins were captured from the single-heap engine the coordinator
+//      replaced, and they hold on any host: TestEnv devices keep
+//      uncalibrated costs and every server model is constant.
+//   2. Reruns — the threaded source is stable against itself across runs.
 //   3. Merge ordering — same-instant ties resolve in fleet order, shard
-//      counts exceeding the fleet size (empty shards) change nothing, and
-//      outage-window edges land identically across engines. The shard
-//      pool's per-shard FIFO guarantee gets its own unit test.
+//      counts exceeding the fleet size (empty shards) change nothing,
+//      outage-window edges land identically at every shard count, and a
+//      request that falls back to the origin mid-attempt takes its transfer
+//      there too. The shard pool's per-shard FIFO guarantee gets its own
+//      unit test.
 //   4. Chaos regressions — per-region fault domains and clock drift are
 //      pure in (seed, region, device, t) and replay deterministically;
 //      unconfigured plans keep their legacy fingerprint.
@@ -22,6 +30,7 @@
 
 #include <atomic>
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,11 +60,12 @@ struct RunResult {
 
 struct CampaignSpec {
     std::size_t devices = 8;
-    unsigned shards = 0;       // 0 = reference engine
+    unsigned shards = 0;       // 0 = inline segment source
     unsigned edges = 0;
     bool gated = false;
     bool chaos = false;
     bool pinned_region_outage = false;  // explicit window instead of drawn
+    double pinned_outage_start_s = 0.0;
     double wave_stagger_s = 5.0;
     unsigned wave_size = 4;
 };
@@ -106,9 +116,10 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
         model.chaos = &plan;
     }
     if (spec.pinned_region_outage) {
-        // Window edge exactly at the release instant of wave 0 (t = 0) and
-        // a second edge landing mid-campaign.
-        plan.add_region_outage(0, 0.0, 12.0);
+        // Region 0 goes dark for 12 s. Opening at t = 0, the window's edge
+        // falls exactly on wave 0's release instant, and its closing edge
+        // lands mid-campaign.
+        plan.add_region_outage(0, spec.pinned_outage_start_s, 12.0);
         model.chaos = &plan;
     }
     env.server.set_model(model);
@@ -146,7 +157,7 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
     out.trace_events = fp.events();
 }
 
-/// Full-fidelity comparison of a sharded run against the reference run:
+/// Full-fidelity comparison of a threaded run against the inline run:
 /// byte-identical trace, identical trace fingerprint, identical report
 /// fingerprint, plus direct spot checks so a fingerprint bug can't mask a
 /// real divergence.
@@ -184,25 +195,63 @@ void expect_identical(const RunResult& ref, const RunResult& got) {
     }
 }
 
-void run_battery(CampaignSpec spec) {
-    spec.shards = 0;
-    RunResult reference;
-    run_campaign(spec, reference);
-    for (unsigned shards : {1u, 2u, 4u, 8u}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        CampaignSpec s = spec;
-        s.shards = shards;
-        RunResult got;
-        run_campaign(s, got);
-        expect_identical(reference, got);
-    }
+/// Pinned outputs of one campaign.
+struct Golden {
+    std::uint64_t report_fp = 0;
+    std::uint64_t trace_fp = 0;
+    std::uint64_t trace_events = 0;
+    std::uint64_t events_processed = 0;
+};
+
+void expect_golden(const RunResult& got, const Golden& golden) {
+    EXPECT_EQ(got.report.fingerprint(), golden.report_fp);
+    EXPECT_EQ(got.trace_fp, golden.trace_fp);
+    EXPECT_EQ(got.trace_events, golden.trace_events);
+    EXPECT_EQ(got.report.events_processed, golden.events_processed);
 }
 
-// ------------------------------------------------- differential battery
+/// Runs one campaign at shard counts {0, 1, 2, 4, 8}: every run matches
+/// the pins, and every threaded run matches the inline run byte for byte.
+/// Returns the inline run.
+RunResult run_battery(const std::function<void(unsigned, RunResult&)>& run,
+                      const Golden& golden) {
+    RunResult inline_run;
+    run(0, inline_run);
+    expect_golden(inline_run, golden);
+    for (unsigned shards : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        RunResult got;
+        run(shards, got);
+        expect_identical(inline_run, got);
+        expect_golden(got, golden);
+    }
+    return inline_run;
+}
+
+RunResult run_battery(const CampaignSpec& spec, const Golden& golden) {
+    return run_battery(
+        [&spec](unsigned shards, RunResult& out) {
+            CampaignSpec s = spec;
+            s.shards = shards;
+            run_campaign(s, out);
+        },
+        golden);
+}
+
+// ------------------------------------------------------ golden battery
+
+// {report fingerprint, trace fingerprint, trace events, events_processed}
+constexpr Golden kGoldenPlain{0x04f557c06dc42b54ull, 0xcd10f35b1554f52cull, 146, 112};
+constexpr Golden kGoldenGated{0x9e1420c46f5eece2ull, 0x9ebb1cadb263166bull, 235, 160};
+constexpr Golden kGoldenTies{0x6b2835ae0620dd05ull, 0x8d2721c4f47b2225ull, 163, 126};
+constexpr Golden kGoldenEmptyShards{0x31c8507c1c58cd9bull, 0xf159a0a5234c5494ull, 55, 42};
+constexpr Golden kGoldenOutageEdge{0xf3d8f52bd78f0e00ull, 0x5cb69ca902e8412cull, 154, 112};
+constexpr Golden kGoldenMidAttemptOutage{0xf3d8f52bd78f0e00ull, 0xd804c497bad62d4cull, 154, 112};
+constexpr Golden kGoldenSynthetic{0xd5effd0f16f551efull, 0x86f90ed583ff600eull, 435, 240};
 
 TEST(ShardDifferentialTest, PlainCampaignMatchesReferenceAtEveryShardCount) {
     CampaignSpec spec;  // 8 devices, 2 waves, lossy links, single origin
-    run_battery(spec);
+    run_battery(spec, kGoldenPlain);
 }
 
 TEST(ShardDifferentialTest, GatedChaosEdgeCampaignMatchesReference) {
@@ -211,7 +260,7 @@ TEST(ShardDifferentialTest, GatedChaosEdgeCampaignMatchesReference) {
     spec.gated = true;
     spec.chaos = true;   // outages, loss bursts, bricks, drift
     spec.edges = 3;      // regional queues + caches + fault domains
-    run_battery(spec);
+    run_battery(spec, kGoldenGated);
 }
 
 TEST(ShardDifferentialTest, ShardedRerunsAreByteIdentical) {
@@ -233,17 +282,12 @@ TEST(ShardMergeOrderingTest, SameInstantReleasesResolveInFleetOrder) {
     // Every device releases at t = 0 (one wave, no stagger): the campaign
     // is one long chain of same-timestamp ties that only the (time, seq)
     // merge discipline can order. All shard counts must agree with the
-    // reference — and the session starts must appear in fleet order.
+    // pins — and the session starts must appear in fleet order.
     CampaignSpec spec;
     spec.devices = 9;
     spec.wave_size = 0;       // one wave
     spec.wave_stagger_s = 0.0;
-    run_battery(spec);
-
-    spec.shards = 8;
-    RunResult got;
-    run_campaign(spec, got);
-    std::vector<std::string> lines;
+    const RunResult got = run_battery(spec, kGoldenTies);
     std::size_t pos = 0;
     std::uint32_t last_id = 0;
     bool in_order = true;
@@ -269,18 +313,40 @@ TEST(ShardMergeOrderingTest, SameInstantReleasesResolveInFleetOrder) {
 TEST(ShardMergeOrderingTest, MoreShardsThanDevicesLeavesEmptyShardsHarmless) {
     CampaignSpec spec;
     spec.devices = 3;  // shards 4 and 8 leave idle workers
-    run_battery(spec);
+    run_battery(spec, kGoldenEmptyShards);
 }
 
 TEST(ShardMergeOrderingTest, RegionOutageWindowEdgeIsIdenticalAcrossEngines) {
     // An outage window whose start coincides exactly with the wave release
     // instant (t = 0): the boundary comparison (start <= t < end) must land
-    // the same way in both engines, at every shard count.
+    // the same way at every shard count.
     CampaignSpec spec;
     spec.devices = 8;
     spec.edges = 2;
     spec.pinned_region_outage = true;
-    run_battery(spec);
+    run_battery(spec, kGoldenOutageEdge);
+}
+
+TEST(ShardMergeOrderingTest, RegionOutageOpeningMidAttemptMovesTheTransfer) {
+    // Region 0 goes dark 150 ms after wave 0 releases, while its devices'
+    // tokens are on the air (85–195 ms): they started their attempts on the
+    // edge, find it down when the request reaches the queue, and retarget
+    // the origin there. The response handoff must move the transfer's fault
+    // domain to the origin too, or manifest and payload would stall in the
+    // dark region.
+    CampaignSpec spec;
+    spec.devices = 8;
+    spec.edges = 2;
+    spec.pinned_region_outage = true;
+    spec.pinned_outage_start_s = 0.15;
+    const RunResult got = run_battery(spec, kGoldenMidAttemptOutage);
+    // Not vacuous: the first fallback is wave 0's, taken mid-attempt.
+    const std::size_t at = got.trace.find("\"ev\":\"edge-fallback\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t line = got.trace.rfind('\n', at) + 1;  // npos + 1 == 0
+    const double t = std::stod(got.trace.substr(line + 5));  // {"t":
+    EXPECT_GT(t, spec.pinned_outage_start_s);
+    EXPECT_LT(t, spec.wave_stagger_s);
 }
 
 TEST(ShardPoolTest, TasksOnOneShardRunInFifoOrder) {
@@ -446,12 +512,10 @@ TEST(VerifyMemoTest, DisabledByDefaultAndInvisibleToResults) {
 // ------------------------------------------------- synthetic fleets
 
 TEST(SyntheticFleetTest, AddSyntheticProvisionsAndShardsAgree) {
-    // add_synthetic() is the bench's bulk construction path: build two
-    // identical 24-device fleets (provisioned at v1, campaign to v2), run
-    // one on the reference engine and one on 4 shards, expect identical
-    // fingerprints.
-    auto build_and_run = [](unsigned shards, std::uint64_t& fp,
-                            CampaignReport& report) {
+    // add_synthetic() is the bench's bulk construction path: build a fresh
+    // 24-device fleet (provisioned at v1, campaign to v2) per shard count
+    // and expect the pinned outputs at every one.
+    const auto build_and_run = [](unsigned shards, RunResult& out) {
         TestEnv env(4 * 1024);
         FleetCampaign campaign{env.server};
         SyntheticFleetSpec spec;
@@ -464,24 +528,25 @@ TEST(SyntheticFleetTest, AddSyntheticProvisionsAndShardsAgree) {
         ASSERT_EQ(campaign.size(), 24u);
         env.publish_os_update(2, 31);  // published after provisioning
         campaign.set_shards(shards);
+        sim::Tracer tracer;
+        sim::JsonlSink jsonl(out.trace);
+        sim::FingerprintSink fp;
+        tracer.add_sink(jsonl);
+        tracer.add_sink(fp);
+        campaign.set_tracer(&tracer);
         FleetPolicy policy;
         policy.wave_size = 8;
         policy.wave_stagger_s = 2.0;
-        report = campaign.run(kAppId, policy);
-        fp = report.fingerprint();
+        out.report = campaign.run(kAppId, policy);
+        out.trace_fp = fp.fingerprint();
+        out.trace_events = fp.events();
     };
-    std::uint64_t fp_ref = 0, fp_shard = 0;
-    CampaignReport ref, shard;
-    build_and_run(0, fp_ref, ref);
-    build_and_run(4, fp_shard, shard);
-    EXPECT_EQ(ref.succeeded, 24u);
-    EXPECT_EQ(fp_ref, fp_shard);
-    EXPECT_EQ(ref.events_processed, shard.events_processed);
-
+    const RunResult got = run_battery(build_and_run, kGoldenSynthetic);
+    EXPECT_EQ(got.report.succeeded, 24u);
     // Device identity plumbing: ids and versions came out as specified.
-    EXPECT_EQ(ref.devices.front().device_id, 0x10001u);
-    EXPECT_EQ(ref.devices.back().device_id, 0x10001u + 23u);
-    for (const CampaignDeviceResult& d : ref.devices) {
+    EXPECT_EQ(got.report.devices.front().device_id, 0x10001u);
+    EXPECT_EQ(got.report.devices.back().device_id, 0x10001u + 23u);
+    for (const CampaignDeviceResult& d : got.report.devices) {
         EXPECT_EQ(d.final_version, 2u);
     }
 }
