@@ -2,7 +2,9 @@
 // devices, and fixed-width table printing with paper-vs-measured columns.
 #pragma once
 
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -65,6 +67,20 @@ inline void print_header(const char* title) {
 }
 
 inline void print_note(const char* note) { std::printf("%s\n", note); }
+
+/// Parses a positive decimal count argument. An empty, non-numeric or zero
+/// count prints `usage` and exits 2, so it is never mistaken for a failed
+/// gate (exit 1).
+inline std::size_t parse_count(const char* arg, const char* usage) {
+    char* end = nullptr;
+    const unsigned long long n = std::strtoull(arg, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(*arg)) || *end != '\0' || n == 0) {
+        std::fprintf(stderr, "bad count '%s' (want a positive decimal integer)\nusage: %s\n",
+                     arg, usage);
+        std::exit(2);
+    }
+    return static_cast<std::size_t>(n);
+}
 
 /// "who wins / by how much" helper.
 inline double percent_less(double smaller, double larger) {

@@ -23,6 +23,8 @@
 //               pre-refactor tree when the constant was minted.
 //
 //   chunk_dedup [devices]     (default: 48)
+//
+// An empty, non-numeric or zero count exits 2 with the usage line.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -142,7 +144,7 @@ std::string legacy_fingerprint() {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t fleet = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 48;
+    const std::size_t fleet = argc > 1 ? parse_count(argv[1], "chunk_dedup [devices]") : 48;
 
     // ---- 1. store dedup across a release chain ---------------------------
     Rig store_rig;

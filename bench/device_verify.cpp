@@ -16,13 +16,14 @@
 //
 //   device_verify [devices] [iters]     (defaults: 48, 64)
 //
+// An empty, non-numeric or zero count exits 2 with the usage line.
+//
 // Exits nonzero when the precomputed-table wNAF speedup falls under 2.5x,
 // prepared verification fails to beat the pre-PR kernel, SHA-256 falls
 // under the throughput floor, any fast path disagrees with the reference,
 // or the calibrated campaign fails to cut verification time.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -96,9 +97,9 @@ FleetOutcome run_fleet(std::size_t fleet, bool calibrated) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t fleet = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 48;
-    const int iters =
-        argc > 2 ? static_cast<int>(std::strtoul(argv[2], nullptr, 10)) : 64;
+    constexpr const char* kUsage = "device_verify [devices] [iters]";
+    const std::size_t fleet = argc > 1 ? parse_count(argv[1], kUsage) : 48;
+    const int iters = argc > 2 ? static_cast<int>(parse_count(argv[2], kUsage)) : 64;
 
     const crypto::P256& curve = crypto::P256::instance();
     Rng rng(0xDE7153);

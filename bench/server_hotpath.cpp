@@ -12,13 +12,14 @@
 //
 //   server_hotpath [devices] [server_concurrency]     (defaults: 1000, 8)
 //
+// An empty, non-numeric or zero count exits 2 with the usage line.
+//
 // Exits nonzero when the comb speedup falls under 5x, the constant-time
 // Booth path (mul_base_ct, what signing uses on secret nonces) falls under
 // 4x, a fleet fails to converge, or the measured-model makespan fails to
 // beat the constant one.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -87,9 +88,10 @@ FleetOutcome run_fleet(std::size_t fleet, const server::ServerModel& model) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const std::size_t fleet = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1000;
+    constexpr const char* kUsage = "server_hotpath [devices] [server_concurrency]";
+    const std::size_t fleet = argc > 1 ? parse_count(argv[1], kUsage) : 1000;
     const unsigned concurrency =
-        argc > 2 ? static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10)) : 8;
+        argc > 2 ? static_cast<unsigned>(parse_count(argv[2], kUsage)) : 8;
 
     // ---- micro: comb vs ladder ------------------------------------------
     const crypto::P256& curve = crypto::P256::instance();

@@ -219,14 +219,14 @@ Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) {
             const U256 r = ct::declassify_value(fn.reduce(point->x));
             if (!r.is_zero()) {
                 // s = k^-1 (z + r d) mod n, computed in the order's
-                // Montgomery domain. The nonce inverse takes the
-                // Bernstein-Yang divstep ladder: fixed 744-step schedule,
-                // mask selects only.
+                // Montgomery domain. The nonce inverse is Fermat's
+                // k^(n-2): its square-and-multiply schedule follows the
+                // public exponent, and every step is the branchless mul.
                 const U256 km = fn.to_mont(k);
                 const U256 rm = fn.to_mont(r);
                 const U256 dm = fn.to_mont(key.scalar());
                 const U256 zm = fn.to_mont(z);
-                const U256 s_m = fn.mul(fn.inv_ct(km), fn.add(zm, fn.mul(rm, dm)));
+                const U256 s_m = fn.mul(fn.inv(km), fn.add(zm, fn.mul(rm, dm)));
                 const U256 s = ct::declassify_value(fn.from_mont(s_m));
                 if (!s.is_zero()) {
                     Signature sig{};
@@ -260,7 +260,7 @@ bool verify_with(const Sha256Digest& digest, ByteSpan signature, MulAddFn&& mul_
     if (!(r < curve.n()) || !(s < curve.n())) return false;
 
     const U256 z = fn.reduce(digest_to_scalar(digest));
-    const U256 w_m = fn.inv(fn.to_mont(s));  // lint: inv-audited (s is a public signature component)
+    const U256 w_m = fn.inv(fn.to_mont(s));
     const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z), w_m));
     const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r), w_m));
 
@@ -345,7 +345,7 @@ bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
     // expensive scalar op in a prepared verify, and this halves it.
     const U256 s1m = fn.to_mont(s1);
     const U256 s2m = fn.to_mont(s2);
-    const U256 pair_inv = fn.inv(fn.mul(s1m, s2m));  // lint: inv-audited (public signature components)
+    const U256 pair_inv = fn.inv(fn.mul(s1m, s2m));
     const U256 w1m = fn.mul(pair_inv, s2m);
     const U256 w2m = fn.mul(pair_inv, s1m);
     const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z1), w1m));

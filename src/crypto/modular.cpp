@@ -17,62 +17,6 @@ std::uint64_t neg_inv64(std::uint64_t n) {
     return ~x + 1;  // -(n^-1)
 }
 
-// ---- Bernstein-Yang divstep scratch type ---------------------------------
-//
-// 320-bit two's-complement integers for the (f, g) divstep state. The
-// values themselves stay within +/-modulus < 2^256, but the pre-shift sum
-// g + f reaches 257 bits and the sign needs a home, so a fifth limb.
-struct I320 {
-    std::uint64_t v[5];
-};
-
-I320 i320_from_u256(const U256& a) {
-    return {{a.w[0], a.w[1], a.w[2], a.w[3], 0}};
-}
-
-I320 i320_add(const I320& a, const I320& b) {
-    I320 out;
-    std::uint64_t carry = 0;
-    for (int i = 0; i < 5; ++i) {
-        const u128 s = static_cast<u128>(a.v[i]) + b.v[i] + carry;
-        out.v[i] = static_cast<std::uint64_t>(s);
-        carry = static_cast<std::uint64_t>(s >> 64);
-    }
-    return out;
-}
-
-I320 i320_neg(const I320& a) {
-    I320 out;
-    std::uint64_t carry = 1;
-    for (int i = 0; i < 5; ++i) {
-        const u128 s = static_cast<u128>(~a.v[i]) + carry;
-        out.v[i] = static_cast<std::uint64_t>(s);
-        carry = static_cast<std::uint64_t>(s >> 64);
-    }
-    return out;
-}
-
-I320 i320_and(const I320& a, std::uint64_t mask) {
-    I320 out;
-    for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] & mask;
-    return out;
-}
-
-/// mask all-ones: a; mask zero: b. Limb-wise, branch-free.
-I320 i320_select(std::uint64_t mask, const I320& a, const I320& b) {
-    I320 out;
-    for (int i = 0; i < 5; ++i) out.v[i] = (a.v[i] & mask) | (b.v[i] & ~mask);
-    return out;
-}
-
-/// Arithmetic shift right by one (sign-preserving).
-I320 i320_sar1(const I320& a) {
-    I320 out;
-    for (int i = 0; i < 4; ++i) out.v[i] = (a.v[i] >> 1) | (a.v[i + 1] << 63);
-    out.v[4] = static_cast<std::uint64_t>(static_cast<std::int64_t>(a.v[4]) >> 1);
-    return out;
-}
-
 }  // namespace
 
 Montgomery::Montgomery(const U256& modulus) : n_(modulus) {
@@ -168,81 +112,11 @@ U256 Montgomery::pow(const U256& a, const U256& e) const {
 
 U256 Montgomery::inv(const U256& a) const {
     // a^(n-2) mod n, valid because both P-256 moduli in use are prime.
+    // pow branches on the bits of n - 2 alone, never on a.
     U256 exp;
     U256 two = U256::from_u64(2);
     ::upkit::crypto::sub(exp, n_, two);
     return pow(a, exp);
-}
-
-U256 Montgomery::inv_ct(const U256& a) const {
-    // Bernstein-Yang "safegcd": iterate the branch-free divstep on
-    // (delta, f, g) starting from f = M, g = a, with a pair (d, e) of
-    // residues mod M tracking the invariants d*a == f and e*a == g
-    // (mod M). f stays odd throughout, |f|, |g| <= M, and g shrinks: after
-    // 744 steps (above the proven ceil((49*256 + 57) / 17) = 742 bound for
-    // 256-bit inputs) g == 0 and f == +/-gcd(M, a), so for invertible a,
-    // d*a == +/-1 and the inverse is sign(f) * d. The iteration count,
-    // branch structure, and memory access pattern are all fixed; every
-    // data-dependent choice is a mask select.
-    const auto neg_mod = [&](const U256& x) {
-        // -x mod M, keeping 0 -> 0 (not M).
-        U256 t;
-        ::upkit::crypto::sub(t, n_, x);
-        return ct_select(ct_is_zero_mask(x), U256{}, t);
-    };
-    const auto half_mod = [&](const U256& x) {
-        // x * 2^-1 mod M: add M first when x is odd (the sum is then even
-        // and < 2M < 2^257, so the carry bit re-enters at bit 255).
-        const std::uint64_t odd = ~(x.w[0] & 1) + 1;
-        U256 t;
-        const std::uint64_t carry =
-            ::upkit::crypto::add(t, x, ct_select(odd, n_, U256{}));
-        U256 h = shr1(t);
-        h.w[3] |= carry << 63;
-        return h;
-    };
-
-    I320 f = i320_from_u256(n_);
-    I320 g = i320_from_u256(a);
-    U256 d{};             // d*a == f == M == 0 (mod M)
-    U256 e = U256::one(); // e*a == g == a     (mod M)
-    std::int64_t delta = 1;
-
-    for (int i = 0; i < 744; ++i) {
-        // c: all-ones when delta > 0 and g is odd — the swap case
-        // (delta, f, g, d, e) <- (-delta, g, -f, e, -d).
-        const std::uint64_t delta_pos =
-            ~static_cast<std::uint64_t>((delta - 1) >> 63);
-        const std::uint64_t c = delta_pos & (~(g.v[0] & 1) + 1);
-
-        const I320 f_new = i320_select(c, g, f);
-        const I320 g_sel = i320_select(c, i320_neg(f), g);
-        const U256 d_new = ct_select(c, e, d);
-        const U256 e_sel = ct_select(c, neg_mod(d), e);
-        delta = static_cast<std::int64_t>(
-                    (static_cast<std::uint64_t>(delta) ^ c) - c) + 1;
-        f = f_new;
-        d = d_new;
-
-        // Common step: g <- (g + (g&1)*f) / 2 exactly (f is odd, so the
-        // sum is even), mirrored on e mod M with the half_mod division.
-        const std::uint64_t g0 = ~(g_sel.v[0] & 1) + 1;
-        g = i320_sar1(i320_add(g_sel, i320_and(f, g0)));
-        e = half_mod(add(e_sel, ct_select(g0, d, U256{})));
-    }
-
-    // f == +/-1 now (or f == M for a == 0, which left d == 0 so the result
-    // is 0, matching inv()'s 0^(M-2) convention). Fold in f's sign.
-    const std::uint64_t f_neg = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(f.v[4]) >> 63);
-    U256 r = ct_select(f_neg, neg_mod(d), d);
-
-    // The caller's a was Montgomery form x*R; the loop inverted the raw
-    // residue, yielding x^-1 * R^-1. Two Montgomery products with R^2
-    // restore the form: (x^-1 R^-1)(R^2)/R = x^-1, then (x^-1)(R^2)/R =
-    // x^-1 * R.
-    r = mul(r, r2_);
-    return mul(r, r2_);
 }
 
 U256 Montgomery::reduce(const U256& a) const {

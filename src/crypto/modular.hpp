@@ -32,24 +32,19 @@ public:
     U256 sub(const U256& a, const U256& b) const;
 
     /// a^e mod n for Montgomery-form a; result in Montgomery form.
-    /// Square-and-multiply driven by the bits of `e`: variable-time in the
-    /// exponent, constant-time in the base. Every exponent in this repo is
-    /// a public curve constant (n - 2 for inversion), so secret bases are
-    /// safe here.
+    /// Square-and-multiply driven by the bits of `e`: which steps run
+    /// depends on `e`, so the exponent must be public. The base only ever
+    /// enters the branchless `mul`, so it may be secret. upkit-lint's
+    /// `secret-inverse` rule flags every call in src/crypto for that audit.
     U256 pow(const U256& a, const U256& e) const;
 
-    /// Multiplicative inverse via Fermat (modulus must be prime);
-    /// Montgomery form in, Montgomery form out. Variable-time in the
-    /// (public) exponent bits only, but routes through pow/mul whose
-    /// schedule is fixed; prefer inv_ct for secret inputs anyway.
+    /// Multiplicative inverse a^(n-2) via Fermat (modulus must be prime);
+    /// Montgomery form in, Montgomery form out, inv(0) == 0. The exponent
+    /// n - 2 is a fixed public constant, so every call runs the same 256
+    /// squarings and popcount(n - 2) multiplies whatever `a` is: the one
+    /// inversion for secret inputs (the ECDSA nonce, the Jacobian z of a
+    /// secret scalar multiple) and public ones alike.
     U256 inv(const U256& a) const;
-
-    /// Constant-time multiplicative inverse: Bernstein-Yang branchless
-    /// divsteps (safegcd). Montgomery form in, Montgomery form out;
-    /// inv_ct(0) == 0, matching inv(). Works for any odd modulus (does
-    /// not require primality), fixed 744-iteration schedule with no
-    /// data-dependent branches or memory accesses.
-    U256 inv_ct(const U256& a) const;
 
     /// Reduces an arbitrary 256-bit value into [0, n).
     U256 reduce(const U256& a) const;

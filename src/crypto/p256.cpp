@@ -77,7 +77,7 @@ std::optional<AffinePoint> P256::to_affine(const Jacobian& p) const {
     // Whether a scalar multiple is the identity is public by protocol
     // (callers reject k == 0 before, or treat nullopt as a public error).
     if (ct::declassify_value(p.infinity())) return std::nullopt;
-    const U256 zinv = fp_.inv(p.z);  // lint: inv-audited (result is a public affine point)
+    const U256 zinv = fp_.inv(p.z);
     const U256 zinv2 = fp_.sqr(zinv);
     const U256 zinv3 = fp_.mul(zinv2, zinv);
     return AffinePoint{fp_.from_mont(fp_.mul(p.x, zinv2)), fp_.from_mont(fp_.mul(p.y, zinv3))};
@@ -168,7 +168,7 @@ void P256::normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t cou
         prefix[i] = run;
     }
     // (z_0 ... z_{count-1})^-1; normalizes public precomputed tables.
-    U256 inv_tail = fp_.inv(prefix[count - 1]);  // lint: inv-audited (public table points)
+    U256 inv_tail = fp_.inv(prefix[count - 1]);
     for (std::size_t i = count; i-- > 0;) {
         const U256 zinv = i == 0 ? inv_tail : fp_.mul(inv_tail, prefix[i - 1]);
         inv_tail = fp_.mul(inv_tail, jac[i].z);

@@ -445,7 +445,8 @@ ServerModel ServerModel::calibrate(unsigned concurrency) {
     m.concurrency = concurrency;
     m.measured = true;
 
-    // Per-signature cost (comb-table mul_base plus the mod-n arithmetic).
+    // Per-signature cost: the constant-time Booth walk on the RFC 6979
+    // nonce plus the inversions (k*G's z, then k) and the mod-n arithmetic.
     const crypto::PrivateKey key = crypto::PrivateKey::generate(to_bytes("upkit-calibrate"));
     crypto::Sha256Digest digest = crypto::Sha256::digest(to_bytes("upkit-calibrate"));
     (void)crypto::ecdsa_sign(key, digest);  // warm the curve singleton + table

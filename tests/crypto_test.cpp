@@ -3,6 +3,8 @@
 // randomized sign/verify roundtrips with tamper sweeps.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/backend.hpp"
@@ -258,16 +260,34 @@ TEST(MontgomeryTest, MulMatchesSmallIntegers) {
     EXPECT_EQ(prod, U256::from_u64(123456789ULL * 987654321ULL));
 }
 
+// Fermat inv on both P-256 moduli (field prime and group order), across
+// seeded random inputs and the edge shapes where inversion code
+// historically breaks: 1, n-1, and every power of two.
 TEST(MontgomeryTest, InverseTimesSelfIsOne) {
-    const Montgomery& fp = P256::instance().field();
-    Rng rng(5);
-    for (int i = 0; i < 10; ++i) {
-        Bytes raw = rng.bytes(32);
-        raw[0] = 0;
-        const U256 a = U256::from_be_bytes(raw);
-        if (a.is_zero()) continue;
-        const U256 am = fp.to_mont(a);
-        EXPECT_EQ(fp.from_mont(fp.mul(am, fp.inv(am))), U256::one());
+    const P256& curve = P256::instance();
+    Rng rng(41);
+    for (const Montgomery* m : {&curve.field(), &curve.order()}) {
+        std::vector<U256> inputs;
+        for (int i = 0; i < 512; ++i) {
+            Bytes raw = rng.bytes(32);
+            const U256 a = m->reduce(U256::from_be_bytes(raw));
+            if (!a.is_zero()) inputs.push_back(a);
+        }
+        U256 nm1;
+        sub(nm1, m->modulus(), U256::one());
+        inputs.push_back(U256::one());
+        inputs.push_back(nm1);
+        for (unsigned k = 0; k < 256; ++k) {
+            U256 p{};
+            p.w[k / 64] = std::uint64_t{1} << (k % 64);
+            inputs.push_back(p);
+        }
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const U256 am = m->to_mont(inputs[i]);
+            ASSERT_EQ(m->from_mont(m->mul(am, m->inv(am))), U256::one()) << "input " << i;
+        }
+        // 0 has no inverse; Fermat's 0^(n-2) gives 0.
+        EXPECT_EQ(m->inv(U256{}), U256{});
     }
 }
 
@@ -289,49 +309,6 @@ TEST(MontgomeryTest, AddSubInverse) {
         const U256 a = U256::from_be_bytes(ra);
         const U256 b = U256::from_be_bytes(rb);
         EXPECT_EQ(fn.sub(fn.add(a, b), b), a);
-    }
-}
-
-// Differential battery for the constant-time Bernstein-Yang inversion: it
-// must agree bit-for-bit with the Fermat-ladder inv() on both P-256 moduli
-// (field prime and group order) across seeded random inputs and the edge
-// shapes where divstep implementations historically break (0, 1, n-1, and
-// every power of two, which stress the halving/negation paths).
-TEST(MontgomeryTest, InvCtMatchesFermatOnSeededInputs) {
-    const P256& curve = P256::instance();
-    Rng rng(41);
-    for (const Montgomery* m : {&curve.field(), &curve.order()}) {
-        for (int i = 0; i < 512; ++i) {
-            Bytes raw = rng.bytes(32);
-            const U256 a = m->reduce(U256::from_be_bytes(raw));
-            if (a.is_zero()) continue;
-            const U256 am = m->to_mont(a);
-            const U256 got = m->inv_ct(am);
-            ASSERT_EQ(got, m->inv(am)) << "modulus/iteration " << i;
-            ASSERT_EQ(m->from_mont(m->mul(am, got)), U256::one());
-        }
-    }
-}
-
-TEST(MontgomeryTest, InvCtEdgeCases) {
-    const P256& curve = P256::instance();
-    for (const Montgomery* m : {&curve.field(), &curve.order()}) {
-        // inv_ct(0) == 0, matching Fermat's 0^(n-2) convention.
-        EXPECT_EQ(m->inv_ct(U256{}), U256{});
-        EXPECT_EQ(m->inv_ct(U256{}), m->inv(U256{}));
-        // 1 and n-1 are their own inverses.
-        EXPECT_EQ(m->inv_ct(m->one()), m->one());
-        U256 nm1;
-        sub(nm1, m->modulus(), U256::one());
-        const U256 nm1m = m->to_mont(nm1);
-        EXPECT_EQ(m->inv_ct(nm1m), nm1m);
-        // Powers of two exercise maximal halving chains in the divstep.
-        for (unsigned k = 0; k < 256; ++k) {
-            U256 p{};
-            p.w[k / 64] = std::uint64_t{1} << (k % 64);
-            const U256 pm = m->to_mont(p);
-            ASSERT_EQ(m->inv_ct(pm), m->inv(pm)) << "2^" << k;
-        }
     }
 }
 

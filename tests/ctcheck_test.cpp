@@ -30,6 +30,7 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac_drbg.hpp"
+#include "crypto/modular.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256.hpp"
@@ -209,6 +210,21 @@ void check_msan_ecdh() {
     check(*a == *b, "msan ecdh agreement");
 }
 
+void check_msan_inv() {
+    // Fermat inv on a poisoned base, on both moduli: pow branches on the
+    // bits of the public exponent n - 2 only, so nothing derived from the
+    // base may steer a branch before the declassified a * a^-1 == 1
+    // verdict. This is the audit behind `inv` in the lint's ct set.
+    const P256& curve = P256::instance();
+    for (const Montgomery* m : {&curve.field(), &curve.order()}) {
+        ct::Secret<U256> a(m->reduce(scalar_from_seed(43)));
+        const U256 am = m->to_mont(a.ref());
+        U256 diff;
+        sub(diff, m->from_mont(m->mul(am, m->inv(am))), U256::one());
+        check(ct::declassify_value(ct_is_zero_mask(diff)) != 0, "msan inv a * a^-1 == 1");
+    }
+}
+
 void check_msan_drbg_and_aead() {
     // HMAC-DRBG with a poisoned seed: SHA-256/HMAC are structurally
     // constant-time, so generation must not branch on the state.
@@ -283,6 +299,7 @@ int main(int argc, char** argv) {
 #ifdef UPKIT_CT_MSAN
     check_msan_sign();
     check_msan_ecdh();
+    check_msan_inv();
     check_msan_drbg_and_aead();
     std::printf("ctcheck: MSan taint checks active\n");
 #else

@@ -1,11 +1,12 @@
-// Fixture: modular inverse of a secret nonce without the `inv-audited`
-// annotation — must trip `secret-inverse`.
+// Fixture: modular exponentiation by a secret exponent without the
+// `pow-audited` annotation — must trip `secret-inverse`. pow's
+// square-and-multiply schedule follows the exponent's bits.
 #include "crypto/modular.hpp"
 
 namespace upkit::crypto {
 
-U256 leak_nonce_inverse(const Montgomery& fn, const U256& secret_k) {
-    return fn.inv(secret_k);
+U256 leak_secret_exponent(const Montgomery& fn, const U256& base, const U256& secret_e) {
+    return fn.pow(base, secret_e);
 }
 
 }  // namespace upkit::crypto

@@ -173,6 +173,19 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("missing: kCleaning"), std::string::npos) << out;
     EXPECT_NE(out.find("default swallows"), std::string::npos) << out;
 
+    // secret-inverse matches `.pow(`: its one finding is bad_inv.cpp's
+    // secret exponent.
+    std::size_t secret_inverse_findings = 0;
+    for (std::size_t at = out.find("[secret-inverse]"); at != std::string::npos;
+         at = out.find("[secret-inverse]", at + 1)) {
+        const std::size_t line_start = out.rfind('\n', at) + 1;  // npos + 1 == 0
+        EXPECT_NE(out.substr(line_start, at - line_start).find("bad_inv.cpp:"),
+                  std::string::npos)
+            << out;
+        ++secret_inverse_findings;
+    }
+    EXPECT_EQ(secret_inverse_findings, 1u) << out;
+
     // Flow-sensitive arms, each tied to its seeding fixture. Three of the
     // four taint findings are interprocedural: a branch on a tainted
     // parameter inside a helper, a tainted return value reaching memcmp in
