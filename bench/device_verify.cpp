@@ -8,10 +8,16 @@
 // agreement); the three ECDSA verify entry points, with the pre-PR kernel
 // reconstructed from its halves (the comb u1*G that already existed plus
 // the generic ladder that used to serve u2*P); SHA-256 unrolled vs the
-// rolled reference (MB/s). Macro section: the same full-image fleet
-// campaign run twice, once under the paper-anchored tinycrypt cost model
-// and once under calibrate_software_costs(), showing the campaign's
-// device-side verification seconds drop. Emits one machine-readable JSON
+// rolled reference (MB/s). Every micro quantity is the median of five
+// readings, and one reading times all sides of a ratio back to back, so a
+// burst of host noise lands on both sides instead of one. verify_speedup,
+// verify2_speedup and sha256_speedup are this host's live readings of the
+// three speedups that calibrate_software_costs() commits. Macro section:
+// the same full-image fleet campaign run twice, once under the
+// paper-anchored tinycrypt cost model and once under
+// calibrate_software_costs(), showing the campaign's device-side
+// verification seconds drop; both campaigns are simulated, so their
+// numbers are the same on every host. Emits one machine-readable JSON
 // line; CI runs it as a smoke step:
 //
 //   device_verify [devices] [iters]     (defaults: 48, 64)
@@ -19,9 +25,13 @@
 // An empty, non-numeric or zero count exits 2 with the usage line.
 //
 // Exits nonzero when the precomputed-table wNAF speedup falls under 2.5x,
-// prepared verification fails to beat the pre-PR kernel, SHA-256 falls
-// under the throughput floor, any fast path disagrees with the reference,
-// or the calibrated campaign fails to cut verification time.
+// prepared verification fails to beat the pre-PR kernel, verify2 falls
+// under 1.5x two prepared verifies, the generic SHA-256x4 lanes fall under
+// 2x the reference, SHA-256 falls under the throughput floor, any fast
+// path disagrees with the reference, or the calibrated campaign fails to
+// cut verification time.
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -47,6 +57,25 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Readings per micro quantity; the gates read their median.
+constexpr int kReadings = 5;
+using Readings = std::array<double, kReadings>;
+
+double median(Readings r) {
+    std::sort(r.begin(), r.end());
+    return r[kReadings / 2];
+}
+
+/// Median over readings of num[i] / den[i].
+double median_ratio(const Readings& num, const Readings& den) {
+    Readings r{};
+    for (int i = 0; i < kReadings; ++i) r[i] = num[i] / den[i];
+    return median(r);
+}
+
+/// Operations per second at the median per-operation time.
+double ops_s(const Readings& seconds) { return 1.0 / median(seconds); }
+
 constexpr double kWnafGate = 2.5;     // precomputed wNAF vs generic ladder
 constexpr double kShaFloorMbS = 150;  // unrolled kernel, host RelWithDebInfo
 constexpr double kBatch2Gate = 1.5;   // verify2 vs two sequential prepared verifies
@@ -58,7 +87,7 @@ struct FleetOutcome {
 };
 
 /// One full-image fleet rollout (v1 -> v2); `calibrated` switches the
-/// device backends onto the host-calibrated cost model.
+/// device backends onto the calibrated cost model (committed speedups).
 FleetOutcome run_fleet(std::size_t fleet, bool calibrated) {
     Rig rig;
     rig.publish(1, sim::generate_firmware({.size = 8 * 1024, .seed = 50}));
@@ -125,30 +154,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    // ---- micro: variable-base scalar multiplication ---------------------
-    volatile std::uint64_t sink = 0;
-    auto time_ops = [&](int n, auto&& op) {
-        const auto t0 = Clock::now();
-        for (int i = 0; i < n; ++i) sink = sink + op(i);
-        return seconds_since(t0) / n;
-    };
-
-    const double ladder_s = time_ops(iters / 4 + 1, [&](int i) {
-        return curve.mul_generic(scalars[static_cast<std::size_t>(i) % scalars.size()], point)->x.w[0];
-    });
-    const double fresh_s = time_ops(iters, [&](int i) {
-        return curve.mul(scalars[static_cast<std::size_t>(i) % scalars.size()], point)->x.w[0];
-    });
-    const double pre_s = time_ops(iters * 2, [&](int i) {
-        return curve.mul(scalars[static_cast<std::size_t>(i) % scalars.size()], table)->x.w[0];
-    });
-    const double comb_s = time_ops(iters * 2, [&](int i) {
-        return curve.mul_base(scalars[static_cast<std::size_t>(i) % scalars.size()])->x.w[0];
-    });
-    const double wnaf_fresh_speedup = ladder_s / fresh_s;
-    const double wnaf_pre_speedup = ladder_s / pre_s;
-
-    // ---- micro: ECDSA verify entry points -------------------------------
+    // ---- agreement: the verify entry points on valid and forged pairs ----
     crypto::Sha256Digest digest = crypto::Sha256::digest(to_bytes("device-verify-msg"));
     const crypto::Signature sig = crypto::ecdsa_sign(priv, digest);
     const crypto::PreparedPublicKey prepared(pub);
@@ -158,21 +164,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "verify path disagreement on a valid signature\n");
         return 1;
     }
-
-    const double verify_fresh_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(crypto::ecdsa_verify(pub, digest, ByteSpan(sig)));
-    });
-    const double verify_prepared_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)));
-    });
-    // The pre-PR verify kernel was comb(u1*G) + generic ladder(u2*P); its
-    // dominant cost is reconstructed from those two measured halves (the
-    // shared mod-n work is excluded, which biases the baseline *down* — the
-    // reported improvement is conservative).
-    const double verify_prepr_s = comb_s + ladder_s;
-    const double verify_speedup = verify_prepr_s / verify_prepared_s;
-
-    // ---- micro: batched double verification ------------------------------
     // UpKit's double signature: two distinct keys (vendor + server), one
     // message digest each, verified as a pair — sequentially through the
     // prepared hot path vs in one Strauss 4-point batch pass.
@@ -192,16 +183,54 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "verify2 disagreement with the sequential verdicts\n");
         return 1;
     }
-    const double verify_seq_pair_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(
-            crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)) &&
-            crypto::ecdsa_verify(prepared2, digest2, ByteSpan(sig2)));
-    });
-    const double verify2_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(crypto::ecdsa_verify2(
-            prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
-    });
-    const double verify2_speedup = verify_seq_pair_s / verify2_s;
+
+    // ---- micro: scalar multiplication and the ECDSA verify entry points --
+    volatile std::uint64_t sink = 0;
+    auto time_ops = [&](int n, auto&& op) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < n; ++i) sink = sink + op(i);
+        return seconds_since(t0) / n;
+    };
+    auto scalar = [&](int i) -> const crypto::U256& {
+        return scalars[static_cast<std::size_t>(i) % scalars.size()];
+    };
+
+    Readings ladder_s{}, fresh_s{}, pre_s{}, comb_s{};
+    Readings verify_fresh_s{}, verify_prepared_s{}, verify_prepr_s{};
+    Readings verify_seq_pair_s{}, verify2_s{};
+    for (int r = 0; r < kReadings; ++r) {
+        ladder_s[r] = time_ops(iters / 4 + 1, [&](int i) {
+            return curve.mul_generic(scalar(i), point)->x.w[0];
+        });
+        fresh_s[r] = time_ops(iters, [&](int i) { return curve.mul(scalar(i), point)->x.w[0]; });
+        pre_s[r] = time_ops(iters * 2, [&](int i) { return curve.mul(scalar(i), table)->x.w[0]; });
+        comb_s[r] = time_ops(iters * 2, [&](int i) { return curve.mul_base(scalar(i))->x.w[0]; });
+        verify_fresh_s[r] = time_ops(iters, [&](int) {
+            return static_cast<std::uint64_t>(crypto::ecdsa_verify(pub, digest, ByteSpan(sig)));
+        });
+        verify_prepared_s[r] = time_ops(iters, [&](int) {
+            return static_cast<std::uint64_t>(
+                crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)));
+        });
+        // The pre-PR verify kernel was comb(u1*G) + generic ladder(u2*P); its
+        // dominant cost is reconstructed from those two measured halves (the
+        // shared mod-n work is excluded, which biases the baseline *down* —
+        // the reported improvement is conservative).
+        verify_prepr_s[r] = comb_s[r] + ladder_s[r];
+        verify_seq_pair_s[r] = time_ops(iters, [&](int) {
+            return static_cast<std::uint64_t>(
+                crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)) &&
+                crypto::ecdsa_verify(prepared2, digest2, ByteSpan(sig2)));
+        });
+        verify2_s[r] = time_ops(iters, [&](int) {
+            return static_cast<std::uint64_t>(crypto::ecdsa_verify2(
+                prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
+        });
+    }
+    const double wnaf_fresh_speedup = median_ratio(ladder_s, fresh_s);
+    const double wnaf_pre_speedup = median_ratio(ladder_s, pre_s);
+    const double verify_speedup = median_ratio(verify_prepr_s, verify_prepared_s);
+    const double verify2_speedup = median_ratio(verify_seq_pair_s, verify2_s);
 
     // ---- micro: SHA-256 unrolled vs rolled reference --------------------
     Bytes buf(1024 * 1024);
@@ -211,16 +240,19 @@ int main(int argc, char** argv) {
         return 1;
     }
     const int sha_iters = iters / 4 + 4;
-    const double sha_s = time_ops(sha_iters, [&](int i) {
-        buf[0] = static_cast<std::uint8_t>(i);
-        return static_cast<std::uint64_t>(crypto::Sha256::digest(buf)[0]);
-    });
-    const double sha_ref_s = time_ops(sha_iters, [&](int i) {
-        buf[0] = static_cast<std::uint8_t>(i);
-        return static_cast<std::uint64_t>(crypto::sha256_reference(buf)[0]);
-    });
-    const double sha_mb_s = static_cast<double>(buf.size()) / sha_s / 1e6;
-    const double sha_ref_mb_s = static_cast<double>(buf.size()) / sha_ref_s / 1e6;
+    Readings sha_s{}, sha_ref_s{};
+    for (int r = 0; r < kReadings; ++r) {
+        sha_s[r] = time_ops(sha_iters, [&](int i) {
+            buf[0] = static_cast<std::uint8_t>(i);
+            return static_cast<std::uint64_t>(crypto::Sha256::digest(buf)[0]);
+        });
+        sha_ref_s[r] = time_ops(sha_iters, [&](int i) {
+            buf[0] = static_cast<std::uint8_t>(i);
+            return static_cast<std::uint64_t>(crypto::sha256_reference(buf)[0]);
+        });
+    }
+    const double sha_mb_s = static_cast<double>(buf.size()) / median(sha_s) / 1e6;
+    const double sha_ref_mb_s = static_cast<double>(buf.size()) / median(sha_ref_s) / 1e6;
 
     // ---- micro: multi-buffer SHA-256 -------------------------------------
     // Four independent 1 MiB lanes (the server's publish/ingest shape) vs
@@ -252,24 +284,26 @@ int main(int argc, char** argv) {
         return seconds_since(t0) / n;
     };
     const crypto::Sha256x4Impl sha_x4_impl = crypto::sha256x4_impl();
-    const double sha_x4_s = time_sha_lanes(sha_iters);
-    ::setenv("UPKIT_FORCE_SCALAR_SHA", "1", 1);
-    const double sha_x4_generic_s = time_sha_lanes(sha_iters);
-    ::unsetenv("UPKIT_FORCE_SCALAR_SHA");
-    const double sha_x4_ref_s = time_ops(sha_iters, [&](int i) {
-        lane_bufs[0][0] = static_cast<std::uint8_t>(i);
-        std::uint64_t acc = 0;
-        for (const auto& lane : lane_bufs) acc += crypto::sha256_reference(lane)[0];
-        return acc;
-    });
+    Readings sha_x4_s{}, sha_x4_generic_s{}, sha_x4_ref_s{};
+    for (int r = 0; r < kReadings; ++r) {
+        sha_x4_s[r] = time_sha_lanes(sha_iters);
+        ::setenv("UPKIT_FORCE_SCALAR_SHA", "1", 1);
+        sha_x4_generic_s[r] = time_sha_lanes(sha_iters);
+        ::unsetenv("UPKIT_FORCE_SCALAR_SHA");
+        sha_x4_ref_s[r] = time_ops(sha_iters, [&](int i) {
+            lane_bufs[0][0] = static_cast<std::uint8_t>(i);
+            std::uint64_t acc = 0;
+            for (const auto& lane : lane_bufs) acc += crypto::sha256_reference(lane)[0];
+            return acc;
+        });
+    }
     const double lane_bytes = 4.0 * static_cast<double>(buf.size());
-    const double sha_x4_mb_s = lane_bytes / sha_x4_s / 1e6;
-    const double sha_x4_generic_mb_s = lane_bytes / sha_x4_generic_s / 1e6;
-    const double sha_x4_generic_speedup = sha_x4_ref_s / sha_x4_generic_s;
-    const double sha_x4_speedup = sha_x4_ref_s / sha_x4_s;
+    const double sha_x4_mb_s = lane_bytes / median(sha_x4_s) / 1e6;
+    const double sha_x4_generic_mb_s = lane_bytes / median(sha_x4_generic_s) / 1e6;
+    const double sha_x4_generic_speedup = median_ratio(sha_x4_ref_s, sha_x4_generic_s);
+    const double sha_x4_speedup = median_ratio(sha_x4_ref_s, sha_x4_s);
 
     // ---- calibrated cost model ------------------------------------------
-    const crypto::VerifyCalibration& cal = crypto::measure_verify_speedup();
     const crypto::BackendCosts paper = crypto::make_tinycrypt_backend()->costs();
     const crypto::BackendCosts calibrated = crypto::calibrate_software_costs(paper);
 
@@ -296,8 +330,6 @@ int main(int argc, char** argv) {
         "\"sha256x4_impl\":\"%s\",\"sha256x4_mb_s\":%.1f,"
         "\"sha256x4_generic_mb_s\":%.1f,\"sha256x4_speedup\":%.2f,"
         "\"sha256x4_generic_speedup\":%.2f,"
-        "\"calibration_ecdsa_speedup\":%.2f,\"calibration_sha256_speedup\":%.2f,"
-        "\"calibration_batch2_speedup\":%.2f,\"calibration_sha256x4_speedup\":%.2f,"
         "\"tinycrypt_verify_s\":%.4f,\"tinycrypt_verify_calibrated_s\":%.4f,"
         "\"tinycrypt_verify2_calibrated_s\":%.4f,"
         "\"tinycrypt_sha_s_per_kb\":%.6f,\"tinycrypt_sha_calibrated_s_per_kb\":%.6f,"
@@ -305,14 +337,12 @@ int main(int argc, char** argv) {
         "\"campaign_verification_calibrated_s\":%.3f,"
         "\"campaign_verification_improvement\":%.2f,"
         "\"makespan_baseline_s\":%.3f,\"makespan_calibrated_s\":%.3f}\n",
-        fleet, iters, 1.0 / ladder_s, 1.0 / fresh_s, 1.0 / pre_s,
-        wnaf_fresh_speedup, wnaf_pre_speedup, 1.0 / verify_fresh_s,
-        1.0 / verify_prepared_s, 1.0 / verify_prepr_s, verify_speedup,
-        1.0 / verify_seq_pair_s, 1.0 / verify2_s, verify2_speedup, sha_mb_s,
-        sha_ref_mb_s, sha_ref_s / sha_s, crypto::sha256x4_impl_name(sha_x4_impl),
-        sha_x4_mb_s, sha_x4_generic_mb_s, sha_x4_speedup, sha_x4_generic_speedup,
-        cal.ecdsa_speedup, cal.sha256_speedup, cal.batch2_speedup,
-        cal.sha256x4_speedup, paper.verify_seconds, calibrated.verify_seconds,
+        fleet, iters, ops_s(ladder_s), ops_s(fresh_s), ops_s(pre_s), wnaf_fresh_speedup,
+        wnaf_pre_speedup, ops_s(verify_fresh_s), ops_s(verify_prepared_s),
+        ops_s(verify_prepr_s), verify_speedup, ops_s(verify_seq_pair_s), ops_s(verify2_s),
+        verify2_speedup, sha_mb_s, sha_ref_mb_s, median_ratio(sha_ref_s, sha_s),
+        crypto::sha256x4_impl_name(sha_x4_impl), sha_x4_mb_s, sha_x4_generic_mb_s,
+        sha_x4_speedup, sha_x4_generic_speedup, paper.verify_seconds, calibrated.verify_seconds,
         calibrated.verify2_seconds, paper.sha256_seconds_per_kb,
         calibrated.sha256_seconds_per_kb, baseline.report.verification_s,
         hot.report.verification_s,
@@ -328,15 +358,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "device_verify: prepared verify (%.1f ops/s) did not beat the "
                      "pre-PR kernel (%.1f ops/s)\n",
-                     1.0 / verify_prepared_s, 1.0 / verify_prepr_s);
+                     ops_s(verify_prepared_s), ops_s(verify_prepr_s));
         return 1;
     }
     if (verify2_speedup < kBatch2Gate) {
         std::fprintf(stderr,
                      "device_verify: batched double verification %.2fx under the "
                      "%.1fx bar (batch %.1f pairs/s, sequential %.1f pairs/s)\n",
-                     verify2_speedup, kBatch2Gate, 1.0 / verify2_s,
-                     1.0 / verify_seq_pair_s);
+                     verify2_speedup, kBatch2Gate, ops_s(verify2_s), ops_s(verify_seq_pair_s));
         return 1;
     }
     if (sha_x4_generic_speedup < kShaX4Gate) {
@@ -344,7 +373,7 @@ int main(int argc, char** argv) {
                      "device_verify: generic multi-buffer SHA-256 %.2fx under the "
                      "%.1fx bar (%.1f MB/s vs reference %.1f MB/s)\n",
                      sha_x4_generic_speedup, kShaX4Gate, sha_x4_generic_mb_s,
-                     lane_bytes / sha_x4_ref_s / 1e6);
+                     lane_bytes / median(sha_x4_ref_s) / 1e6);
         return 1;
     }
     if (sha_mb_s < kShaFloorMbS) {

@@ -50,10 +50,11 @@ struct DeviceConfig {
     bool enable_encryption = false;
 
     /// When true, the software backends' paper-anchored cost profile is
-    /// rescaled by crypto::calibrate_software_costs() — host-measured
-    /// speedups of this repo's own verification kernels (wNAF +
-    /// precomputed-key ECDSA, unrolled SHA-256) — so campaigns and energy
-    /// accounting reflect the optimized hot path. Ignored for the HSM
+    /// rescaled by crypto::calibrate_software_costs() — committed speedups
+    /// of this repo's own verification kernels (wNAF + precomputed-key
+    /// ECDSA, batched verify2, unrolled SHA-256) — so campaigns and energy
+    /// accounting reflect the optimized hot path. Either way the costs are
+    /// fixed constants, identical on every host. Ignored for the HSM
     /// backend (its verify runs in fixed-function hardware).
     bool calibrated_costs = false;
 

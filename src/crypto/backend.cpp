@@ -1,16 +1,12 @@
 #include "crypto/backend.hpp"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
-#include "crypto/p256.hpp"
-#include "crypto/sha256x4.hpp"
 
 namespace upkit::crypto {
 
@@ -189,136 +185,16 @@ private:
     BackendCosts costs_;
 };
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-VerifyCalibration run_verify_calibration() {
-    using Clock = std::chrono::steady_clock;
-    const P256& curve = P256::instance();
-    volatile std::uint64_t sink = 0;
-
-    // One signed message, verified through the prepared hot path vs the
-    // pre-PR kernel reconstructed from its two halves: the comb u1*G that
-    // already existed plus the generic ladder that used to serve u2*P.
-    const PrivateKey priv = PrivateKey::generate(::upkit::to_bytes("upkit-calibration"));  // lint: public-value (calibration key from a fixed public seed)
-    const PublicKey pub = priv.public_key();
-    const Sha256Digest digest = Sha256::digest(::upkit::to_bytes("calibration-msg"));
-    const Signature sig = ecdsa_sign(priv, digest);
-    const PreparedPublicKey prepared(pub);
-    (void)ecdsa_verify(prepared, digest, ByteSpan(sig));  // warm singleton + tables
-
-    constexpr int kVerifyIters = 40;
-    auto t0 = Clock::now();
-    for (int i = 0; i < kVerifyIters; ++i) {
-        sink = sink + static_cast<std::uint64_t>(ecdsa_verify(prepared, digest, ByteSpan(sig)));
-    }
-    const double prepared_s = seconds_since(t0) / kVerifyIters;
-
-    // Batched double verification: a second, distinct key pair so the batch
-    // walks two different precomputed tables (UpKit's vendor + server keys),
-    // timed against the two sequential prepared verifies it replaces.
-    const PrivateKey priv2 = PrivateKey::generate(::upkit::to_bytes("upkit-calibration-2"));  // lint: public-value (calibration key from a fixed public seed)
-    const PublicKey pub2 = priv2.public_key();
-    const Sha256Digest digest2 = Sha256::digest(::upkit::to_bytes("calibration-msg-2"));
-    const Signature sig2 = ecdsa_sign(priv2, digest2);
-    const PreparedPublicKey prepared2(pub2);
-    (void)ecdsa_verify2(prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2));
-
-    constexpr int kBatchIters = 24;
-    t0 = Clock::now();
-    for (int i = 0; i < kBatchIters; ++i) {
-        sink = sink + static_cast<std::uint64_t>(
-                          ecdsa_verify(prepared, digest, ByteSpan(sig)) &&
-                          ecdsa_verify(prepared2, digest2, ByteSpan(sig2)));
-    }
-    const double seq_pair_s = seconds_since(t0) / kBatchIters;
-    t0 = Clock::now();
-    for (int i = 0; i < kBatchIters; ++i) {
-        sink = sink + static_cast<std::uint64_t>(ecdsa_verify2(
-                          prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
-    }
-    const double batch2_s = seconds_since(t0) / kBatchIters;
-
-    U256 k{};
-    k.w = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
-           0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
-    constexpr int kCombIters = 160;
-    t0 = Clock::now();
-    for (int i = 0; i < kCombIters; ++i) {
-        k.w[0] ^= static_cast<std::uint64_t>(i);
-        sink = sink + curve.mul_base(k)->x.w[0];  // lint: public-scalar (calibration constant)
-    }
-    const double comb_s = seconds_since(t0) / kCombIters;
-
-    constexpr int kLadderIters = 16;
-    t0 = Clock::now();
-    for (int i = 0; i < kLadderIters; ++i) {
-        k.w[0] ^= static_cast<std::uint64_t>(i);
-        sink = sink + curve.mul_generic(k, pub.point())->x.w[0];  // lint: public-scalar (calibration constant)
-    }
-    const double ladder_s = seconds_since(t0) / kLadderIters;
-
-    // SHA-256: unrolled streaming kernel vs the rolled reference, over a
-    // buffer big enough that per-call overhead vanishes.
-    Bytes buf(256 * 1024);
-    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 31 + 7);
-    (void)Sha256::digest(buf);
-    constexpr int kShaIters = 24;
-    t0 = Clock::now();
-    for (int i = 0; i < kShaIters; ++i) {
-        buf[0] = static_cast<std::uint8_t>(i);
-        sink = sink + Sha256::digest(buf)[0];
-    }
-    const double sha_s = seconds_since(t0) / kShaIters;
-    t0 = Clock::now();
-    for (int i = 0; i < kShaIters; ++i) {
-        buf[0] = static_cast<std::uint8_t>(i);
-        sink = sink + sha256_reference(buf)[0];
-    }
-    const double sha_ref_s = seconds_since(t0) / kShaIters;
-
-    // Multi-buffer SHA-256: four independent 256 KiB lanes through the
-    // dispatched sha256x4 kernel vs four sequential reference digests (the
-    // server's publish/ingest shape: many unrelated chunk buffers at once).
-    std::array<Bytes, 4> lane_bufs;
-    std::array<ByteSpan, 4> lanes;
-    std::array<Sha256Digest, 4> lane_out;
-    for (std::size_t i = 0; i < 4; ++i) {
-        lane_bufs[i] = buf;
-        lane_bufs[i][1] = static_cast<std::uint8_t>(i);
-        lanes[i] = ByteSpan(lane_bufs[i]);
-    }
-    sha256x4_digest(lanes.data(), lane_out.data(), 4);  // warm dispatch
-    constexpr int kShaX4Iters = 12;
-    t0 = Clock::now();
-    for (int i = 0; i < kShaX4Iters; ++i) {
-        lane_bufs[0][0] = static_cast<std::uint8_t>(i);
-        sha256x4_digest(lanes.data(), lane_out.data(), 4);
-        sink = sink + lane_out[0][0];
-    }
-    const double sha_x4_s = seconds_since(t0) / kShaX4Iters;
-    t0 = Clock::now();
-    for (int i = 0; i < kShaX4Iters; ++i) {
-        lane_bufs[0][0] = static_cast<std::uint8_t>(i);
-        for (const auto& lane : lane_bufs) sink = sink + sha256_reference(lane)[0];
-    }
-    const double sha_x4_ref_s = seconds_since(t0) / kShaX4Iters;
-
-    VerifyCalibration out;
-    // The pre-PR verify spent ~all its time in comb(u1*G) + ladder(u2*P);
-    // using just those halves as the baseline slightly understates the old
-    // cost, so the ratio is conservative.
-    if (prepared_s > 0.0) out.ecdsa_speedup = std::max(1.0, (comb_s + ladder_s) / prepared_s);
-    if (sha_s > 0.0) out.sha256_speedup = std::max(1.0, sha_ref_s / sha_s);
-    if (sha_s > 0.0) out.sha256_host_mb_s = static_cast<double>(buf.size()) / sha_s / 1e6;
-    if (batch2_s > 0.0) out.batch2_speedup = std::max(1.0, seq_pair_s / batch2_s);
-    if (sha_x4_s > 0.0) out.sha256x4_speedup = std::max(1.0, sha_x4_ref_s / sha_x4_s);
-    if (sha_x4_s > 0.0) {
-        out.sha256x4_host_mb_s = 4.0 * static_cast<double>(buf.size()) / sha_x4_s / 1e6;
-    }
-    return out;
-}
+// Host speedups of this repo's verification kernels over their
+// pre-optimisation references: prepared-key verify vs comb u1*G plus
+// generic ladder u2*P, verify2 vs two prepared verifies, unrolled vs
+// rolled SHA-256. Each is the median of 21 processes on a 4-vCPU Intel
+// Xeon VM (RelWithDebInfo). They are constants so that the calibrated
+// model is the same on every host; bench/device_verify prints the live
+// readings.
+constexpr double kVerifySpeedup = 2.45;
+constexpr double kVerify2Speedup = 1.44;
+constexpr double kSha256Speedup = 1.09;
 
 }  // namespace
 
@@ -344,20 +220,14 @@ VerifyMemoStats verify_memo_stats() {
     return {memo.hits, memo.misses};
 }
 
-const VerifyCalibration& measure_verify_speedup() {
-    static const VerifyCalibration calibration = run_verify_calibration();
-    return calibration;
-}
-
 BackendCosts calibrate_software_costs(const BackendCosts& baseline) {
-    const VerifyCalibration& c = measure_verify_speedup();
     BackendCosts out = baseline;
-    out.verify_seconds = baseline.verify_seconds / c.ecdsa_speedup;
+    out.verify_seconds = baseline.verify_seconds / kVerifySpeedup;
     // The batch pass prices the signature *pair*: the modelled MCU is
     // assumed to gain what the host gained from sharing one doubling walk
     // and one inversion across both signatures.
-    out.verify2_seconds = 2.0 * out.verify_seconds / c.batch2_speedup;
-    out.sha256_seconds_per_kb = baseline.sha256_seconds_per_kb / c.sha256_speedup;
+    out.verify2_seconds = 2.0 * out.verify_seconds / kVerify2Speedup;
+    out.sha256_seconds_per_kb = baseline.sha256_seconds_per_kb / kSha256Speedup;
     return out;
 }
 

@@ -95,8 +95,8 @@ inline double double_verify_seconds(const BackendCosts& costs) {
 /// device checks the one vendor signature per version), so at million-device
 /// scale the memo removes the dominant repeated cost without changing a
 /// single verdict — the answer is a pure function of the key. OFF by
-/// default: calibration loops time raw verifies, and the small suites want
-/// the real kernels exercised. The fleet engine and the scale bench opt in.
+/// default: the small suites want the real kernels exercised. The fleet
+/// engine and the scale bench opt in.
 /// Hits/misses are counted so tests can prove both the reuse and the
 /// equivalence of results with the memo on and off.
 struct VerifyMemoStats {
@@ -118,43 +118,16 @@ std::unique_ptr<CryptoBackend> make_tinydtls_backend();
 std::unique_ptr<CryptoBackend> make_tinycrypt_backend();
 
 /// Same software backends with an explicit cost profile (e.g. the
-/// host-calibrated one from calibrate_software_costs()).
+/// calibrated one from calibrate_software_costs()).
 std::unique_ptr<CryptoBackend> make_tinydtls_backend(const BackendCosts& costs);
 std::unique_ptr<CryptoBackend> make_tinycrypt_backend(const BackendCosts& costs);
 
-/// Host-measured speedup of this repo's verification hot path over its own
-/// pre-optimization kernels — the ServerModel::calibrate() pattern applied
-/// to the device side.
-struct VerifyCalibration {
-    /// Prepared-key ECDSA verify vs the pre-wNAF kernel (comb u1*G + generic
-    /// ladder u2*P), approximated as the sum of those two measured halves.
-    double ecdsa_speedup = 1.0;
-    /// Unrolled SHA-256 kernel vs the rolled reference loop.
-    double sha256_speedup = 1.0;
-    /// Host throughput of the unrolled kernel, for reporting.
-    double sha256_host_mb_s = 0.0;
-    /// Batched double verification (ecdsa_verify2) vs two sequential
-    /// prepared verifies of the same signature pair.
-    double batch2_speedup = 1.0;
-    /// Multi-buffer SHA-256 (sha256x4_digest, dispatched implementation)
-    /// vs four sequential reference digests on a 4-buffer workload. The
-    /// device cost model does not use this — an MCU digests one stream —
-    /// it calibrates the server-side ingest path and is reported by the
-    /// benches.
-    double sha256x4_speedup = 1.0;
-    /// Host throughput of the dispatched multi-buffer kernel, aggregate
-    /// across four lanes.
-    double sha256x4_host_mb_s = 0.0;
-};
-
-/// Runs the micro-measurements once per process and caches the result, so
-/// every caller (device configs, benches) sees the same numbers and fleet
-/// reruns stay byte-identical within a process.
-const VerifyCalibration& measure_verify_speedup();
-
-/// Scales a paper-anchored software cost profile by the measured speedups:
-/// the modelled Cortex-M4 is assumed to gain what the host gained from the
-/// same algorithmic changes (wNAF + precomputed tables, unrolled SHA-256).
+/// Scales a paper-anchored software cost profile by committed speedups of
+/// this repo's verification kernels over their pre-optimisation references
+/// (prepared-key wNAF verify, batched verify2, unrolled SHA-256): the
+/// modelled Cortex-M4 is assumed to gain what a host gained from the same
+/// algorithmic changes. A pure function of `baseline`; bench/device_verify
+/// prints the live host readings of the same three ratios.
 BackendCosts calibrate_software_costs(const BackendCosts& baseline);
 
 }  // namespace upkit::crypto

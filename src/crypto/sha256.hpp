@@ -48,8 +48,8 @@ Bytes sha256(ByteSpan data);
 
 /// One-shot digest via the compact rolled compression loop — the
 /// pre-optimization kernel, retained as the reference the differential
-/// suite pins the unrolled path against and as the baseline for the
-/// host-calibrated cost model's SHA-256 speedup ratio.
+/// suite pins the unrolled path against and as the baseline of
+/// bench/device_verify's SHA-256 speedup reading.
 Sha256Digest sha256_reference(ByteSpan data);
 
 }  // namespace upkit::crypto

@@ -8,40 +8,30 @@ double Transport::transfer_chunk_seconds(std::size_t payload_bytes, bool* aborte
                                          bool* corrupted) {
     *aborted = false;
     *corrupted = false;
-    if (chaos_.plan == nullptr) {
-        // Pre-chaos loop, untouched: the rng draw sequence (one draw per
-        // attempt iff loss > 0) is part of the campaign determinism
-        // contract that existing trace-diff tests pin down.
-        double seconds = link_.chunk_seconds(payload_bytes);
-        unsigned attempts = 0;
-        while (link_.loss_probability > 0.0 && rng_.chance(link_.loss_probability)) {
-            if (++attempts > max_retries_) {
-                *aborted = true;
-                return seconds;
-            }
-            ++retransmissions_;
-            seconds += link_.chunk_seconds(payload_bytes);
-        }
-        return seconds;
-    }
-    // Chaos path: conditions are re-evaluated per transmission attempt at
-    // the campaign instant the attempt starts, so a burst or outage that
-    // begins mid-chunk affects the retries but not the attempts before it.
+    // Conditions are re-evaluated per transmission attempt at the campaign
+    // instant the attempt starts, so a burst or outage that begins
+    // mid-chunk affects the retries but not the attempts before it. With no
+    // plan bound they are neutral: one rng draw per attempt iff the link's
+    // own loss is positive.
     double seconds = 0.0;
     unsigned attempts = 0;
     for (;;) {
-        const double campaign_t = clock_->now() - chaos_.campaign_offset + seconds;
         const sim::ChaosPlan::Conditions c =
-            chaos_.plan->conditions(campaign_t, chaos_.device_id,
-                                    chaos_.payload_via_server, chaos_.region);
+            chaos_.plan == nullptr
+                ? sim::ChaosPlan::Conditions{}
+                : chaos_.plan->conditions(clock_->now() - chaos_.campaign_offset + seconds,
+                                          chaos_.device_id, chaos_.payload_via_server,
+                                          chaos_.region);
         seconds += link_.chunk_seconds(payload_bytes,
                                        {c.extra_loss, c.overhead_factor});
         bool lost;
         if (c.blocked) {
             lost = true;  // server down: deterministic loss, no rng draw
         } else {
-            const double loss =
-                std::min(0.99, link_.loss_probability + c.extra_loss);
+            // A plan's bursts are capped short of certain loss; a link's own
+            // loss is not, so a dead link (loss 1.0) still aborts.
+            double loss = link_.loss_probability + c.extra_loss;
+            if (chaos_.plan != nullptr) loss = std::min(0.99, loss);
             lost = loss > 0.0 && rng_.chance(loss);
         }
         if (!lost) {

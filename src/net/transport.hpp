@@ -73,8 +73,8 @@ public:
     void set_max_retries(unsigned retries) { max_retries_ = retries; }
 
     /// Overlays a chaos plan on every subsequent chunk. Without a binding
-    /// the transfer loop is bit-identical to the pre-chaos transport
-    /// (including its rng draw sequence).
+    /// the same transfer loop runs under neutral conditions: no extra loss
+    /// or overhead, and one rng draw per attempt iff the link is lossy.
     void set_chaos(const ChaosBinding& binding) { chaos_ = binding; }
 
 private:

@@ -1,11 +1,9 @@
 #include "server/update_server.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "common/endian.hpp"
-#include "common/rng.hpp"
 #include "crypto/content_key.hpp"
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256x4.hpp"
@@ -433,71 +431,6 @@ Expected<UpdateResponse> UpdateServer::prepare_update_locked(
         finalize(m, std::move(payload), latest.suit_vendor_signature, receipt);
     if (cacheable_envelope) store_response(key, response);
     return response;
-}
-
-ServerModel ServerModel::calibrate(unsigned concurrency) {
-    using Clock = std::chrono::steady_clock;
-    const auto seconds = [](Clock::duration d) {
-        return std::chrono::duration<double>(d).count();
-    };
-
-    ServerModel m;
-    m.concurrency = concurrency;
-    m.measured = true;
-
-    // Per-signature cost: the constant-time Booth walk on the RFC 6979
-    // nonce plus the inversions (k*G's z, then k) and the mod-n arithmetic.
-    const crypto::PrivateKey key = crypto::PrivateKey::generate(to_bytes("upkit-calibrate"));
-    crypto::Sha256Digest digest = crypto::Sha256::digest(to_bytes("upkit-calibrate"));
-    (void)crypto::ecdsa_sign(key, digest);  // warm the curve singleton + table
-    volatile std::uint8_t sink = 0;
-    constexpr int kSigns = 64;
-    auto t0 = Clock::now();
-    for (int i = 0; i < kSigns; ++i) {
-        digest[0] = static_cast<std::uint8_t>(i);
-        sink = sink ^ crypto::ecdsa_sign(key, digest)[0];
-    }
-    m.sign_s = seconds(Clock::now() - t0) / kSigns;
-
-    // Delta generation: bsdiff + LZSS over a representative image pair,
-    // charged per KB of input.
-    Rng rng(0xCA11B8A7E);
-    const Bytes old_image = rng.bytes(8 * 1024);
-    Bytes new_image = old_image;
-    for (int i = 0; i < 64; ++i) new_image[rng.below(new_image.size())] ^= 0x5a;
-    t0 = Clock::now();
-    const auto patch = diff::bsdiff(old_image, new_image);
-    if (patch) {
-        const auto compressed = compress::lzss_compress(*patch);
-        if (compressed) sink = sink ^ (*compressed)[0];
-    }
-    const double input_kb =
-        static_cast<double>(old_image.size() + new_image.size()) / 1024.0;
-    m.delta_gen_per_kb_s = seconds(Clock::now() - t0) / input_kb;
-
-    // Content-addressed lookup: ordered-map probe over a populated index.
-    std::map<std::uint64_t, std::uint64_t> index;
-    for (std::uint64_t i = 0; i < 128; ++i) index.emplace(i * 0x9E3779B9u, i);
-    constexpr int kProbes = 4096;
-    t0 = Clock::now();
-    std::uint64_t found = 0;
-    for (int i = 0; i < kProbes; ++i) {
-        found += index.count(static_cast<std::uint64_t>(i) * 0x9E3779B9u);
-    }
-    sink = sink ^ static_cast<std::uint8_t>(found);
-    m.cache_lookup_s = seconds(Clock::now() - t0) / kProbes;
-
-    // Dispatch: envelope/payload copy-out per KB.
-    const Bytes blob = rng.bytes(64 * 1024);
-    constexpr int kCopies = 64;
-    t0 = Clock::now();
-    for (int i = 0; i < kCopies; ++i) {
-        Bytes copy = blob;
-        sink = sink ^ copy[static_cast<std::size_t>(i)];
-    }
-    m.dispatch_per_kb_s =
-        seconds(Clock::now() - t0) / kCopies / (static_cast<double>(blob.size()) / 1024.0);
-    return m;
 }
 
 }  // namespace upkit::server

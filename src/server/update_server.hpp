@@ -98,10 +98,10 @@ struct ServerStats {
 ///    per-payload-KB seconds;
 ///  - measured (`measured == true`): the per-request time is derived from
 ///    what the request actually cost — signatures issued, delta
-///    generated or not, payload dispatched — using per-operation costs, e.g.
-///    filled in by calibrate() from host micro-measurements. Given the
-///    same cost constants the model is deterministic, so reruns stay
-///    byte-identical.
+///    generated or not, payload dispatched — using the per-operation costs
+///    below, which the caller sets (bench/server_hotpath commits host
+///    medians). Like the constant mode it is a pure function of the
+///    model, so reruns stay byte-identical.
 struct ServerModel {
     /// Requests serviced simultaneously; 0 = unbounded (no contention).
     unsigned concurrency = 0;
@@ -146,12 +146,6 @@ struct ServerModel {
         }
         return s;
     }
-
-    /// Micro-measures the per-operation costs on this host (ECDSA sign,
-    /// bsdiff+LZSS per KB, cache lookup, payload dispatch) and returns a
-    /// measured-mode model. Run once before a campaign; the constants are
-    /// then fixed, keeping the simulation deterministic.
-    static ServerModel calibrate(unsigned concurrency);
 };
 
 /// A device encryption key was replaced (register_device_key on an

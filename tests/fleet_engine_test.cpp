@@ -511,8 +511,8 @@ TEST(FleetEngineTest, VerifyMemoCountersSurfaceInReport) {
 }
 
 /// The mixed campaign again, but under a measured-mode server model with
-/// fixed cost constants (what calibrate() would produce, pinned so the test
-/// is host-independent): service time now depends on each request's receipt.
+/// fixed per-operation costs, as bench/server_hotpath sets them: service
+/// time now depends on each request's receipt.
 void run_measured_campaign(CampaignRun& out) {
     World world;
     world.add_devices(6, 0x6000, net::ble_gatt());

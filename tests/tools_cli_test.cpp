@@ -203,6 +203,15 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
               std::string::npos)
         << out;
     EXPECT_NE(out.find("'order' mutated without 'mu' held"), std::string::npos) << out;
+
+    // banned-wall-clock covers all of src/, not just the device directories:
+    // the server fixture's std::chrono host clock is one of its findings.
+    const std::size_t host_clock = out.find("server/bad_host_clock.cpp:");
+    ASSERT_NE(host_clock, std::string::npos) << out;
+    EXPECT_NE(out.substr(host_clock, out.find('\n', host_clock) - host_clock)
+                  .find("[banned-wall-clock]"),
+              std::string::npos)
+        << out;
 }
 
 TEST_F(ToolsCliTest, LintGoodFixturesAreClean) {

@@ -267,8 +267,8 @@ private:
             }
             if (is_source(call)) {
                 // An allow annotation on a source line is the claim "this
-                // value is public here" (e.g. a calibration key from a
-                // fixed seed): no taint is created.
+                // value is public here" (e.g. a test key from a fixed
+                // public seed): no taint is created.
                 if (line_allowed(*fn->file, call.line)) continue;
                 any_call_returns_taint = true;
                 // Out-parameter shape (drbg.generate(buf)): argument
