@@ -37,7 +37,7 @@ BENCHMARK(BM_EcdsaSign);
 
 void BM_EcdsaVerify(benchmark::State& state) {
     const crypto::PrivateKey key = crypto::PrivateKey::generate(to_bytes("bench"));
-    const crypto::PublicKey pub = key.public_key();
+    const crypto::PreparedPublicKey pub(key.public_key());
     const auto digest = crypto::Sha256::digest(to_bytes("message"));
     const crypto::Signature sig = crypto::ecdsa_sign(key, digest);
     for (auto _ : state) {

@@ -3,12 +3,13 @@
 // precomputed (interleaved) tables, and the unrolled SHA-256 kernel —
 // measured in isolation and end to end.
 //
-// Micro section: variable-base mul via the generic ladder vs fresh wNAF vs
-// a per-key precomputed table (ops/s and speedups, cross-checked for
-// agreement); the three ECDSA verify entry points, with the pre-PR kernel
-// reconstructed from its halves (the comb u1*G that already existed plus
-// the generic ladder that used to serve u2*P); SHA-256 unrolled vs the
-// rolled reference (MB/s). Every micro quantity is the median of five
+// Micro section: variable-base mul via the generic ladder vs a per-key
+// precomputed table (ops/s and speedup, cross-checked for agreement); the
+// prepared ECDSA verify against the pre-PR kernel reconstructed from its
+// halves (the comb u1*G that already existed plus the generic ladder that
+// used to serve u2*P); SHA-256 unrolled vs the rolled reference (MB/s).
+// The ladder, the ladder-based reference verify and the rolled SHA-256 are
+// the oracles of tests/support/. Every micro quantity is the median of five
 // readings, and one reading times all sides of a ratio back to back, so a
 // burst of host noise lands on both sides instead of one. verify_speedup,
 // verify2_speedup and sha256_speedup are this host's live readings of the
@@ -45,6 +46,7 @@
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256x4.hpp"
+#include "support/oracles.hpp"
 
 using namespace upkit;
 using namespace upkit::bench;
@@ -144,11 +146,9 @@ int main(int argc, char** argv) {
 
     // Agreement first: a bench that outruns a wrong answer is worthless.
     for (const auto& k : scalars) {
-        const auto ladder = curve.mul_generic(k, point);
-        const auto fresh = curve.mul(k, point);
+        const auto ladder = crypto::P256Oracle::mul_generic(k, point);
         const auto pre = curve.mul(k, table);
-        if (!ladder || !fresh || !pre || !(ladder->x == fresh->x) ||
-            !(ladder->y == fresh->y) || !(ladder->x == pre->x) || !(ladder->y == pre->y)) {
+        if (!ladder || !pre || !(ladder->x == pre->x) || !(ladder->y == pre->y)) {
             std::fprintf(stderr, "wNAF/ladder disagreement\n");
             return 1;
         }
@@ -158,8 +158,7 @@ int main(int argc, char** argv) {
     crypto::Sha256Digest digest = crypto::Sha256::digest(to_bytes("device-verify-msg"));
     const crypto::Signature sig = crypto::ecdsa_sign(priv, digest);
     const crypto::PreparedPublicKey prepared(pub);
-    if (!crypto::ecdsa_verify(pub, digest, sig) ||
-        !crypto::ecdsa_verify(prepared, digest, sig) ||
+    if (!crypto::ecdsa_verify(prepared, digest, sig) ||
         !crypto::ecdsa_verify_generic(pub, digest, sig)) {
         std::fprintf(stderr, "verify path disagreement on a valid signature\n");
         return 1;
@@ -195,19 +194,15 @@ int main(int argc, char** argv) {
         return scalars[static_cast<std::size_t>(i) % scalars.size()];
     };
 
-    Readings ladder_s{}, fresh_s{}, pre_s{}, comb_s{};
-    Readings verify_fresh_s{}, verify_prepared_s{}, verify_prepr_s{};
+    Readings ladder_s{}, pre_s{}, comb_s{};
+    Readings verify_prepared_s{}, verify_prepr_s{};
     Readings verify_seq_pair_s{}, verify2_s{};
     for (int r = 0; r < kReadings; ++r) {
         ladder_s[r] = time_ops(iters / 4 + 1, [&](int i) {
-            return curve.mul_generic(scalar(i), point)->x.w[0];
+            return crypto::P256Oracle::mul_generic(scalar(i), point)->x.w[0];
         });
-        fresh_s[r] = time_ops(iters, [&](int i) { return curve.mul(scalar(i), point)->x.w[0]; });
         pre_s[r] = time_ops(iters * 2, [&](int i) { return curve.mul(scalar(i), table)->x.w[0]; });
         comb_s[r] = time_ops(iters * 2, [&](int i) { return curve.mul_base(scalar(i))->x.w[0]; });
-        verify_fresh_s[r] = time_ops(iters, [&](int) {
-            return static_cast<std::uint64_t>(crypto::ecdsa_verify(pub, digest, ByteSpan(sig)));
-        });
         verify_prepared_s[r] = time_ops(iters, [&](int) {
             return static_cast<std::uint64_t>(
                 crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)));
@@ -227,7 +222,6 @@ int main(int argc, char** argv) {
                 prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
         });
     }
-    const double wnaf_fresh_speedup = median_ratio(ladder_s, fresh_s);
     const double wnaf_pre_speedup = median_ratio(ladder_s, pre_s);
     const double verify_speedup = median_ratio(verify_prepr_s, verify_prepared_s);
     const double verify2_speedup = median_ratio(verify_seq_pair_s, verify2_s);
@@ -318,10 +312,8 @@ int main(int argc, char** argv) {
 
     std::printf(
         "{\"bench\":\"device_verify\",\"devices\":%zu,\"iters\":%d,"
-        "\"mul_ladder_ops_s\":%.1f,\"mul_wnaf_fresh_ops_s\":%.1f,"
-        "\"mul_wnaf_precomputed_ops_s\":%.1f,\"wnaf_fresh_speedup\":%.2f,"
-        "\"wnaf_precomputed_speedup\":%.2f,"
-        "\"verify_fresh_ops_s\":%.1f,\"verify_prepared_ops_s\":%.1f,"
+        "\"mul_ladder_ops_s\":%.1f,\"mul_wnaf_precomputed_ops_s\":%.1f,"
+        "\"wnaf_precomputed_speedup\":%.2f,\"verify_prepared_ops_s\":%.1f,"
         "\"verify_prepared_reconstruction_ops_s\":%.1f,\"verify_speedup\":%.2f,"
         "\"verify_sequential_pair_ops_s\":%.1f,\"verify2_ops_s\":%.1f,"
         "\"verify2_speedup\":%.2f,"
@@ -337,8 +329,8 @@ int main(int argc, char** argv) {
         "\"campaign_verification_calibrated_s\":%.3f,"
         "\"campaign_verification_improvement\":%.2f,"
         "\"makespan_baseline_s\":%.3f,\"makespan_calibrated_s\":%.3f}\n",
-        fleet, iters, ops_s(ladder_s), ops_s(fresh_s), ops_s(pre_s), wnaf_fresh_speedup,
-        wnaf_pre_speedup, ops_s(verify_fresh_s), ops_s(verify_prepared_s),
+        fleet, iters, ops_s(ladder_s), ops_s(pre_s), wnaf_pre_speedup,
+        ops_s(verify_prepared_s),
         ops_s(verify_prepr_s), verify_speedup, ops_s(verify_seq_pair_s), ops_s(verify2_s),
         verify2_speedup, sha_mb_s, sha_ref_mb_s, median_ratio(sha_ref_s, sha_s),
         crypto::sha256x4_impl_name(sha_x4_impl), sha_x4_mb_s, sha_x4_generic_mb_s,

@@ -3,7 +3,8 @@
 // cache — measured in isolation and end-to-end.
 //
 // Micro section: mul_base via the comb table vs the generic double-and-add
-// ladder (ops/s and speedup, cross-checked for agreement), plus ECDSA sign
+// ladder of P256Oracle (tests/support/; ops/s and speedup, cross-checked
+// for agreement), plus ECDSA sign
 // throughput. Macro section: the same differential fleet campaign run twice,
 // once under the historical constant service-time model and once under the
 // measured model, where per-request cost reflects what the server actually
@@ -33,6 +34,7 @@
 #include "crypto/p256.hpp"
 #include "crypto/sha256x4.hpp"
 #include "diff/cdc.hpp"
+#include "support/oracles.hpp"
 
 using namespace upkit;
 using namespace upkit::bench;
@@ -116,7 +118,7 @@ int main(int argc, char** argv) {
     constexpr int kLadderIters = 64;
     t0 = Clock::now();
     for (int i = 0; i < kLadderIters; ++i) {
-        sink = sink + curve.mul_base_generic(scalars[i % scalars.size()])->x.w[0];
+        sink = sink + crypto::P256Oracle::mul_base_generic(scalars[i % scalars.size()])->x.w[0];
     }
     const double ladder_s = seconds_since(t0) / kLadderIters;
     const double speedup = ladder_s / comb_s;
@@ -136,7 +138,7 @@ int main(int argc, char** argv) {
     // Agreement spot-check: a bench that outruns a wrong answer is worthless.
     for (const auto& k : scalars) {
         const auto a = curve.mul_base(k);
-        const auto b = curve.mul_base_generic(k);
+        const auto b = crypto::P256Oracle::mul_base_generic(k);
         const auto c = curve.mul_base_ct(k);
         if (!a || !b || !c || !(a->x == b->x) || !(a->y == b->y) ||
             !(c->x == b->x) || !(c->y == b->y)) {

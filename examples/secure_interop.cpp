@@ -50,7 +50,8 @@ int main() {
     }
     const auto backend = crypto::make_tinycrypt_backend();
     const Status verdict = suit::verify_envelope(
-        *parsed, vendor.public_key(), suit_server_key.public_key(), *backend);
+        *parsed, crypto::PreparedPublicKey(vendor.public_key()),
+        crypto::PreparedPublicKey(suit_server_key.public_key()), *backend);
     std::printf("SUIT double-signature verification: %s\n",
                 std::string(to_string(verdict)).c_str());
     auto recovered = suit::to_manifest(*parsed);

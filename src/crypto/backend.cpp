@@ -63,16 +63,15 @@ MemoKey memo_key(const PublicKey& key, const Sha256Digest& digest, ByteSpan sign
     return k;
 }
 
-/// Consults the memo around the raw verify `fn`. Signature length is
-/// checked first so malformed input never lands in the table.
-template <typename Fn>
-bool memoized_verify(const PublicKey& key, const Sha256Digest& digest,
-                     ByteSpan signature, Fn&& fn) {
+/// Consults the memo around ecdsa_verify. Signature length is checked
+/// first so malformed input never lands in the table.
+bool memoized_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
+                     ByteSpan signature) {
     if (!g_verify_memo_enabled.load(std::memory_order_relaxed) ||
         signature.size() != kSignatureSize) {
-        return fn();
+        return ecdsa_verify(key, digest, signature);
     }
-    const MemoKey k = memo_key(key, digest, signature);
+    const MemoKey k = memo_key(key.key(), digest, signature);
     VerifyMemo& memo = verify_memo();
     {
         std::lock_guard<std::mutex> lock(memo.mu);
@@ -82,7 +81,7 @@ bool memoized_verify(const PublicKey& key, const Sha256Digest& digest,
             return it->second;
         }
     }
-    const bool ok = fn();
+    const bool ok = ecdsa_verify(key, digest, signature);
     {
         std::lock_guard<std::mutex> lock(memo.mu);
         ++memo.misses;
@@ -102,16 +101,9 @@ public:
     std::string_view name() const override { return name_; }
     BackendCosts costs() const override { return costs_; }
 
-    bool verify(const PublicKey& key, const Sha256Digest& digest,
-                ByteSpan signature) const override {
-        return memoized_verify(key, digest, signature,
-                               [&] { return ecdsa_verify(key, digest, signature); });
-    }
-
     bool verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                 ByteSpan signature) const override {
-        return memoized_verify(key.key(), digest, signature,
-                               [&] { return ecdsa_verify(key, digest, signature); });
+        return memoized_verify(key, digest, signature);
     }
 
     bool verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,

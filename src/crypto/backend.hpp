@@ -48,19 +48,13 @@ public:
     /// ATECC508 also has a SHA engine, modelled via costs()).
     virtual Sha256Digest digest(ByteSpan data) const { return Sha256::digest(data); }
 
-    /// ECDSA/secp256r1 verification of a 64-byte r||s signature.
-    virtual bool verify(const PublicKey& key, const Sha256Digest& digest,
-                        ByteSpan signature) const = 0;
-
-    /// Verification against a long-lived key whose wNAF table is already
-    /// built (UpKit's vendor and server keys are fixed at provisioning).
-    /// Software backends override this with the zero-table-construction hot
-    /// path; hardware backends (the ATECC508 holds keys in its own slots)
-    /// keep this fallback to the plain-key entry point.
+    /// ECDSA/secp256r1 verification of a 64-byte r||s signature against a
+    /// long-lived key whose wNAF table is already built (UpKit's vendor and
+    /// server keys are fixed at provisioning). Software backends run the
+    /// zero-table-construction hot path; the HSM backend resolves key.key()
+    /// to one of its own slots.
     virtual bool verify(const PreparedPublicKey& key, const Sha256Digest& digest,
-                        ByteSpan signature) const {
-        return verify(key.key(), digest, signature);
-    }
+                        ByteSpan signature) const = 0;
 
     /// UpKit's double signature as one call: verifies the vendor claim
     /// (key1/digest1/signature1) AND the server claim (key2/digest2/
@@ -95,8 +89,8 @@ inline double double_verify_seconds(const BackendCosts& costs) {
 /// device checks the one vendor signature per version), so at million-device
 /// scale the memo removes the dominant repeated cost without changing a
 /// single verdict — the answer is a pure function of the key. OFF by
-/// default: the small suites want the real kernels exercised. The fleet
-/// engine and the scale bench opt in.
+/// default: the small suites want the real kernels exercised.
+/// bench/fleet_scale and the perfbench fleet_rollout workload opt in.
 /// Hits/misses are counted so tests can prove both the reuse and the
 /// equivalence of results with the memo on and off.
 struct VerifyMemoStats {

@@ -85,8 +85,11 @@ std::shared_ptr<const P256::Precomputed> interned_table(const PublicKey& key) {
 
 }  // namespace
 
-PreparedPublicKey::PreparedPublicKey(const PublicKey& key)
-    : key_(key), table_(interned_table(key)) {}
+PreparedPublicKey::PreparedPublicKey(const PublicKey& key) : key_(key) {
+    // PublicKey{} is (0, 0), off the curve; its degenerate table would make
+    // u2*P vanish and let r = x(k*G), s = z/k verify for any digest.
+    if (P256::instance().on_curve(key.point())) table_ = interned_table(key);
+}
 
 InternStats PreparedPublicKey::intern_stats() {
     InternCache& c = intern_cache();
@@ -245,77 +248,8 @@ Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) {
 
 namespace {
 
-/// Shared verify core: signature parsing, range checks, and the final
-/// r == x mod n test. `mul_add` maps (u1, u2) to u1*G + u2*P via whichever
-/// scalar-mul path the variant uses — the only thing the variants differ in.
-template <typename MulAddFn>
-bool verify_with(const Sha256Digest& digest, ByteSpan signature, MulAddFn&& mul_add) {
-    if (signature.size() != kSignatureSize) return false;
-    const P256& curve = P256::instance();
-    const Montgomery& fn = curve.order();
-
-    const U256 r = U256::from_be_bytes(signature.subspan(0, 32));
-    const U256 s = U256::from_be_bytes(signature.subspan(32, 32));
-    if (r.is_zero() || s.is_zero()) return false;
-    if (!(r < curve.n()) || !(s < curve.n())) return false;
-
-    const U256 z = fn.reduce(digest_to_scalar(digest));
-    const U256 w_m = fn.inv(fn.to_mont(s));
-    const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z), w_m));
-    const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r), w_m));
-
-    const auto point = mul_add(u1, u2);
-    if (!point) return false;
-    return fn.reduce(point->x) == r;
-}
-
-}  // namespace
-
-bool ecdsa_verify(const PublicKey& key, const Sha256Digest& digest, ByteSpan signature) {
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
-        // u1, u2 derive from the signature and digest, both public.
-        return P256::instance().mul_add(u1, u2, key.point());  // lint: public-scalar
-    });
-}
-
-bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
-                  ByteSpan signature) {
-    if (!key.valid()) return false;
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
-        return P256::instance().mul_add(u1, u2, key.table());  // lint: public-scalar
-    });
-}
-
-bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
-                          ByteSpan signature) {
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
-        return P256::instance().mul_add_generic(u1, u2, key.point());  // lint: public-scalar
-    });
-}
-
-namespace {
-
-/// Random batch weight for verify2. Drawn from a process-local HMAC-DRBG
-/// with a fixed personalization so simulated campaigns replay exactly; the
-/// verdict is gamma-independent except on a <= 8/2^64 slice, so determinism
-/// here costs nothing observable. A production deployment would fold
-/// hardware entropy into the seed — the guard only needs gamma to be
-/// unpredictable to whoever crafted the signatures.
-std::uint64_t batch_gamma() {
-    static std::mutex mu;
-    static HmacDrbg drbg(::upkit::to_bytes("upkit-verify2-gamma-seed"),
-                         ::upkit::to_bytes("upkit-verify2-gamma"));
-    std::lock_guard<std::mutex> lock(mu);
-    std::array<std::uint8_t, 8> buf{};
-    drbg.generate(MutByteSpan(buf));
-    std::uint64_t g = 0;
-    for (unsigned i = 0; i < 8; ++i) g = (g << 8) | buf[i];
-    if (g == 0) g = 1;  // verify2_combination requires gamma >= 1
-    return g;
-}
-
-/// Parses r || s with the same range checks as verify_with. Returns false
-/// on any malformed component (the batch caller then rejects outright).
+/// Parses r || s and range-checks both into [1, n). Returns false on any
+/// malformed component.
 bool parse_signature(ByteSpan signature, U256& r, U256& s) {
     if (signature.size() != kSignatureSize) return false;
     r = U256::from_be_bytes(signature.subspan(0, 32));
@@ -325,7 +259,49 @@ bool parse_signature(ByteSpan signature, U256& r, U256& s) {
     return r < n && s < n;
 }
 
+/// Batch weight for verify2: the first 64 bits of SHA-256 over a domain tag
+/// and both (key, digest, signature) triples. A forged pair can cancel only
+/// at the gamma it was built for, and this gamma is fixed only once the
+/// pair is, so a forger must grind ~2^61 pairs. A pure function of the
+/// inputs: campaigns replay exactly, and no state is shared between calls.
+std::uint64_t batch_gamma(const PreparedPublicKey& key1, const Sha256Digest& digest1,
+                          ByteSpan signature1, const PreparedPublicKey& key2,
+                          const Sha256Digest& digest2, ByteSpan signature2) {
+    Sha256 h;
+    h.update(::upkit::to_bytes("upkit-verify2-gamma"));
+    h.update(key1.key().to_bytes());
+    h.update(digest1);
+    h.update(signature1);
+    h.update(key2.key().to_bytes());
+    h.update(digest2);
+    h.update(signature2);
+    const Sha256Digest d = h.finalize();
+    std::uint64_t g = 0;
+    for (unsigned i = 0; i < 8; ++i) g = (g << 8) | d[i];
+    if (g == 0) g = 1;  // verify2_combination requires gamma >= 1
+    return g;
+}
+
 }  // namespace
+
+bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
+                  ByteSpan signature) {
+    if (!key.valid()) return false;
+    U256 r, s;
+    if (!parse_signature(signature, r, s)) return false;
+    const P256& curve = P256::instance();
+    const Montgomery& fn = curve.order();
+
+    const U256 z = fn.reduce(digest_to_scalar(digest));
+    const U256 w_m = fn.inv(fn.to_mont(s));
+    const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z), w_m));
+    const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r), w_m));
+
+    // u1, u2 derive from the signature and digest, both public.
+    const auto point = curve.mul_add(u1, u2, key.table());  // lint: public-scalar
+    if (!point) return false;
+    return fn.reduce(point->x) == r;
+}
 
 bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
                    ByteSpan signature1, const PreparedPublicKey& key2,
@@ -353,8 +329,10 @@ bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
     const U256 u3 = fn.from_mont(fn.mul(fn.to_mont(z2), w2m));
     const U256 u4 = fn.from_mont(fn.mul(fn.to_mont(r2), w2m));
 
+    const std::uint64_t gamma =
+        batch_gamma(key1, digest1, signature1, key2, digest2, signature2);
     const auto verdict = curve.verify2_combination(  // lint: public-scalar (sig components)
-        u1, u2, key1.table(), r1, u3, u4, key2.table(), r2, batch_gamma());
+        u1, u2, key1.table(), r1, u3, u4, key2.table(), r2, gamma);
     if (verdict) return *verdict;
     // Undecidable lift corner (~2^-32 of signatures): sequential verifies.
     return ecdsa_verify(key1, digest1, signature1) &&

@@ -75,10 +75,15 @@ struct InternStats {
     std::size_t size = 0;          // entries currently cached
 };
 
-/// A public key bundled with its P256::Precomputed wNAF table, built once.
-/// UpKit's vendor and update-server keys are provisioned for the device's
-/// lifetime, so each of the four ECDSA verifies per update (agent manifest +
-/// firmware, bootloader manifest + firmware) reuses the same table.
+/// A public key bundled with its P256::Precomputed wNAF table, built once:
+/// the one key form that verifies. UpKit's vendor and update-server keys are
+/// provisioned for the device's lifetime, so each of the four ECDSA verifies
+/// per update (agent manifest + firmware, bootloader manifest + firmware)
+/// reuses the same table.
+///
+/// It is also the one place a key is validated: a point off the curve —
+/// notably the unset PublicKey{}, (0, 0) — gets no table, so valid() is
+/// false and every verification against it fails closed.
 ///
 /// Tables are interned process-wide behind a mutex: a fleet of simulated
 /// devices sharing the same two trust-anchor keys builds each table exactly
@@ -91,7 +96,8 @@ public:
     /// Empty handle; valid() is false and verification always fails.
     PreparedPublicKey() = default;
 
-    /// Builds (or fetches from the intern cache) the precomputed table.
+    /// Builds (or fetches from the intern cache) the precomputed table when
+    /// `key` is on the curve; otherwise the handle stays invalid.
     explicit PreparedPublicKey(const PublicKey& key);
 
     const PublicKey& key() const { return key_; }
@@ -109,19 +115,11 @@ private:
 /// Signs a 32-byte message digest. RFC 6979: no RNG required at sign time.
 Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest);
 
-/// Verifies a 64-byte signature over a 32-byte digest. Never throws.
-bool ecdsa_verify(const PublicKey& key, const Sha256Digest& digest, ByteSpan signature);
-
-/// Same, against a prepared key: the verification hot path (comb for u1*G,
-/// interleaved wNAF for u2*P, zero table construction).
+/// Verifies a 64-byte signature over a 32-byte digest against a prepared
+/// key (comb for u1*G, interleaved wNAF for u2*P, zero table construction).
+/// False for an invalid key. Never throws.
 bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                   ByteSpan signature);
-
-/// Same, via the generic double-and-add ladder on both scalar-mul halves —
-/// the reference implementation the differential suite pins the fast
-/// variants against.
-bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
-                          ByteSpan signature);
 
 /// Batch verification of BOTH manifest signatures in one pass: true iff
 /// each signature individually verifies (up to a <= 2^-61 false-accept
@@ -130,9 +128,10 @@ bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
 /// with a random 64-bit weight gamma into a single 4-point Strauss walk
 /// (P256::verify2_combination) — a forged pair would have to cancel at the
 /// drawn gamma exactly, so batch-accept implies individual validity except
-/// with probability <= 8/2^64 per call. gamma comes from a process-local
-/// HMAC-DRBG (deterministic per process, so simulation fingerprints stay
-/// reproducible; the verdict itself is gamma-independent w.h.p.). Rejects
+/// with probability <= 8/2^64 per call. gamma is SHA-256 over a domain tag
+/// and both (key, digest, signature) triples, so it is fixed only once the
+/// pair is — the way BIP-340 seeds its batch randomizers — and needs no
+/// shared state (the verdict itself is gamma-independent w.h.p.). Rejects
 /// are exact: a false return always means at least one signature fails
 /// sequential verification. Falls back to two sequential verifies in the
 /// rare undecidable lift corner.

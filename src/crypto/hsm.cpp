@@ -26,16 +26,17 @@ Expected<bool> Atecc508::verify(unsigned slot, const Sha256Digest& digest,
     if (slot >= kKeySlots) return Status::kOutOfRange;
     if (!slots_[slot]) return Status::kHsmError;
     ++verify_count_;
-    return ecdsa_verify(*slots_[slot], digest, signature);
+    // The slot key's table is interned, so repeated verifies build it once.
+    return ecdsa_verify(PreparedPublicKey(*slots_[slot]), digest, signature);
 }
 
-bool CryptoAuthLibBackend::verify(const PublicKey& key, const Sha256Digest& digest,
+bool CryptoAuthLibBackend::verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                                   ByteSpan signature) const {
     // The library resolves the caller's key to a provisioned slot; a key the
     // HSM does not hold cannot be used — that is the anti-tampering point.
     for (unsigned slot = 0; slot < Atecc508::kKeySlots; ++slot) {
         const auto stored = hsm_->key_in_slot(slot);
-        if (stored && *stored == key) {
+        if (stored && *stored == key.key()) {
             const auto result = hsm_->verify(slot, digest, signature);
             return result.has_value() && *result;
         }

@@ -64,7 +64,7 @@ public:
                             .active_current_ma = 16.0};
     }
 
-    bool verify(const PublicKey& key, const Sha256Digest& digest,
+    bool verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                 ByteSpan signature) const override;
 
     Expected<Signature> sign(const PrivateKey&, const Sha256Digest&) const override {

@@ -214,16 +214,6 @@ P256::Jacobian P256::comb_mul_base(const U256& k) const {
     return acc;
 }
 
-P256::Jacobian P256::scalar_mul(const U256& k, const Jacobian& p) const {
-    Jacobian acc{};  // infinity
-    const int bits = k.bit_length();
-    for (int i = bits - 1; i >= 0; --i) {
-        acc = dbl(acc);
-        if (k.bit(static_cast<unsigned>(i))) acc = add(acc, p);
-    }
-    return acc;
-}
-
 P256::MontAffine P256::neg(const MontAffine& q) const {
     // On-curve points never have y == 0 on P-256 (no order-2 point), so the
     // Montgomery-form y is nonzero and sub() lands in [1, p-1].
@@ -382,22 +372,6 @@ int P256::wnaf_recode(U256 k, std::int8_t* digits) {
     return len;
 }
 
-P256::Jacobian P256::wnaf_mul(const U256& k, const MontAffine* odd) const {
-    std::int8_t digits[kWnafMaxDigits];
-    const int len = wnaf_recode(k, digits);
-    Jacobian acc{};
-    for (int i = len - 1; i >= 0; --i) {
-        acc = dbl(acc);
-        const int d = digits[i];
-        if (d > 0) {
-            acc = add_mixed(acc, odd[d >> 1]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(odd[(-d) >> 1]));
-        }
-    }
-    return acc;
-}
-
 P256::Jacobian P256::wnaf_mul(const U256& k, const Precomputed& pre) const {
     // Interleaved walk: digit position 64*row + b is served by the row
     // holding 2^(64 row) * P, so one pass of 64 doublings covers all four
@@ -453,20 +427,6 @@ std::optional<AffinePoint> P256::mul_base_ct(const U256& k) const {
     return to_affine(ct_booth_mul_base(k_reduced));
 }
 
-std::optional<AffinePoint> P256::mul_base_generic(const U256& k) const {
-    return mul_generic(k, g_);
-}
-
-std::optional<AffinePoint> P256::mul(const U256& k, const AffinePoint& p) const {
-    const U256 k_reduced = fn_.reduce(k);
-    if (k_reduced.is_zero()) return std::nullopt;
-    std::array<Jacobian, kWnafOddEntries> jac;
-    std::array<MontAffine, kWnafOddEntries> odd;
-    build_odd_row(to_jacobian(p), jac.data());
-    normalize_batch(jac.data(), odd.data(), jac.size());
-    return to_affine(wnaf_mul(k_reduced, odd.data()));
-}
-
 std::optional<AffinePoint> P256::mul(const U256& k, const Precomputed& p) const {
     const U256 k_reduced = fn_.reduce(k);
     if (k_reduced.is_zero()) return std::nullopt;
@@ -502,44 +462,12 @@ std::optional<AffinePoint> P256::mul_ct(const U256& k, const AffinePoint& p) con
     return to_affine(acc);
 }
 
-std::optional<AffinePoint> P256::mul_generic(const U256& k, const AffinePoint& p) const {
-    const U256 k_reduced = fn_.reduce(k);
-    if (k_reduced.is_zero()) return std::nullopt;
-    return to_affine(scalar_mul(k_reduced, to_jacobian(p)));
-}
-
-std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
-                                         const AffinePoint& p) const {
-    // The fixed-base half costs ~32 mixed additions from the comb table;
-    // the variable-base half builds a fresh wNAF row for P.
-    const U256 u1r = fn_.reduce(u1);
-    const U256 u2r = fn_.reduce(u2);
-    Jacobian acc = u1r.is_zero() ? Jacobian{} : comb_mul_base(u1r);
-    if (!u2r.is_zero()) {
-        std::array<Jacobian, kWnafOddEntries> jac;
-        std::array<MontAffine, kWnafOddEntries> odd;
-        build_odd_row(to_jacobian(p), jac.data());
-        normalize_batch(jac.data(), odd.data(), jac.size());
-        acc = add(acc, wnaf_mul(u2r, odd.data()));
-    }
-    return to_affine(acc);
-}
-
 std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
                                          const Precomputed& p) const {
     const U256 u1r = fn_.reduce(u1);
     const U256 u2r = fn_.reduce(u2);
     Jacobian acc = u1r.is_zero() ? Jacobian{} : comb_mul_base(u1r);
     if (!u2r.is_zero()) acc = add(acc, wnaf_mul(u2r, p));
-    return to_affine(acc);
-}
-
-std::optional<AffinePoint> P256::mul_add_generic(const U256& u1, const U256& u2,
-                                                 const AffinePoint& p) const {
-    const U256 u1r = fn_.reduce(u1);
-    const U256 u2r = fn_.reduce(u2);
-    Jacobian acc = u1r.is_zero() ? Jacobian{} : scalar_mul(u1r, to_jacobian(g_));
-    if (!u2r.is_zero()) acc = add(acc, scalar_mul(u2r, to_jacobian(p)));
     return to_affine(acc);
 }
 
@@ -586,20 +514,6 @@ std::optional<AffinePoint> P256::mul_add4(const U256& u1, const U256& u2,
     const U256 u4r = fn_.reduce(u4);
     Jacobian acc = a.is_zero() ? Jacobian{} : comb_mul_base(a);
     if (!u2r.is_zero() || !u4r.is_zero()) acc = add(acc, wnaf_mul2(u2r, p1, u4r, p2));
-    return to_affine(acc);
-}
-
-std::optional<AffinePoint> P256::mul_add4_generic(const U256& u1, const U256& u2,
-                                                  const AffinePoint& p1, const U256& u3,
-                                                  const U256& u4, const AffinePoint& p2) const {
-    const U256 u1r = fn_.reduce(u1);
-    const U256 u2r = fn_.reduce(u2);
-    const U256 u3r = fn_.reduce(u3);
-    const U256 u4r = fn_.reduce(u4);
-    Jacobian acc = u1r.is_zero() ? Jacobian{} : scalar_mul(u1r, to_jacobian(g_));
-    if (!u2r.is_zero()) acc = add(acc, scalar_mul(u2r, to_jacobian(p1)));
-    if (!u3r.is_zero()) acc = add(acc, scalar_mul(u3r, to_jacobian(g_)));
-    if (!u4r.is_zero()) acc = add(acc, scalar_mul(u4r, to_jacobian(p2)));
     return to_affine(acc);
 }
 

@@ -8,11 +8,11 @@
 // Two scalar-multiplication accelerations ride on the same
 // precompute-odd-multiples trick: the fixed-base comb table for k*G (the
 // signing hot path) and width-5 wNAF for variable-base k*P (the
-// verification hot path), with an optional per-key Precomputed handle that
-// interleaves the wNAF walk over five 64-bit limb rows so long-lived
-// verification keys pay for their table exactly once. The plain
-// double-and-add ladder survives as mul_generic / mul_add_generic, the
-// reference the differential suite pins every fast path against.
+// verification hot path) over a per-key Precomputed table that interleaves
+// the walk over five 64-bit limb rows, so long-lived verification keys pay
+// for their table exactly once. The plain double-and-add ladder the
+// differential suite pins every fast path against is test code
+// (P256Oracle, tests/support/), not part of this class.
 #pragma once
 
 #include <array>
@@ -107,24 +107,10 @@ public:
     /// closing the nonce cache-timing channel on the signing path.
     std::optional<AffinePoint> mul_base_ct(const U256& k) const;
 
-    /// k * G via the generic double-and-add ladder. Retained as the
-    /// reference implementation the differential suite and the hot-path
-    /// bench compare the comb table against.
-    std::optional<AffinePoint> mul_base_generic(const U256& k) const;
-
-    /// k * P for arbitrary point P (must be on curve). Width-5 wNAF over a
-    /// freshly built row of odd multiples of P (batch-normalized to affine
-    /// with one field inversion, mixed madd additions).
-    std::optional<AffinePoint> mul(const U256& k, const AffinePoint& p) const;
-
     /// k * P against a per-key table: the interleaved wNAF walk, 64
     /// doublings instead of 256. This is what the four ECDSA verifies per
     /// update ride on once the key's table exists.
     std::optional<AffinePoint> mul(const U256& k, const Precomputed& p) const;
-
-    /// k * P via the plain double-and-add ladder: the differential-suite
-    /// reference for every wNAF path. Variable-time; public scalars only.
-    std::optional<AffinePoint> mul_generic(const U256& k, const AffinePoint& p) const;
 
     /// k * P for a SECRET scalar (the ECDH hot spot: device and ephemeral
     /// private keys). MSB-first Booth windows over an on-the-fly row of
@@ -138,21 +124,11 @@ public:
     /// amortized to zero across a long-lived key's verifications.
     Precomputed precompute(const AffinePoint& p) const;
 
-    /// u1*G + u2*P in one shot (ECDSA verification workhorse). The u1*G
-    /// half comes from the comb table; u2*P walks a fresh wNAF row.
-    std::optional<AffinePoint> mul_add(const U256& u1, const U256& u2,
-                                       const AffinePoint& p) const;
-
-    /// u1*G + u2*P with a precomputed table for P: comb for the fixed
-    /// base, interleaved wNAF for the variable base.
+    /// u1*G + u2*P in one shot (ECDSA verification workhorse): comb for
+    /// the fixed base, interleaved wNAF over P's table for the variable
+    /// base.
     std::optional<AffinePoint> mul_add(const U256& u1, const U256& u2,
                                        const Precomputed& p) const;
-
-    /// u1*G + u2*P with the generic ladder on both halves — the pure
-    /// reference path (no comb, no wNAF) the differential suite pins the
-    /// optimized verify path against.
-    std::optional<AffinePoint> mul_add_generic(const U256& u1, const U256& u2,
-                                               const AffinePoint& p) const;
 
     /// u1*G + u2*P1 + u3*G + u4*P2 — the 4-point Shamir/Strauss form of the
     /// double-signature verification equation. The two fixed-base halves
@@ -164,12 +140,6 @@ public:
     std::optional<AffinePoint> mul_add4(const U256& u1, const U256& u2,
                                         const Precomputed& p1, const U256& u3,
                                         const U256& u4, const Precomputed& p2) const;
-
-    /// The same 4-point sum via the generic double-and-add ladder on every
-    /// half — the reference the differential suite pins mul_add4 against.
-    std::optional<AffinePoint> mul_add4_generic(const U256& u1, const U256& u2,
-                                                const AffinePoint& p1, const U256& u3,
-                                                const U256& u4, const AffinePoint& p2) const;
 
     /// Batched double-ECDSA combination test with a randomized linear
     /// combination: decides whether, for some signs s1, s2 and some affine
@@ -197,6 +167,10 @@ public:
                                             std::uint64_t gamma) const;
 
 private:
+    // The reference ladder (tests/support/) walks the private Jacobian
+    // group law below.
+    friend class P256Oracle;
+
     P256();
 
     Jacobian to_jacobian(const AffinePoint& p) const;
@@ -205,15 +179,14 @@ private:
     Jacobian add(const Jacobian& p, const Jacobian& q) const;
     /// p + q for affine q (madd-2007-bl); handles infinity/double/negate.
     Jacobian add_mixed(const Jacobian& p, const MontAffine& q) const;
-    Jacobian scalar_mul(const U256& k, const Jacobian& p) const;
 
     /// -q: field negation of y (never zero for on-curve points).
     MontAffine neg(const MontAffine& q) const;
 
     /// Montgomery's simultaneous-inversion trick: normalizes `count`
     /// non-infinity Jacobian points to Montgomery-affine with one field
-    /// inversion total. Shared by the comb table, precompute(), and the
-    /// fresh wNAF rows.
+    /// inversion total. Shared by the comb and Booth tables, precompute(),
+    /// and mul_ct's row.
     void normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t count) const;
 
     /// out[j] = (2j + 1) * base for j in [0, kWnafOddEntries): base, then
@@ -225,9 +198,6 @@ private:
     /// first; returns the count. Unwritten digits are untouched, so
     /// zero-initialize when reading fixed positions.
     static int wnaf_recode(U256 k, std::int8_t* digits);
-
-    /// wNAF walk over a single odd-multiples row (256 doublings).
-    Jacobian wnaf_mul(const U256& k, const MontAffine* odd) const;
 
     /// Interleaved wNAF walk over a per-key table (64 doublings).
     Jacobian wnaf_mul(const U256& k, const Precomputed& pre) const;

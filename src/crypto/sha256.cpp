@@ -7,16 +7,6 @@ namespace upkit::crypto {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kK = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
-    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
-    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
-    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
-    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
 constexpr std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
 inline std::uint32_t load_be32(const std::uint8_t* p) {
@@ -26,53 +16,10 @@ inline std::uint32_t load_be32(const std::uint8_t* p) {
            (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
 }
 
-/// Rolled single-block compression — the reference kernel (see
-/// sha256_reference()). The streaming class uses the unrolled
-/// process_blocks() below.
-void compress_rolled(std::array<std::uint32_t, 8>& state, const std::uint8_t* block) {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t t1 = h + s1 + ch + kK[static_cast<std::size_t>(i)] + w[i];
-        const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t t2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + t1;
-        d = c;
-        c = b;
-        b = a;
-        a = t1 + t2;
-    }
-
-    state[0] += a;
-    state[1] += b;
-    state[2] += c;
-    state[3] += d;
-    state[4] += e;
-    state[5] += f;
-    state[6] += g;
-    state[7] += h;
-}
-
 }  // namespace
 
 void Sha256::reset() {
-    state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    state_ = kSha256Init;
     buffered_ = 0;
     total_bytes_ = 0;
 }
@@ -85,7 +32,7 @@ void Sha256::reset() {
 #define UPKIT_SHA_SSIG0(x) (rotr((x), 7) ^ rotr((x), 18) ^ ((x) >> 3))
 #define UPKIT_SHA_SSIG1(x) (rotr((x), 17) ^ rotr((x), 19) ^ ((x) >> 10))
 #define UPKIT_SHA_RND(A, B, C, D, E, F, G, H, i, wv)                             \
-    t = (H) + UPKIT_SHA_BSIG1(E) + (((E) & (F)) ^ (~(E) & (G))) + kK[i] + (wv);  \
+    t = (H) + UPKIT_SHA_BSIG1(E) + (((E) & (F)) ^ (~(E) & (G))) + kSha256K[i] + (wv);  \
     (D) += t;                                                                    \
     (H) = t + UPKIT_SHA_BSIG0(A) + (((A) & (B)) ^ (((A) ^ (B)) & (C)));
 // Rounds 0-15 read the loaded message words; 16-63 extend the ring in place.
@@ -105,9 +52,10 @@ void Sha256::reset() {
     R((i) + 6, c, d, e, f, g, h, a, b)               \
     R((i) + 7, b, c, d, e, f, g, h, a)
 
-void Sha256::process_blocks(const std::uint8_t* data, std::size_t blocks) {
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                     std::size_t blocks) {
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
     while (blocks-- > 0) {
         std::uint32_t w[16];
@@ -135,7 +83,7 @@ void Sha256::process_blocks(const std::uint8_t* data, std::size_t blocks) {
         h += sh;
     }
 
-    state_ = {a, b, c, d, e, f, g, h};
+    state = {a, b, c, d, e, f, g, h};
 }
 
 #undef UPKIT_SHA_8ROUNDS
@@ -157,7 +105,7 @@ void Sha256::update(ByteSpan data) {
         buffered_ += take;
         offset = take;
         if (buffered_ == kSha256BlockSize) {
-            process_blocks(buffer_.data(), 1);
+            sha256_compress(state_, buffer_.data(), 1);
             buffered_ = 0;
         }
     }
@@ -166,7 +114,7 @@ void Sha256::update(ByteSpan data) {
     // (state stays in registers between blocks).
     const std::size_t whole = (data.size() - offset) / kSha256BlockSize;
     if (whole > 0) {
-        process_blocks(data.data() + offset, whole);
+        sha256_compress(state_, data.data() + offset, whole);
         offset += whole * kSha256BlockSize;
     }
     if (offset < data.size()) {
@@ -190,7 +138,7 @@ Sha256Digest Sha256::finalize() {
     // Bypass update()'s length accounting for the final length field.
     total_bytes_ -= pad_len;  // keep total consistent if reused, though reset() follows
     std::memcpy(buffer_.data() + buffered_, len_bytes, 8);
-    process_blocks(buffer_.data(), 1);
+    sha256_compress(state_, buffer_.data(), 1);
 
     Sha256Digest out{};
     for (int i = 0; i < 8; ++i) {
@@ -212,40 +160,6 @@ Sha256Digest Sha256::digest(ByteSpan data) {
 Bytes sha256(ByteSpan data) {
     const Sha256Digest d = Sha256::digest(data);
     return Bytes(d.begin(), d.end());
-}
-
-Sha256Digest sha256_reference(ByteSpan data) {
-    std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-                                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-    std::size_t offset = 0;
-    while (offset + kSha256BlockSize <= data.size()) {
-        compress_rolled(state, data.data() + offset);
-        offset += kSha256BlockSize;
-    }
-
-    // Final one or two padded blocks: 0x80, zeros, 64-bit bit length.
-    std::uint8_t tail[kSha256BlockSize * 2] = {};
-    const std::size_t rem = data.size() - offset;
-    if (rem > 0) std::memcpy(tail, data.data() + offset, rem);
-    tail[rem] = 0x80;
-    const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-    const std::uint64_t bit_len = static_cast<std::uint64_t>(data.size()) * 8;
-    for (int i = 0; i < 8; ++i) {
-        tail[tail_blocks * kSha256BlockSize - 8 + i] =
-            static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-    }
-    for (std::size_t b = 0; b < tail_blocks; ++b) {
-        compress_rolled(state, tail + b * kSha256BlockSize);
-    }
-
-    Sha256Digest out{};
-    for (std::size_t i = 0; i < 8; ++i) {
-        out[4 * i] = static_cast<std::uint8_t>(state[i] >> 24);
-        out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
-        out[4 * i + 2] = static_cast<std::uint8_t>(state[i] >> 8);
-        out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
-    }
-    return out;
 }
 
 }  // namespace upkit::crypto

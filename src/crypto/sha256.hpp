@@ -18,6 +18,27 @@ inline constexpr std::size_t kSha256BlockSize = 64;
 
 using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
 
+/// FIPS 180-4 round constants and initial hash value, shared by every
+/// SHA-256 kernel in the repo (the single-stream one below and the
+/// multi-buffer lanes of sha256x4).
+inline constexpr std::array<std::uint32_t, 64> kSha256K = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+inline constexpr std::array<std::uint32_t, 8> kSha256Init = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+/// Unrolled compression over `blocks` consecutive 64-byte blocks: working
+/// state lives in registers across the whole run, the schedule is a 16-word
+/// ring, message words load 4 bytes at a time. No padding — callers own it.
+void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                     std::size_t blocks);
+
 /// Incremental SHA-256. Usable in streaming contexts (the update agent
 /// digests firmware chunks as they arrive from the transport).
 class Sha256 {
@@ -32,11 +53,6 @@ public:
     static Sha256Digest digest(ByteSpan data);
 
 private:
-    /// Unrolled compression over `blocks` consecutive 64-byte blocks:
-    /// working state lives in registers across the whole run, schedule is a
-    /// 16-word ring, message words load 4 bytes at a time.
-    void process_blocks(const std::uint8_t* data, std::size_t blocks);
-
     std::array<std::uint32_t, 8> state_{};
     std::array<std::uint8_t, kSha256BlockSize> buffer_{};
     std::size_t buffered_ = 0;
@@ -45,11 +61,5 @@ private:
 
 /// Digest as an owning byte buffer (convenience for wire formats).
 Bytes sha256(ByteSpan data);
-
-/// One-shot digest via the compact rolled compression loop — the
-/// pre-optimization kernel, retained as the reference the differential
-/// suite pins the unrolled path against and as the baseline of
-/// bench/device_verify's SHA-256 speedup reading.
-Sha256Digest sha256_reference(ByteSpan data);
 
 }  // namespace upkit::crypto

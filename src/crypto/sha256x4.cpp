@@ -21,34 +21,10 @@ namespace upkit::crypto {
 
 namespace {
 
-// FIPS 180-4 constants. Duplicated from sha256.cpp on purpose: the
-// single-stream kernel keeps its internals file-static, and 256 bytes of
-// standard constants are not worth an interface.
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                    0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                    0x1f83d9ab, 0x5be0cd19};
-
 inline std::uint32_t load_be32(const std::uint8_t* p) {
     return (static_cast<std::uint32_t>(p[0]) << 24) |
            (static_cast<std::uint32_t>(p[1]) << 16) |
            (static_cast<std::uint32_t>(p[2]) << 8) | static_cast<std::uint32_t>(p[3]);
-}
-
-inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
-    return (x >> n) | (x << (32 - n));
 }
 
 /// One independent message stream: length, padded block count, and a block
@@ -81,32 +57,7 @@ struct LaneStream {
     }
 };
 
-/// Rolled single-stream compression — finishes straggler lanes when the
-/// four streams have unequal block counts, and carries the whole generic
-/// path on compilers without vector extensions.
-void compress1(std::uint32_t state[8], const std::uint8_t* block) {
-    std::uint32_t w[64];
-    for (unsigned t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
-    for (unsigned t = 16; t < 64; ++t) {
-        const std::uint32_t s0 = rotr(w[t - 15], 7) ^ rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
-        const std::uint32_t s1 = rotr(w[t - 2], 17) ^ rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
-        w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-    }
-    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
-    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
-    for (unsigned t = 0; t < 64; ++t) {
-        const std::uint32_t t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
-                                 ((e & f) ^ (~e & g)) + kK[t] + w[t];
-        const std::uint32_t t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) +
-                                 ((a & b) ^ (a & c) ^ (b & c));
-        h = g; g = f; f = e; e = d + t1;
-        d = c; c = b; b = a; a = t1 + t2;
-    }
-    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
-    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
-}
-
-void store_digest(const std::uint32_t state[8], Sha256Digest& out) {
+void store_digest(const std::array<std::uint32_t, 8>& state, Sha256Digest& out) {
     for (unsigned i = 0; i < 8; ++i) {
         out[4 * i + 0] = static_cast<std::uint8_t>(state[i] >> 24);
         out[4 * i + 1] = static_cast<std::uint8_t>(state[i] >> 16);
@@ -114,6 +65,31 @@ void store_digest(const std::uint32_t state[8], Sha256Digest& out) {
         out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
     }
 }
+
+#if defined(UPKIT_SHA4_X86) || defined(UPKIT_SHA4_NEON)
+/// One stream through a multi-block hardware kernel: every whole block
+/// straight from the span, then the one or two padding blocks (0x80,
+/// zeros, 64-bit bit length) from a stack tail.
+void digest_stream(ByteSpan in, Sha256Digest& out,
+                   void (*compress)(std::uint32_t*, const std::uint8_t*, std::size_t)) {
+    std::array<std::uint32_t, 8> state = kSha256Init;
+    const std::size_t full = in.size() / kSha256BlockSize;
+    compress(state.data(), in.data(), full);
+    const std::size_t rem = in.size() - full * kSha256BlockSize;
+    std::uint8_t tail[2 * kSha256BlockSize];
+    std::memset(tail, 0, sizeof(tail));
+    if (rem > 0) std::memcpy(tail, in.data() + full * kSha256BlockSize, rem);
+    tail[rem] = 0x80;
+    const std::size_t tail_blocks = rem < 56 ? 1 : 2;
+    const std::uint64_t bits = static_cast<std::uint64_t>(in.size()) * 8;
+    for (unsigned i = 0; i < 8; ++i) {
+        tail[tail_blocks * kSha256BlockSize - 8 + i] =
+            static_cast<std::uint8_t>(bits >> (56 - 8 * i));
+    }
+    compress(state.data(), tail, tail_blocks);
+    store_digest(state, out);
+}
+#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define UPKIT_SHA4_VEC 1
@@ -149,7 +125,7 @@ void compress4(std::uint32_t st[8][4], const std::uint8_t* const p[4]) {
             wt = w[t & 15] + s0 + w[(t - 7) & 15] + s1;
             w[t & 15] = wt;
         }
-        const v4u32 kv = v4u32{kK[t], kK[t], kK[t], kK[t]};
+        const v4u32 kv = v4u32{kSha256K[t], kSha256K[t], kSha256K[t], kSha256K[t]};
         const v4u32 t1 = h + (vrotr(e, 6) ^ vrotr(e, 11) ^ vrotr(e, 25)) +
                          ((e & f) ^ (~e & g)) + kv + wt;
         const v4u32 t2 = (vrotr(a, 2) ^ vrotr(a, 13) ^ vrotr(a, 22)) +
@@ -179,7 +155,7 @@ void digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) 
     // Transposed state: st[word][lane].
     std::uint32_t st[8][4];
     for (unsigned j = 0; j < 8; ++j) {
-        for (unsigned i = 0; i < 4; ++i) st[j][i] = kInit[j];
+        for (unsigned i = 0; i < 4; ++i) st[j][i] = kSha256Init[j];
     }
     std::uint8_t scratch[4][kSha256BlockSize];
     for (std::size_t b = 0; b < max_blocks; ++b) {
@@ -194,17 +170,18 @@ void digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) 
         }
 #endif
         // Straggler lanes (ragged lengths, or count < 4, or no vector
-        // extensions): column-extract the lane's state and run it scalar.
+        // extensions): column-extract the lane's state and run it through
+        // the single-stream kernel.
         for (std::size_t i = 0; i < count; ++i) {
             if (b >= lanes[i].blocks) continue;
-            std::uint32_t s[8];
+            std::array<std::uint32_t, 8> s;
             for (unsigned j = 0; j < 8; ++j) s[j] = st[j][i];
-            compress1(s, lanes[i].block(b, scratch[i]));
+            sha256_compress(s, lanes[i].block(b, scratch[i]), 1);
             for (unsigned j = 0; j < 8; ++j) st[j][i] = s[j];
         }
     }
     for (std::size_t i = 0; i < count; ++i) {
-        std::uint32_t s[8];
+        std::array<std::uint32_t, 8> s;
         for (unsigned j = 0; j < 8; ++j) s[j] = st[j][i];
         store_digest(s, out[i]);
     }
@@ -247,7 +224,7 @@ __attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t state[8]
             }
             __m128i msg = _mm_add_epi32(
                 msgs[g & 3],
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * g])));
             state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
             msg = _mm_shuffle_epi32(msg, 0x0E);
             state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
@@ -263,27 +240,6 @@ __attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t state[8]
     state1 = _mm_alignr_epi8(state1, tmp, 8);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
-}
-
-__attribute__((target("sha,sse4.1"))) void digest_stream_shani(ByteSpan in,
-                                                               Sha256Digest& out) {
-    std::uint32_t state[8];
-    std::memcpy(state, kInit, sizeof(state));
-    const std::size_t full = in.size() / kSha256BlockSize;
-    compress_shani(state, in.data(), full);
-    const std::size_t rem = in.size() - full * kSha256BlockSize;
-    std::uint8_t tail[2 * kSha256BlockSize];
-    std::memset(tail, 0, sizeof(tail));
-    if (rem > 0) std::memcpy(tail, in.data() + full * kSha256BlockSize, rem);
-    tail[rem] = 0x80;
-    const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-    const std::uint64_t bits = static_cast<std::uint64_t>(in.size()) * 8;
-    for (unsigned i = 0; i < 8; ++i) {
-        tail[tail_blocks * kSha256BlockSize - 8 + i] =
-            static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    }
-    compress_shani(state, tail, tail_blocks);
-    store_digest(state, out);
 }
 
 bool cpu_has_sha_ni() {
@@ -314,7 +270,7 @@ __attribute__((target("+crypto"))) void compress_neon(std::uint32_t state[8],
                 msgs[g & 3] = vsha256su1q_u32(vsha256su0q_u32(msgs[g & 3], msgs[(g - 3) & 3]),
                                               msgs[(g - 2) & 3], msgs[(g - 1) & 3]);
             }
-            const uint32x4_t wk = vaddq_u32(msgs[g & 3], vld1q_u32(&kK[4 * g]));
+            const uint32x4_t wk = vaddq_u32(msgs[g & 3], vld1q_u32(&kSha256K[4 * g]));
             const uint32x4_t prev0 = state0;
             state0 = vsha256hq_u32(state0, state1, wk);
             state1 = vsha256h2q_u32(state1, prev0, wk);
@@ -325,26 +281,6 @@ __attribute__((target("+crypto"))) void compress_neon(std::uint32_t state[8],
     }
     vst1q_u32(&state[0], state0);
     vst1q_u32(&state[4], state1);
-}
-
-void digest_stream_neon(ByteSpan in, Sha256Digest& out) {
-    std::uint32_t state[8];
-    std::memcpy(state, kInit, sizeof(state));
-    const std::size_t full = in.size() / kSha256BlockSize;
-    compress_neon(state, in.data(), full);
-    const std::size_t rem = in.size() - full * kSha256BlockSize;
-    std::uint8_t tail[2 * kSha256BlockSize];
-    std::memset(tail, 0, sizeof(tail));
-    if (rem > 0) std::memcpy(tail, in.data() + full * kSha256BlockSize, rem);
-    tail[rem] = 0x80;
-    const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-    const std::uint64_t bits = static_cast<std::uint64_t>(in.size()) * 8;
-    for (unsigned i = 0; i < 8; ++i) {
-        tail[tail_blocks * kSha256BlockSize - 8 + i] =
-            static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    }
-    compress_neon(state, tail, tail_blocks);
-    store_digest(state, out);
 }
 
 bool cpu_has_neon_sha2() {
@@ -406,12 +342,12 @@ void sha256x4_digest(const ByteSpan* data, Sha256Digest* out, std::size_t count)
     switch (sha256x4_impl()) {
 #if defined(UPKIT_SHA4_X86)
         case Sha256x4Impl::kShaNi:
-            for (std::size_t i = 0; i < count; ++i) digest_stream_shani(data[i], out[i]);
+            for (std::size_t i = 0; i < count; ++i) digest_stream(data[i], out[i], compress_shani);
             return;
 #endif
 #if defined(UPKIT_SHA4_NEON)
         case Sha256x4Impl::kNeon:
-            for (std::size_t i = 0; i < count; ++i) digest_stream_neon(data[i], out[i]);
+            for (std::size_t i = 0; i < count; ++i) digest_stream(data[i], out[i], compress_neon);
             return;
 #endif
         default:

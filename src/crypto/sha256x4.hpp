@@ -17,9 +17,10 @@
 // Dispatch is by CPUID / hwcaps at first use; setting UPKIT_FORCE_SCALAR_SHA
 // (checked per call) pins the generic lanes so CI exercises both paths on
 // any runner. Lanes are independent streams: ragged lengths are handled by
-// per-lane padding, with stragglers finished on a scalar tail. Output is
-// byte-identical to Sha256::digest / sha256_reference on every lane — the
-// digest_agreement differential battery pins all three implementations.
+// per-lane padding, with stragglers finished by the single-stream
+// sha256_compress kernel. Output is byte-identical to Sha256::digest on
+// every lane — the digest_agreement differential battery pins all three
+// implementations against a rolled reference kernel in tests/support/.
 #pragma once
 
 #include <cstddef>

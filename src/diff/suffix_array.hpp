@@ -1,11 +1,10 @@
-// Suffix-array construction: SA-IS (linear time) and prefix-doubling
-// (O(n log^2 n)) implementations.
+// Suffix-array construction by SA-IS (linear time).
 //
-// Substrate for the bsdiff generator that runs on the update server. SA-IS
-// is the production path; the far simpler doubling construction is kept as
-// an independent oracle the property tests cross-check against (two
-// implementations agreeing on random corpora is the cheapest correctness
-// argument for induced sorting).
+// Substrate for the bsdiff generator that runs on the update server. The
+// property tests cross-check it against a far simpler prefix-doubling
+// construction kept in tests/support/ (two implementations agreeing on
+// random corpora is the cheapest correctness argument for induced
+// sorting).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +17,5 @@ namespace upkit::diff {
 /// Returns the suffix array of `data`: sa[i] is the start offset of the
 /// i-th smallest suffix. Linear-time SA-IS; used by bsdiff.
 std::vector<std::uint32_t> build_suffix_array(ByteSpan data);
-
-/// Reference prefix-doubling construction (test oracle).
-std::vector<std::uint32_t> build_suffix_array_doubling(ByteSpan data);
 
 }  // namespace upkit::diff

@@ -192,14 +192,10 @@ Expected<manifest::Manifest> to_manifest(const Envelope& envelope) {
     return m;
 }
 
-namespace {
-
-/// Shared across the plain-key and prepared-key overloads; the backend
-/// picks the matching verify() entry point by the key type.
-template <typename VendorKey, typename ServerKey>
-Status verify_envelope_with(const Envelope& envelope, const VendorKey& vendor_key,
-                            const ServerKey& server_key,
-                            const crypto::CryptoBackend& backend) {
+Status verify_envelope(const Envelope& envelope,
+                       const crypto::PreparedPublicKey& vendor_key,
+                       const crypto::PreparedPublicKey& server_key,
+                       const crypto::CryptoBackend& backend) {
     auto m = to_manifest(envelope);
     if (!m) return m.status();
     if (!backend.verify(vendor_key, crypto::Sha256::digest(vendor_tbs(*m)),
@@ -213,21 +209,6 @@ Status verify_envelope_with(const Envelope& envelope, const VendorKey& vendor_ke
         return Status::kBadServerSignature;
     }
     return Status::kOk;
-}
-
-}  // namespace
-
-Status verify_envelope(const Envelope& envelope, const crypto::PublicKey& vendor_key,
-                       const crypto::PublicKey& server_key,
-                       const crypto::CryptoBackend& backend) {
-    return verify_envelope_with(envelope, vendor_key, server_key, backend);
-}
-
-Status verify_envelope(const Envelope& envelope,
-                       const crypto::PreparedPublicKey& vendor_key,
-                       const crypto::PreparedPublicKey& server_key,
-                       const crypto::CryptoBackend& backend) {
-    return verify_envelope_with(envelope, vendor_key, server_key, backend);
 }
 
 }  // namespace upkit::suit

@@ -88,12 +88,8 @@ Expected<Envelope> parse_envelope(ByteSpan data);
 /// the first kSuitHeaderRegion bytes of a slot).
 Expected<Envelope> parse_envelope_prefix(ByteSpan region);
 
-/// Verifies both signatures of a parsed envelope.
-Status verify_envelope(const Envelope& envelope, const crypto::PublicKey& vendor_key,
-                       const crypto::PublicKey& server_key,
-                       const crypto::CryptoBackend& backend);
-
-/// Same, against prepared keys (the Verifier's cached-table hot path).
+/// Verifies both signatures of a parsed envelope against the prepared
+/// trust-anchor keys.
 Status verify_envelope(const Envelope& envelope,
                        const crypto::PreparedPublicKey& vendor_key,
                        const crypto::PreparedPublicKey& server_key,

@@ -359,7 +359,7 @@ TEST(P256Test, GroupLawDistributes) {
     const P256& curve = P256::instance();
     const U256 a = U256::from_u64(1234567);
     const U256 b = U256::from_u64(7654321);
-    const auto lhs = curve.mul_add(a, b, curve.generator());
+    const auto lhs = curve.mul_add(a, b, curve.precompute(curve.generator()));
     const auto rhs = curve.mul_base(U256::from_u64(1234567 + 7654321));
     ASSERT_TRUE(lhs.has_value());
     ASSERT_TRUE(rhs.has_value());
@@ -415,13 +415,14 @@ TEST(EcdsaTest, SignVerifyRoundTrip) {
     const PrivateKey key = PrivateKey::generate(to_bytes("roundtrip-seed"));
     const auto digest = Sha256::digest(to_bytes("the firmware image"));
     const Signature sig = ecdsa_sign(key, digest);
-    EXPECT_TRUE(ecdsa_verify(key.public_key(), digest, sig));
+    EXPECT_TRUE(ecdsa_verify(PreparedPublicKey(key.public_key()), digest, sig));
 }
 
 TEST(EcdsaTest, WrongDigestRejected) {
     const PrivateKey key = PrivateKey::generate(to_bytes("seed-x"));
     const Signature sig = ecdsa_sign(key, Sha256::digest(to_bytes("msg-a")));
-    EXPECT_FALSE(ecdsa_verify(key.public_key(), Sha256::digest(to_bytes("msg-b")), sig));
+    EXPECT_FALSE(ecdsa_verify(PreparedPublicKey(key.public_key()),
+                              Sha256::digest(to_bytes("msg-b")), sig));
 }
 
 TEST(EcdsaTest, WrongKeyRejected) {
@@ -429,14 +430,14 @@ TEST(EcdsaTest, WrongKeyRejected) {
     const PrivateKey key_b = PrivateKey::generate(to_bytes("seed-b"));
     const auto digest = Sha256::digest(to_bytes("msg"));
     const Signature sig = ecdsa_sign(key_a, digest);
-    EXPECT_FALSE(ecdsa_verify(key_b.public_key(), digest, sig));
+    EXPECT_FALSE(ecdsa_verify(PreparedPublicKey(key_b.public_key()), digest, sig));
 }
 
 TEST(EcdsaTest, EveryByteFlipInSignatureRejected) {
     const PrivateKey key = PrivateKey::generate(to_bytes("tamper-seed"));
     const auto digest = Sha256::digest(to_bytes("msg"));
     const Signature sig = ecdsa_sign(key, digest);
-    const PublicKey pub = key.public_key();
+    const PreparedPublicKey pub(key.public_key());
     for (std::size_t i = 0; i < sig.size(); ++i) {
         Signature bad = sig;
         bad[i] ^= 0x80;
@@ -447,7 +448,7 @@ TEST(EcdsaTest, EveryByteFlipInSignatureRejected) {
 TEST(EcdsaTest, MalformedSignaturesRejected) {
     const PrivateKey key = PrivateKey::generate(to_bytes("seed"));
     const auto digest = Sha256::digest(to_bytes("msg"));
-    const PublicKey pub = key.public_key();
+    const PreparedPublicKey pub(key.public_key());
     EXPECT_FALSE(ecdsa_verify(pub, digest, Bytes{}));            // empty
     EXPECT_FALSE(ecdsa_verify(pub, digest, Bytes(63, 0xAA)));    // short
     EXPECT_FALSE(ecdsa_verify(pub, digest, Bytes(65, 0xAA)));    // long
@@ -474,6 +475,28 @@ TEST(EcdsaTest, PublicKeyValidationRejectsOffCurve) {
     EXPECT_FALSE(PublicKey::from_bytes(bytes).has_value());
 }
 
+TEST(EcdsaTest, UnsetKeyVerifiesNoForgery) {
+    // PublicKey{} is (0, 0), off the curve: what a device holds when its
+    // trust anchors were never provisioned. A wNAF table built for it makes
+    // u2*P vanish or degenerate, so r = x(k*G), s = z/k could verify for any
+    // digest z. The prepared key must refuse to build one and fail closed.
+    const PreparedPublicKey unset{PublicKey{}};
+    EXPECT_FALSE(unset.valid());
+    const P256& curve = P256::instance();
+    const Montgomery& fn = curve.order();
+    const Sha256Digest digest = Sha256::digest(to_bytes("any firmware at all"));
+    const U256 z = fn.reduce(U256::from_be_bytes(digest));
+    for (std::uint64_t k = 2; k < 34; ++k) {
+        const U256 r = fn.reduce(curve.mul_base(U256::from_u64(k))->x);
+        const U256 s =
+            fn.from_mont(fn.mul(fn.to_mont(z), fn.inv(fn.to_mont(U256::from_u64(k)))));
+        Signature forged{};
+        r.to_be_bytes(MutByteSpan(forged.data(), 32));
+        s.to_be_bytes(MutByteSpan(forged.data() + 32, 32));
+        EXPECT_FALSE(ecdsa_verify(unset, digest, forged)) << "k = " << k;
+    }
+}
+
 class EcdsaSeedSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EcdsaSeedSweep, RoundTripAcrossKeys) {
@@ -483,7 +506,7 @@ TEST_P(EcdsaSeedSweep, RoundTripAcrossKeys) {
     const Bytes msg = rng.bytes(100 + static_cast<std::size_t>(GetParam()) * 7);
     const auto digest = Sha256::digest(msg);
     const Signature sig = ecdsa_sign(key, digest);
-    EXPECT_TRUE(ecdsa_verify(key.public_key(), digest, sig));
+    EXPECT_TRUE(ecdsa_verify(PreparedPublicKey(key.public_key()), digest, sig));
 }
 
 INSTANTIATE_TEST_SUITE_P(Keys, EcdsaSeedSweep, ::testing::Range(0, 8));
@@ -497,7 +520,7 @@ TEST(BackendTest, SoftwareBackendsVerifyEachOthersSignatures) {
     const auto digest = Sha256::digest(to_bytes("firmware"));
     const auto sig = tinydtls->sign(key, digest);
     ASSERT_TRUE(sig.has_value());
-    EXPECT_TRUE(tinycrypt->verify(key.public_key(), digest, *sig));
+    EXPECT_TRUE(tinycrypt->verify(PreparedPublicKey(key.public_key()), digest, *sig));
 }
 
 TEST(BackendTest, CostProfilesDiffer) {
@@ -516,7 +539,7 @@ TEST(HsmTest, ProvisionLockAndVerify) {
     const auto backend = make_cryptoauthlib_backend(hsm);
     const auto digest = Sha256::digest(to_bytes("fw"));
     const Signature sig = ecdsa_sign(key, digest);
-    EXPECT_TRUE(backend->verify(key.public_key(), digest, sig));
+    EXPECT_TRUE(backend->verify(PreparedPublicKey(key.public_key()), digest, sig));
     EXPECT_EQ(hsm->verify_count(), 1u);
 }
 
@@ -539,7 +562,7 @@ TEST(HsmTest, UnprovisionedKeyCannotVerify) {
     const Signature sig = ecdsa_sign(rogue, digest);
     // Valid signature, but the key is not in the HSM: verification must
     // fail — an attacker cannot substitute their own key.
-    EXPECT_FALSE(backend->verify(rogue.public_key(), digest, sig));
+    EXPECT_FALSE(backend->verify(PreparedPublicKey(rogue.public_key()), digest, sig));
 }
 
 TEST(HsmTest, SlotBoundsChecked) {

@@ -187,7 +187,7 @@ void check_msan_sign() {
     Signature sig = ecdsa_sign(*key, digest);
     // r and s are declassified inside ecdsa_sign; verifying against the
     // (declassified) public key exercises them as plain public data.
-    const PublicKey pub = key->public_key();
+    const PreparedPublicKey pub(key->public_key());
     check(ecdsa_verify(pub, digest, ByteSpan(sig.data(), sig.size())), "msan sign verify");
 }
 

@@ -11,6 +11,7 @@
 #include "diff/bspatch_stream.hpp"
 #include "diff/suffix_array.hpp"
 #include "sim/firmware.hpp"
+#include "support/oracles.hpp"
 
 namespace upkit::diff {
 namespace {

@@ -7,13 +7,15 @@
 // tail-block bug in any path (the 55/56 and 63/64/65 padding boundaries,
 // or the multi-block fast path's block accounting) shows up as a digest
 // mismatch — so this suite pins every streaming shape to the rolled
-// reference kernel, then runs full updates at the edge sizes end to end.
+// reference kernel (sha256_reference, tests/support/), then runs full
+// updates at the edge sizes end to end.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "crypto/sha256.hpp"
 #include "crypto/sha256x4.hpp"
+#include "support/oracles.hpp"
 #include "test_env.hpp"
 
 namespace upkit::core {

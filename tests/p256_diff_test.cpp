@@ -1,19 +1,24 @@
-// Differential suite for the fixed-base comb acceleration (src/crypto/p256).
+// Differential suite for the P-256 scalar-multiplication paths
+// (src/crypto/p256).
 //
-// mul_base() serves ECDSA signing from a precomputed comb table; the generic
-// double-and-add ladder (mul_base_generic) is retained as the reference. The
-// two paths share no point-arithmetic shortcuts beyond the group formulas, so
-// agreement over thousands of seeded scalars — plus every structural edge
-// case (zero, one, n-1, n, sparse bytes, values >= n) — locks the table
+// Every fast path — the comb table behind mul_base(), the constant-time
+// Booth walks, the prepared-key wNAF walk behind mul() / mul_add(), the
+// 4-point Strauss walk and the verify2 combination — is pinned against the
+// plain double-and-add ladder (P256Oracle, tests/support/). The paths share
+// no point-arithmetic shortcuts beyond the group formulas, so agreement over
+// thousands of seeded scalars — plus every structural edge case (zero, one,
+// n-1, n, single bits, sparse bytes, values >= n) — locks the table
 // construction and the mixed-addition formula down. The same treatment
-// covers ecdsa_sign (whose r must match the reference ladder's x-coordinate
-// of k*G for the RFC 6979 nonce) and mul_add's accelerated u1*G half.
+// covers ecdsa_sign (whose r must match the ladder's x-coordinate of k*G
+// for the RFC 6979 nonce) and ecdsa_verify against the ladder-based
+// ecdsa_verify_generic.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
+#include "support/oracles.hpp"
 
 namespace upkit::crypto {
 namespace {
@@ -42,7 +47,7 @@ TEST(P256DiffTest, CombMatchesLadderOnSeededScalars) {
     Rng rng(0x5EED0001);
     for (std::size_t i = 0; i < kCases; ++i) {
         const U256 k = random_u256(rng);
-        expect_same(curve.mul_base(k), curve.mul_base_generic(k), "mul_base", i);
+        expect_same(curve.mul_base(k), P256Oracle::mul_base_generic(k), "mul_base", i);
     }
 }
 
@@ -56,7 +61,7 @@ TEST(P256DiffTest, CombMatchesLadderOnSparseScalars) {
     for (unsigned b = 0; b < 256; ++b) {
         U256 k;
         k.w[b / 64] = 1ull << (b % 64);
-        expect_same(curve.mul_base(k), curve.mul_base_generic(k), "2^b", b);
+        expect_same(curve.mul_base(k), P256Oracle::mul_base_generic(k), "2^b", b);
         ++cases;
     }
     // Scalars with exactly one random nonzero byte, and scalars where a
@@ -75,7 +80,7 @@ TEST(P256DiffTest, CombMatchesLadderOnSparseScalars) {
                 k.w[b / 8] &= ~(0xffull << (8 * (b % 8)));
             }
         }
-        expect_same(curve.mul_base(k), curve.mul_base_generic(k), "sparse", cases);
+        expect_same(curve.mul_base(k), P256Oracle::mul_base_generic(k), "sparse", cases);
         ++cases;
     }
 }
@@ -86,9 +91,9 @@ TEST(P256DiffTest, CombMatchesLadderOnOrderEdges) {
 
     // k == 0 and k == n (== 0 mod n): both paths must refuse.
     EXPECT_FALSE(curve.mul_base(U256::zero()).has_value());
-    EXPECT_FALSE(curve.mul_base_generic(U256::zero()).has_value());
+    EXPECT_FALSE(P256Oracle::mul_base_generic(U256::zero()).has_value());
     EXPECT_FALSE(curve.mul_base(n).has_value());
-    EXPECT_FALSE(curve.mul_base_generic(n).has_value());
+    EXPECT_FALSE(P256Oracle::mul_base_generic(n).has_value());
 
     // k == 1 must hand back the generator itself.
     const auto one = curve.mul_base(U256::one());
@@ -100,13 +105,13 @@ TEST(P256DiffTest, CombMatchesLadderOnOrderEdges) {
     // seeded k (reduction mod n must agree between the paths).
     U256 n_minus_1;
     sub(n_minus_1, n, U256::one());
-    expect_same(curve.mul_base(n_minus_1), curve.mul_base_generic(n_minus_1),
+    expect_same(curve.mul_base(n_minus_1), P256Oracle::mul_base_generic(n_minus_1),
                 "n-1", 0);
     Rng rng(0x5EED0003);
     for (std::size_t i = 0; i < 64; ++i) {
         U256 k;
         add(k, n, U256::from_u64(rng.next_u64() | 1));
-        expect_same(curve.mul_base(k), curve.mul_base_generic(k), "n+k", i);
+        expect_same(curve.mul_base(k), P256Oracle::mul_base_generic(k), "n+k", i);
     }
     // n-1 really is -G: same x, negated y.
     EXPECT_EQ(one->x, curve.mul_base(n_minus_1)->x);
@@ -121,7 +126,7 @@ TEST(P256DiffTest, CtBoothMatchesLadderOnSeededScalars) {
     Rng rng(0x5EED0007);
     for (std::size_t i = 0; i < kCases; ++i) {
         const U256 k = random_u256(rng);
-        expect_same(curve.mul_base_ct(k), curve.mul_base_generic(k), "mul_base_ct", i);
+        expect_same(curve.mul_base_ct(k), P256Oracle::mul_base_generic(k), "mul_base_ct", i);
     }
 }
 
@@ -143,34 +148,34 @@ TEST(P256DiffTest, CtBoothMatchesLadderOnEdgeScalars) {
     for (unsigned b = 0; b < 256; ++b) {
         U256 k;
         k.w[b / 64] = 1ull << (b % 64);
-        expect_same(curve.mul_base_ct(k), curve.mul_base_generic(k), "ct 2^b", b);
+        expect_same(curve.mul_base_ct(k), P256Oracle::mul_base_generic(k), "ct 2^b", b);
     }
     U256 n_minus_1;
     sub(n_minus_1, n, U256::one());
-    expect_same(curve.mul_base_ct(n_minus_1), curve.mul_base_generic(n_minus_1),
+    expect_same(curve.mul_base_ct(n_minus_1), P256Oracle::mul_base_generic(n_minus_1),
                 "ct n-1", 0);
     Rng rng(0x5EED0008);
     for (std::size_t i = 0; i < 64; ++i) {
         U256 k;
         add(k, n, U256::from_u64(rng.next_u64() | 1));
-        expect_same(curve.mul_base_ct(k), curve.mul_base_generic(k), "ct n+k", i);
+        expect_same(curve.mul_base_ct(k), P256Oracle::mul_base_generic(k), "ct n+k", i);
     }
 }
 
 TEST(P256DiffTest, CtMulMatchesLadderOnSeededScalars) {
     const P256& curve = P256::instance();
     Rng rng(0x5EED0009);
-    const AffinePoint p = *curve.mul_base_generic(U256::from_u64(0xC0FFEE));
+    const AffinePoint p = *P256Oracle::mul_base_generic(U256::from_u64(0xC0FFEE));
     for (std::size_t i = 0; i < kCases / 4; ++i) {
         const U256 k = random_u256(rng);
-        expect_same(curve.mul_ct(k, p), curve.mul_generic(k, p), "mul_ct", i);
+        expect_same(curve.mul_ct(k, p), P256Oracle::mul_generic(k, p), "mul_ct", i);
     }
 }
 
 TEST(P256DiffTest, CtMulMatchesLadderOnEdgeScalars) {
     const P256& curve = P256::instance();
     const U256 n = curve.n();
-    const AffinePoint p = *curve.mul_base_generic(U256::from_u64(0xFACADE));
+    const AffinePoint p = *P256Oracle::mul_base_generic(U256::from_u64(0xFACADE));
 
     EXPECT_FALSE(curve.mul_ct(U256::zero(), p).has_value());
     EXPECT_FALSE(curve.mul_ct(n, p).has_value());
@@ -182,11 +187,11 @@ TEST(P256DiffTest, CtMulMatchesLadderOnEdgeScalars) {
     for (unsigned b = 0; b < 256; b += 7) {
         U256 k;
         k.w[b / 64] = 1ull << (b % 64);
-        expect_same(curve.mul_ct(k, p), curve.mul_generic(k, p), "ct_mul 2^b", b);
+        expect_same(curve.mul_ct(k, p), P256Oracle::mul_generic(k, p), "ct_mul 2^b", b);
     }
     U256 n_minus_1;
     sub(n_minus_1, n, U256::one());
-    expect_same(curve.mul_ct(n_minus_1, p), curve.mul_generic(n_minus_1, p),
+    expect_same(curve.mul_ct(n_minus_1, p), P256Oracle::mul_generic(n_minus_1, p),
                 "ct_mul n-1", 0);
 }
 
@@ -204,10 +209,10 @@ TEST(P256DiffTest, SignaturesMatchReferenceLadderNonce) {
         const Sha256Digest digest = Sha256::digest(rng.bytes(1 + i % 96));
 
         const Signature sig = ecdsa_sign(key, digest);
-        EXPECT_TRUE(ecdsa_verify(key.public_key(), digest, sig)) << i;
+        EXPECT_TRUE(ecdsa_verify(PreparedPublicKey(key.public_key()), digest, sig)) << i;
 
         const U256 k = rfc6979_nonce(key.scalar(), digest);
-        const auto point = curve.mul_base_generic(k);
+        const auto point = P256Oracle::mul_base_generic(k);
         ASSERT_TRUE(point.has_value()) << i;
         const U256 r_ref = curve.order().reduce(point->x);
         const U256 r = U256::from_be_bytes(ByteSpan(sig.data(), 32));
@@ -238,7 +243,7 @@ TEST(P256DiffTest, MulAddMatchesScalarIdentity) {
     for (std::size_t i = 0; i < kCases; ++i) {
         const U256 x = fn.reduce(random_u256(rng));
         if (x.is_zero()) continue;
-        const auto p = curve.mul_base_generic(x);
+        const auto p = P256Oracle::mul_base_generic(x);
         ASSERT_TRUE(p.has_value()) << i;
 
         // Edge mixes every 8th case: u1 or u2 == 0 / 1 / n-1.
@@ -250,8 +255,8 @@ TEST(P256DiffTest, MulAddMatchesScalarIdentity) {
 
         const U256 combined = fn.add(
             u1, fn.from_mont(fn.mul(fn.to_mont(u2), fn.to_mont(x))));
-        expect_same(curve.mul_add(u1, u2, *p),
-                    curve.mul_base_generic(combined), "mul_add", i);
+        expect_same(curve.mul_add(u1, u2, curve.precompute(*p)),
+                    P256Oracle::mul_base_generic(combined), "mul_add", i);
     }
 }
 
@@ -260,73 +265,81 @@ TEST(P256DiffTest, MulAddMatchesScalarIdentity) {
 // A deterministic set of base points P = x*G derived from the reference
 // ladder (so the wNAF paths are not checked against themselves).
 std::vector<AffinePoint> seeded_points(std::size_t count, std::uint64_t seed) {
-    const P256& curve = P256::instance();
     Rng rng(seed);
     std::vector<AffinePoint> points;
     while (points.size() < count) {
-        const auto p = curve.mul_base_generic(random_u256(rng));
+        const auto p = P256Oracle::mul_base_generic(random_u256(rng));
         if (p) points.push_back(*p);
     }
     return points;
 }
 
 TEST(P256DiffTest, WnafMulMatchesLadderOnSeededScalars) {
+    // The interleaved per-key walk against the reference ladder, for many
+    // keys and every case.
     const P256& curve = P256::instance();
     Rng rng(0x5EED0007);
     const auto points = seeded_points(8, 0x5EED0107);
+    std::vector<P256::Precomputed> tables;
+    for (const auto& p : points) tables.push_back(curve.precompute(p));
     for (std::size_t i = 0; i < kCases; ++i) {
         const U256 k = random_u256(rng);
-        const AffinePoint& p = points[i % points.size()];
-        expect_same(curve.mul(k, p), curve.mul_generic(k, p), "wnaf mul", i);
+        const std::size_t j = i % points.size();
+        expect_same(curve.mul(k, tables[j]), P256Oracle::mul_generic(k, points[j]),
+                    "wnaf mul", i);
     }
 }
 
 TEST(P256DiffTest, WnafMulMatchesLadderOnEdgeScalars) {
     const P256& curve = P256::instance();
     const U256 n = curve.n();
-    const AffinePoint p = *curve.mul_base_generic(U256::from_u64(0xDEC0DE));
+    const AffinePoint p = *P256Oracle::mul_base_generic(U256::from_u64(0xDEC0DE));
+    const P256::Precomputed table = curve.precompute(p);
 
     // 0 and n (== 0 mod n): both paths must refuse.
-    EXPECT_FALSE(curve.mul(U256::zero(), p).has_value());
-    EXPECT_FALSE(curve.mul_generic(U256::zero(), p).has_value());
-    EXPECT_FALSE(curve.mul(n, p).has_value());
-    EXPECT_FALSE(curve.mul_generic(n, p).has_value());
+    EXPECT_FALSE(curve.mul(U256::zero(), table).has_value());
+    EXPECT_FALSE(P256Oracle::mul_generic(U256::zero(), p).has_value());
+    EXPECT_FALSE(curve.mul(n, table).has_value());
+    EXPECT_FALSE(P256Oracle::mul_generic(n, p).has_value());
 
     // k == 1 hands back P itself.
-    const auto identity = curve.mul(U256::one(), p);
+    const auto identity = curve.mul(U256::one(), table);
     ASSERT_TRUE(identity.has_value());
     EXPECT_EQ(identity->x, p.x);
     EXPECT_EQ(identity->y, p.y);
 
-    // Every single-bit scalar (lone wNAF digit at every position), the
+    // Every single-bit scalar (lone wNAF digit at every position, so every
+    // row and the row boundaries of the interleaved table), the
     // all-ones-ish straddles of the order, and n+k reductions.
     for (unsigned b = 0; b < 256; ++b) {
         U256 k;
         k.w[b / 64] = 1ull << (b % 64);
-        expect_same(curve.mul(k, p), curve.mul_generic(k, p), "wnaf 2^b", b);
+        expect_same(curve.mul(k, table), P256Oracle::mul_generic(k, p), "wnaf 2^b", b);
     }
     U256 n_minus_1;
     sub(n_minus_1, n, U256::one());
-    expect_same(curve.mul(n_minus_1, p), curve.mul_generic(n_minus_1, p), "wnaf n-1", 0);
+    expect_same(curve.mul(n_minus_1, table), P256Oracle::mul_generic(n_minus_1, p),
+                "wnaf n-1", 0);
     Rng rng(0x5EED0008);
     for (std::size_t i = 0; i < 64; ++i) {
         U256 k;
         add(k, n, U256::from_u64(rng.next_u64() | 1));
-        expect_same(curve.mul(k, p), curve.mul_generic(k, p), "wnaf n+k", i);
+        expect_same(curve.mul(k, table), P256Oracle::mul_generic(k, p), "wnaf n+k", i);
     }
     // Dense small-window scalars: every odd value 1..31 plus shifted copies,
     // exercising each wNAF digit magnitude with and without carries.
     for (std::uint64_t v = 1; v < 32; ++v) {
         for (unsigned shift = 0; shift < 3; ++shift) {
             U256 k = U256::from_u64(v << (4 * shift));
-            expect_same(curve.mul(k, p), curve.mul_generic(k, p), "wnaf window", v);
+            expect_same(curve.mul(k, table), P256Oracle::mul_generic(k, p), "wnaf window", v);
         }
     }
 }
 
 TEST(P256DiffTest, PrecomputedMatchesFreshAndLadder) {
-    // The interleaved per-key table must be indistinguishable from both the
-    // fresh single-row wNAF walk and the reference ladder, for many keys.
+    // A per-key table that has already served many scalars must be
+    // indistinguishable from a table built fresh for this one call (the walk
+    // leaves no state behind in the table) and from the reference ladder.
     const P256& curve = P256::instance();
     Rng rng(0x5EED0009);
     const auto points = seeded_points(8, 0x5EED0109);
@@ -337,48 +350,39 @@ TEST(P256DiffTest, PrecomputedMatchesFreshAndLadder) {
         const U256 k = random_u256(rng);
         const std::size_t j = i % points.size();
         const auto pre = curve.mul(k, tables[j]);
-        expect_same(pre, curve.mul(k, points[j]), "precomputed vs fresh", i);
+        expect_same(pre, curve.mul(k, curve.precompute(points[j])), "precomputed vs fresh",
+                    i);
         if (i % 8 == 0) {
-            expect_same(pre, curve.mul_generic(k, points[j]), "precomputed vs ladder", i);
+            expect_same(pre, P256Oracle::mul_generic(k, points[j]), "precomputed vs ladder",
+                        i);
         }
     }
 }
 
 TEST(P256DiffTest, PrecomputedMatchesLadderOnEdgeScalars) {
     // Scalars near n exercise the wNAF carry digit at position 256 — the
-    // overflow row of the interleaved table.
+    // overflow row of the interleaved table. (Single-bit scalars are swept
+    // in WnafMulMatchesLadderOnEdgeScalars.)
     const P256& curve = P256::instance();
     const U256 n = curve.n();
-    const AffinePoint p = *curve.mul_base_generic(U256::from_u64(0xAB15EED));
+    const AffinePoint p = *P256Oracle::mul_base_generic(U256::from_u64(0xAB15EED));
     const P256::Precomputed table = curve.precompute(p);
 
-    EXPECT_FALSE(curve.mul(U256::zero(), table).has_value());
-    EXPECT_FALSE(curve.mul(n, table).has_value());
-
     std::vector<U256> edges;
-    edges.push_back(U256::one());
     U256 e;
-    sub(e, n, U256::one());
-    edges.push_back(e);  // n-1: dense top limbs, carry digit
-    for (std::uint64_t d = 2; d <= 16; ++d) {
+    for (std::uint64_t d = 1; d <= 16; ++d) {
         sub(e, n, U256::from_u64(d));
-        edges.push_back(e);  // n-d: every near-order carry pattern
-    }
-    for (unsigned b = 0; b < 256; b += 13) {
-        U256 k;
-        k.w[b / 64] = 1ull << (b % 64);
-        edges.push_back(k);
+        edges.push_back(e);  // n-d: dense top limbs, every near-order carry pattern
     }
     for (std::size_t i = 0; i < edges.size(); ++i) {
-        expect_same(curve.mul(edges[i], table), curve.mul_generic(edges[i], p),
+        expect_same(curve.mul(edges[i], table), P256Oracle::mul_generic(edges[i], p),
                     "precomputed edge", i);
     }
 }
 
 TEST(P256DiffTest, MulAddVariantsMatchGenericReference) {
-    // All three mul_add flavours — comb + fresh wNAF, comb + precomputed
-    // table, and the pure generic ladder — must agree everywhere, including
-    // the zero-scalar branches.
+    // mul_add (comb + precomputed table) must agree with the pure ladder
+    // everywhere, including the zero-scalar branches.
     const P256& curve = P256::instance();
     const Montgomery& fn = curve.order();
     Rng rng(0x5EED000A);
@@ -394,9 +398,8 @@ TEST(P256DiffTest, MulAddVariantsMatchGenericReference) {
         if (i % 8 == 7) sub(u2, curve.n(), U256::one());
         const std::size_t j = i % points.size();
 
-        const auto reference = curve.mul_add_generic(u1, u2, points[j]);
-        expect_same(curve.mul_add(u1, u2, points[j]), reference, "mul_add fresh", i);
-        expect_same(curve.mul_add(u1, u2, tables[j]), reference, "mul_add prepared", i);
+        expect_same(curve.mul_add(u1, u2, tables[j]),
+                    P256Oracle::mul_add_generic(u1, u2, points[j]), "mul_add", i);
     }
 }
 
@@ -442,7 +445,7 @@ TEST(P256DiffTest, MulAdd4MatchesGenericReference) {
         const std::size_t j2 = (i % 3 == 0) ? j : (i + 1) % points.size();  // j == j2 every 3rd
         expect_same(
             curve.mul_add4(u1, u2, tables[j], u3, u4, tables[j2]),
-            curve.mul_add4_generic(u1, u2, points[j], u3, u4, points[j2]),
+            P256Oracle::mul_add4_generic(u1, u2, points[j], u3, u4, points[j2]),
             "mul_add4", i);
     }
 }
@@ -467,7 +470,7 @@ TEST(P256DiffTest, MulAdd4MatchesOrderEdgeScalars) {
             }
         }
         expect_same(curve.mul_add4(quad[0], quad[1], t0, quad[2], quad[3], t1),
-                    curve.mul_add4_generic(quad[0], quad[1], points[0], quad[2],
+                    P256Oracle::mul_add4_generic(quad[0], quad[1], points[0], quad[2],
                                            quad[3], points[1]),
                     "mul_add4 n±k", i);
     }
@@ -475,7 +478,7 @@ TEST(P256DiffTest, MulAdd4MatchesOrderEdgeScalars) {
     EXPECT_FALSE(curve.mul_add4(U256::zero(), U256::zero(), t0, U256::zero(),
                                 U256::zero(), t1)
                      .has_value());
-    EXPECT_FALSE(curve.mul_add4_generic(U256::zero(), U256::zero(), points[0],
+    EXPECT_FALSE(P256Oracle::mul_add4_generic(U256::zero(), U256::zero(), points[0],
                                         U256::zero(), U256::zero(), points[1])
                      .has_value());
 }
@@ -569,7 +572,7 @@ TEST(P256DiffTest, Verify2RejectsForgedCancellationPair) {
         for (;;) {
             k = fn.reduce(random_u256(rng));
             if (k.is_zero()) continue;
-            const auto r1_point = curve.mul_base_generic(k);
+            const auto r1_point = P256Oracle::mul_base_generic(k);
             if (r1_point && r1_point->x < curve.n()) {
                 r1 = r1_point->x;
                 break;
@@ -598,7 +601,7 @@ TEST(P256DiffTest, Verify2RejectsForgedCancellationPair) {
             U256 t = fn.add(a, mod_mul(fn, b, x));
             t = fn.add(t, e1);
             if (t.is_zero()) continue;
-            const auto r2_point = curve.mul_base_generic(t);
+            const auto r2_point = P256Oracle::mul_base_generic(t);
             if (!r2_point || !(r2_point->x < curve.n())) continue;
             r2 = r2_point->x;
             if (r2.is_zero()) continue;
@@ -672,8 +675,8 @@ TEST(P256DiffTest, PreparedKeysShareInternedTables) {
 
 TEST(P256DiffTest, VerifyVariantsAgree) {
     // Valid signatures, corrupted signatures, and corrupted digests must
-    // get identical verdicts from the fresh, prepared, and generic-ladder
-    // verify entry points.
+    // get identical verdicts from the prepared verify and the
+    // generic-ladder reference.
     Rng rng(0x5EED000B);
     for (std::size_t i = 0; i < 256; ++i) {
         const PrivateKey key = PrivateKey::generate(rng.bytes(32));
@@ -682,13 +685,12 @@ TEST(P256DiffTest, VerifyVariantsAgree) {
         const Sha256Digest digest = Sha256::digest(rng.bytes(1 + i % 64));
         Signature sig = ecdsa_sign(key, digest);
 
-        EXPECT_TRUE(ecdsa_verify(pub, digest, sig)) << i;
         EXPECT_TRUE(ecdsa_verify(prepared, digest, sig)) << i;
         EXPECT_TRUE(ecdsa_verify_generic(pub, digest, sig)) << i;
 
-        // Flip one signature bit: all three must reject.
+        // Flip one signature bit: both must reject.
         sig[i % sig.size()] ^= static_cast<std::uint8_t>(1u << (i % 8));
-        EXPECT_EQ(ecdsa_verify(pub, digest, sig), false) << i;
+        EXPECT_FALSE(ecdsa_verify(prepared, digest, sig)) << i;
         EXPECT_EQ(ecdsa_verify(prepared, digest, sig),
                   ecdsa_verify_generic(pub, digest, sig))
             << i;

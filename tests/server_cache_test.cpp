@@ -275,7 +275,7 @@ TEST(ServerCacheTest, ResponseCacheHitDiffersOnlyInTokenFieldsAndSignature) {
     for (const auto& r : {*a, *b}) {
         const auto digest = crypto::Sha256::digest(r.manifest.server_signed_bytes());
         EXPECT_TRUE(crypto::ecdsa_verify(
-            env.server.public_key(), digest,
+            crypto::PreparedPublicKey(env.server.public_key()), digest,
             ByteSpan(r.manifest.server_signature.data(), crypto::kSignatureSize)));
     }
 }

@@ -169,8 +169,8 @@ TEST(SuitTest, EnvelopeVerifies) {
     SuitKeys keys;
     const auto backend = crypto::make_tinycrypt_backend();
     const Envelope envelope = from_manifest(sample_manifest(), keys.vendor, keys.server);
-    EXPECT_EQ(verify_envelope(envelope, keys.vendor.public_key(), keys.server.public_key(),
-                              *backend),
+    EXPECT_EQ(verify_envelope(envelope, crypto::PreparedPublicKey(keys.vendor.public_key()),
+                              crypto::PreparedPublicKey(keys.server.public_key()), *backend),
               Status::kOk);
 }
 
@@ -202,8 +202,8 @@ TEST(SuitTest, TamperedManifestBytesBreakServerSignature) {
     map.insert_or_assign(kKeyUpkitParams, CborValue(std::move(params)));
     envelope.manifest_bstr = cbor_encode(CborValue(std::move(map)));
 
-    EXPECT_EQ(verify_envelope(envelope, keys.vendor.public_key(), keys.server.public_key(),
-                              *backend),
+    EXPECT_EQ(verify_envelope(envelope, crypto::PreparedPublicKey(keys.vendor.public_key()),
+                              crypto::PreparedPublicKey(keys.server.public_key()), *backend),
               Status::kBadServerSignature);
 }
 
@@ -226,9 +226,44 @@ TEST(SuitTest, TamperedVendorFieldBreaksVendorSignature) {
         keys.server, crypto::Sha256::digest(
                          server_tbs(envelope.manifest_bstr, envelope.vendor_signature)));
 
-    EXPECT_EQ(verify_envelope(envelope, keys.vendor.public_key(), keys.server.public_key(),
-                              *backend),
+    EXPECT_EQ(verify_envelope(envelope, crypto::PreparedPublicKey(keys.vendor.public_key()),
+                              crypto::PreparedPublicKey(keys.server.public_key()), *backend),
               Status::kBadVendorSignature);
+}
+
+/// r = x(k*G) mod n, s = z/k: a signature over `digest` that a degenerate
+/// table for the unset key (0, 0) could accept, with no private key at all.
+crypto::Signature forge_for_unset_key(const crypto::Sha256Digest& digest, std::uint64_t k) {
+    const crypto::P256& curve = crypto::P256::instance();
+    const crypto::Montgomery& fn = curve.order();
+    const crypto::U256 kk = crypto::U256::from_u64(k);
+    const crypto::U256 z = fn.reduce(crypto::U256::from_be_bytes(digest));
+    const crypto::U256 r = fn.reduce(curve.mul_base(kk)->x);
+    const crypto::U256 s = fn.from_mont(fn.mul(fn.to_mont(z), fn.inv(fn.to_mont(kk))));
+    crypto::Signature sig{};
+    r.to_be_bytes(MutByteSpan(sig.data(), 32));
+    s.to_be_bytes(MutByteSpan(sig.data() + 32, 32));
+    return sig;
+}
+
+TEST(SuitTest, UnsetKeysRejectForgedEnvelope) {
+    // A verifier whose trust anchors were never provisioned holds
+    // PublicKey{} for both. Forged signatures must not verify under it:
+    // the unset key has no table, so every check fails closed.
+    SuitKeys keys;
+    const auto backend = crypto::make_tinycrypt_backend();
+    const crypto::PreparedPublicKey unset{crypto::PublicKey{}};
+    Envelope envelope = from_manifest(sample_manifest(), keys.vendor, keys.server);
+    const auto m = to_manifest(envelope);
+    ASSERT_TRUE(m.has_value());
+    for (std::uint64_t k = 2; k < 34; ++k) {
+        envelope.vendor_signature =
+            forge_for_unset_key(crypto::Sha256::digest(vendor_tbs(*m)), k);
+        envelope.server_signature = forge_for_unset_key(
+            crypto::Sha256::digest(server_tbs(envelope.manifest_bstr, envelope.vendor_signature)),
+            k + 100);
+        EXPECT_NE(verify_envelope(envelope, unset, unset, *backend), Status::kOk) << "k = " << k;
+    }
 }
 
 TEST(SuitTest, GarbageEnvelopesRejected) {

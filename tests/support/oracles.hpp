@@ -1,0 +1,62 @@
+// Reference oracles: slow, obviously-correct twins of the production
+// kernels. They live in the upkit_oracles library, which only tests and
+// benches link, so the product carries one path per primitive while every
+// fast path stays pinned against an independent answer.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "common/bytes.hpp"
+#include "crypto/ecdsa.hpp"
+#include "crypto/p256.hpp"
+#include "crypto/sha256.hpp"
+
+namespace upkit::crypto {
+
+/// The plain double-and-add ladder over P256's own group law (P256 names
+/// this class a friend): the reference the comb, Booth and wNAF walks are
+/// pinned against, and the pre-optimisation baseline bench/device_verify
+/// times the prepared verify against. Variable-time; public scalars only.
+class P256Oracle {
+public:
+    /// k * G. nullopt for k == 0 mod n.
+    static std::optional<AffinePoint> mul_base_generic(const U256& k);
+
+    /// k * P for an on-curve P. nullopt for k == 0 mod n.
+    static std::optional<AffinePoint> mul_generic(const U256& k, const AffinePoint& p);
+
+    /// u1*G + u2*P with the ladder on both halves.
+    static std::optional<AffinePoint> mul_add_generic(const U256& u1, const U256& u2,
+                                                      const AffinePoint& p);
+
+    /// u1*G + u2*P1 + u3*G + u4*P2 with the ladder on every term.
+    static std::optional<AffinePoint> mul_add4_generic(const U256& u1, const U256& u2,
+                                                       const AffinePoint& p1, const U256& u3,
+                                                       const U256& u4, const AffinePoint& p2);
+
+private:
+    static P256::Jacobian scalar_mul(const U256& k, const P256::Jacobian& p);
+};
+
+/// ECDSA verification with its own key check and signature parsing and the
+/// ladder on both scalar-mul halves: the reference ecdsa_verify is pinned
+/// against.
+bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
+                          ByteSpan signature);
+
+/// One-shot SHA-256 via a rolled compression loop and its own padding: the
+/// reference the unrolled and multi-buffer kernels are pinned against, and
+/// the baseline of bench/device_verify's SHA-256 speedup reading.
+Sha256Digest sha256_reference(ByteSpan data);
+
+}  // namespace upkit::crypto
+
+namespace upkit::diff {
+
+/// Prefix-doubling suffix array, O(n log^2 n): the oracle SA-IS
+/// (build_suffix_array) is cross-checked against.
+std::vector<std::uint32_t> build_suffix_array_doubling(ByteSpan data);
+
+}  // namespace upkit::diff

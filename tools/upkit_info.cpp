@@ -48,16 +48,18 @@ int main(int argc, char** argv) {
     if (const std::string* path = args.flag("vendor-pub")) {
         auto key = load_public_key(*path);
         if (!key) die("cannot load vendor public key");
-        const bool ok = crypto::ecdsa_verify(
-            *key, crypto::Sha256::digest(m->vendor_signed_bytes()), m->vendor_signature);
+        const bool ok = crypto::ecdsa_verify(crypto::PreparedPublicKey(*key),
+                                             crypto::Sha256::digest(m->vendor_signed_bytes()),
+                                             m->vendor_signature);
         std::printf("vendor signature: %s\n", ok ? "VALID" : "INVALID");
         failures += ok ? 0 : 1;
     }
     if (const std::string* path = args.flag("server-pub")) {
         auto key = load_public_key(*path);
         if (!key) die("cannot load server public key");
-        const bool ok = crypto::ecdsa_verify(
-            *key, crypto::Sha256::digest(m->server_signed_bytes()), m->server_signature);
+        const bool ok = crypto::ecdsa_verify(crypto::PreparedPublicKey(*key),
+                                             crypto::Sha256::digest(m->server_signed_bytes()),
+                                             m->server_signature);
         std::printf("server signature: %s\n", ok ? "VALID" : "INVALID");
         failures += ok ? 0 : 1;
     }
