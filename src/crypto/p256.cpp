@@ -50,10 +50,15 @@ const P256& P256::instance() {
 P256::P256()
     : fp_(U256::from_hex(kPrimeHex)),
       fn_(U256::from_hex(kOrderHex)),
-      g_{U256::from_hex(kGxHex), U256::from_hex(kGyHex)} {
+      g_{U256::from_hex(kGxHex), U256::from_hex(kGyHex)},
+      comb_(kCombWindows * kCombRowEntries),
+      ct_base_(kCtWindows * kCtRowEntries) {
     b_mont_ = fp_.to_mont(U256::from_hex(kBHex));
-    build_comb_table();
-    build_ct_table();
+    // No entry of either table is infinity: a comb scalar d * 2^(8w) is in
+    // [1, n-1] (255 * 2^248 < n), and a Booth scalar j * 2^(4w) with j <= 8
+    // is never divisible by the prime n.
+    build_rows(g_, kCombWindows, kCombWindowBits, kCombRowEntries, comb_.data());
+    build_rows(g_, kCtWindows, kCtWindowBits, kCtRowEntries, ct_base_.data());
 }
 
 bool P256::on_curve(const AffinePoint& p) const {
@@ -83,9 +88,7 @@ std::optional<AffinePoint> P256::to_affine(const Jacobian& p) const {
     return AffinePoint{fp_.from_mont(fp_.mul(p.x, zinv2)), fp_.from_mont(fp_.mul(p.y, zinv3))};
 }
 
-P256::Jacobian P256::dbl(const Jacobian& p) const {
-    ct::trace_note(ct::kTraceDbl);
-    if (p.infinity() || p.y.is_zero()) return Jacobian{};  // 2*inf = inf; y=0 is order-2 (absent on P-256)
+P256::Jacobian P256::dbl_2001b(const Jacobian& p) const {
     // dbl-2001-b formulas specialized for a = -3.
     const U256 delta = fp_.sqr(p.z);
     const U256 gamma = fp_.sqr(p.y);
@@ -103,6 +106,12 @@ P256::Jacobian P256::dbl(const Jacobian& p) const {
                 fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)));
     const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(four_beta, x3)), eight_gamma2);
     return Jacobian{x3, y3, z3};
+}
+
+P256::Jacobian P256::dbl(const Jacobian& p) const {
+    ct::trace_note(ct::kTraceDbl);
+    if (p.infinity() || p.y.is_zero()) return Jacobian{};  // 2*inf = inf; y=0 is order-2 (absent on P-256)
+    return dbl_2001b(p);
 }
 
 P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
@@ -133,19 +142,13 @@ P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
     return Jacobian{x3, y3, z3};
 }
 
-P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
-    ct::trace_note(ct::kTraceMadd);
-    if (p.infinity()) return Jacobian{q.x, q.y, fp_.one()};
+P256::Jacobian P256::madd_2007bl(const Jacobian& p, const MontAffine& q) const {
     // madd-2007-bl (q affine, z2 = 1).
     const U256 z1z1 = fp_.sqr(p.z);
     const U256 u2 = fp_.mul(q.x, z1z1);
     const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
     const U256 h = fp_.sub(u2, p.x);
     const U256 r = fp_.add(fp_.sub(s2, p.y), fp_.sub(s2, p.y));
-    if (h.is_zero()) {
-        if (r.is_zero()) return dbl(p);  // same point
-        return Jacobian{};               // P + (-P) = infinity
-    }
     const U256 hh = fp_.sqr(h);
     const U256 i = fp_.add(fp_.add(hh, hh), fp_.add(hh, hh));
     const U256 j = fp_.mul(h, i);
@@ -155,6 +158,17 @@ P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
     const U256 y3 = fp_.sub(fp_.mul(r, fp_.sub(v, x3)), fp_.add(yj, yj));
     const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.z, h)), z1z1), hh);
     return Jacobian{x3, y3, z3};
+}
+
+P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
+    ct::trace_note(ct::kTraceMadd);
+    if (p.infinity()) return Jacobian{q.x, q.y, fp_.one()};
+    // z3 = 2*z1*h with z1 != 0, so z3 == 0 exactly when h == 0 (p == ±q);
+    // then x3 = r^2, which is 0 exactly when p == q (double) and not when
+    // p == -q (infinity).
+    const Jacobian sum = madd_2007bl(p, q);
+    if (sum.z.is_zero()) return sum.x.is_zero() ? dbl(p) : Jacobian{};
+    return sum;
 }
 
 void P256::normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t count) const {
@@ -178,25 +192,22 @@ void P256::normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t cou
     }
 }
 
-void P256::build_comb_table() {
-    // Row w holds {1..255} * B_w where B_w = 2^(8w) * G, built by repeated
-    // addition in Jacobian coordinates. Every table scalar d * 2^(8w) is in
-    // [1, n-1] (255 * 2^248 < n), so no entry is ever infinity.
-    std::vector<Jacobian> jac(kCombWindows * kCombRowEntries);
-    Jacobian base = to_jacobian(g_);
-    for (unsigned w = 0; w < kCombWindows; ++w) {
-        Jacobian acc = base;
-        jac[w * kCombRowEntries] = acc;
-        for (unsigned d = 2; d <= kCombRowEntries; ++d) {
-            acc = add(acc, base);
-            jac[w * kCombRowEntries + d - 1] = acc;
-        }
-        if (w + 1 < kCombWindows) {
-            for (unsigned b = 0; b < kCombWindowBits; ++b) base = dbl(base);
+void P256::build_rows(const AffinePoint& p, unsigned windows, unsigned window_bits,
+                      unsigned entries, MontAffine* out) const {
+    // Row w holds {1..entries} * B_w where B_w = 2^(window_bits * w) * P,
+    // built by repeated addition in Jacobian coordinates, then normalized
+    // with one inversion (which is why no entry may be infinity).
+    std::vector<Jacobian> jac(windows * entries);
+    Jacobian base = to_jacobian(p);
+    for (unsigned w = 0; w < windows; ++w) {
+        Jacobian* row = jac.data() + w * entries;
+        row[0] = base;
+        for (unsigned j = 1; j < entries; ++j) row[j] = add(row[j - 1], base);
+        if (w + 1 < windows) {
+            for (unsigned b = 0; b < window_bits; ++b) base = dbl(base);
         }
     }
-    comb_.resize(jac.size());
-    normalize_batch(jac.data(), comb_.data(), jac.size());
+    normalize_batch(jac.data(), out, jac.size());
 }
 
 P256::Jacobian P256::comb_mul_base(const U256& k) const {
@@ -230,26 +241,7 @@ void P256::build_odd_row(const Jacobian& base, Jacobian* out) const {
 
 P256::Jacobian P256::ct_dbl(const Jacobian& p) const {
     ct::trace_note(ct::kTraceCtDbl);
-    // dbl-2001-b is complete for infinity: z == 0 gives
-    // z3 = (y + z)^2 - gamma - delta = 2yz = 0, so no guard branch is
-    // needed. (y == 0 would be an order-2 point; P-256 has none, and the
-    // all-zero infinity encoding also lands on z3 == 0.)
-    const U256 delta = fp_.sqr(p.z);
-    const U256 gamma = fp_.sqr(p.y);
-    const U256 beta = fp_.mul(p.x, gamma);
-    const U256 alpha = fp_.mul(fp_.add(fp_.add(fp_.sub(p.x, delta), fp_.sub(p.x, delta)),
-                                       fp_.sub(p.x, delta)),
-                               fp_.add(p.x, delta));
-    U256 x3 = fp_.sub(fp_.sqr(alpha), fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    x3 = fp_.sub(x3, fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.y, p.z)), gamma), delta);
-    const U256 four_beta = fp_.add(fp_.add(beta, beta), fp_.add(beta, beta));
-    const U256 gamma2 = fp_.sqr(gamma);
-    const U256 eight_gamma2 =
-        fp_.add(fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)),
-                fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)));
-    const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(four_beta, x3)), eight_gamma2);
-    return Jacobian{x3, y3, z3};
+    return dbl_2001b(p);
 }
 
 P256::Jacobian P256::ct_add_mixed(const Jacobian& p, const MontAffine& q,
@@ -257,23 +249,11 @@ P256::Jacobian P256::ct_add_mixed(const Jacobian& p, const MontAffine& q,
     ct::trace_note(ct::kTraceCtMadd);
     // madd-2007-bl computed unconditionally; the special cases are resolved
     // by mask-selects afterwards, so the operation sequence is fixed.
-    const U256 z1z1 = fp_.sqr(p.z);
-    const U256 u2 = fp_.mul(q.x, z1z1);
-    const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
-    const U256 h = fp_.sub(u2, p.x);
-    const U256 r = fp_.add(fp_.sub(s2, p.y), fp_.sub(s2, p.y));
-    const U256 hh = fp_.sqr(h);
-    const U256 i = fp_.add(fp_.add(hh, hh), fp_.add(hh, hh));
-    const U256 j = fp_.mul(h, i);
-    const U256 v = fp_.mul(p.x, i);
-    const U256 x3 = fp_.sub(fp_.sub(fp_.sqr(r), j), fp_.add(v, v));
-    const U256 yj = fp_.mul(p.y, j);
-    const U256 y3 = fp_.sub(fp_.mul(r, fp_.sub(v, x3)), fp_.add(yj, yj));
-    const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.z, h)), z1z1), hh);
+    const Jacobian sum = madd_2007bl(p, q);
     // p == infinity: the sum is q lifted to Jacobian (z = 1).
     const std::uint64_t p_inf = ct_is_zero_mask(p.z);
-    Jacobian out{ct_select(p_inf, q.x, x3), ct_select(p_inf, q.y, y3),
-                 ct_select(p_inf, fp_.one(), z3)};
+    Jacobian out{ct_select(p_inf, q.x, sum.x), ct_select(p_inf, q.y, sum.y),
+                 ct_select(p_inf, fp_.one(), sum.z)};
     // q == 0 (a zero Booth digit): keep p. Applied last, so an all-zero q
     // against an infinite p still yields infinity.
     out.x = ct_select(q_zero_mask, p.x, out.x);
@@ -299,27 +279,6 @@ P256::MontAffine P256::ct_select_entry(const MontAffine* row, unsigned count,
     // Negative digit: y -> p - y (a no-op on the magnitude-0 zero entry).
     out.y = ct_select(neg_mask, fp_.sub(U256::zero(), out.y), out.y);
     return out;
-}
-
-void P256::build_ct_table() {
-    // Row w holds {1..8} * B_w, B_w = 2^(4w) * G, for the 65 Booth windows.
-    // Construction is public (the generator is a curve constant), so the
-    // variable-time group ops are fine here. No entry is infinity: n is
-    // prime and j * 2^(4w) with j <= 8 is never divisible by it.
-    std::vector<Jacobian> jac(kCtWindows * kCtRowEntries);
-    Jacobian base = to_jacobian(g_);
-    for (unsigned w = 0; w < kCtWindows; ++w) {
-        Jacobian acc = base;
-        for (unsigned j = 1; j <= kCtRowEntries; ++j) {
-            jac[w * kCtRowEntries + j - 1] = acc;
-            acc = add(acc, base);
-        }
-        if (w + 1 < kCtWindows) {
-            for (unsigned b = 0; b < kCtWindowBits; ++b) base = dbl(base);
-        }
-    }
-    ct_base_.resize(jac.size());
-    normalize_batch(jac.data(), ct_base_.data(), jac.size());
 }
 
 P256::Jacobian P256::ct_booth_mul_base(const U256& k) const {
@@ -372,6 +331,15 @@ int P256::wnaf_recode(U256 k, std::int8_t* digits) {
     return len;
 }
 
+void P256::fold_wnaf(Jacobian& acc, const Precomputed& pre, unsigned row, int d) const {
+    const MontAffine* entries = pre.table_.data() + row * kWnafOddEntries;
+    if (d > 0) {
+        acc = add_mixed(acc, entries[static_cast<unsigned>(d >> 1)]);
+    } else if (d < 0) {
+        acc = add_mixed(acc, neg(entries[static_cast<unsigned>((-d) >> 1)]));
+    }
+}
+
 P256::Jacobian P256::wnaf_mul(const U256& k, const Precomputed& pre) const {
     // Interleaved walk: digit position 64*row + b is served by the row
     // holding 2^(64 row) * P, so one pass of 64 doublings covers all four
@@ -379,21 +347,14 @@ P256::Jacobian P256::wnaf_mul(const U256& k, const Precomputed& pre) const {
     // beyond the top bit — is the overflow row, folded in at b == 0.
     std::int8_t digits[kWnafMaxDigits] = {};
     (void)wnaf_recode(k, digits);
-    const MontAffine* table = pre.table_.data();
-    const auto fold = [&](Jacobian& acc, unsigned row, int d) {
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
     Jacobian acc{};
     for (int b = Precomputed::kRowShift - 1; b >= 0; --b) {
         acc = dbl(acc);
         for (unsigned row = 0; row < 4; ++row) {
-            fold(acc, row, digits[Precomputed::kRowShift * row + static_cast<unsigned>(b)]);
+            const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
+            fold_wnaf(acc, pre, row, digits[pos]);
         }
-        if (b == 0) fold(acc, 4, digits[256]);
+        if (b == 0) fold_wnaf(acc, pre, 4, digits[256]);
     }
     return acc;
 }
@@ -436,14 +397,10 @@ std::optional<AffinePoint> P256::mul(const U256& k, const Precomputed& p) const 
 std::optional<AffinePoint> P256::mul_ct(const U256& k, const AffinePoint& p) const {
     const U256 k_reduced = fn_.reduce(k);
     if (ct::declassify_value(k_reduced.is_zero())) return std::nullopt;
-    // Row of {1..8} * P, batch-normalized like the wNAF rows. P is public
-    // (the peer's key), so plain add() is fine for construction.
-    std::array<Jacobian, kCtRowEntries> jac;
-    const Jacobian base = to_jacobian(p);
-    jac[0] = base;
-    for (unsigned j = 1; j < kCtRowEntries; ++j) jac[j] = add(jac[j - 1], base);
+    // Row of {1..8} * P. P is public (the peer's key, prime order), so the
+    // variable-time construction is fine and no entry is infinity.
     std::array<MontAffine, kCtRowEntries> row;
-    normalize_batch(jac.data(), row.data(), jac.size());
+    build_rows(p, 1, 0, kCtRowEntries, row.data());
     // MSB-first Booth walk: four branchless doublings then one full-row
     // scan and masked addition per window — 256 ct_dbl + 65 ct_madd, a
     // fixed sequence for every scalar. Exceptional madd cases (partial sum
@@ -468,52 +425,6 @@ std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
     const U256 u2r = fn_.reduce(u2);
     Jacobian acc = u1r.is_zero() ? Jacobian{} : comb_mul_base(u1r);
     if (!u2r.is_zero()) acc = add(acc, wnaf_mul(u2r, p));
-    return to_affine(acc);
-}
-
-P256::Jacobian P256::wnaf_mul2(const U256& ka, const Precomputed& pa, const U256& kb,
-                               const Precomputed& pb) const {
-    // Strauss interleaving of TWO per-key tables: both scalars' digit
-    // streams ride the same 64-doubling chain, so the marginal cost of the
-    // second point is additions only (~11 madds at wNAF density 1/6).
-    std::int8_t da[kWnafMaxDigits] = {};
-    std::int8_t db[kWnafMaxDigits] = {};
-    (void)wnaf_recode(ka, da);
-    (void)wnaf_recode(kb, db);
-    const auto fold = [&](Jacobian& acc, const Precomputed& pre, unsigned row, int d) {
-        const MontAffine* table = pre.table_.data();
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
-    Jacobian acc{};
-    for (int b = Precomputed::kRowShift - 1; b >= 0; --b) {
-        acc = dbl(acc);
-        for (unsigned row = 0; row < 4; ++row) {
-            const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
-            fold(acc, pa, row, da[pos]);
-            fold(acc, pb, row, db[pos]);
-        }
-        if (b == 0) {
-            fold(acc, pa, 4, da[256]);
-            fold(acc, pb, 4, db[256]);
-        }
-    }
-    return acc;
-}
-
-std::optional<AffinePoint> P256::mul_add4(const U256& u1, const U256& u2,
-                                          const Precomputed& p1, const U256& u3,
-                                          const U256& u4, const Precomputed& p2) const {
-    // The two fixed-base halves are one comb walk over (u1 + u3) mod n; the
-    // two variable-base halves share one interleaved wNAF walk.
-    const U256 a = fn_.add(fn_.reduce(u1), fn_.reduce(u3));
-    const U256 u2r = fn_.reduce(u2);
-    const U256 u4r = fn_.reduce(u4);
-    Jacobian acc = a.is_zero() ? Jacobian{} : comb_mul_base(a);
-    if (!u2r.is_zero() || !u4r.is_zero()) acc = add(acc, wnaf_mul2(u2r, p1, u4r, p2));
     return to_affine(acc);
 }
 
@@ -604,14 +515,6 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
     (void)wnaf_recode(u2r, da);
     (void)wnaf_recode(c, db);
     (void)wnaf_recode(g, dg);
-    const auto fold_table = [&](Jacobian& acc, const Precomputed& pre, unsigned row, int d) {
-        const MontAffine* table = pre.table_.data();
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
     // Folds -d * R2 (note the sign flip: the walk subtracts gamma*R2).
     const auto fold_r2_neg = [&](Jacobian& acc, int d) {
         if (d > 0) {
@@ -626,13 +529,13 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
         acc = dbl(acc);
         for (unsigned row = 0; row < 4; ++row) {
             const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
-            fold_table(acc, p1, row, da[pos]);
-            fold_table(acc, p2, row, db[pos]);
+            fold_wnaf(acc, p1, row, da[pos]);
+            fold_wnaf(acc, p2, row, db[pos]);
         }
         fold_r2_neg(acc, dg[static_cast<unsigned>(b)]);
         if (b == 0) {
-            fold_table(acc, p1, 4, da[256]);
-            fold_table(acc, p2, 4, db[256]);
+            fold_wnaf(acc, p1, 4, da[256]);
+            fold_wnaf(acc, p2, 4, db[256]);
         }
     }
     if (!a.is_zero()) acc = add(acc, comb_mul_base(a));
@@ -660,12 +563,7 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
     Jacobian w{};
     for (int i = len2 - 1; i >= 0; --i) {
         w = dbl(w);
-        const int d = dg2[i];
-        if (d > 0) {
-            w = add(w, r2_row[static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            w = add(w, jneg(r2_row[static_cast<unsigned>((-d) >> 1)]));
-        }
+        fold_r2_neg(w, -dg2[i]);  // adds +d * R2
     }
     return x_matches(add(acc, w));
 }

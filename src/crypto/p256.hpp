@@ -5,14 +5,18 @@
 // from-scratch implementation every backend in this repo shares. Points are
 // held in Jacobian coordinates with Montgomery-form field elements.
 //
-// Two scalar-multiplication accelerations ride on the same
-// precompute-odd-multiples trick: the fixed-base comb table for k*G (the
-// signing hot path) and width-5 wNAF for variable-base k*P (the
-// verification hot path) over a per-key Precomputed table that interleaves
-// the walk over five 64-bit limb rows, so long-lived verification keys pay
-// for their table exactly once. The plain double-and-add ladder the
-// differential suite pins every fast path against is test code
-// (P256Oracle, tests/support/), not part of this class.
+// Two scalar-multiplication accelerations ride on precomputed multiples:
+// the fixed-base comb table for k*G (the signing hot path) and width-5 wNAF
+// for variable-base k*P (the verification hot path) over a per-key
+// Precomputed table that interleaves the walk over five 64-bit limb rows,
+// so long-lived verification keys pay for their table exactly once.
+// verify2_combination is the one walk over four points. Each group-law job
+// has one body: one doubling and one mixed addition shared by the
+// variable-time and constant-time walks, one wNAF digit fold, and one
+// function that builds the comb, Booth and mul_ct rows. The plain
+// double-and-add ladder the differential suite pins every fast path
+// against is test code (P256Oracle, tests/support/), not part of this
+// class.
 #pragma once
 
 #include <array>
@@ -130,17 +134,6 @@ public:
     std::optional<AffinePoint> mul_add(const U256& u1, const U256& u2,
                                        const Precomputed& p) const;
 
-    /// u1*G + u2*P1 + u3*G + u4*P2 — the 4-point Shamir/Strauss form of the
-    /// double-signature verification equation. The two fixed-base halves
-    /// collapse into one comb walk over (u1 + u3) mod n, and the two
-    /// variable-base halves share a single 64-doubling interleaved wNAF
-    /// walk folding both per-key tables, so the combined multiplication
-    /// costs one walk's doublings instead of two. Variable-time; PUBLIC
-    /// scalars only (ECDSA verification inputs are).
-    std::optional<AffinePoint> mul_add4(const U256& u1, const U256& u2,
-                                        const Precomputed& p1, const U256& u3,
-                                        const U256& u4, const Precomputed& p2) const;
-
     /// Batched double-ECDSA combination test with a randomized linear
     /// combination: decides whether, for some signs s1, s2 and some affine
     /// lift R1, R2 of the x-candidates of r1, r2,
@@ -154,7 +147,9 @@ public:
     /// fixed. The whole test runs in Jacobian coordinates: one batched
     /// x-candidate lift (sqrt in F_p), one shared Strauss walk with
     /// -gamma*R2 folded in, and cross-multiplied x-comparisons against r1,
-    /// so no final-inversion to_affine is ever paid.
+    /// so no final-inversion to_affine is ever paid. The two fixed-base
+    /// terms collapse into one comb walk over u1 + gamma*u3, and both
+    /// per-key tables fold their wNAF digits into the same 64 doublings.
     ///
     /// gamma must be in [1, 2^64). Returns nullopt for the one undecidable
     /// corner (both r2 and r2 + n are x-coordinates of curve points, which
@@ -175,19 +170,33 @@ private:
 
     Jacobian to_jacobian(const AffinePoint& p) const;
     std::optional<AffinePoint> to_affine(const Jacobian& p) const;
+    /// 2p; infinity (and the order-2 y == 0 case) maps to infinity.
     Jacobian dbl(const Jacobian& p) const;
     Jacobian add(const Jacobian& p, const Jacobian& q) const;
     /// p + q for affine q (madd-2007-bl); handles infinity/double/negate.
     Jacobian add_mixed(const Jacobian& p, const MontAffine& q) const;
+
+    /// The dbl-2001-b formulas (a = -3), branch-free. dbl() and ct_dbl()
+    /// are this body plus their trace note (and dbl()'s guard).
+    Jacobian dbl_2001b(const Jacobian& p) const;
+    /// The madd-2007-bl formulas (q affine), branch-free and with no
+    /// special cases: add_mixed() and ct_add_mixed() resolve those on the
+    /// result.
+    Jacobian madd_2007bl(const Jacobian& p, const MontAffine& q) const;
 
     /// -q: field negation of y (never zero for on-curve points).
     MontAffine neg(const MontAffine& q) const;
 
     /// Montgomery's simultaneous-inversion trick: normalizes `count`
     /// non-infinity Jacobian points to Montgomery-affine with one field
-    /// inversion total. Shared by the comb and Booth tables, precompute(),
-    /// and mul_ct's row.
+    /// inversion total. Shared by build_rows() and precompute().
     void normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t count) const;
+
+    /// out[w * entries + j - 1] = j * 2^(window_bits * w) * p for w in
+    /// [0, windows) and j in [1, entries]: the comb table, the Booth table
+    /// and mul_ct's row. Every such scalar must be nonzero mod n.
+    void build_rows(const AffinePoint& p, unsigned windows, unsigned window_bits,
+                    unsigned entries, MontAffine* out) const;
 
     /// out[j] = (2j + 1) * base for j in [0, kWnafOddEntries): base, then
     /// repeated additions of 2*base.
@@ -199,14 +208,12 @@ private:
     /// zero-initialize when reading fixed positions.
     static int wnaf_recode(U256 k, std::int8_t* digits);
 
+    /// Folds wNAF digit d of `pre`'s row `row` into acc: one mixed
+    /// addition of ±|d| * 2^(64 row) * P, nothing for d == 0.
+    void fold_wnaf(Jacobian& acc, const Precomputed& pre, unsigned row, int d) const;
+
     /// Interleaved wNAF walk over a per-key table (64 doublings).
     Jacobian wnaf_mul(const U256& k, const Precomputed& pre) const;
-
-    /// ka*Pa + kb*Pb in ONE interleaved walk: both scalars' wNAF digits are
-    /// folded against their own table inside the same 64-doubling chain, so
-    /// the doubling cost of the second point drops to zero.
-    Jacobian wnaf_mul2(const U256& ka, const Precomputed& pa, const U256& kb,
-                       const Precomputed& pb) const;
 
     /// -q in Jacobian coordinates (field negation of y).
     Jacobian jneg(const Jacobian& q) const;
@@ -217,7 +224,6 @@ private:
 
     /// Sum of comb-table entries for the byte digits of k (k in [1, n)).
     Jacobian comb_mul_base(const U256& k) const;
-    void build_comb_table();
 
     // ---- constant-time (secret-scalar) machinery ------------------------
 
@@ -227,9 +233,10 @@ private:
     static constexpr unsigned kCtWindows = 256 / kCtWindowBits + 1;  // 65
     static constexpr unsigned kCtRowEntries = 1u << (kCtWindowBits - 1);  // 8
 
-    /// Branchless doubling: the dbl-2001-b formulas are already complete
-    /// for infinity (z = 0 gives z3 = 2yz = 0), so this is dbl() minus the
-    /// early-out branch.
+    /// Branchless doubling: dbl_2001b() with no guard. The formulas are
+    /// complete for infinity (z = 0 gives z3 = (y + z)^2 - y^2 - z^2 =
+    /// 2yz = 0, and the all-zero encoding maps to itself); y == 0 would be
+    /// an order-2 point, which P-256 lacks.
     Jacobian ct_dbl(const Jacobian& p) const;
 
     /// Masked mixed addition: madd-2007-bl computed unconditionally, with
@@ -250,8 +257,6 @@ private:
     /// 65 masked additions, zero doublings, no secret-dependent control
     /// flow. k must be reduced and nonzero.
     Jacobian ct_booth_mul_base(const U256& k) const;
-
-    void build_ct_table();
 
     // One 255-entry row per byte of the scalar: row w holds
     // {1..255} * 2^(8w) * G, so k*G is a sum of at most 32 mixed additions

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/endian.hpp"
+#include "common/fnv1a.hpp"
 #include "crypto/content_key.hpp"
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256x4.hpp"
@@ -19,17 +20,17 @@ constexpr std::size_t kDeviceIdOffset = 8;
 constexpr std::size_t kNonceOffset = 12;
 constexpr std::size_t kServerSigOffset = 136;
 
+// Deltas at least this fraction of the full image fall back to a
+// full-image update: a delta that barely saves air time is not worth the
+// on-device patching cost.
+constexpr double kDeltaThreshold = 0.9;
+
 // FNV-1a over a have-list, as the response-cache key component: devices
 // holding the same chunk set share one cached envelope.
 std::uint64_t have_list_hash(const std::vector<std::uint64_t>& have) {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t prefix : have) {
-        for (int shift = 0; shift < 64; shift += 8) {
-            h ^= (prefix >> shift) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    }
-    return h;
+    Fnv1a h;
+    for (std::uint64_t prefix : have) h.mix(prefix);
+    return h.value();
 }
 
 // Digest over the server-signed wire bytes: everything before the server
@@ -406,7 +407,7 @@ Expected<UpdateResponse> UpdateServer::prepare_update_locked(
             auto compressed = compressed_delta(base->second, latest, receipt);
             if (compressed &&
                 static_cast<double>(compressed->size()) <
-                    delta_threshold_ * static_cast<double>(latest.firmware.size())) {
+                    kDeltaThreshold * static_cast<double>(latest.firmware.size())) {
                 m.differential = true;
                 m.old_version = token.current_version;
                 m.encrypted = maybe_encrypt(token, *compressed);

@@ -200,11 +200,6 @@ public:
                                             const manifest::DeviceToken& token,
                                             std::uint16_t version) const;
 
-    /// Tuning knob: deltas larger than this fraction of the full image fall
-    /// back to a full-image update (a delta that barely saves air time is
-    /// not worth the on-device patching cost).
-    void set_delta_threshold(double fraction) { delta_threshold_ = fraction; }
-
     compress::LzssParams lzss_params() const { return lzss_params_; }
     void set_lzss_params(const compress::LzssParams& params) {
         const std::lock_guard<std::mutex> lock(mu_);
@@ -319,7 +314,6 @@ private:
     crypto::PrivateKey key_;
     crypto::PreparedPublicKey vendor_key_;  // invalid until set_vendor_key
     std::map<std::uint32_t, std::map<std::uint16_t, Release>> releases_;  // app -> version
-    double delta_threshold_ = 0.9;
     compress::LzssParams lzss_params_{};
     ServerModel model_{};
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.hpp"
+
 namespace upkit::sim {
 namespace {
 
@@ -20,21 +22,6 @@ double uniform01(std::uint64_t& state) {
 
 bool in_window(double t, double start, double end) {
     return t >= start && t < end;
-}
-
-void mix(std::uint64_t& h, std::uint64_t v) {
-    // FNV-1a over the value's bytes, 8 at a time.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFFu;
-        h *= 0x100000001B3ull;
-    }
-}
-
-void mix(std::uint64_t& h, double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    mix(h, bits);
 }
 
 }  // namespace
@@ -62,39 +49,31 @@ ChaosPlan ChaosPlan::generate(const ChaosSpec& spec) {
         const double start = uniform01(spike_state) * spec.horizon_s;
         plan.add_latency_spike(start, start + spec.spike_duration_s, spec.spike_factor);
     }
-    plan.set_device_profile_params(profile_seed, spec.flaky_fraction,
-                                   spec.flaky_extra_loss, spec.corrupt_fraction,
-                                   spec.corrupt_duration_s, spec.horizon_s,
-                                   spec.brick_fraction);
+    plan.profile_seed_ = profile_seed;
+    plan.flaky_fraction_ = spec.flaky_fraction;
+    plan.flaky_extra_loss_ = spec.flaky_extra_loss;
+    plan.corrupt_fraction_ = spec.corrupt_fraction;
+    plan.corrupt_duration_s_ = spec.corrupt_duration_s;
+    plan.corrupt_horizon_s_ = spec.horizon_s;
+    plan.brick_fraction_ = spec.brick_fraction;
     // No extra draw from `state`: chunk corruption derives from the profile
     // seed per (device, chunk), so adding it never shifts the existing
     // burst/outage/spike/profile sub-streams.
-    plan.set_chunk_corruption(spec.chunk_corrupt_fraction);
+    plan.chunk_corrupt_fraction_ = spec.chunk_corrupt_fraction;
     // Regional fault domains and oscillator drift are pure functions of
     // (profile_seed, region|device), salted below — again no extra draw, so
     // a spec without them generates the byte-identical legacy plan.
     if (spec.regions > 0 && spec.region_outages > 0) {
-        plan.set_region_outage_params(profile_seed, spec.region_outages,
-                                      spec.region_outage_duration_s, spec.horizon_s);
+        plan.region_seed_ = profile_seed;
+        plan.region_outage_count_ = spec.region_outages;
+        plan.region_outage_duration_s_ = spec.region_outage_duration_s;
+        plan.region_horizon_s_ = spec.horizon_s;
     }
     if (spec.clock_drift_ppm > 0.0) {
-        plan.set_clock_drift(profile_seed, spec.clock_drift_ppm);
+        plan.drift_seed_ = profile_seed;
+        plan.clock_drift_ppm_ = spec.clock_drift_ppm;
     }
     return plan;
-}
-
-void ChaosPlan::set_device_profile_params(std::uint64_t seed, double flaky_fraction,
-                                          double flaky_extra_loss,
-                                          double corrupt_fraction,
-                                          double corrupt_duration_s, double horizon_s,
-                                          double brick_fraction) {
-    profile_seed_ = seed;
-    flaky_fraction_ = flaky_fraction;
-    flaky_extra_loss_ = flaky_extra_loss;
-    corrupt_fraction_ = corrupt_fraction;
-    corrupt_duration_s_ = corrupt_duration_s;
-    corrupt_horizon_s_ = horizon_s;
-    brick_fraction_ = brick_fraction;
 }
 
 bool ChaosPlan::server_down(double t) const {
@@ -222,54 +201,54 @@ bool ChaosPlan::self_test_passes(std::uint32_t device_id, std::uint16_t version)
 }
 
 std::uint64_t ChaosPlan::fingerprint() const {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    mix(h, static_cast<std::uint64_t>(outages_.size()));
+    Fnv1a h;
+    h.mix(static_cast<std::uint64_t>(outages_.size()));
     for (const auto& w : outages_) {
-        mix(h, w.start_s);
-        mix(h, w.end_s);
+        h.mix(w.start_s);
+        h.mix(w.end_s);
     }
-    mix(h, static_cast<std::uint64_t>(bursts_.size()));
+    h.mix(static_cast<std::uint64_t>(bursts_.size()));
     for (const auto& b : bursts_) {
-        mix(h, b.start_s);
-        mix(h, b.end_s);
-        mix(h, b.loss_probability);
+        h.mix(b.start_s);
+        h.mix(b.end_s);
+        h.mix(b.loss_probability);
     }
-    mix(h, static_cast<std::uint64_t>(spikes_.size()));
+    h.mix(static_cast<std::uint64_t>(spikes_.size()));
     for (const auto& s : spikes_) {
-        mix(h, s.start_s);
-        mix(h, s.end_s);
-        mix(h, s.overhead_factor);
+        h.mix(s.start_s);
+        h.mix(s.end_s);
+        h.mix(s.overhead_factor);
     }
-    mix(h, static_cast<std::uint64_t>(bad_versions_.size()));
-    for (const std::uint16_t v : bad_versions_) mix(h, static_cast<std::uint64_t>(v));
-    mix(h, profile_seed_);
-    mix(h, flaky_fraction_);
-    mix(h, flaky_extra_loss_);
-    mix(h, corrupt_fraction_);
-    mix(h, corrupt_duration_s_);
-    mix(h, corrupt_horizon_s_);
-    mix(h, brick_fraction_);
-    mix(h, chunk_corrupt_fraction_);
+    h.mix(static_cast<std::uint64_t>(bad_versions_.size()));
+    for (const std::uint16_t v : bad_versions_) h.mix(static_cast<std::uint64_t>(v));
+    h.mix(profile_seed_);
+    h.mix(flaky_fraction_);
+    h.mix(flaky_extra_loss_);
+    h.mix(corrupt_fraction_);
+    h.mix(corrupt_duration_s_);
+    h.mix(corrupt_horizon_s_);
+    h.mix(brick_fraction_);
+    h.mix(chunk_corrupt_fraction_);
     // Regional domains and drift mix in only when configured, so a plan
     // without them keeps its pre-extension fingerprint (equal plans, equal
     // fingerprints — in both directions across builds).
     if (!region_outages_.empty() || region_outage_count_ > 0) {
-        mix(h, static_cast<std::uint64_t>(region_outages_.size()));
+        h.mix(static_cast<std::uint64_t>(region_outages_.size()));
         for (const auto& r : region_outages_) {
-            mix(h, static_cast<std::uint64_t>(r.region));
-            mix(h, r.window.start_s);
-            mix(h, r.window.end_s);
+            h.mix(static_cast<std::uint64_t>(r.region));
+            h.mix(r.window.start_s);
+            h.mix(r.window.end_s);
         }
-        mix(h, region_seed_);
-        mix(h, static_cast<std::uint64_t>(region_outage_count_));
-        mix(h, region_outage_duration_s_);
-        mix(h, region_horizon_s_);
+        h.mix(region_seed_);
+        h.mix(static_cast<std::uint64_t>(region_outage_count_));
+        h.mix(region_outage_duration_s_);
+        h.mix(region_horizon_s_);
     }
     if (clock_drift_ppm_ > 0.0) {
-        mix(h, drift_seed_);
-        mix(h, clock_drift_ppm_);
+        h.mix(drift_seed_);
+        h.mix(clock_drift_ppm_);
     }
-    return h;
+    return h.value();
 }
 
 }  // namespace upkit::sim

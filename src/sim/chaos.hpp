@@ -129,32 +129,10 @@ public:
     /// post-install self-test fails on it (the "bad image" scenario).
     void mark_bad_version(std::uint16_t version) { bad_versions_.push_back(version); }
 
-    /// Per-device misbehavior fractions for the derived profiles (also set
-    /// by generate() from the spec).
-    void set_device_profile_params(std::uint64_t seed, double flaky_fraction,
-                                   double flaky_extra_loss, double corrupt_fraction,
-                                   double corrupt_duration_s, double horizon_s,
-                                   double brick_fraction);
-
     /// Pins a regional outage window explicitly (tests; generate() derives
     /// windows from the region sub-streams instead).
     void add_region_outage(unsigned region, double start_s, double end_s) {
         region_outages_.push_back({region, {start_s, end_s}});
-    }
-
-    /// Derived regional windows (also set by generate() from the spec).
-    void set_region_outage_params(std::uint64_t seed, unsigned outages,
-                                  double duration_s, double horizon_s) {
-        region_seed_ = seed;
-        region_outage_count_ = outages;
-        region_outage_duration_s_ = duration_s;
-        region_horizon_s_ = horizon_s;
-    }
-
-    /// Per-device oscillator drift half-width in ppm (set by generate()).
-    void set_clock_drift(std::uint64_t seed, double ppm) {
-        drift_seed_ = seed;
-        clock_drift_ppm_ = ppm;
     }
 
     bool server_down(double t) const;
@@ -197,9 +175,6 @@ public:
     /// re-requested copy always goes through and a seeded rerun replays the
     /// exact same set of poisoned chunks.
     bool payload_chunk_corrupted(std::uint32_t device_id, std::uint32_t chunk_index) const;
-
-    /// Chunk-corruption fraction (also set by generate() from the spec).
-    void set_chunk_corruption(double fraction) { chunk_corrupt_fraction_ = fraction; }
 
     const std::vector<OutageWindow>& outages() const { return outages_; }
     const std::vector<LossBurst>& loss_bursts() const { return bursts_; }

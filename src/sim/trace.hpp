@@ -16,6 +16,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv1a.hpp"
+
 namespace upkit::sim {
 
 enum class TraceType : std::uint8_t {
@@ -116,46 +118,25 @@ private:
 class FingerprintSink final : public TraceSink {
 public:
     void on_event(const TraceEvent& event) override {
-        mix_double(event.t);
-        mix(event.device_id);
-        mix(static_cast<std::uint64_t>(event.type));
-        mix_str(event.from);
-        mix_str(event.to);
-        mix(event.code);
-        mix_double(event.value);
+        hash_.mix(event.t);
+        hash_.mix(std::uint64_t{event.device_id});
+        hash_.mix(static_cast<std::uint64_t>(event.type));
+        hash_.mix(event.from);
+        hash_.mix(event.to);
+        hash_.mix(std::uint64_t{event.code});
+        hash_.mix(event.value);
         ++events_;
     }
 
-    std::uint64_t fingerprint() const { return h_; }
+    std::uint64_t fingerprint() const { return hash_.value(); }
     std::uint64_t events() const { return events_; }
     void reset() {
-        h_ = 0xCBF29CE484222325ull;
+        hash_ = Fnv1a{};
         events_ = 0;
     }
 
 private:
-    void mix(std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xFFu;
-            h_ *= 0x100000001B3ull;
-        }
-    }
-    void mix_double(double v) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    }
-    void mix_str(std::string_view s) {
-        for (const char c : s) {
-            h_ ^= static_cast<unsigned char>(c);
-            h_ *= 0x100000001B3ull;
-        }
-        h_ ^= 0xFFu;  // terminator: "ab","c" != "a","bc"
-        h_ *= 0x100000001B3ull;
-    }
-
-    std::uint64_t h_ = 0xCBF29CE484222325ull;
+    Fnv1a hash_;
     std::uint64_t events_ = 0;
 };
 

@@ -2,8 +2,8 @@
 // (src/crypto/p256).
 //
 // Every fast path — the comb table behind mul_base(), the constant-time
-// Booth walks, the prepared-key wNAF walk behind mul() / mul_add(), the
-// 4-point Strauss walk and the verify2 combination — is pinned against the
+// Booth walks, the prepared-key wNAF walk behind mul() / mul_add(), and the
+// verify2 combination (the one 4-point walk) — is pinned against the
 // plain double-and-add ladder (P256Oracle, tests/support/). The paths share
 // no point-arithmetic shortcuts beyond the group formulas, so agreement over
 // thousands of seeded scalars — plus every structural edge case (zero, one,
@@ -13,6 +13,8 @@
 // for the RFC 6979 nonce) and ecdsa_verify against the ladder-based
 // ecdsa_verify_generic.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "crypto/ecdsa.hpp"
@@ -231,6 +233,52 @@ TEST(P256DiffTest, SignaturesAreDeterministicAcrossCalls) {
     for (int i = 0; i < 8; ++i) EXPECT_EQ(ecdsa_sign(key, digest), first);
 }
 
+// ------------------------------------------------- group-law special cases
+
+TEST(P256DiffTest, MixedAdditionAndDoublingEdgeCases) {
+    // Single-table comb and wNAF partial sums never equal a table entry;
+    // only verify2's walk over two equal tables can fold one entry twice in
+    // a row, and seldom. So drive add_mixed's p == ±q cases directly,
+    // through the oracle's pass-throughs. P = x*G and Q = y*G, so each
+    // expected point is a ladder multiple of G.
+    const P256& curve = P256::instance();
+    const Montgomery& fn = curve.order();
+    Rng rng(0x5EED0015);
+    for (std::size_t i = 0; i < 64; ++i) {
+        const U256 x = fn.reduce(random_u256(rng));
+        const U256 y = fn.reduce(random_u256(rng));
+        const auto p = P256Oracle::mul_base_generic(x);
+        const auto q = P256Oracle::mul_base_generic(y);
+        ASSERT_TRUE(p.has_value() && q.has_value()) << i;
+        AffinePoint minus_p = *p;
+        sub(minus_p.y, curve.field().modulus(), p->y);
+        const auto two_p = P256Oracle::mul_base_generic(fn.add(x, x));
+
+        // P + P doubles, P + (-P) is infinity.
+        expect_same(P256Oracle::add_mixed(p, *p),
+                    P256Oracle::mul_generic(U256::from_u64(2), *p), "P+P vs ladder 2P", i);
+        expect_same(P256Oracle::add_mixed(p, *p), two_p, "P+P vs (2x)G", i);
+        EXPECT_FALSE(P256Oracle::add_mixed(p, minus_p).has_value()) << i;
+
+        // The generic case, and infinity + Q == Q, through both additions.
+        const auto p_plus_q = P256Oracle::mul_base_generic(fn.add(x, y));
+        expect_same(P256Oracle::add_mixed(p, *q), p_plus_q, "P+Q", i);
+        expect_same(P256Oracle::ct_add_mixed(p, *q, false), p_plus_q, "ct P+Q", i);
+        expect_same(P256Oracle::add_mixed(std::nullopt, *q), q, "inf+Q", i);
+        expect_same(P256Oracle::ct_add_mixed(std::nullopt, *q, false), q, "ct inf+Q", i);
+
+        // The zero-digit mask keeps p, infinity included.
+        expect_same(P256Oracle::ct_add_mixed(p, *q, true), p, "ct masked", i);
+        EXPECT_FALSE(P256Oracle::ct_add_mixed(std::nullopt, *q, true).has_value()) << i;
+
+        // Both doublings agree with each other and with the ladder.
+        expect_same(P256Oracle::dbl(p), two_p, "dbl", i);
+        expect_same(P256Oracle::ct_dbl(p), two_p, "ct_dbl", i);
+    }
+    EXPECT_FALSE(P256Oracle::dbl(std::nullopt).has_value());
+    EXPECT_FALSE(P256Oracle::ct_dbl(std::nullopt).has_value());
+}
+
 // -------------------------------------------------------------- mul_add
 
 TEST(P256DiffTest, MulAddMatchesScalarIdentity) {
@@ -403,7 +451,7 @@ TEST(P256DiffTest, MulAddVariantsMatchGenericReference) {
     }
 }
 
-// ---------------------------------------------- 4-point Strauss (mul_add4)
+// ------------------------------------------------- batch verify (verify2)
 
 U256 mod_mul(const Montgomery& fn, const U256& a, const U256& b) {
     return fn.from_mont(fn.mul(fn.to_mont(a), fn.to_mont(b)));
@@ -413,46 +461,86 @@ U256 mod_inv(const Montgomery& fn, const U256& a) {
     return fn.from_mont(fn.inv(fn.to_mont(a)));
 }
 
-TEST(P256DiffTest, MulAdd4MatchesGenericReference) {
-    // ~1k seeded scalar quadruples against the pure-ladder reference, with
-    // edge mixes rotating through zero / one / n-1 scalars and the two
-    // tables collapsing to the same key (the verifier's equal-key corner).
+// An infinite R has no x; stand in G's, which lifts, so the walk runs.
+U256 r_of(const std::optional<AffinePoint>& point) {
+    const P256& curve = P256::instance();
+    return point ? curve.order().reduce(point->x) : curve.generator().x;
+}
+
+// verify2_combination is the one 4-point walk, and signatures only ever hand
+// it derived scalars. Pins it on one quadruple: R1 = u1*G + u2*P1 and
+// R2 = u3*G + u4*P2 come from the ladder with r = x mod n, so the
+// combination must accept, and reject a bumped r1 or an infinite R1 or R2.
+// nullopt is allowed only in the documented corner where r2 and r2 + n both
+// lie below p.
+void expect_verify2_matches_ladder(const U256 (&u)[4], const AffinePoint& p1,
+                                   const P256::Precomputed& t1, const AffinePoint& p2,
+                                   const P256::Precomputed& t2, std::uint64_t gamma,
+                                   const char* what, std::size_t i) {
     const P256& curve = P256::instance();
     const Montgomery& fn = curve.order();
+    const auto r1_point = P256Oracle::mul_add_generic(u[0], u[1], p1);
+    const auto r2_point = P256Oracle::mul_add_generic(u[2], u[3], p2);
+    const U256 r1 = r_of(r1_point);
+    const U256 r2 = r_of(r2_point);
+    const auto verdict = curve.verify2_combination(u[0], u[1], t1, r1, u[2], u[3], t2, r2, gamma);
+    if (!verdict) {
+        U256 r2b;
+        EXPECT_TRUE(add(r2b, r2, curve.n()) == 0 && r2b < curve.field().modulus())
+            << what << " case " << i;
+        return;
+    }
+    const bool both_finite = r1_point.has_value() && r2_point.has_value();
+    EXPECT_EQ(*verdict, both_finite) << what << " case " << i;
+    if (!both_finite) return;
+    const auto bumped = curve.verify2_combination(u[0], u[1], t1, fn.add(r1, U256::one()), u[2],
+                                                  u[3], t2, r2, gamma);
+    ASSERT_TRUE(bumped.has_value()) << what << " case " << i;
+    EXPECT_FALSE(*bumped) << what << " bumped r1, case " << i;
+}
+
+TEST(P256DiffTest, Verify2CombinationMatchesGenericReference) {
+    // ~1k seeded scalar quadruples, with edge mixes rotating through zero /
+    // one / n-1 scalars, the two tables collapsing to the same key every 3rd
+    // case (the verifier's equal-key corner), and u1 + gamma*u3 == 0 mod n
+    // (the comb half collapses).
+    const P256& curve = P256::instance();
+    const Montgomery& fn = curve.order();
+    const U256 n = curve.n();
     Rng rng(0x5EED0010);
     const auto points = seeded_points(4, 0x5EED0110);
     std::vector<P256::Precomputed> tables;
     for (const auto& p : points) tables.push_back(curve.precompute(p));
 
     for (std::size_t i = 0; i < kCases; ++i) {
-        U256 u1 = fn.reduce(random_u256(rng));
-        U256 u2 = fn.reduce(random_u256(rng));
-        U256 u3 = fn.reduce(random_u256(rng));
-        U256 u4 = fn.reduce(random_u256(rng));
+        U256 u[4];
+        for (auto& v : u) v = fn.reduce(random_u256(rng));
+        const std::uint64_t gamma = std::max<std::uint64_t>(rng.next_u64(), 1);
         switch (i % 12) {
-            case 4: u1 = U256::zero(); break;
-            case 5: u2 = U256::zero(); break;
-            case 6: u3 = U256::zero(); break;
-            case 7: u4 = U256::zero(); break;
-            case 8: u1 = U256::one(); u3 = U256::one(); break;
-            case 9: sub(u2, curve.n(), U256::one()); break;
-            case 10: sub(u4, curve.n(), U256::one()); break;
-            // u1 + u3 == 0 mod n: the collapsed comb half vanishes.
-            case 11: sub(u3, curve.n(), u1.is_zero() ? curve.n() : u1); break;
+            case 2: u[0] = U256::zero(); u[1] = U256::zero(); break;  // R1 = inf
+            case 3: u[2] = U256::zero(); u[3] = U256::zero(); break;  // R2 = inf
+            case 4: u[0] = U256::zero(); break;
+            case 5: u[1] = U256::zero(); break;
+            case 6: u[2] = U256::zero(); break;
+            case 7: u[3] = U256::zero(); break;
+            case 8: u[0] = U256::one(); u[2] = U256::one(); break;
+            case 9: sub(u[1], n, U256::one()); break;
+            case 10: sub(u[3], n, U256::one()); break;
+            case 11:  // u1 = -gamma*u3
+                u[0] = fn.sub(U256::zero(), mod_mul(fn, U256::from_u64(gamma), u[2]));
+                break;
             default: break;
         }
         const std::size_t j = i % points.size();
-        const std::size_t j2 = (i % 3 == 0) ? j : (i + 1) % points.size();  // j == j2 every 3rd
-        expect_same(
-            curve.mul_add4(u1, u2, tables[j], u3, u4, tables[j2]),
-            P256Oracle::mul_add4_generic(u1, u2, points[j], u3, u4, points[j2]),
-            "mul_add4", i);
+        const std::size_t j2 = (i % 3 == 0) ? j : (i + 1) % points.size();
+        expect_verify2_matches_ladder(u, points[j], tables[j], points[j2], tables[j2], gamma,
+                                      "verify2", i);
     }
 }
 
-TEST(P256DiffTest, MulAdd4MatchesOrderEdgeScalars) {
-    // n±k straddles on every operand: reduction and the wNAF carry digit at
-    // position 256 must agree with the ladder through the shared walk.
+TEST(P256DiffTest, Verify2CombinationMatchesOrderEdgeScalars) {
+    // Unreduced n±k straddles on every operand: reduction and the wNAF carry
+    // digit at position 256 must agree with the ladder through the walk.
     const P256& curve = P256::instance();
     const U256 n = curve.n();
     const auto points = seeded_points(2, 0x5EED0111);
@@ -460,30 +548,26 @@ TEST(P256DiffTest, MulAdd4MatchesOrderEdgeScalars) {
     const P256::Precomputed t1 = curve.precompute(points[1]);
     Rng rng(0x5EED0011);
     for (std::size_t i = 0; i < 64; ++i) {
-        U256 quad[4];
-        for (auto& q : quad) {
+        U256 u[4];
+        for (auto& v : u) {
             const std::uint64_t d = rng.next_u64() % 17;
             if (i % 2 == 0) {
-                add(q, n, U256::from_u64(d));  // n + k
+                add(v, n, U256::from_u64(d));  // n + k
             } else {
-                sub(q, n, U256::from_u64(d + 1));  // n - k
+                sub(v, n, U256::from_u64(d + 1));  // n - k
             }
         }
-        expect_same(curve.mul_add4(quad[0], quad[1], t0, quad[2], quad[3], t1),
-                    P256Oracle::mul_add4_generic(quad[0], quad[1], points[0], quad[2],
-                                           quad[3], points[1]),
-                    "mul_add4 n±k", i);
+        const std::uint64_t gamma = std::max<std::uint64_t>(rng.next_u64(), 1);
+        expect_verify2_matches_ladder(u, points[0], t0, points[1], t1, gamma, "verify2 n±k", i);
     }
-    // All four zero: both paths must report infinity.
-    EXPECT_FALSE(curve.mul_add4(U256::zero(), U256::zero(), t0, U256::zero(),
-                                U256::zero(), t1)
-                     .has_value());
-    EXPECT_FALSE(P256Oracle::mul_add4_generic(U256::zero(), U256::zero(), points[0],
-                                        U256::zero(), U256::zero(), points[1])
-                     .has_value());
+    // All four zero: both R's are infinity. (gamma must not be 1 here, or
+    // the stand-ins G and -G would cancel.)
+    const U256 r_inf = r_of(std::nullopt);
+    const auto none = curve.verify2_combination(U256::zero(), U256::zero(), t0, r_inf,
+                                                U256::zero(), U256::zero(), t1, r_inf, 2);
+    ASSERT_TRUE(none.has_value());
+    EXPECT_FALSE(*none);
 }
-
-// ------------------------------------------------- batch verify (verify2)
 
 TEST(P256DiffTest, Verify2AgreesWithSequentialVerifies) {
     // Honest pairs accept; any corrupted signature, digest, or key pairing

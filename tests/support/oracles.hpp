@@ -31,13 +31,26 @@ public:
     static std::optional<AffinePoint> mul_add_generic(const U256& u1, const U256& u2,
                                                       const AffinePoint& p);
 
-    /// u1*G + u2*P1 + u3*G + u4*P2 with the ladder on every term.
-    static std::optional<AffinePoint> mul_add4_generic(const U256& u1, const U256& u2,
-                                                       const AffinePoint& p1, const U256& u3,
-                                                       const U256& u4, const AffinePoint& p2);
+    // Pass-throughs to P256's private group law, so tests can drive the
+    // special cases the walks seldom or never reach. Points lift to
+    // Jacobian with z = 1 (nullopt is infinity) and the result is
+    // normalized back.
+
+    /// p + q through add_mixed.
+    static std::optional<AffinePoint> add_mixed(const std::optional<AffinePoint>& p,
+                                                const AffinePoint& q);
+    /// p + q through ct_add_mixed; q_zero sets the zero-digit mask.
+    static std::optional<AffinePoint> ct_add_mixed(const std::optional<AffinePoint>& p,
+                                                   const AffinePoint& q, bool q_zero);
+    /// 2p through dbl.
+    static std::optional<AffinePoint> dbl(const std::optional<AffinePoint>& p);
+    /// 2p through ct_dbl.
+    static std::optional<AffinePoint> ct_dbl(const std::optional<AffinePoint>& p);
 
 private:
     static P256::Jacobian scalar_mul(const U256& k, const P256::Jacobian& p);
+    static P256::Jacobian lift(const std::optional<AffinePoint>& p);
+    static P256::MontAffine lift_affine(const AffinePoint& q);
 };
 
 /// ECDSA verification with its own key check and signature parsing and the

@@ -35,21 +35,36 @@ std::optional<AffinePoint> P256Oracle::mul_add_generic(const U256& u1, const U25
     return curve.to_affine(acc);
 }
 
-std::optional<AffinePoint> P256Oracle::mul_add4_generic(const U256& u1, const U256& u2,
-                                                        const AffinePoint& p1, const U256& u3,
-                                                        const U256& u4, const AffinePoint& p2) {
+P256::Jacobian P256Oracle::lift(const std::optional<AffinePoint>& p) {
+    return p ? P256::instance().to_jacobian(*p) : P256::Jacobian{};
+}
+
+P256::MontAffine P256Oracle::lift_affine(const AffinePoint& q) {
+    const Montgomery& fp = P256::instance().field();
+    return P256::MontAffine{fp.to_mont(q.x), fp.to_mont(q.y)};
+}
+
+std::optional<AffinePoint> P256Oracle::add_mixed(const std::optional<AffinePoint>& p,
+                                                 const AffinePoint& q) {
     const P256& curve = P256::instance();
-    const Montgomery& fn = curve.order();
-    const P256::Jacobian g = curve.to_jacobian(curve.generator());
-    const U256 u1r = fn.reduce(u1);
-    const U256 u2r = fn.reduce(u2);
-    const U256 u3r = fn.reduce(u3);
-    const U256 u4r = fn.reduce(u4);
-    P256::Jacobian acc = u1r.is_zero() ? P256::Jacobian{} : scalar_mul(u1r, g);
-    if (!u2r.is_zero()) acc = curve.add(acc, scalar_mul(u2r, curve.to_jacobian(p1)));
-    if (!u3r.is_zero()) acc = curve.add(acc, scalar_mul(u3r, g));
-    if (!u4r.is_zero()) acc = curve.add(acc, scalar_mul(u4r, curve.to_jacobian(p2)));
-    return curve.to_affine(acc);
+    return curve.to_affine(curve.add_mixed(lift(p), lift_affine(q)));
+}
+
+std::optional<AffinePoint> P256Oracle::ct_add_mixed(const std::optional<AffinePoint>& p,
+                                                    const AffinePoint& q, bool q_zero) {
+    const P256& curve = P256::instance();
+    const std::uint64_t mask = q_zero ? ~std::uint64_t{0} : 0;
+    return curve.to_affine(curve.ct_add_mixed(lift(p), lift_affine(q), mask));
+}
+
+std::optional<AffinePoint> P256Oracle::dbl(const std::optional<AffinePoint>& p) {
+    const P256& curve = P256::instance();
+    return curve.to_affine(curve.dbl(lift(p)));
+}
+
+std::optional<AffinePoint> P256Oracle::ct_dbl(const std::optional<AffinePoint>& p) {
+    const P256& curve = P256::instance();
+    return curve.to_affine(curve.ct_dbl(lift(p)));
 }
 
 bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,

@@ -4,7 +4,7 @@
 // library:
 //
 //   Stage 1 — line rules. The original data-driven regex scanner: banned
-//   patterns, statement-position must-use-result, exhaustive FSM switches.
+//   patterns and exhaustive FSM switches.
 //   Rules are data (tools/upkit_lint.rules); escape hatches are explicit
 //   `// lint: <word>` annotations, each an auditable claim.
 //
@@ -57,8 +57,8 @@ using upkit::lint::Finding;
 
 struct Rule {
     std::string id;
-    std::string type;  // ban-pattern | must-use-result | switch-exhaustive
-                       // | taint | must-check | lock-guard
+    std::string type;  // ban-pattern | switch-exhaustive | taint
+                       // | must-check | lock-guard
     std::vector<std::string> paths;     // substring scopes (empty = all)
     std::vector<std::string> excludes;  // substring skips
     std::string pattern_text;
@@ -147,8 +147,8 @@ std::optional<std::vector<Rule>> parse_rules(const std::string& path) {
     if (current) rules.push_back(*current);
 
     for (Rule& r : rules) {
-        if (r.type != "ban-pattern" && r.type != "must-use-result" &&
-            r.type != "switch-exhaustive" && !is_flow_type(r.type)) {
+        if (r.type != "ban-pattern" && r.type != "switch-exhaustive" &&
+            !is_flow_type(r.type)) {
             std::fprintf(stderr, "upkit-lint: rule %s: unknown type '%s'\n", r.id.c_str(),
                          r.type.c_str());
             return std::nullopt;
@@ -295,15 +295,7 @@ void scan_file(const std::string& path, const std::vector<std::string>& lines,
 
         for (const Rule* r : line_rules) {
             if (!r->allow.empty() && cooked.annotation == r->allow) continue;
-            std::smatch m;
-            if (!std::regex_search(code, m, *r->pattern)) continue;
-            if (r->type == "must-use-result") {
-                // Statement position: nothing but whitespace before the
-                // call, so the returned Status falls on the floor. A `=`,
-                // `return`, `if (`, or `(void)` prefix all count as a use.
-                const std::string prefix = code.substr(0, static_cast<std::size_t>(m.position(0)));
-                if (prefix.find_first_not_of(" \t") != std::string::npos) continue;
-            }
+            if (!std::regex_search(code, *r->pattern)) continue;
             findings.push_back({path, lineno, r->id, r->message, code, false});
         }
 
@@ -317,14 +309,12 @@ void scan_file(const std::string& path, const std::vector<std::string>& lines,
         }
         for (auto it = open_switches.begin(); it != open_switches.end();) {
             SwitchScan& s = *it;
-            if (s.has_marker || true) {
-                static const std::regex kDefault(R"(\bdefault\s*:)");
-                if (std::regex_search(code, kDefault)) s.has_default = true;
-                const std::regex label(R"(\bcase\s+)" + s.rule->marker + R"((\w+))");
-                for (std::sregex_iterator mi(code.begin(), code.end(), label), e; mi != e; ++mi) {
-                    s.has_marker = true;
-                    s.seen_labels.insert((*mi)[1]);
-                }
+            static const std::regex kDefault(R"(\bdefault\s*:)");
+            if (std::regex_search(code, kDefault)) s.has_default = true;
+            const std::regex label(R"(\bcase\s+)" + s.rule->marker + R"((\w+))");
+            for (std::sregex_iterator mi(code.begin(), code.end(), label), e; mi != e; ++mi) {
+                s.has_marker = true;
+                s.seen_labels.insert((*mi)[1]);
             }
             for (char c : code) {
                 if (c == '{') { s.depth++; s.body_open = true; }
