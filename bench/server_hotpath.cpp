@@ -204,15 +204,14 @@ int main(int argc, char** argv) {
     // ---- macro: constant vs measured service model ----------------------
     const FleetOutcome constant = run_fleet(
         fleet, {.concurrency = concurrency, .service_time_s = 0.05});
-    // Per-operation costs: medians of 21 host micro-measurements (ECDSA
-    // sign, bsdiff+LZSS per KB of input, cache-index probe, payload copy
-    // per KB) on a 4-vCPU Intel Xeon VM, RelWithDebInfo.
+    // Per-operation costs: medians of 21 host micro-measurements (cache-index
+    // probe, payload copy per KB, ECDSA sign, bsdiff+LZSS per KB of input)
+    // on a 4-vCPU Intel Xeon VM, RelWithDebInfo.
     const server::ServerModel measured{.concurrency = concurrency,
-                                       .measured = true,
+                                       .service_time_s = 8.3e-9,
+                                       .service_per_kb_s = 28.6e-9,
                                        .sign_s = 110e-6,
-                                       .delta_gen_per_kb_s = 30.2e-6,
-                                       .cache_lookup_s = 8.3e-9,
-                                       .dispatch_per_kb_s = 28.6e-9};
+                                       .delta_gen_per_kb_s = 30.2e-6};
     const FleetOutcome hot = run_fleet(fleet, measured);
     if (!constant.ok || !hot.ok) {
         std::fprintf(stderr, "server_hotpath: fleet did not converge (%u / %u of %zu)\n",

@@ -13,6 +13,7 @@
 #include "server/vendor_server.hpp"
 #include "sim/firmware.hpp"
 #include "suit/suit.hpp"
+#include "verify/verifier.hpp"
 
 using namespace upkit;
 
@@ -48,16 +49,21 @@ int main() {
         std::fprintf(stderr, "SUIT parse failed\n");
         return 1;
     }
+    auto header = verify::ImageHeader::from_envelope(*parsed);
+    if (!header) {
+        std::fprintf(stderr, "SUIT manifest conversion failed\n");
+        return 1;
+    }
     const auto backend = crypto::make_tinycrypt_backend();
-    const Status verdict = suit::verify_envelope(
-        *parsed, crypto::PreparedPublicKey(vendor.public_key()),
-        crypto::PreparedPublicKey(suit_server_key.public_key()), *backend);
+    const verify::Verifier verifier(*backend, vendor.public_key(),
+                                    suit_server_key.public_key());
+    const Status verdict = verifier.verify_signatures(*header);
     std::printf("SUIT double-signature verification: %s\n",
                 std::string(to_string(verdict)).c_str());
-    auto recovered = suit::to_manifest(*parsed);
+    const manifest::Manifest& recovered = header->manifest;
     std::printf("recovered: version %u, %u-byte firmware, nonce 0x%X, device 0x%X\n\n",
-                recovered->version, recovered->firmware_size, recovered->nonce,
-                recovered->device_id);
+                recovered.version, recovered.firmware_size, recovered.nonce,
+                recovered.device_id);
 
     // ------------------------------------------------- encrypted payloads
     core::DeviceConfig config;

@@ -31,16 +31,8 @@ UpdateAgent::UpdateAgent(const AgentConfig& config, slots::SlotManager& slots,
       nonce_drbg_(nonce_seed, to_bytes("upkit-agent-nonce")) {}
 
 void UpdateAgent::charge_cpu(double seconds) {
-    const double scaled = seconds * platform_->cpu_scale();
-    if (clock_ != nullptr) clock_->advance(scaled);
-    if (meter_ != nullptr) {
-        const double hsm_ma = verifier_->backend().costs().active_current_ma;
-        if (hsm_ma > 0) {
-            meter_->charge(sim::Component::kHsm, scaled, hsm_ma);
-        } else {
-            meter_->charge(sim::Component::kCpu, scaled);
-        }
-    }
+    sim::charge_cpu(*platform_, clock_, meter_, seconds,
+                    verifier_->backend().costs().active_current_ma);
 }
 
 void UpdateAgent::set_state(FsmState next) {
@@ -153,36 +145,18 @@ Status UpdateAgent::offer_manifest(ByteSpan chunk) {
     if (manifest_buffer_.size() > total) return fail(Status::kSizeExceeded);
 
     set_state(FsmState::kVerifyManifest);
-    return verify_manifest_now();
+    auto parsed = manifest::parse_manifest(manifest_buffer_);
+    if (!parsed) {
+        ++stats_.manifests_rejected;
+        return fail(parsed.status());
+    }
+    return verify_and_accept(verify::ImageHeader(std::move(*parsed)), manifest_buffer_);
 }
 
-Expected<UpdateAgent::InstalledImageInfo> UpdateAgent::installed_image_info() const {
+Expected<verify::ImageHeader> UpdateAgent::read_installed_header() const {
     const slots::SlotConfig* installed = slots_->slot(config_.installed_slot);
     if (installed == nullptr) return Status::kNotFound;
-    Bytes header(suit::kSuitHeaderRegion);
-    if (installed->device->read(installed->offset, MutByteSpan(header)) != Status::kOk) {
-        return Status::kFlashIoError;
-    }
-    // A chunked native header is variable-length and can outgrow the fixed
-    // probe read; the size hint tells us how much to fetch before parsing.
-    if (auto wire = manifest::wire_size_hint(header)) {
-        if (*wire > header.size()) {
-            header.resize(*wire);
-            if (installed->device->read(installed->offset, MutByteSpan(header)) !=
-                Status::kOk) {
-                return Status::kFlashIoError;
-            }
-        }
-        if (auto native = manifest::parse_manifest(header)) {
-            return InstalledImageInfo{*native, manifest::wire_size(*native)};
-        }
-    }
-    if (auto env = suit::parse_envelope_prefix(header)) {
-        if (auto converted = suit::to_manifest(*env)) {
-            return InstalledImageInfo{*converted, suit::kSuitHeaderRegion};
-        }
-    }
-    return Status::kBadManifest;
+    return verify::read_image_header(*installed);
 }
 
 void UpdateAgent::prepare_chunk_state(manifest::DeviceToken& token) {
@@ -192,11 +166,11 @@ void UpdateAgent::prepare_chunk_state(manifest::DeviceToken& token) {
     if (!config_.enable_chunked) return;
     // No (readable) installed image means nothing to advertise — the token
     // stays legacy and the server serves a whole image.
-    auto info = installed_image_info();
+    auto info = read_installed_header();
     if (!info || info->manifest.firmware_size == 0) return;
     const slots::SlotConfig* installed = slots_->slot(config_.installed_slot);
     Bytes firmware(info->manifest.firmware_size);
-    if (installed->device->read(installed->offset + info->fw_offset,
+    if (installed->device->read(installed->offset + info->firmware_offset,
                                 MutByteSpan(firmware)) != Status::kOk) {
         return;
     }
@@ -214,34 +188,11 @@ void UpdateAgent::prepare_chunk_state(manifest::DeviceToken& token) {
         installed_chunks_.clear();
         return;
     }
-    installed_fw_offset_ = info->fw_offset;
+    installed_fw_offset_ = info->firmware_offset;
     installed_fw_size_ = info->manifest.firmware_size;
     token.have.clear();
     token.have.reserve(installed_chunks_.size());
     for (const auto& entry : installed_chunks_) token.have.push_back(entry.first);
-}
-
-Status UpdateAgent::verify_manifest_now() {
-    auto parsed = manifest::parse_manifest(manifest_buffer_);
-    if (!parsed) {
-        ++stats_.manifests_rejected;
-        return fail(parsed.status());
-    }
-
-    const slots::SlotConfig* target = slots_->slot(config_.target_slot);
-    // Both ECDSA verifications (vendor + server), priced as one batched
-    // pass when the backend's cost model is calibrated for it.
-    const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
-    charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
-    const Status verdict =
-        verifier_->verify_manifest(*parsed, *token_, config_.identity, *target);
-    if (clock_ != nullptr) stats_.verification_seconds += clock_->now() - verify_start;
-    if (verdict != Status::kOk) {
-        ++stats_.manifests_rejected;
-        return fail(verdict);
-    }
-
-    return accept_verified_manifest(*parsed, manifest_buffer_);
 }
 
 Status UpdateAgent::offer_suit_manifest(ByteSpan envelope_bytes) {
@@ -257,34 +208,32 @@ Status UpdateAgent::offer_suit_manifest(ByteSpan envelope_bytes) {
         ++stats_.manifests_rejected;
         return fail(envelope.status());
     }
-    auto parsed = suit::to_manifest(*envelope);
-    if (!parsed) {
+    auto header = verify::ImageHeader::from_envelope(std::move(*envelope));
+    if (!header) {
         ++stats_.manifests_rejected;
-        return fail(parsed.status());
+        return fail(header.status());
     }
+    // The envelope is stored zero-padded into its fixed header region.
+    Bytes region(suit::kSuitHeaderRegion, 0x00);
+    std::copy(envelope_bytes.begin(), envelope_bytes.end(), region.begin());
+    return verify_and_accept(std::move(*header), region);
+}
 
+Status UpdateAgent::verify_and_accept(verify::ImageHeader header, ByteSpan header_bytes) {
     const slots::SlotConfig* target = slots_->slot(config_.target_slot);
+    // Both ECDSA verifications (vendor + server), priced as one batched
+    // pass when the backend's cost model is calibrated for it.
     const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
     charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
-    Status verdict = verifier_->verify_suit_envelope(*envelope);
-    if (verdict == Status::kOk) {
-        verdict =
-            verifier_->verify_manifest_fields(*parsed, *token_, config_.identity, *target);
-    }
+    const Status verdict =
+        verifier_->verify_manifest(header, *token_, config_.identity, *target);
     if (clock_ != nullptr) stats_.verification_seconds += clock_->now() - verify_start;
     if (verdict != Status::kOk) {
         ++stats_.manifests_rejected;
         return fail(verdict);
     }
+    const manifest::Manifest& m = header.manifest;
 
-    // Zero-pad the envelope into its fixed header region.
-    Bytes header(suit::kSuitHeaderRegion, 0x00);
-    std::copy(envelope_bytes.begin(), envelope_bytes.end(), header.begin());
-    return accept_verified_manifest(*parsed, header);
-}
-
-Status UpdateAgent::accept_verified_manifest(const manifest::Manifest& m,
-                                             ByteSpan header_bytes) {
     // Confidentiality extension: an encrypted payload needs our key pair.
     if (m.encrypted && config_.encryption_key == nullptr) {
         ++stats_.manifests_rejected;
@@ -295,16 +244,16 @@ Status UpdateAgent::accept_verified_manifest(const manifest::Manifest& m,
     // The installed image may itself be stored in either wire format.
     const RandomReader* old_reader = nullptr;
     if (m.differential) {
-        auto info = installed_image_info();
-        if (!info) {
-            return fail(info.status() == Status::kBadManifest ? Status::kBadOldVersion
-                                                              : info.status());
+        auto base = read_installed_header();
+        if (!base) {
+            return fail(base.status() == Status::kBadManifest ? Status::kBadOldVersion
+                                                              : base.status());
         }
-        if (info->manifest.version != m.old_version) {
+        if (base->manifest.version != m.old_version) {
             return fail(Status::kBadOldVersion);
         }
-        old_firmware_.emplace(*slots_, config_.installed_slot, info->fw_offset,
-                              info->manifest.firmware_size);
+        old_firmware_.emplace(*slots_, config_.installed_slot, base->firmware_offset,
+                              base->manifest.firmware_size);
         old_reader = &*old_firmware_;
     }
 
@@ -367,7 +316,7 @@ Status UpdateAgent::accept_verified_manifest(const manifest::Manifest& m,
                                  .chunk_plan = chunk_plan_ ? &*chunk_plan_ : nullptr},
         target_handle_, old_reader);
 
-    manifest_ = m;
+    manifest_ = std::move(header.manifest);
     payload_received_ = 0;
     set_state(FsmState::kReceiveFirmware);
     if (manifest_->chunked && manifest_->payload_size == 0) {

@@ -110,10 +110,11 @@ public:
     Status offer_manifest(ByteSpan chunk);
 
     /// SUIT interop: accepts a complete SUIT/CBOR envelope instead of the
-    /// native manifest. Verification semantics are identical (double
-    /// signature over the envelope's TBS bytes + the same field checks);
-    /// the envelope is stored in a fixed header region ahead of the
-    /// firmware so the bootloader can re-verify it after reboot.
+    /// native manifest and verifies it on the same path (the same field
+    /// checks, then the double signature over the envelope's TBS bytes).
+    /// The envelope is stored in a fixed header region ahead of the
+    /// firmware, so the slot-fit check counts that region, and the
+    /// bootloader re-verifies the envelope after reboot.
     Status offer_suit_manifest(ByteSpan envelope_bytes);
 
     /// Paper step 12: feeds payload bytes through the pipeline. After the
@@ -158,23 +159,17 @@ private:
     /// Every state change goes through here: the transition is checked
     /// against the Fig. 4 table (fsm.hpp) and emitted to the tracer.
     void set_state(FsmState next);
-    Status verify_manifest_now();
     Status verify_firmware_now();
-    /// Common tail of both manifest paths: capability checks, differential
-    /// base lookup, header write (native manifest or padded SUIT envelope),
-    /// pipeline arming. `header_bytes` is what lands at the slot's start;
-    /// the firmware follows immediately after.
-    Status accept_verified_manifest(const manifest::Manifest& m, ByteSpan header_bytes);
+    /// Common tail of both manifest paths: verification (step 9),
+    /// capability checks, differential base lookup, header write (native
+    /// manifest or padded SUIT envelope), pipeline arming. `header_bytes`
+    /// is what lands at the slot's start; the firmware follows it.
+    Status verify_and_accept(verify::ImageHeader header, ByteSpan header_bytes);
     void charge_cpu(double seconds);
 
-    /// Locates the manifest (either wire format) and firmware offset of the
-    /// image in the installed slot — the differential base and the chunk
-    /// have-list both start here.
-    struct InstalledImageInfo {
-        manifest::Manifest manifest;
-        std::uint64_t fw_offset = 0;
-    };
-    Expected<InstalledImageInfo> installed_image_info() const;
+    /// Header of the image in the installed slot (either wire encoding) —
+    /// the differential base and the chunk have-list both start here.
+    Expected<verify::ImageHeader> read_installed_header() const;
 
     /// Chunks the installed image and fills the token's have-list; keeps
     /// the prefix → (offset, length) map so the install plan built at

@@ -60,27 +60,14 @@ Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifes
     }
 
     // Digest over the stored firmware.
-    crypto::Sha256 hasher;
-    Bytes buffer(slot->device->geometry().sector_bytes);
-    std::uint64_t remaining = m.firmware_size;
-    std::uint64_t offset = slot->offset + manifest::kManifestSize;
-    while (remaining > 0) {
-        const std::size_t take = static_cast<std::size_t>(
-            std::min<std::uint64_t>(buffer.size(), remaining));
-        UPKIT_RETURN_IF_ERROR(slot->device->read(offset, MutByteSpan(buffer.data(), take)));
-        hasher.update(ByteSpan(buffer.data(), take));
-        offset += take;
-        remaining -= take;
-    }
+    Bytes scratch;
+    const auto actual = verify::digest_slot(*slot, manifest::kManifestSize, m.firmware_size,
+                                            scratch);
+    if (!actual) return actual.status();
     device_->clock().advance(verifier.backend().costs().sha256_seconds_per_kb *
                              static_cast<double>(m.firmware_size) / 1024.0 *
                              device_->config().platform->cpu_scale());
-    const crypto::Sha256Digest actual = hasher.finalize();
-    if (!ct_equal(ByteSpan(m.digest.data(), m.digest.size()),
-                  ByteSpan(actual.data(), actual.size()))) {
-        return Status::kBadDigest;
-    }
-    return Status::kOk;
+    return verifier.verify_firmware_digest(m, *actual);
 }
 
 Expected<boot::BootReport> McubootModel::boot() {

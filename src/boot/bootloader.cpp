@@ -5,97 +5,36 @@
 namespace upkit::boot {
 
 void Bootloader::charge_cpu(double seconds) {
-    const double scaled = seconds * platform_->cpu_scale();
-    if (clock_ != nullptr) clock_->advance(scaled);
-    if (meter_ != nullptr) {
-        const double hsm_ma = verifier_->backend().costs().active_current_ma;
-        if (hsm_ma > 0) {
-            meter_->charge(sim::Component::kHsm, scaled, hsm_ma);
-        } else {
-            meter_->charge(sim::Component::kCpu, scaled);
-        }
-    }
+    sim::charge_cpu(*platform_, clock_, meter_, seconds,
+                    verifier_->backend().costs().active_current_ma);
 }
 
 std::optional<Bootloader::Candidate> Bootloader::read_candidate(std::uint32_t slot_id) const {
-    const slots::SlotConfig* config = slots_->slot(slot_id);
-    if (config == nullptr) return std::nullopt;
-    Bytes header(suit::kSuitHeaderRegion);
-    if (config->device->read(config->offset, MutByteSpan(header)) != Status::kOk) {
-        return std::nullopt;
-    }
-
-    // Chunked native manifests are variable-length: the chunk table can
-    // extend past the fixed probe region, so learn the true wire size from
-    // the prefix and re-read the full header before parsing.
-    if (auto hinted = manifest::wire_size_hint(header)) {
-        if (*hinted > header.size() && *hinted <= config->size) {
-            header.resize(*hinted);
-            if (config->device->read(config->offset, MutByteSpan(header)) != Status::kOk) {
-                return std::nullopt;
-            }
-        }
-    }
-
-    Candidate candidate;
-    candidate.slot_id = slot_id;
-    if (auto native = manifest::parse_manifest(header)) {
-        candidate.manifest = *native;
-        candidate.firmware_offset = manifest::wire_size(*native);
-        return candidate;
-    }
-    // SUIT-encoded header region (interop mode).
-    if (auto envelope = suit::parse_envelope_prefix(header)) {
-        if (auto converted = suit::to_manifest(*envelope)) {
-            candidate.manifest = *converted;
-            candidate.firmware_offset = suit::kSuitHeaderRegion;
-            candidate.envelope = std::move(*envelope);
-            return candidate;
-        }
-    }
-    return std::nullopt;
+    const slots::SlotConfig* slot = slots_->slot(slot_id);
+    if (slot == nullptr) return std::nullopt;
+    auto header = verify::read_image_header(*slot);
+    if (!header) return std::nullopt;
+    return Candidate{slot_id, std::move(*header)};
 }
 
 Status Bootloader::verify_slot_image(const Candidate& candidate, Bytes& scratch) {
-    const slots::SlotConfig* slot = slots_->slot(candidate.slot_id);
-    const manifest::Manifest& m = candidate.manifest;
+    const slots::SlotConfig& slot = *slots_->slot(candidate.slot_id);
+    const verify::ImageHeader& header = candidate.header;
+    const crypto::BackendCosts& costs = verifier_->backend().costs();
 
-    if (m.app_id != config_.identity.app_id) return Status::kBadAppId;
-    if (m.link_offset != slots::kAnyLinkOffset && m.link_offset != slot->link_offset) {
-        return Status::kBadLinkOffset;
-    }
-    if (candidate.firmware_offset + static_cast<std::uint64_t>(m.firmware_size) >
-        slot->size) {
-        return Status::kSlotTooSmall;
-    }
+    // No token exists after reboot, so the freshness fields are not
+    // re-checked: the server signature bound them, and it is re-verified.
+    UPKIT_RETURN_IF_ERROR(verifier_->check_compatibility(header, config_.identity, slot));
+    // Both ECDSA verifications, priced as one batched pass when the cost
+    // model is calibrated for it.
+    charge_cpu(crypto::double_verify_seconds(costs));
+    UPKIT_RETURN_IF_ERROR(verifier_->verify_signatures(header));
 
-    // Both ECDSA verifications, over whichever TBS encoding the image used;
-    // priced as one batched pass when the cost model is calibrated for it.
-    charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
-    if (candidate.envelope) {
-        UPKIT_RETURN_IF_ERROR(verifier_->verify_suit_envelope(*candidate.envelope));
-    } else {
-        UPKIT_RETURN_IF_ERROR(verifier_->verify_signatures(m));
-    }
-
-    // Digest, streamed from flash in sector-sized reads through the boot's
-    // shared scratch buffer (grown, never shrunk, across candidates).
-    crypto::Sha256 hasher;
-    const std::uint32_t chunk = slot->device->geometry().sector_bytes;
-    if (scratch.size() < chunk) scratch.resize(chunk);
-    std::uint64_t remaining = m.firmware_size;
-    std::uint64_t offset = slot->offset + candidate.firmware_offset;
-    while (remaining > 0) {
-        const std::size_t take =
-            static_cast<std::size_t>(std::min<std::uint64_t>(chunk, remaining));
-        UPKIT_RETURN_IF_ERROR(slot->device->read(offset, MutByteSpan(scratch.data(), take)));
-        hasher.update(ByteSpan(scratch.data(), take));
-        offset += take;
-        remaining -= take;
-    }
-    charge_cpu(verifier_->backend().costs().sha256_seconds_per_kb *
-               static_cast<double>(m.firmware_size) / 1024.0);
-    return verifier_->verify_firmware_digest(m, hasher.finalize());
+    const std::uint32_t size = header.manifest.firmware_size;
+    const auto digest = verify::digest_slot(slot, header.firmware_offset, size, scratch);
+    if (!digest) return digest.status();
+    charge_cpu(costs.sha256_seconds_per_kb * static_cast<double>(size) / 1024.0);
+    return verifier_->verify_firmware_digest(header.manifest, *digest);
 }
 
 Expected<BootReport> Bootloader::boot() {
@@ -143,7 +82,7 @@ Expected<BootReport> Bootloader::boot() {
     // Newest first; bootable slots win ties (no pointless install).
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) {
-                         return a.manifest.version > b.manifest.version;
+                         return a.header.manifest.version > b.header.manifest.version;
                      });
 
     // One sector-sized digest buffer shared by every candidate this boot
@@ -181,10 +120,10 @@ Expected<BootReport> Bootloader::boot() {
             // the previous image survives as the rollback target.
             boot_slot = config_.bootable_slots.front();
             std::uint64_t used =
-                candidate.firmware_offset + candidate.manifest.firmware_size;
+                candidate.header.firmware_offset + candidate.header.manifest.firmware_size;
             if (const auto old = read_candidate(boot_slot)) {
                 used = std::max<std::uint64_t>(
-                    used, old->firmware_offset + old->manifest.firmware_size);
+                    used, old->header.firmware_offset + old->header.manifest.firmware_size);
             }
             const Status swapped = slots_->swap(candidate.slot_id, boot_slot, used);
             if (swapped != Status::kOk) {
@@ -202,12 +141,12 @@ Expected<BootReport> Bootloader::boot() {
             if (confirmed_version_ == 0) {
                 // First ever boot: the factory image is trusted implicitly
                 // (there is nothing to roll back to).
-                confirmed_version_ = candidate.manifest.version;
+                confirmed_version_ = candidate.header.manifest.version;
                 trial_.state = agent::TrialState::kNone;
-            } else if (candidate.manifest.version != confirmed_version_) {
+            } else if (candidate.header.manifest.version != confirmed_version_) {
                 trial_ = TrialRecord{
                     .state = agent::TrialState::kArmed,
-                    .version = candidate.manifest.version,
+                    .version = candidate.header.manifest.version,
                     .slot = boot_slot,
                     .deadline_s = (clock_ != nullptr ? clock_->now() : 0.0) +
                                   config_.confirm_window_s};
@@ -218,7 +157,7 @@ Expected<BootReport> Bootloader::boot() {
         }
 
         report.booted_slot = boot_slot;
-        report.booted = candidate.manifest;
+        report.booted = candidate.header.manifest;
         report.verification_seconds = verification_seconds_;
         report.loading_seconds = loading_seconds_;
         return report;

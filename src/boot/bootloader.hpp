@@ -1,8 +1,10 @@
 // UpKit's bootloader (paper Sect. III-D, IV).
 //
-// After reboot it re-verifies the stored image — the second half of the
-// double verification; the agent's check cannot cover reboots mid-
-// propagation or power loss before verification — and then loads it:
+// After reboot it re-verifies the stored image through the shared verifier
+// (verify::read_image_header, check_compatibility, verify_signatures,
+// digest_slot) — the second half of the double verification; the agent's
+// check cannot cover reboots mid-propagation or power loss before
+// verification — and then loads it:
 //   static mode  one bootable slot; a staged image is swapped in from the
 //                non-bootable slot (the old image becomes the rollback)
 //   A/B mode     two bootable slots; the bootloader jumps to the newest
@@ -106,19 +108,16 @@ public:
     std::uint16_t confirmed_version() const { return confirmed_version_; }
 
 private:
-    /// An image found in a slot: its metadata, where the firmware starts
-    /// (native 200-byte manifest vs padded SUIT envelope region), and the
-    /// parsed envelope when the SUIT encoding is in use (its signatures
-    /// cover the SUIT TBS bytes, so boot-time verification must use it).
+    /// An image found in a slot, in either wire encoding.
     struct Candidate {
         std::uint32_t slot_id = 0;
-        manifest::Manifest manifest;
-        std::uint64_t firmware_offset = manifest::kManifestSize;
-        std::optional<suit::Envelope> envelope;
+        verify::ImageHeader header;
     };
 
     std::optional<Candidate> read_candidate(std::uint32_t slot_id) const;
-    /// `scratch` is the boot-wide sector buffer reused across candidates.
+    /// The second half of the double verification, through the shared
+    /// verifier. `scratch` is the boot-wide sector buffer reused across
+    /// candidates.
     Status verify_slot_image(const Candidate& candidate, Bytes& scratch);
     void charge_cpu(double seconds);
 

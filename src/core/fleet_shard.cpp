@@ -496,9 +496,9 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
 
             // The request occupies a service slot while the server builds
             // the device-bound image (prepare_update is the work product;
-            // the model says what the deployment charges for it — in
-            // measured mode, from the request's ServiceReceipt: signatures
-            // issued, cache hit or miss, payload dispatched). With edges the
+            // the model says what the deployment charges for it, from the
+            // request's ServiceReceipt: signatures issued, delta generated
+            // or not, payload dispatched). With edges the
             // origin still prepares and signs every response — the edge is a
             // payload cache, never a signing authority. The driver is parked
             // at kServer, so its token is stable to read here.

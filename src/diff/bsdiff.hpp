@@ -31,7 +31,4 @@ inline constexpr char kPatchMagic[8] = {'U', 'P', 'D', 'I', 'F', 'F', '1', '\0'}
 /// `new_image`.
 Expected<Bytes> bsdiff(ByteSpan old_image, ByteSpan new_image);
 
-/// Reference non-streaming applier (tests and server-side verification).
-Expected<Bytes> bspatch_all(ByteSpan old_image, ByteSpan patch);
-
 }  // namespace upkit::diff

@@ -89,18 +89,6 @@ std::size_t wire_size(const Manifest& m) {
                      : kManifestSize;
 }
 
-Expected<std::size_t> wire_size_hint(ByteSpan prefix) {
-    if (prefix.size() < 8) return Status::kBadManifest;
-    if (std::memcmp(prefix.data(), kMagic, 4) != 0) return Status::kBadManifest;  // lint: public-data (manifest magic)
-    if (load_le16(prefix.subspan(4, 2)) != kFormatVersion) return Status::kBadManifest;
-    const std::uint16_t flags = load_le16(prefix.subspan(6, 2));
-    if ((flags & kFlagChunked) == 0) return kManifestSize;
-    if (prefix.size() < kManifestSize + 4) return Status::kBadManifest;
-    const std::size_t count = load_le32(prefix.subspan(kManifestSize, 4));
-    if (count > kMaxChunkEntries) return Status::kBadManifest;
-    return kManifestSize + 4 + kChunkEntrySize * count;
-}
-
 std::size_t wire_size_partial(ByteSpan prefix) {
     if (prefix.size() < 8) return 0;
     if (std::memcmp(prefix.data(), kMagic, 4) != 0 ||  // lint: public-data (manifest magic)

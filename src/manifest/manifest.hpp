@@ -157,15 +157,10 @@ Bytes serialize(const Manifest& m);
 /// Wire size `m` serializes to.
 std::size_t wire_size(const Manifest& m);
 
-/// Wire size of the manifest whose first bytes are `prefix`, without a full
-/// parse — how slot readers learn how many header bytes to fetch. Needs the
-/// flags field, plus the chunk count (first 204 bytes) when the chunked
-/// flag is set; returns kBadManifest if the prefix is too short to tell.
-Expected<std::size_t> wire_size_hint(ByteSpan prefix);
-
 /// Incremental framing helper for receivers assembling a manifest from a
-/// byte stream: given the bytes so far, returns the total wire size once it
-/// is determined, or 0 while more bytes are needed to tell. A prefix that
+/// byte stream, and for slot readers sizing a header read: given the bytes
+/// so far, returns the total wire size once it is determined, or 0 while
+/// more bytes are needed to tell. A prefix that
 /// cannot be a chunked manifest (bad magic/format, chunked flag clear)
 /// resolves to the legacy size, so malformed input is still rejected by a
 /// full parse after exactly 200 bytes — the pre-chunk behaviour.

@@ -17,24 +17,12 @@ bool EdgeCache::serve(const UpdateResponse& response) {
         ByteSpan(response.payload.data(), response.payload.size()));
 
     stats_.bytes_served += response.payload.size();
-    if (seen_.contains(key)) {
+    if (!seen_.insert(key).second) {
         ++stats_.cache_hits;
         return true;
     }
-    seen_.emplace(key, true);
     ++stats_.cache_misses;
     stats_.origin_fetch_bytes += response.payload.size() + response.manifest_bytes.size();
-    // One whole-payload chunk: the edge's store dedups identical payloads
-    // across keys (e.g. a full image served both as v2-full and as the
-    // chunked everything-missing case).
-    if (!response.payload.empty()) {
-        std::vector<manifest::ChunkRef> table(1);
-        table[0].offset = 0;
-        table[0].length = static_cast<std::uint32_t>(response.payload.size());
-        table[0].digest = key.payload_digest;
-        (void)store_.ingest(ByteSpan(response.payload.data(), response.payload.size()),
-                            table);
-    }
     return false;
 }
 

@@ -8,9 +8,8 @@
 // *payloads* (token-independent by construction) but never the signed
 // envelope. That split is what the EdgeCache models: payload identity is
 // keyed by the response shape (app, version, differential, old-version,
-// chunked), the bytes live in a content-addressed ChunkStore keyed by the
-// payload's SHA-256, and a miss charges the origin fetch plus backhaul
-// latency while a hit serves from the region.
+// chunked) and the payload's SHA-256, and a miss charges the origin fetch
+// plus backhaul latency while a hit serves from the region.
 //
 // The fleet engine owns per-edge queues and outage domains (a region's
 // ChaosPlan windows down one edge without touching its siblings); this
@@ -18,10 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <set>
 
 #include "crypto/sha256.hpp"
-#include "server/chunk_store.hpp"
 #include "server/update_server.hpp"
 
 namespace upkit::server {
@@ -43,12 +41,11 @@ struct EdgeStats {
 class EdgeCache {
 public:
     /// Accounts one served response. Returns true on a cache hit (payload
-    /// already held), false on a miss (payload ingested, origin charged).
+    /// already held), false on a miss (payload now held, origin charged).
     /// Deterministic: same request sequence, same hits, same stats.
     bool serve(const UpdateResponse& response);
 
     const EdgeStats& stats() const { return stats_; }
-    const ChunkStore::Stats& store_stats() const { return store_.stats(); }
 
 private:
     /// The token-independent identity of a response's payload. Chunked
@@ -65,8 +62,7 @@ private:
         auto operator<=>(const Key&) const = default;
     };
 
-    ChunkStore store_;
-    std::map<Key, bool> seen_;
+    std::set<Key> seen_;
     EdgeStats stats_;
 };
 

@@ -93,30 +93,24 @@ struct ServerStats {
 /// wait in a FIFO admission queue (managed by the fleet engine, which is
 /// where queueing delay and queue-depth statistics are measured).
 ///
-/// Two service-time modes:
-///  - constant (`measured == false`, the historical default): fixed +
-///    per-payload-KB seconds;
-///  - measured (`measured == true`): the per-request time is derived from
-///    what the request actually cost — signatures issued, delta
-///    generated or not, payload dispatched — using the per-operation costs
-///    below, which the caller sets (bench/server_hotpath commits host
-///    medians). Like the constant mode it is a pure function of the
-///    model, so reruns stay byte-identical.
+/// A request's service time is one formula over what it cost, read from
+/// its ServiceReceipt: a fixed part, the signatures issued, the payload
+/// dispatched, and the delta generation when one ran. With the
+/// per-operation costs at zero it is the plain fixed + per-KB charge. The
+/// costs are fields the caller sets (bench/server_hotpath commits host
+/// medians), so the model is a pure function and reruns stay
+/// byte-identical.
 struct ServerModel {
     /// Requests serviced simultaneously; 0 = unbounded (no contention).
     unsigned concurrency = 0;
-    /// Fixed per-request service time (token check, signing, dispatch).
+    /// Fixed per-request service time (token check, cache lookup, dispatch).
     double service_time_s = 0.0;
-    /// Added per KB of response payload (delta derivation, compression, I/O).
+    /// Added per KB of response payload (serialization, compression, I/O).
     double service_per_kb_s = 0.0;
-
-    /// Derive service time from the request's ServiceReceipt instead of
-    /// the constants above.
-    bool measured = false;
-    double sign_s = 0.0;             // per ECDSA signature
-    double delta_gen_per_kb_s = 0.0; // bsdiff + LZSS per KB of input, on a miss
-    double cache_lookup_s = 0.0;     // content-addressed lookup, hit or miss
-    double dispatch_per_kb_s = 0.0;  // serialization + copy per payload KB
+    /// Added per ECDSA signature the request issued.
+    double sign_s = 0.0;
+    /// Added per KB of bsdiff + LZSS input when the request generated a delta.
+    double delta_gen_per_kb_s = 0.0;
 
     /// Seeded fault plan for the deployment (outage windows make the server
     /// unreachable; see sim/chaos.hpp). Not owned — the caller keeps the
@@ -124,22 +118,15 @@ struct ServerModel {
     /// plan itself must not be a member). Null = no faults.
     const sim::ChaosPlan* chaos = nullptr;
 
-    /// Whether the deployment accepts requests at campaign time `t`.
-    bool available_at(double t) const {
-        return chaos == nullptr || !chaos->server_down(t);
-    }
-
+    /// Service time of a request with no receipt (it was refused).
     double service_seconds(std::size_t payload_bytes) const {
         return service_time_s +
                service_per_kb_s * static_cast<double>(payload_bytes) / 1024.0;
     }
 
-    /// Measured-mode service time; falls back to the constant model when
-    /// `measured` is off.
     double service_seconds(const ServiceReceipt& receipt) const {
-        if (!measured) return service_seconds(receipt.payload_bytes);
-        double s = cache_lookup_s + sign_s * receipt.sign_ops +
-                   dispatch_per_kb_s * static_cast<double>(receipt.payload_bytes) / 1024.0;
+        double s = service_time_s + sign_s * receipt.sign_ops +
+                   service_per_kb_s * static_cast<double>(receipt.payload_bytes) / 1024.0;
         if (receipt.delta_attempted) {
             s += delta_gen_per_kb_s *
                  static_cast<double>(receipt.delta_input_bytes) / 1024.0;

@@ -1,6 +1,22 @@
 #include "sim/platform.hpp"
 
+#include "sim/clock.hpp"
+#include "sim/energy.hpp"
+
 namespace upkit::sim {
+
+void charge_cpu(const PlatformProfile& platform, VirtualClock* clock, EnergyMeter* meter,
+                double seconds, double hsm_ma) {
+    const double scaled = seconds * platform.cpu_scale();
+    if (clock != nullptr) clock->advance(scaled);
+    if (meter != nullptr) {
+        if (hsm_ma > 0) {
+            meter->charge(Component::kHsm, scaled, hsm_ma);
+        } else {
+            meter->charge(Component::kCpu, scaled);
+        }
+    }
+}
 
 const PlatformProfile& nrf52840() {
     static constexpr PlatformProfile profile{

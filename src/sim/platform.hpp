@@ -11,6 +11,9 @@
 
 namespace upkit::sim {
 
+class EnergyMeter;
+class VirtualClock;
+
 struct PlatformProfile {
     std::string_view name;
 
@@ -41,6 +44,14 @@ struct PlatformProfile {
     /// Scales a runtime calibrated for a 64 MHz Cortex-M4 to this platform.
     double cpu_scale() const { return 64.0 / cpu_mhz; }
 };
+
+/// Charges `seconds` of CPU work, calibrated for a 64 MHz Cortex-M4, on
+/// `platform`: advances `clock` by the scaled time and bills it to `meter`
+/// as HSM time when `hsm_ma` > 0 (an attached secure element draws that
+/// current while it runs the crypto), else as CPU time. Either of `clock`
+/// and `meter` may be null.
+void charge_cpu(const PlatformProfile& platform, VirtualClock* clock, EnergyMeter* meter,
+                double seconds, double hsm_ma);
 
 /// Nordic nRF52840: 1 MB flash / 256 kB RAM, BLE + 802.15.4.
 const PlatformProfile& nrf52840();

@@ -192,23 +192,4 @@ Expected<manifest::Manifest> to_manifest(const Envelope& envelope) {
     return m;
 }
 
-Status verify_envelope(const Envelope& envelope,
-                       const crypto::PreparedPublicKey& vendor_key,
-                       const crypto::PreparedPublicKey& server_key,
-                       const crypto::CryptoBackend& backend) {
-    auto m = to_manifest(envelope);
-    if (!m) return m.status();
-    if (!backend.verify(vendor_key, crypto::Sha256::digest(vendor_tbs(*m)),
-                        envelope.vendor_signature)) {
-        return Status::kBadVendorSignature;
-    }
-    if (!backend.verify(server_key,
-                        crypto::Sha256::digest(
-                            server_tbs(envelope.manifest_bstr, envelope.vendor_signature)),
-                        envelope.server_signature)) {
-        return Status::kBadServerSignature;
-    }
-    return Status::kOk;
-}
-
 }  // namespace upkit::suit

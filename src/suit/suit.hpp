@@ -29,7 +29,6 @@
 // and verification semantics are identical (tested side by side).
 #pragma once
 
-#include "crypto/backend.hpp"
 #include "crypto/ecdsa.hpp"
 #include "manifest/manifest.hpp"
 #include "suit/cbor.hpp"
@@ -81,19 +80,13 @@ Bytes server_tbs(const Bytes& manifest_bstr, const crypto::Signature& vendor_sig
 Envelope from_manifest(const manifest::Manifest& m, const crypto::PrivateKey& vendor_key,
                        const crypto::PrivateKey& server_key);
 
-/// Parses an envelope (no signature check — that is verify_envelope's job).
+/// Parses an envelope (no signature check — that is the verifier's job:
+/// verify::Verifier::verify_signatures over the header it converts to).
 Expected<Envelope> parse_envelope(ByteSpan data);
 
 /// Parses an envelope from the front of a zero-padded header region (e.g.
 /// the first kSuitHeaderRegion bytes of a slot).
 Expected<Envelope> parse_envelope_prefix(ByteSpan region);
-
-/// Verifies both signatures of a parsed envelope against the prepared
-/// trust-anchor keys.
-Status verify_envelope(const Envelope& envelope,
-                       const crypto::PreparedPublicKey& vendor_key,
-                       const crypto::PreparedPublicKey& server_key,
-                       const crypto::CryptoBackend& backend);
 
 /// Converts a parsed envelope into the native manifest structure (signature
 /// fields carry the SUIT signatures; field checks work unchanged).

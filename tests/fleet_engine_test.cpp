@@ -510,20 +510,19 @@ TEST(FleetEngineTest, VerifyMemoCountersSurfaceInReport) {
     EXPECT_GE(on.verify_memo.hits, 2u * 4u);  // boot re-verifies both signatures
 }
 
-/// The mixed campaign again, but under a measured-mode server model with
-/// fixed per-operation costs, as bench/server_hotpath sets them: service
-/// time now depends on each request's receipt.
+/// The mixed campaign again, but under a server model with per-operation
+/// costs, as bench/server_hotpath sets them: service time now depends on
+/// what each request's receipt says it cost.
 void run_measured_campaign(CampaignRun& out) {
     World world;
     world.add_devices(6, 0x6000, net::ble_gatt());
     world.add_devices(2, 0x6006, net::coap_6lowpan(), 0.3);
     world.env.publish_os_update(2, 77);
     world.env.server.set_model({.concurrency = 2,
-                                .measured = true,
+                                .service_time_s = 1e-5,
+                                .service_per_kb_s = 5e-5,
                                 .sign_s = 2e-4,
-                                .delta_gen_per_kb_s = 1e-3,
-                                .cache_lookup_s = 1e-5,
-                                .dispatch_per_kb_s = 5e-5});
+                                .delta_gen_per_kb_s = 1e-3});
 
     sim::Tracer tracer;
     sim::JsonlSink jsonl(out.trace);

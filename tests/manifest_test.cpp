@@ -287,20 +287,14 @@ TEST(ManifestTest, WireSizeHelpersFrameChunkedHeaders) {
     const Bytes legacy = serialize(sample_manifest());
     const Bytes chunked = serialize(chunked_manifest(5));
 
-    // wire_size_hint: slot readers with the full prefix in hand.
-    EXPECT_EQ(*wire_size_hint(legacy), kManifestSize);
-    EXPECT_EQ(*wire_size_hint(chunked), chunked.size());
-    EXPECT_EQ(*wire_size_hint(ByteSpan(chunked).subspan(0, kManifestSize + 4)),
-              chunked.size());
-    EXPECT_FALSE(wire_size_hint(ByteSpan(chunked).subspan(0, 7)).has_value());
-    EXPECT_FALSE(wire_size_hint(ByteSpan(chunked).subspan(0, 100)).has_value());
-
-    // wire_size_partial: incremental receivers. 0 = keep reading; garbage
-    // frames at the legacy size so the full parse rejects it at 200 bytes.
+    // wire_size_partial frames incremental receivers and slot readers.
+    // 0 = keep reading; garbage frames at the legacy size so the full
+    // parse rejects it at 200 bytes.
     EXPECT_EQ(wire_size_partial(ByteSpan(chunked).subspan(0, 7)), 0u);
     EXPECT_EQ(wire_size_partial(ByteSpan(chunked).subspan(0, 100)), 0u);
     EXPECT_EQ(wire_size_partial(ByteSpan(chunked).subspan(0, kManifestSize + 4)),
               chunked.size());
+    EXPECT_EQ(wire_size_partial(chunked), chunked.size());
     EXPECT_EQ(wire_size_partial(legacy), kManifestSize);
     Bytes garbage(64, 0xAB);
     EXPECT_EQ(wire_size_partial(garbage), kManifestSize);
@@ -311,7 +305,6 @@ TEST(ManifestTest, WireSizeHelpersFrameChunkedHeaders) {
     store_le32(MutByteSpan(bogus.data() + kManifestSize, 4),
                static_cast<std::uint32_t>(kMaxChunkEntries + 1));
     EXPECT_EQ(wire_size_partial(bogus), kManifestSize + 4);
-    EXPECT_FALSE(wire_size_hint(bogus).has_value());
     EXPECT_FALSE(parse_manifest(ByteSpan(bogus).subspan(0, kManifestSize + 4)).has_value());
 }
 

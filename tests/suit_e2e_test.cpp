@@ -137,6 +137,29 @@ TEST(SuitE2eTest, CorruptedStoredSuitImageRollsBack) {
     EXPECT_EQ(report->invalidated.size(), 1u);
 }
 
+TEST(SuitE2eTest, SuitImageTooLargeForSlotRejectedBeforeDownload) {
+    // A SUIT image takes its padded header region plus the firmware. This
+    // firmware would fit behind a 200-byte native manifest but not behind
+    // the 512-byte region, so the agent's slot-fit check must reject the
+    // envelope before any firmware goes over the air.
+    TestEnv env;
+    DeviceConfig config = env.device_config(SlotLayout::kAB);
+    config.slot_size = 64 * 1024;
+    Device device(config);
+    auto factory = env.server.prepare_update(
+        kAppId, {.device_id = testenv::kDeviceId, .nonce = 0, .current_version = 0});
+    ASSERT_TRUE(factory.has_value());
+    ASSERT_EQ(device.provision_factory(*factory), Status::kOk);
+    env.server.set_suit_mode(true);
+    env.publish(2, sim::generate_firmware({.size = 64 * 1024 - 300, .seed = 76}));
+
+    UpdateSession session(device, env.server, net::ble_gatt());
+    const SessionReport report = session.run(kAppId);
+    EXPECT_EQ(report.status, Status::kSlotTooSmall);
+    EXPECT_TRUE(report.rejected_before_download);
+    EXPECT_LT(report.bytes_over_air, 4096u);
+}
+
 TEST(SuitE2eTest, SuitEnvelopeSlightlyLargerThanNative) {
     TestEnv env;
     env.server.set_suit_mode(true);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/status.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
@@ -71,5 +72,9 @@ namespace upkit::diff {
 /// Prefix-doubling suffix array, O(n log^2 n): the oracle SA-IS
 /// (build_suffix_array) is cross-checked against.
 std::vector<std::uint32_t> build_suffix_array_doubling(ByteSpan data);
+
+/// Whole-buffer patch applier over the interleaved bsdiff stream: the
+/// reference the streaming PatchApplier is cross-checked against.
+Expected<Bytes> bspatch_all(ByteSpan old_image, ByteSpan patch);
 
 }  // namespace upkit::diff

@@ -3,7 +3,9 @@
 // the freshness attacks the scheme exists to stop are exercised explicitly.
 #include <gtest/gtest.h>
 
+#include "common/endian.hpp"
 #include "crypto/backend.hpp"
+#include "flash/sim_flash.hpp"
 #include "server/update_server.hpp"
 #include "server/vendor_server.hpp"
 #include "sim/firmware.hpp"
@@ -41,6 +43,32 @@ protected:
         auto response = update_server_.prepare_update(kAppId, token);
         EXPECT_TRUE(response.has_value());
         return std::move(*response);
+    }
+
+    /// The bootloader's half of the double verification over `image`
+    /// written to the start of an erased slot: read the header, check
+    /// compatibility and both signatures, digest the firmware from flash.
+    Status verify_stored(ByteSpan image) {
+        flash::SimFlash flash(flash::FlashGeometry{.size_bytes = slot_.size},
+                              flash::FlashTimings{});
+        EXPECT_EQ(flash.write(0, image), Status::kOk);
+        slots::SlotConfig slot = slot_;
+        slot.device = &flash;
+        const auto header = read_image_header(slot);
+        if (!header) return header.status();
+        UPKIT_RETURN_IF_ERROR(verifier_.check_compatibility(*header, identity_, slot));
+        UPKIT_RETURN_IF_ERROR(verifier_.verify_signatures(*header));
+        Bytes scratch;
+        const auto digest = digest_slot(slot, header->firmware_offset,
+                                        header->manifest.firmware_size, scratch);
+        if (!digest) return digest.status();
+        return verifier_.verify_firmware_digest(header->manifest, *digest);
+    }
+
+    static Bytes stored_image(const server::UpdateResponse& response) {
+        Bytes image = response.manifest_bytes;
+        append(image, response.payload);
+        return image;
     }
 
     static constexpr std::uint32_t kAppId = 0xA11CE;
@@ -274,24 +302,46 @@ TEST_F(VerifierFixture, UnknownBaseVersionFallsBackToFullImage) {
 
 TEST_F(VerifierFixture, StoredImageVerifies) {
     const auto response = fresh_response(token_);
-    EXPECT_EQ(verifier_.verify_stored_image(response.manifest, response.payload, identity_,
-                                            slot_),
-              Status::kOk);
+    EXPECT_EQ(verify_stored(stored_image(response)), Status::kOk);
 }
 
 TEST_F(VerifierFixture, StoredImageTruncationDetected) {
+    // A short write leaves the erased 0xFF in place of the last firmware
+    // byte: the booting device sees a digest mismatch.
     const auto response = fresh_response(token_);
-    const ByteSpan cut = ByteSpan(response.payload).subspan(0, response.payload.size() - 1);
-    EXPECT_EQ(verifier_.verify_stored_image(response.manifest, cut, identity_, slot_),
-              Status::kTruncatedImage);
+    ASSERT_NE(response.payload.back(), 0xFF);
+    const Bytes image = stored_image(response);
+    EXPECT_EQ(verify_stored(ByteSpan(image).subspan(0, image.size() - 1)), Status::kBadDigest);
 }
 
 TEST_F(VerifierFixture, StoredImageBitrotDetected) {
     auto response = fresh_response(token_);
     response.payload[42] ^= 0x10;
-    EXPECT_EQ(verifier_.verify_stored_image(response.manifest, response.payload, identity_,
-                                            slot_),
-              Status::kBadDigest);
+    EXPECT_EQ(verify_stored(stored_image(response)), Status::kBadDigest);
+}
+
+TEST_F(VerifierFixture, ImageHeaderReadStaysInsideSlot) {
+    // A 64 KiB slot at the end of the part, holding a chunked header that
+    // claims the largest table (~160 KiB): framing must not re-read past
+    // the slot — an unbounded read would fail kFlashOutOfBounds — and the
+    // header that cannot fit is rejected as malformed.
+    flash::SimFlash flash(flash::FlashGeometry{.size_bytes = 128 * 1024},
+                          flash::FlashTimings{});
+    const slots::SlotConfig slot{.id = 1,
+                                 .type = slots::SlotType::kNonBootable,
+                                 .device = &flash,
+                                 .offset = 64 * 1024,
+                                 .size = 64 * 1024,
+                                 .link_offset = 0x8000};
+    Manifest m = fresh_response(token_).manifest;
+    m.chunked = true;
+    Bytes header = manifest::serialize(m);
+    store_le32(MutByteSpan(header.data() + manifest::kManifestSize, 4),
+               static_cast<std::uint32_t>(manifest::kMaxChunkEntries));
+    ASSERT_GT(manifest::wire_size_partial(header), slot.size);
+    ASSERT_EQ(flash.write(slot.offset, header), Status::kOk);
+
+    EXPECT_EQ(read_image_header(slot).status(), Status::kBadManifest);
 }
 
 // ------------------------------------------------------------ server misc

@@ -538,6 +538,9 @@ int main(int argc, char** argv) {
         std::printf("%s:%zu: [%s] %s\n", f.path.c_str(), f.line, f.rule_id.c_str(),
                     f.message.c_str());
     }
+    // The summary goes to stderr; flush the findings first so a caller
+    // capturing both streams into one file sees them all ahead of it.
+    std::fflush(stdout);
 
     const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 std::chrono::steady_clock::now() - t0)
