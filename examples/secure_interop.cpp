@@ -56,7 +56,7 @@ int main() {
     }
     const auto backend = crypto::make_tinycrypt_backend();
     const verify::Verifier verifier(*backend, vendor.public_key(),
-                                    suit_server_key.public_key());
+                                    crypto::PreparedPublicKey(suit_server_key.public_key()));
     const Status verdict = verifier.verify_signatures(*header);
     std::printf("SUIT double-signature verification: %s\n",
                 std::string(to_string(verdict)).c_str());

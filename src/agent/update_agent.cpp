@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/endian.hpp"
 #include "diff/cdc.hpp"
 #include "suit/suit.hpp"
 
@@ -33,6 +34,12 @@ UpdateAgent::UpdateAgent(const AgentConfig& config, slots::SlotManager& slots,
 void UpdateAgent::charge_cpu(double seconds) {
     sim::charge_cpu(*platform_, clock_, meter_, seconds,
                     verifier_->backend().costs().active_current_ma);
+}
+
+std::uint32_t UpdateAgent::draw_nonce() {
+    std::array<std::uint8_t, 4> nonce_bytes{};
+    nonce_drbg_.generate(MutByteSpan(nonce_bytes));
+    return load_le32(nonce_bytes);
 }
 
 void UpdateAgent::set_state(FsmState next) {
@@ -71,14 +78,9 @@ Expected<manifest::DeviceToken> UpdateAgent::request_device_token() {
     if (state_ != FsmState::kWaiting && state_ != FsmState::kCleaning) {
         return Status::kFsmBadState;
     }
-    std::array<std::uint8_t, 4> nonce_bytes{};
-    nonce_drbg_.generate(MutByteSpan(nonce_bytes));
     manifest::DeviceToken token;
     token.device_id = config_.identity.device_id;
-    token.nonce = static_cast<std::uint32_t>(nonce_bytes[0]) |
-                  (static_cast<std::uint32_t>(nonce_bytes[1]) << 8) |
-                  (static_cast<std::uint32_t>(nonce_bytes[2]) << 16) |
-                  (static_cast<std::uint32_t>(nonce_bytes[3]) << 24);
+    token.nonce = draw_nonce();
     token.current_version =
         config_.enable_differential ? config_.identity.installed_version : 0;
     prepare_chunk_state(token);
@@ -113,12 +115,7 @@ Expected<manifest::DeviceToken> UpdateAgent::refresh_token() {
     if (state_ != FsmState::kReceiveFirmware || !token_.has_value()) {
         return Status::kFsmBadState;
     }
-    std::array<std::uint8_t, 4> nonce_bytes{};
-    nonce_drbg_.generate(MutByteSpan(nonce_bytes));
-    token_->nonce = static_cast<std::uint32_t>(nonce_bytes[0]) |
-                    (static_cast<std::uint32_t>(nonce_bytes[1]) << 8) |
-                    (static_cast<std::uint32_t>(nonce_bytes[2]) << 16) |
-                    (static_cast<std::uint32_t>(nonce_bytes[3]) << 24);
+    token_->nonce = draw_nonce();
     ++stats_.tokens_refreshed;
     return *token_;
 }

@@ -166,6 +166,8 @@ private:
     /// is what lands at the slot's start; the firmware follows it.
     Status verify_and_accept(verify::ImageHeader header, ByteSpan header_bytes);
     void charge_cpu(double seconds);
+    /// Next token nonce: four DRBG bytes, little-endian.
+    std::uint32_t draw_nonce();
 
     /// Header of the image in the installed slot (either wire encoding) —
     /// the differential base and the chunk have-list both start here.

@@ -54,8 +54,7 @@ Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifes
                             verifier.backend().costs().verify_seconds *
                                 device_->config().platform->cpu_scale());
     const crypto::Sha256Digest tbs = crypto::Sha256::digest(m.vendor_signed_bytes());
-    if (!verifier.backend().verify(crypto::PreparedPublicKey(device_->config().vendor_key), tbs,
-                                   m.vendor_signature)) {
+    if (!verifier.backend().verify(device_->config().vendor_key, tbs, m.vendor_signature)) {
         return Status::kBadVendorSignature;
     }
 

@@ -65,8 +65,11 @@ struct DeviceConfig {
     /// Flash reserved for the (never-updated) bootloader itself.
     std::uint64_t bootloader_reserved = 32 * 1024;
 
-    crypto::PublicKey vendor_key;
-    crypto::PublicKey server_key;
+    /// Trust anchors, as the handles their servers prepared (copying a
+    /// config copies the handles, not the tables). The default is the
+    /// invalid handle: an unset key fails every verification closed.
+    crypto::PreparedPublicKey vendor_key;
+    crypto::PreparedPublicKey server_key;
 
     std::uint64_t seed = 1;  // nonce DRBG seeding (deterministic replay)
 

@@ -52,17 +52,34 @@ SessionDriver::SessionDriver(Device& device, net::Transport& transport,
       e_start_(device.meter().total_millijoules()),
       verify_base_(device.agent().stats().verification_seconds) {}
 
+void SessionDriver::emit(sim::TraceType type, std::uint32_t code, double value,
+                         std::string_view from, std::string_view to) {
+    if (tracer_ == nullptr) return;
+    tracer_->emit(sim::TraceEvent{.t = device_->clock().now() - trace_offset_,
+                                  .device_id = device_->identity().device_id,
+                                  .type = type,
+                                  .from = from,
+                                  .to = to,
+                                  .code = code,
+                                  .value = value});
+}
+
 void SessionDriver::enter_phase(Phase next) {
-    if (tracer_ != nullptr) {
-        tracer_->emit(sim::TraceEvent{.t = device_->clock().now() - trace_offset_,
-                                      .device_id = device_->identity().device_id,
-                                      .type = sim::TraceType::kSessionPhase,
-                                      .from = phase_name(phase_),
-                                      .to = phase_name(next),
-                                      .code = 0,
-                                      .value = 0.0});
-    }
+    emit(sim::TraceType::kSessionPhase, 0, 0.0, phase_name(phase_), phase_name(next));
     phase_ = next;
+}
+
+Expected<boot::BootReport> SessionDriver::reboot() {
+    const double boot_start = device_->clock().now();
+    auto boot_report = device_->reboot();
+    report_.rebooted = true;
+    if (boot_report) {
+        const double boot_elapsed = device_->clock().now() - boot_start;
+        const double boot_verify = device_->bootloader().last_verification_seconds();
+        report_.phases.verification_s += boot_verify;
+        report_.phases.loading_s += boot_elapsed - boot_verify;
+    }
+    return boot_report;
 }
 
 SessionDriver::StepResult SessionDriver::yield(double t0) const {
@@ -91,15 +108,7 @@ SessionDriver::StepResult SessionDriver::finish(Status status) {
     report_.final_version = device_->identity().installed_version;
     report_.energy_mj = device_->meter().total_millijoules() - e_start_;
     enter_phase(Phase::kDone);
-    if (tracer_ != nullptr) {
-        tracer_->emit(sim::TraceEvent{.t = device_->clock().now() - trace_offset_,
-                                      .device_id = device_->identity().device_id,
-                                      .type = sim::TraceType::kSessionEnd,
-                                      .from = {},
-                                      .to = {},
-                                      .code = static_cast<std::uint32_t>(status),
-                                      .value = elapsed});
-    }
+    emit(sim::TraceType::kSessionEnd, static_cast<std::uint32_t>(status), elapsed);
     return StepResult{Want::kFinished, device_->clock().now() - t0};
 }
 
@@ -322,30 +331,15 @@ SessionDriver::StepResult SessionDriver::step() {
             uplink_offset_ = 0;
             resuming_ = true;
             ++report_.token_refreshes;
-            if (tracer_ != nullptr) {
-                tracer_->emit(sim::TraceEvent{
-                    .t = device_->clock().now() - trace_offset_,
-                    .device_id = device_->identity().device_id,
-                    .type = sim::TraceType::kTokenRefresh,
-                    .from = {},
-                    .to = {},
-                    .code = report_.token_refreshes,
-                    .value = 0.0});
-            }
+            emit(sim::TraceType::kTokenRefresh, report_.token_refreshes, 0.0);
             enter_phase(Phase::kSendToken);
             return yield(t0);
         }
 
         case Phase::kReboot: {
             // --- reboot + bootloader verification + loading (steps 15-18) ---
-            const double boot_start = device_->clock().now();
-            auto boot_report = device_->reboot();
-            report_.rebooted = true;
+            auto boot_report = reboot();
             if (!boot_report) return finish(boot_report.status());
-            const double boot_elapsed = device_->clock().now() - boot_start;
-            const double boot_verify = device_->bootloader().last_verification_seconds();
-            report_.phases.verification_s += boot_verify;
-            report_.phases.loading_s += boot_elapsed - boot_verify;
 
             if (boot_report->booted.version != response_->manifest.version) {
                 return finish(Status::kStaleVersion);  // rollback happened
@@ -365,16 +359,7 @@ SessionDriver::StepResult SessionDriver::step() {
                 agent.run_self_test(device_->identity().installed_version);
             if (healthy && device_->bootloader().confirm_boot() == Status::kOk) {
                 report_.confirmed = true;
-                if (tracer_ != nullptr) {
-                    tracer_->emit(sim::TraceEvent{
-                        .t = device_->clock().now() - trace_offset_,
-                        .device_id = device_->identity().device_id,
-                        .type = sim::TraceType::kTrialBoot,
-                        .from = {},
-                        .to = {},
-                        .code = 1,
-                        .value = 0.0});
-                }
+                emit(sim::TraceType::kTrialBoot, 1, 0.0);
                 return finish(Status::kOk);
             }
             enter_phase(Phase::kRollback);
@@ -390,24 +375,10 @@ SessionDriver::StepResult SessionDriver::step() {
             if (device_->clock().now() < deadline) {
                 device_->clock().advance(deadline - device_->clock().now());
             }
-            const double boot_start = device_->clock().now();
-            auto boot_report = device_->reboot();
+            auto boot_report = reboot();
             if (!boot_report) return finish(boot_report.status());
-            const double boot_elapsed = device_->clock().now() - boot_start;
-            const double boot_verify = device_->bootloader().last_verification_seconds();
-            report_.phases.verification_s += boot_verify;
-            report_.phases.loading_s += boot_elapsed - boot_verify;
             report_.rolled_back = boot_report->rolled_back;
-            if (tracer_ != nullptr) {
-                tracer_->emit(sim::TraceEvent{
-                    .t = device_->clock().now() - trace_offset_,
-                    .device_id = device_->identity().device_id,
-                    .type = sim::TraceType::kTrialBoot,
-                    .from = {},
-                    .to = {},
-                    .code = 2,
-                    .value = 0.0});
-            }
+            emit(sim::TraceType::kTrialBoot, 2, 0.0);
             return finish(Status::kSelfTestFailed);
         }
 

@@ -159,7 +159,13 @@ private:
     };
     static std::string_view phase_name(Phase p);
 
+    /// Sends one event for this device to the tracer, if any.
+    void emit(sim::TraceType type, std::uint32_t code, double value,
+              std::string_view from = {}, std::string_view to = {});
     void enter_phase(Phase next);
+    /// Reboots the device and, when it boots, books the boot's
+    /// verification and loading seconds into the report's phases.
+    Expected<boot::BootReport> reboot();
     StepResult finish(Status status);
     StepResult yield(double t0) const;
 

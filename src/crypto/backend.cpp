@@ -35,9 +35,9 @@ struct MemoKeyHash {
 
 struct VerifyMemo {
     std::mutex mu;
-    std::unordered_map<MemoKey, bool, MemoKeyHash> results;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
+    std::unordered_map<MemoKey, bool, MemoKeyHash> results;  // lint: guarded-by(mu)
+    std::uint64_t hits = 0;                                   // lint: guarded-by(mu)
+    std::uint64_t misses = 0;                                 // lint: guarded-by(mu)
 };
 
 VerifyMemo& verify_memo() {

@@ -1,9 +1,5 @@
 #include "crypto/ecdsa.hpp"
 
-#include <list>
-#include <map>
-#include <mutex>
-
 #include "crypto/ct.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/hmac_drbg.hpp"
@@ -19,84 +15,15 @@ U256 digest_to_scalar(const Sha256Digest& digest) {
     return U256::from_be_bytes(ByteSpan(digest.data(), digest.size()));
 }
 
-/// Process-wide LRU intern cache for precomputed wNAF tables, keyed by the
-/// 64-byte key encoding. A simulated fleet provisions every device with the
-/// same vendor + server keys, so without interning a 1000-device campaign
-/// would rebuild the identical table 2000 times. Eviction drops only the
-/// cache's reference: handles pin their table via shared_ptr, so a table
-/// in use outlives its cache slot. All access is serialized by kIntern.mu.
-struct InternCache {
-    using KeyId = std::array<std::uint8_t, kPublicKeySize>;
-    struct Entry {
-        std::list<KeyId>::iterator lru_pos;
-        std::shared_ptr<const P256::Precomputed> table;
-    };
-
-    static constexpr std::size_t kCapacity = 128;
-
-    std::mutex mu;
-    std::list<KeyId> lru;           // lint: guarded-by(mu) — front = most recently used
-    std::map<KeyId, Entry> entries; // lint: guarded-by(mu)
-    InternStats stats;              // lint: guarded-by(mu)
-};
-
-InternCache& intern_cache() {
-    static InternCache cache;
-    return cache;
-}
-
-std::shared_ptr<const P256::Precomputed> interned_table(const PublicKey& key) {
-    InternCache& c = intern_cache();
-    const InternCache::KeyId id = key.to_bytes();
-
-    {
-        std::lock_guard<std::mutex> lock(c.mu);
-        if (auto it = c.entries.find(id); it != c.entries.end()) {
-            c.lru.splice(c.lru.begin(), c.lru, it->second.lru_pos);
-            ++c.stats.hits;
-            return it->second.table;
-        }
-    }
-
-    // Build outside the lock: the table is ~45 group ops + an inversion and
-    // must not serialize unrelated threads. Two threads racing on the same
-    // new key both build; the loser's insert finds the winner's entry and
-    // adopts it, so callers still share one table.
-    auto table = std::make_shared<P256::Precomputed>(
-        P256::instance().precompute(key.point()));
-
-    std::lock_guard<std::mutex> lock(c.mu);
-    if (auto it = c.entries.find(id); it != c.entries.end()) {
-        c.lru.splice(c.lru.begin(), c.lru, it->second.lru_pos);
-        ++c.stats.hits;
-        return it->second.table;
-    }
-    ++c.stats.misses;
-    c.lru.push_front(id);
-    c.entries.emplace(id, InternCache::Entry{c.lru.begin(), table});
-    if (c.entries.size() > InternCache::kCapacity) {
-        c.entries.erase(c.lru.back());
-        c.lru.pop_back();
-        ++c.stats.evictions;
-    }
-    c.stats.size = c.entries.size();
-    return table;
-}
-
 }  // namespace
 
 PreparedPublicKey::PreparedPublicKey(const PublicKey& key) : key_(key) {
     // PublicKey{} is (0, 0), off the curve; its degenerate table would make
     // u2*P vanish and let r = x(k*G), s = z/k verify for any digest.
-    if (P256::instance().on_curve(key.point())) table_ = interned_table(key);
-}
-
-InternStats PreparedPublicKey::intern_stats() {
-    InternCache& c = intern_cache();
-    std::lock_guard<std::mutex> lock(c.mu);
-    InternStats out = c.stats;
-    out.size = c.entries.size();
-    return out;
+    const P256& curve = P256::instance();
+    if (curve.on_curve(key.point())) {
+        table_ = std::make_shared<const P256::Precomputed>(curve.precompute(key.point()));
+    }
 }
 
 Expected<PublicKey> PublicKey::from_point(const AffinePoint& p) {

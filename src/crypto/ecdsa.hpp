@@ -66,46 +66,34 @@ private:
     U256 d_;
 };
 
-/// Counters for the process-wide prepared-table intern cache. Snapshot
-/// semantics: read under the cache lock, returned by value.
-struct InternStats {
-    std::uint64_t hits = 0;        // table served from the cache
-    std::uint64_t misses = 0;      // table built fresh
-    std::uint64_t evictions = 0;   // LRU entries dropped (handles stay live)
-    std::size_t size = 0;          // entries currently cached
-};
-
 /// A public key bundled with its P256::Precomputed wNAF table, built once:
-/// the one key form that verifies. UpKit's vendor and update-server keys are
-/// provisioned for the device's lifetime, so each of the four ECDSA verifies
-/// per update (agent manifest + firmware, bootloader manifest + firmware)
-/// reuses the same table.
+/// the one key form that verifies, and the form a trust anchor travels in.
+/// UpKit's vendor and update-server keys are provisioned for the device's
+/// lifetime, so each server prepares its key once when it is minted (and a
+/// tool once when it loads one), and every device, HSM slot and verifier
+/// holds a copy of that handle: all four ECDSA verifies per update (agent
+/// manifest + firmware, bootloader manifest + firmware) reuse one table.
 ///
 /// It is also the one place a key is validated: a point off the curve —
 /// notably the unset PublicKey{}, (0, 0) — gets no table, so valid() is
 /// false and every verification against it fails closed.
 ///
-/// Tables are interned process-wide behind a mutex: a fleet of simulated
-/// devices sharing the same two trust-anchor keys builds each table exactly
-/// once, from any thread. The cache is a bounded LRU; eviction only drops
-/// the cache's reference — live PreparedPublicKey handles pin their table
-/// through the shared_ptr, so an evicted table stays valid until the last
-/// handle goes away.
+/// Copies share the one immutable table through a shared_ptr, so a fleet
+/// built from one DeviceConfig holds two tables in total, read from any
+/// thread without a lock.
 class PreparedPublicKey {
 public:
     /// Empty handle; valid() is false and verification always fails.
     PreparedPublicKey() = default;
 
-    /// Builds (or fetches from the intern cache) the precomputed table when
-    /// `key` is on the curve; otherwise the handle stays invalid.
+    /// Builds the precomputed table (~45 group ops and an inversion, a few
+    /// hundred microseconds) when `key` is on the curve; otherwise the
+    /// handle stays invalid. Explicit, so no conversion hides that cost.
     explicit PreparedPublicKey(const PublicKey& key);
 
     const PublicKey& key() const { return key_; }
     const P256::Precomputed& table() const { return *table_; }
     bool valid() const { return table_ != nullptr; }
-
-    /// Snapshot of the intern-cache counters (for tests and benchmarks).
-    static InternStats intern_stats();
 
 private:
     PublicKey key_{};

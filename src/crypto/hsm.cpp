@@ -2,7 +2,7 @@
 
 namespace upkit::crypto {
 
-Status Atecc508::provision(unsigned slot, const PublicKey& key) {
+Status Atecc508::provision(unsigned slot, const PreparedPublicKey& key) {
     if (slot >= kKeySlots) return Status::kOutOfRange;
     if (locked_) return Status::kHsmError;
     slots_[slot] = key;
@@ -10,13 +10,13 @@ Status Atecc508::provision(unsigned slot, const PublicKey& key) {
 }
 
 std::optional<PublicKey> Atecc508::key_in_slot(unsigned slot) const {
-    if (slot >= kKeySlots) return std::nullopt;
-    return slots_[slot];
+    if (slot >= kKeySlots || !slots_[slot]) return std::nullopt;
+    return slots_[slot]->key();
 }
 
 bool Atecc508::holds(const PublicKey& key) const {
     for (const auto& slot : slots_) {
-        if (slot && *slot == key) return true;
+        if (slot && slot->key() == key) return true;
     }
     return false;
 }
@@ -26,8 +26,8 @@ Expected<bool> Atecc508::verify(unsigned slot, const Sha256Digest& digest,
     if (slot >= kKeySlots) return Status::kOutOfRange;
     if (!slots_[slot]) return Status::kHsmError;
     ++verify_count_;
-    // The slot key's table is interned, so repeated verifies build it once.
-    return ecdsa_verify(PreparedPublicKey(*slots_[slot]), digest, signature);
+    // The slot holds the handle it was provisioned with: no table is built.
+    return ecdsa_verify(*slots_[slot], digest, signature);
 }
 
 bool CryptoAuthLibBackend::verify(const PreparedPublicKey& key, const Sha256Digest& digest,

@@ -20,8 +20,10 @@ class Atecc508 {
 public:
     static constexpr unsigned kKeySlots = 8;
 
-    /// Stores a public key in `slot`. Fails once the configuration is locked.
-    Status provision(unsigned slot, const PublicKey& key);
+    /// Stores a public key in `slot`, as the prepared handle it was minted
+    /// with: the slot shares that table, so its verifies build none. Fails
+    /// once the configuration is locked.
+    Status provision(unsigned slot, const PreparedPublicKey& key);
 
     /// Locks the data zone: provisioned keys become immutable (the property
     /// UpKit relies on to keep verification keys out of attackers' reach).
@@ -33,7 +35,8 @@ public:
     /// True if `key` is provisioned in any slot.
     bool holds(const PublicKey& key) const;
 
-    /// Hardware ECDSA verify against the key stored in `slot`.
+    /// Hardware ECDSA verify against the key stored in `slot`, through the
+    /// slot's handle.
     Expected<bool> verify(unsigned slot, const Sha256Digest& digest, ByteSpan signature) const;
 
     /// Cumulative number of hardware verify commands issued (telemetry for
@@ -41,7 +44,7 @@ public:
     std::uint64_t verify_count() const { return verify_count_; }
 
 private:
-    std::array<std::optional<PublicKey>, kKeySlots> slots_{};
+    std::array<std::optional<PreparedPublicKey>, kKeySlots> slots_{};
     bool locked_ = false;
     mutable std::uint64_t verify_count_ = 0;
 };

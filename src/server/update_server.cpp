@@ -47,9 +47,9 @@ crypto::Sha256Digest server_signed_wire_digest(const Bytes& wire) {
 
 }  // namespace
 
-void UpdateServer::set_vendor_key(const crypto::PublicKey& key) {
+void UpdateServer::set_vendor_key(const crypto::PreparedPublicKey& key) {
     const std::lock_guard<std::mutex> lock(mu_);
-    vendor_key_ = crypto::PreparedPublicKey(key);
+    vendor_key_ = key;
 }
 
 Status UpdateServer::publish(Release release) {
@@ -57,8 +57,7 @@ Status UpdateServer::publish(Release release) {
     if (vendor_key_.valid()) {
         // Publish-time ingest check: the vendor signature over the release
         // core, and the manifest's firmware digest against the actual
-        // image. The prepared key makes repeated publishes reuse one
-        // interned verification table (see PreparedPublicKey::intern_stats).
+        // image. Every publish verifies through the one held handle.
         const auto tbs = crypto::Sha256::digest(release.manifest.vendor_signed_bytes());
         if (!crypto::ecdsa_verify(vendor_key_, tbs,
                                   ByteSpan(release.manifest.vendor_signature.data(),

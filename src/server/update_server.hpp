@@ -145,17 +145,21 @@ struct KeyRotation {
 
 class UpdateServer {
 public:
+    /// The signing key is derived deterministically from `key_seed`; its
+    /// public half is prepared here, once, as the trust anchor devices
+    /// verify the server signature against.
     explicit UpdateServer(ByteSpan key_seed)
-        : key_(crypto::PrivateKey::generate(key_seed)) {}
+        : key_(crypto::PrivateKey::generate(key_seed)), public_key_(key_.public_key()) {}
 
-    crypto::PublicKey public_key() const { return key_.public_key(); }
+    /// The prepared trust anchor: copies share one verification table.
+    const crypto::PreparedPublicKey& public_key() const { return public_key_; }
 
     /// Trust anchor for publish-time verification. Once set, publish()
     /// rejects releases whose vendor signature or firmware digest does not
     /// check out — a compromised build pipeline is caught at ingest, not on
-    /// ten thousand devices. The key is held in prepared (interned) form,
-    /// so every publish reuses one precomputed verification table.
-    void set_vendor_key(const crypto::PublicKey& key);
+    /// ten thousand devices. The server keeps the vendor's handle, so every
+    /// publish verifies through the table the vendor server prepared.
+    void set_vendor_key(const crypto::PreparedPublicKey& key);
 
     /// Publishes a vendor-signed release. Past versions are retained so
     /// deltas can be derived against whatever a device currently runs.
@@ -299,6 +303,7 @@ private:
     void invalidate_caches();
 
     crypto::PrivateKey key_;
+    crypto::PreparedPublicKey public_key_;
     crypto::PreparedPublicKey vendor_key_;  // invalid until set_vendor_key
     std::map<std::uint32_t, std::map<std::uint16_t, Release>> releases_;  // app -> version
     compress::LzssParams lzss_params_{};

@@ -21,19 +21,15 @@ struct Release {
 
 class VendorServer {
 public:
-    /// The signing key is derived deterministically from `key_seed`.
+    /// The signing key is derived deterministically from `key_seed`; its
+    /// public half is prepared here, once, as the trust anchor devices
+    /// verify releases against.
     explicit VendorServer(ByteSpan key_seed)
-        : key_(crypto::PrivateKey::generate(key_seed)) {}
+        : key_(crypto::PrivateKey::generate(key_seed)), public_key_(key_.public_key()) {}
 
     const crypto::PrivateKey& private_key() const { return key_; }
-    crypto::PublicKey public_key() const { return key_.public_key(); }
-
-    /// The vendor key in prepared (interned) form: verifiers that check
-    /// many releases against the same vendor share one precomputed table
-    /// through the global intern cache.
-    crypto::PreparedPublicKey prepared_public_key() const {
-        return crypto::PreparedPublicKey(key_.public_key());
-    }
+    /// The prepared trust anchor: copies share one verification table.
+    const crypto::PreparedPublicKey& public_key() const { return public_key_; }
 
     struct ReleaseSpec {
         std::uint16_t version = 1;
@@ -50,6 +46,7 @@ public:
 
 private:
     crypto::PrivateKey key_;
+    crypto::PreparedPublicKey public_key_;
 };
 
 }  // namespace upkit::server

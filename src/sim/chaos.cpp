@@ -83,22 +83,6 @@ bool ChaosPlan::server_down(double t) const {
     return false;
 }
 
-double ChaosPlan::server_up_at(double t) const {
-    // Outage windows may overlap; chase the chain until no window covers t.
-    double up = t;
-    bool moved = true;
-    while (moved) {
-        moved = false;
-        for (const auto& w : outages_) {
-            if (in_window(up, w.start_s, w.end_s)) {
-                up = w.end_s;
-                moved = true;
-            }
-        }
-    }
-    return up;
-}
-
 bool ChaosPlan::region_down(unsigned region, double t) const {
     for (const auto& r : region_outages_) {
         if (r.region == region && in_window(t, r.window.start_s, r.window.end_s)) {

@@ -136,8 +136,6 @@ public:
     }
 
     bool server_down(double t) const;
-    /// End of the outage containing `t`; `t` itself when the server is up.
-    double server_up_at(double t) const;
 
     /// Whether regional edge `region` is inside one of its fault windows at
     /// campaign instant `t`. Pure in (seed, region, t): windows are
@@ -175,10 +173,6 @@ public:
     /// re-requested copy always goes through and a seeded rerun replays the
     /// exact same set of poisoned chunks.
     bool payload_chunk_corrupted(std::uint32_t device_id, std::uint32_t chunk_index) const;
-
-    const std::vector<OutageWindow>& outages() const { return outages_; }
-    const std::vector<LossBurst>& loss_bursts() const { return bursts_; }
-    const std::vector<LatencySpike>& latency_spikes() const { return spikes_; }
 
     /// FNV-1a over the serialized plan; equal plans => equal fingerprints
     /// (the rerun-determinism checks compare this alongside the traces).

@@ -63,12 +63,11 @@ Expected<crypto::Sha256Digest> digest_slot(const slots::SlotConfig& slot,
 
 class Verifier {
 public:
-    /// Building the Verifier prepares both trust-anchor keys: their wNAF
-    /// tables are constructed (or fetched from the process-wide intern
-    /// cache) once here, so all four verifies per update — two in the
-    /// agent, two in the bootloader — do zero table construction.
-    Verifier(const crypto::CryptoBackend& backend, const crypto::PublicKey& vendor_key,
-             const crypto::PublicKey& server_key)
+    /// The Verifier keeps the two trust-anchor handles its servers
+    /// prepared, so all four verifies per update — two in the agent, two in
+    /// the bootloader — do zero table construction.
+    Verifier(const crypto::CryptoBackend& backend, const crypto::PreparedPublicKey& vendor_key,
+             const crypto::PreparedPublicKey& server_key)
         : backend_(&backend), vendor_key_(vendor_key), server_key_(server_key) {}
 
     /// Signature checks only: vendor signature (integrity/authenticity) and

@@ -533,13 +533,14 @@ TEST(BackendTest, CostProfilesDiffer) {
 TEST(HsmTest, ProvisionLockAndVerify) {
     auto hsm = std::make_shared<Atecc508>();
     const PrivateKey key = PrivateKey::generate(to_bytes("vendor"));
-    ASSERT_EQ(hsm->provision(0, key.public_key()), Status::kOk);
+    const PreparedPublicKey pub(key.public_key());
+    ASSERT_EQ(hsm->provision(0, pub), Status::kOk);
     hsm->lock();
 
     const auto backend = make_cryptoauthlib_backend(hsm);
     const auto digest = Sha256::digest(to_bytes("fw"));
     const Signature sig = ecdsa_sign(key, digest);
-    EXPECT_TRUE(backend->verify(PreparedPublicKey(key.public_key()), digest, sig));
+    EXPECT_TRUE(backend->verify(pub, digest, sig));
     EXPECT_EQ(hsm->verify_count(), 1u);
 }
 
@@ -547,9 +548,9 @@ TEST(HsmTest, LockedSlotsAreImmutable) {
     Atecc508 hsm;
     const PublicKey a = PrivateKey::generate(to_bytes("a")).public_key();
     const PublicKey b = PrivateKey::generate(to_bytes("b")).public_key();
-    ASSERT_EQ(hsm.provision(1, a), Status::kOk);
+    ASSERT_EQ(hsm.provision(1, PreparedPublicKey(a)), Status::kOk);
     hsm.lock();
-    EXPECT_EQ(hsm.provision(1, b), Status::kHsmError);
+    EXPECT_EQ(hsm.provision(1, PreparedPublicKey(b)), Status::kHsmError);
     EXPECT_TRUE(hsm.key_in_slot(1).has_value());
     EXPECT_TRUE(*hsm.key_in_slot(1) == a);
 }
@@ -567,7 +568,7 @@ TEST(HsmTest, UnprovisionedKeyCannotVerify) {
 
 TEST(HsmTest, SlotBoundsChecked) {
     Atecc508 hsm;
-    const PublicKey k = PrivateKey::generate(to_bytes("k")).public_key();
+    const PreparedPublicKey k(PrivateKey::generate(to_bytes("k")).public_key());
     EXPECT_EQ(hsm.provision(Atecc508::kKeySlots, k), Status::kOutOfRange);
     EXPECT_FALSE(hsm.key_in_slot(99).has_value());
 }

@@ -732,23 +732,24 @@ TEST(P256DiffTest, Verify2RejectsForgedCancellationPair) {
 // ------------------------------------------------------ ECDSA verify paths
 
 TEST(P256DiffTest, PreparedKeysShareInternedTables) {
-    // Two PreparedPublicKey instances for the same key bytes must be usable
-    // interchangeably (the intern cache hands out one shared table). Runs
-    // before VerifyVariantsAgree, whose 256 distinct keys exhaust the
-    // bounded intern cache — later keys get private (unshared) tables by
-    // design.
+    // A trust anchor is prepared once and travels by handle: a copy shares
+    // its table, and a handle prepared independently for the same key
+    // builds an equal table that verifies the same signatures.
     Rng rng(0x5EED000C);
     const PrivateKey key = PrivateKey::generate(rng.bytes(32));
     const PublicKey pub = key.public_key();
     const PreparedPublicKey a(pub);
+    const PreparedPublicKey copy = a;
     const PreparedPublicKey b(pub);
     ASSERT_TRUE(a.valid());
+    ASSERT_TRUE(copy.valid());
     ASSERT_TRUE(b.valid());
-    EXPECT_EQ(&a.table(), &b.table());
+    EXPECT_EQ(&a.table(), &copy.table());
 
     const Sha256Digest digest = Sha256::digest(rng.bytes(48));
     const Signature sig = ecdsa_sign(key, digest);
     EXPECT_TRUE(ecdsa_verify(a, digest, sig));
+    EXPECT_TRUE(ecdsa_verify(copy, digest, sig));
     EXPECT_TRUE(ecdsa_verify(b, digest, sig));
 
     // A default-constructed (table-less) handle fails closed.

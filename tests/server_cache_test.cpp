@@ -275,7 +275,7 @@ TEST(ServerCacheTest, ResponseCacheHitDiffersOnlyInTokenFieldsAndSignature) {
     for (const auto& r : {*a, *b}) {
         const auto digest = crypto::Sha256::digest(r.manifest.server_signed_bytes());
         EXPECT_TRUE(crypto::ecdsa_verify(
-            crypto::PreparedPublicKey(env.server.public_key()), digest,
+            env.server.public_key(), digest,
             ByteSpan(r.manifest.server_signature.data(), crypto::kSignatureSize)));
     }
 }
@@ -427,32 +427,48 @@ TEST(ServerCacheTest, ReceiptsAccountForSignaturesAndRequests) {
 
 TEST(ServerCacheTest, PublishVerifiesReleasesThroughInternedVendorKey) {
     TestEnv env;
-    env.server.set_vendor_key(env.vendor.public_key());
+    const crypto::PreparedPublicKey held = env.vendor.public_key();
+    env.server.set_vendor_key(held);
 
-    // set_vendor_key interned the table once; every publish verifies
-    // against that held handle, so the whole sequence builds at most one
-    // table (zero if an earlier test in this process already interned it).
-    const auto before = crypto::PreparedPublicKey::intern_stats();
+    // The update server keeps the vendor server's handle: every publish
+    // verifies through the one table the vendor server prepared.
     env.publish_os_update(2, 61);
     env.publish_os_update(3, 62);
     env.publish_os_update(4, 63);
-    const auto after = crypto::PreparedPublicKey::intern_stats();
-
     EXPECT_EQ(env.server.stats().publish_verifies, 3u);
-    EXPECT_EQ(after.misses, before.misses);  // no table rebuilt per publish
 
-    // The table the server holds is the interned one: preparing the same
-    // key again is a pure cache hit, shared with any other verifier.
-    const crypto::PreparedPublicKey again(env.vendor.public_key());
-    EXPECT_TRUE(again.valid());
-    const auto reprepared = crypto::PreparedPublicKey::intern_stats();
-    EXPECT_EQ(reprepared.hits, after.hits + 1);
-    EXPECT_EQ(reprepared.misses, after.misses);
+    // Fetching the vendor key again hands out that same table.
+    const crypto::PreparedPublicKey again = env.vendor.public_key();
+    ASSERT_TRUE(again.valid());
+    EXPECT_EQ(&again.table(), &held.table());
 
     // The verified releases serve updates normally.
     const auto response = env.server.prepare_update(kAppId, token_for(0x9001, 71, 1));
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->manifest.version, 4u);
+}
+
+TEST(ServerCacheTest, ServersHandOutOnePreparedKey) {
+    // Each server prepares its key once, in its constructor: every
+    // public_key() call hands out a handle to that one table, and devices
+    // built from one config share it instead of preparing their own.
+    TestEnv env;
+    const crypto::PreparedPublicKey vendor_a = env.vendor.public_key();
+    const crypto::PreparedPublicKey vendor_b = env.vendor.public_key();
+    const crypto::PreparedPublicKey server_a = env.server.public_key();
+    const crypto::PreparedPublicKey server_b = env.server.public_key();
+    ASSERT_TRUE(vendor_a.valid() && server_a.valid());
+    EXPECT_EQ(&vendor_a.table(), &vendor_b.table());
+    EXPECT_EQ(&server_a.table(), &server_b.table());
+    EXPECT_NE(&vendor_a.table(), &server_a.table());
+
+    const core::DeviceConfig config = env.device_config();
+    const core::Device first(config);
+    const core::Device second(config);
+    EXPECT_EQ(&first.config().vendor_key.table(), &vendor_a.table());
+    EXPECT_EQ(&second.config().vendor_key.table(), &vendor_a.table());
+    EXPECT_EQ(&first.config().server_key.table(), &server_a.table());
+    EXPECT_EQ(&second.config().server_key.table(), &server_a.table());
 }
 
 TEST(ServerCacheTest, PublishRejectsTamperedReleases) {

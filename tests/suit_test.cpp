@@ -149,7 +149,8 @@ struct SuitKeys {
 Status check_signatures(const Envelope& envelope, const crypto::PublicKey& vendor_key,
                         const crypto::PublicKey& server_key) {
     const auto backend = crypto::make_tinycrypt_backend();
-    const verify::Verifier verifier(*backend, vendor_key, server_key);
+    const verify::Verifier verifier(*backend, crypto::PreparedPublicKey(vendor_key),
+                                    crypto::PreparedPublicKey(server_key));
     const auto header = verify::ImageHeader::from_envelope(envelope);
     if (!header) return header.status();
     return verifier.verify_signatures(*header);

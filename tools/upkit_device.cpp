@@ -173,7 +173,8 @@ int main(int argc, char** argv) {
         if (!server_key) die("cannot load server public key");
 
         const auto backend = crypto::make_tinycrypt_backend();
-        const verify::Verifier verifier(*backend, *vendor_key, *server_key);
+        const verify::Verifier verifier(*backend, crypto::PreparedPublicKey(*vendor_key),
+                                        crypto::PreparedPublicKey(*server_key));
         slots::SlotManager manager = make_slots(*device);
 
         boot::BootConfig config;
