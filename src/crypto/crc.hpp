@@ -4,6 +4,8 @@
 // verification (TinyOS/Deluge, Sparrow) *insufficient* against tampering.
 // They are implemented here for the baseline comparators and for the
 // attack-scenario experiments that demonstrate exactly that insufficiency.
+// crc32 also guards the swap journal's records and sector copies against
+// torn writes (slots/), which is why it runs slice-by-8.
 #pragma once
 
 #include <cstdint>

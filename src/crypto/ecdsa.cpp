@@ -261,7 +261,7 @@ bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
     const auto verdict = curve.verify2_combination(  // lint: public-scalar (sig components)
         u1, u2, key1.table(), r1, u3, u4, key2.table(), r2, gamma);
     if (verdict) return *verdict;
-    // Undecidable lift corner (~2^-32 of signatures): sequential verifies.
+    // Undecidable lift corner (under 2^-130 of signatures): sequential verifies.
     return ecdsa_verify(key1, digest1, signature1) &&
            ecdsa_verify(key2, digest2, signature2);
 }

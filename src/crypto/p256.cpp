@@ -475,8 +475,8 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
     const U256 a = fn_.add(u1r, fn_.mul(gm, u3r));
     const U256 c = fn_.mul(gm, u4r);
 
-    // Lift R2 from r2's x-candidates {r2, r2 + n} (both < p possible only
-    // for r2 < p - n ~ 2^-32 of the range). Zero liftable candidates means
+    // Lift R2 from r2's x-candidates {r2, r2 + n} (both < p only for
+    // r2 < p - n, about 2^-130 of the range). Zero liftable candidates means
     // signature 2 cannot verify for any lift — exactly the sequential
     // verdict. Two liftable candidates is the undecidable corner.
     const auto lift = [&](const U256& x_plain, Jacobian& out) {

@@ -153,7 +153,7 @@ public:
     ///
     /// gamma must be in [1, 2^64). Returns nullopt for the one undecidable
     /// corner (both r2 and r2 + n are x-coordinates of curve points, which
-    /// needs r2 + n < p — a ~2^-32 slice of signatures); callers fall back
+    /// needs r2 + n < p — about 2^-130 of signatures); callers fall back
     /// to two sequential verifies there. Variable-time; PUBLIC inputs only.
     std::optional<bool> verify2_combination(const U256& u1, const U256& u2,
                                             const Precomputed& p1, const U256& r1,

@@ -1,7 +1,27 @@
 #include "crypto/sha256.hpp"
 
 #include <bit>
+#include <cstdlib>
 #include <cstring>
+
+#include "crypto/ct.hpp"
+
+// The hardware kernels compile with per-function target attributes, so the
+// library builds for any CPU of the architecture and picks one at run time.
+// Under MemorySanitizer (UPKIT_CT_MSAN) they are left out altogether.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && !defined(UPKIT_CT_MSAN)
+#include <cpuid.h>
+#include <immintrin.h>
+#define UPKIT_SHA_X86 1
+#endif
+
+#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__)) && !defined(UPKIT_CT_MSAN)
+#include <arm_neon.h>
+#if defined(__linux__)
+#include <sys/auxv.h>
+#endif
+#define UPKIT_SHA_NEON 1
+#endif
 
 namespace upkit::crypto {
 
@@ -24,9 +44,9 @@ void Sha256::reset() {
     total_bytes_ = 0;
 }
 
-// Fully unrolled compression. The 8-word working state rotates through the
-// round macro's arguments instead of shuffling registers, and the message
-// schedule is a 16-word ring updated in place.
+// The generic kernel, fully unrolled. The 8-word working state rotates
+// through the round macro's arguments instead of shuffling registers, and
+// the message schedule is a 16-word ring updated in place.
 #define UPKIT_SHA_BSIG0(x) (rotr((x), 2) ^ rotr((x), 13) ^ rotr((x), 22))
 #define UPKIT_SHA_BSIG1(x) (rotr((x), 6) ^ rotr((x), 11) ^ rotr((x), 25))
 #define UPKIT_SHA_SSIG0(x) (rotr((x), 7) ^ rotr((x), 18) ^ ((x) >> 3))
@@ -52,8 +72,8 @@ void Sha256::reset() {
     R((i) + 6, c, d, e, f, g, h, a, b)               \
     R((i) + 7, b, c, d, e, f, g, h, a)
 
-void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
-                     std::size_t blocks) {
+void sha256_compress_generic(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                             std::size_t blocks) {
     std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
     std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
@@ -94,6 +114,164 @@ void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* da
 #undef UPKIT_SHA_SSIG0
 #undef UPKIT_SHA_BSIG1
 #undef UPKIT_SHA_BSIG0
+
+namespace {
+
+#if defined(UPKIT_SHA_X86)
+
+/// SHA-NI block compression: two sha256rnds2 per group of four rounds, the
+/// schedule extended by sha256msg1/msg2 in a ring of four word groups.
+__attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t state[8],
+                                                          const std::uint8_t* data,
+                                                          std::size_t blocks) {
+    const __m128i kShuf =
+        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+    // Repack the linear a..h state into the ABEF / CDGH register layout
+    // sha256rnds2 expects.
+    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+    __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+    tmp = _mm_shuffle_epi32(tmp, 0xB1);
+    state1 = _mm_shuffle_epi32(state1, 0x1B);
+    __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);
+    state1 = _mm_blend_epi16(state1, tmp, 0xF0);
+
+    while (blocks-- > 0) {
+        const __m128i save0 = state0;
+        const __m128i save1 = state1;
+        __m128i msgs[4];
+        for (int g = 0; g < 16; ++g) {
+            if (g < 4) {
+                msgs[g] = _mm_shuffle_epi8(
+                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+                    kShuf);
+            } else {
+                // W[g] from the ring of the previous four word groups.
+                msgs[g & 3] = _mm_sha256msg2_epu32(
+                    _mm_add_epi32(_mm_sha256msg1_epu32(msgs[g & 3], msgs[(g - 3) & 3]),
+                                  _mm_alignr_epi8(msgs[(g - 1) & 3], msgs[(g - 2) & 3], 4)),
+                    msgs[(g - 1) & 3]);
+            }
+            __m128i msg = _mm_add_epi32(
+                msgs[g & 3],
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * g])));
+            state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+            msg = _mm_shuffle_epi32(msg, 0x0E);
+            state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
+        }
+        state0 = _mm_add_epi32(state0, save0);
+        state1 = _mm_add_epi32(state1, save1);
+        data += kSha256BlockSize;
+    }
+
+    tmp = _mm_shuffle_epi32(state0, 0x1B);
+    state1 = _mm_shuffle_epi32(state1, 0xB1);
+    state0 = _mm_blend_epi16(tmp, state1, 0xF0);
+    state1 = _mm_alignr_epi8(state1, tmp, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
+}
+
+bool cpu_has_sha_ni() {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    if ((ebx & (1u << 29)) == 0) return false;  // CPUID.7.0:EBX.SHA
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+    return (ecx & (1u << 19)) != 0;  // SSE4.1 (blend/alignr paths)
+}
+
+#endif  // UPKIT_SHA_X86
+
+#if defined(UPKIT_SHA_NEON)
+
+__attribute__((target("+crypto"))) void compress_neon(std::uint32_t state[8],
+                                                      const std::uint8_t* data,
+                                                      std::size_t blocks) {
+    uint32x4_t state0 = vld1q_u32(&state[0]);
+    uint32x4_t state1 = vld1q_u32(&state[4]);
+    while (blocks-- > 0) {
+        const uint32x4_t save0 = state0;
+        const uint32x4_t save1 = state1;
+        uint32x4_t msgs[4];
+        for (int g = 0; g < 16; ++g) {
+            if (g < 4) {
+                msgs[g] = vreinterpretq_u32_u8(vrev32q_u8(vld1q_u8(data + 16 * g)));
+            } else {
+                msgs[g & 3] = vsha256su1q_u32(vsha256su0q_u32(msgs[g & 3], msgs[(g - 3) & 3]),
+                                              msgs[(g - 2) & 3], msgs[(g - 1) & 3]);
+            }
+            const uint32x4_t wk = vaddq_u32(msgs[g & 3], vld1q_u32(&kSha256K[4 * g]));
+            const uint32x4_t prev0 = state0;
+            state0 = vsha256hq_u32(state0, state1, wk);
+            state1 = vsha256h2q_u32(state1, prev0, wk);
+        }
+        state0 = vaddq_u32(state0, save0);
+        state1 = vaddq_u32(state1, save1);
+        data += kSha256BlockSize;
+    }
+    vst1q_u32(&state[0], state0);
+    vst1q_u32(&state[4], state1);
+}
+
+bool cpu_has_neon_sha2() {
+#if defined(__linux__)
+#ifndef HWCAP_SHA2
+    constexpr unsigned long kHwcapSha2 = 1ul << 6;
+#else
+    constexpr unsigned long kHwcapSha2 = HWCAP_SHA2;
+#endif
+    return (getauxval(AT_HWCAP) & kHwcapSha2) != 0;
+#else
+    return false;
+#endif
+}
+
+#endif  // UPKIT_SHA_NEON
+
+/// UPKIT_FORCE_SCALAR_SHA set to anything but "" / "0" pins the generic
+/// kernel.
+bool force_generic() {
+    const char* e = std::getenv("UPKIT_FORCE_SCALAR_SHA");
+    return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
+}
+
+}  // namespace
+
+Sha256Impl sha256_impl() {
+    static const Sha256Impl impl = [] {
+        if (force_generic()) return Sha256Impl::kGeneric;
+#if defined(UPKIT_SHA_X86)
+        if (cpu_has_sha_ni()) return Sha256Impl::kShaNi;
+#endif
+#if defined(UPKIT_SHA_NEON)
+        if (cpu_has_neon_sha2()) return Sha256Impl::kNeon;
+#endif
+        return Sha256Impl::kGeneric;
+    }();
+    return impl;
+}
+
+const char* sha256_impl_name(Sha256Impl impl) {
+    switch (impl) {
+        case Sha256Impl::kShaNi: return "sha-ni";
+        case Sha256Impl::kNeon: return "neon";
+        case Sha256Impl::kGeneric: break;
+    }
+    return "generic";
+}
+
+void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                     std::size_t blocks) {
+    switch (sha256_impl()) {
+#if defined(UPKIT_SHA_X86)
+        case Sha256Impl::kShaNi: compress_shani(state.data(), data, blocks); return;
+#endif
+#if defined(UPKIT_SHA_NEON)
+        case Sha256Impl::kNeon: compress_neon(state.data(), data, blocks); return;
+#endif
+        default: break;
+    }
+    sha256_compress_generic(state, data, blocks);
+}
 
 void Sha256::update(ByteSpan data) {
     if (data.empty()) return;  // empty spans may carry a null data pointer

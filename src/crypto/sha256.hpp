@@ -19,8 +19,8 @@ inline constexpr std::size_t kSha256BlockSize = 64;
 using Sha256Digest = std::array<std::uint8_t, kSha256DigestSize>;
 
 /// FIPS 180-4 round constants and initial hash value, shared by every
-/// SHA-256 kernel in the repo (the single-stream one below and the
-/// multi-buffer lanes of sha256x4).
+/// SHA-256 kernel in the repo (the generic and hardware compressions below
+/// and the multi-buffer lanes of sha256x4).
 inline constexpr std::array<std::uint32_t, 64> kSha256K = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
     0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
@@ -33,11 +33,33 @@ inline constexpr std::array<std::uint32_t, 64> kSha256K = {
 inline constexpr std::array<std::uint32_t, 8> kSha256Init = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-/// Unrolled compression over `blocks` consecutive 64-byte blocks: working
-/// state lives in registers across the whole run, the schedule is a 16-word
-/// ring, message words load 4 bytes at a time. No padding — callers own it.
+/// The compression kernels a process can run.
+enum class Sha256Impl { kGeneric, kShaNi, kNeon };
+
+/// The kernel sha256_compress dispatches to, chosen once per process at
+/// first use: the x86-64 SHA extensions or the ARMv8 SHA2 instructions when
+/// the CPU has them (CPUID / hwcaps), the generic kernel otherwise.
+/// UPKIT_FORCE_SCALAR_SHA, set to anything but "" or "0" when the choice is
+/// made, pins the generic kernel; it is read then and never again. Under
+/// MemorySanitizer (ct.hpp) the hardware kernels are not compiled, so the
+/// ctcheck build audits instrumented C++ rather than intrinsics.
+Sha256Impl sha256_impl();
+
+/// Stable short name for reports ("generic", "sha-ni", "neon").
+const char* sha256_impl_name(Sha256Impl impl);
+
+/// Compresses `blocks` consecutive 64-byte blocks into `state` through the
+/// dispatched kernel: the one SHA-256 block entry every digest, HMAC and
+/// multi-buffer lane in the repo runs. No padding — callers own it.
 void sha256_compress(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
                      std::size_t blocks);
+
+/// The portable kernel, whatever the dispatch chose: fully unrolled, working
+/// state in registers across the whole run, the schedule a 16-word ring,
+/// message words loaded 4 bytes at a time. Tests and benches name it to
+/// compare it with the dispatched kernel.
+void sha256_compress_generic(std::array<std::uint32_t, 8>& state, const std::uint8_t* data,
+                             std::size_t blocks);
 
 /// Incremental SHA-256. Usable in streaming contexts (the update agent
 /// digests firmware chunks as they arrive from the transport).

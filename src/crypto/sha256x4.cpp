@@ -1,21 +1,6 @@
 #include "crypto/sha256x4.hpp"
 
-#include <cstdlib>
 #include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <cpuid.h>
-#include <immintrin.h>
-#define UPKIT_SHA4_X86 1
-#endif
-
-#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#include <arm_neon.h>
-#if defined(__linux__)
-#include <sys/auxv.h>
-#endif
-#define UPKIT_SHA4_NEON 1
-#endif
 
 namespace upkit::crypto {
 
@@ -65,31 +50,6 @@ void store_digest(const std::array<std::uint32_t, 8>& state, Sha256Digest& out) 
         out[4 * i + 3] = static_cast<std::uint8_t>(state[i]);
     }
 }
-
-#if defined(UPKIT_SHA4_X86) || defined(UPKIT_SHA4_NEON)
-/// One stream through a multi-block hardware kernel: every whole block
-/// straight from the span, then the one or two padding blocks (0x80,
-/// zeros, 64-bit bit length) from a stack tail.
-void digest_stream(ByteSpan in, Sha256Digest& out,
-                   void (*compress)(std::uint32_t*, const std::uint8_t*, std::size_t)) {
-    std::array<std::uint32_t, 8> state = kSha256Init;
-    const std::size_t full = in.size() / kSha256BlockSize;
-    compress(state.data(), in.data(), full);
-    const std::size_t rem = in.size() - full * kSha256BlockSize;
-    std::uint8_t tail[2 * kSha256BlockSize];
-    std::memset(tail, 0, sizeof(tail));
-    if (rem > 0) std::memcpy(tail, in.data() + full * kSha256BlockSize, rem);
-    tail[rem] = 0x80;
-    const std::size_t tail_blocks = rem < 56 ? 1 : 2;
-    const std::uint64_t bits = static_cast<std::uint64_t>(in.size()) * 8;
-    for (unsigned i = 0; i < 8; ++i) {
-        tail[tail_blocks * kSha256BlockSize - 8 + i] =
-            static_cast<std::uint8_t>(bits >> (56 - 8 * i));
-    }
-    compress(state.data(), tail, tail_blocks);
-    store_digest(state, out);
-}
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define UPKIT_SHA4_VEC 1
@@ -145,7 +105,9 @@ void compress4(std::uint32_t st[8][4], const std::uint8_t* const p[4]) {
 }
 #endif  // UPKIT_SHA4_VEC
 
-void digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) {
+}  // namespace
+
+void sha256x4_digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) {
     LaneStream lanes[4];
     std::size_t max_blocks = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -171,12 +133,12 @@ void digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) 
 #endif
         // Straggler lanes (ragged lengths, or count < 4, or no vector
         // extensions): column-extract the lane's state and run it through
-        // the single-stream kernel.
+        // the generic single-stream kernel.
         for (std::size_t i = 0; i < count; ++i) {
             if (b >= lanes[i].blocks) continue;
             std::array<std::uint32_t, 8> s;
             for (unsigned j = 0; j < 8; ++j) s[j] = st[j][i];
-            sha256_compress(s, lanes[i].block(b, scratch[i]), 1);
+            sha256_compress_generic(s, lanes[i].block(b, scratch[i]), 1);
             for (unsigned j = 0; j < 8; ++j) st[j][i] = s[j];
         }
     }
@@ -187,173 +149,18 @@ void digest_generic(const ByteSpan* data, Sha256Digest* out, std::size_t count) 
     }
 }
 
-#if defined(UPKIT_SHA4_X86)
-
-/// SHA-NI block compression. One sha256rnds2 stream already saturates the
-/// SHA unit, so the multi-buffer entry runs the four streams sequentially
-/// through this kernel rather than interleaving them.
-__attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t state[8],
-                                                          const std::uint8_t* data,
-                                                          std::size_t blocks) {
-    const __m128i kShuf =
-        _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
-    // Repack the linear a..h state into the ABEF / CDGH register layout
-    // sha256rnds2 expects.
-    __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-    __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-    tmp = _mm_shuffle_epi32(tmp, 0xB1);
-    state1 = _mm_shuffle_epi32(state1, 0x1B);
-    __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);
-    state1 = _mm_blend_epi16(state1, tmp, 0xF0);
-
-    while (blocks-- > 0) {
-        const __m128i save0 = state0;
-        const __m128i save1 = state1;
-        __m128i msgs[4];
-        for (int g = 0; g < 16; ++g) {
-            if (g < 4) {
-                msgs[g] = _mm_shuffle_epi8(
-                    _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
-                    kShuf);
-            } else {
-                // W[g] from the ring of the previous four word groups.
-                msgs[g & 3] = _mm_sha256msg2_epu32(
-                    _mm_add_epi32(_mm_sha256msg1_epu32(msgs[g & 3], msgs[(g - 3) & 3]),
-                                  _mm_alignr_epi8(msgs[(g - 1) & 3], msgs[(g - 2) & 3], 4)),
-                    msgs[(g - 1) & 3]);
-            }
-            __m128i msg = _mm_add_epi32(
-                msgs[g & 3],
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kSha256K[4 * g])));
-            state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
-            msg = _mm_shuffle_epi32(msg, 0x0E);
-            state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
-        }
-        state0 = _mm_add_epi32(state0, save0);
-        state1 = _mm_add_epi32(state1, save1);
-        data += kSha256BlockSize;
-    }
-
-    tmp = _mm_shuffle_epi32(state0, 0x1B);
-    state1 = _mm_shuffle_epi32(state1, 0xB1);
-    state0 = _mm_blend_epi16(tmp, state1, 0xF0);
-    state1 = _mm_alignr_epi8(state1, tmp, 8);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), state0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), state1);
-}
-
-bool cpu_has_sha_ni() {
-    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-    if ((ebx & (1u << 29)) == 0) return false;  // CPUID.7.0:EBX.SHA
-    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-    return (ecx & (1u << 19)) != 0;  // SSE4.1 (blend/alignr paths)
-}
-
-#endif  // UPKIT_SHA4_X86
-
-#if defined(UPKIT_SHA4_NEON)
-
-__attribute__((target("+crypto"))) void compress_neon(std::uint32_t state[8],
-                                                      const std::uint8_t* data,
-                                                      std::size_t blocks) {
-    uint32x4_t state0 = vld1q_u32(&state[0]);
-    uint32x4_t state1 = vld1q_u32(&state[4]);
-    while (blocks-- > 0) {
-        const uint32x4_t save0 = state0;
-        const uint32x4_t save1 = state1;
-        uint32x4_t msgs[4];
-        for (int g = 0; g < 16; ++g) {
-            if (g < 4) {
-                msgs[g] = vreinterpretq_u32_u8(vrev32q_u8(vld1q_u8(data + 16 * g)));
-            } else {
-                msgs[g & 3] = vsha256su1q_u32(vsha256su0q_u32(msgs[g & 3], msgs[(g - 3) & 3]),
-                                              msgs[(g - 2) & 3], msgs[(g - 1) & 3]);
-            }
-            const uint32x4_t wk = vaddq_u32(msgs[g & 3], vld1q_u32(&kSha256K[4 * g]));
-            const uint32x4_t prev0 = state0;
-            state0 = vsha256hq_u32(state0, state1, wk);
-            state1 = vsha256h2q_u32(state1, prev0, wk);
-        }
-        state0 = vaddq_u32(state0, save0);
-        state1 = vaddq_u32(state1, save1);
-        data += kSha256BlockSize;
-    }
-    vst1q_u32(&state[0], state0);
-    vst1q_u32(&state[4], state1);
-}
-
-bool cpu_has_neon_sha2() {
-#if defined(__linux__)
-#ifndef HWCAP_SHA2
-    constexpr unsigned long kHwcapSha2 = 1ul << 6;
-#else
-    constexpr unsigned long kHwcapSha2 = HWCAP_SHA2;
-#endif
-    return (getauxval(AT_HWCAP) & kHwcapSha2) != 0;
-#else
-    return false;
-#endif
-}
-
-#endif  // UPKIT_SHA4_NEON
-
-Sha256x4Impl hardware_impl() {
-    static const Sha256x4Impl impl = [] {
-#if defined(UPKIT_SHA4_X86)
-        if (cpu_has_sha_ni()) return Sha256x4Impl::kShaNi;
-#endif
-#if defined(UPKIT_SHA4_NEON)
-        if (cpu_has_neon_sha2()) return Sha256x4Impl::kNeon;
-#endif
-        return Sha256x4Impl::kGeneric;
-    }();
-    return impl;
-}
-
-/// UPKIT_FORCE_SCALAR_SHA set to anything but "" / "0" pins the generic
-/// lanes. Read on every call so tests can flip it with setenv.
-bool force_generic() {
-    const char* e = std::getenv("UPKIT_FORCE_SCALAR_SHA");
-    return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
-}  // namespace
-
-Sha256x4Impl sha256x4_impl() {
-    return force_generic() ? Sha256x4Impl::kGeneric : hardware_impl();
-}
-
-const char* sha256x4_impl_name(Sha256x4Impl impl) {
-    switch (impl) {
-        case Sha256x4Impl::kShaNi: return "sha-ni";
-        case Sha256x4Impl::kNeon: return "neon";
-        case Sha256x4Impl::kGeneric: break;
-    }
-    return "generic";
-}
-
 void sha256x4_digest(const ByteSpan* data, Sha256Digest* out, std::size_t count) {
-    if (count == 0) return;
     if (count > 4) {
         sha256_multi(data, out, count);
         return;
     }
-    switch (sha256x4_impl()) {
-#if defined(UPKIT_SHA4_X86)
-        case Sha256x4Impl::kShaNi:
-            for (std::size_t i = 0; i < count; ++i) digest_stream(data[i], out[i], compress_shani);
-            return;
-#endif
-#if defined(UPKIT_SHA4_NEON)
-        case Sha256x4Impl::kNeon:
-            for (std::size_t i = 0; i < count; ++i) digest_stream(data[i], out[i], compress_neon);
-            return;
-#endif
-        default:
-            break;
+    if (sha256_impl() == Sha256Impl::kGeneric) {
+        sha256x4_digest_generic(data, out, count);
+        return;
     }
-    digest_generic(data, out, count);
+    // One hardware stream already saturates the SHA unit: run the lanes in
+    // turn rather than interleaving them.
+    for (std::size_t i = 0; i < count; ++i) out[i] = Sha256::digest(data[i]);
 }
 
 void sha256_multi(const ByteSpan* data, Sha256Digest* out, std::size_t count) {

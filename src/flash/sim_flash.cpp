@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 namespace upkit::flash {
 
@@ -96,13 +97,27 @@ Status SimFlash::write(std::uint64_t offset, ByteSpan data) {
     // the partially-programmed page real devices leave behind.
     const std::size_t effective = powered ? data.size() : data.size() / 2;
 
-    for (std::size_t i = 0; i < effective; ++i) {
-        const std::uint8_t current = storage_[offset + i];
+    // Program a word at a time while no bit of the word needs a 0 -> 1
+    // flip (then current & wanted == wanted, so the word is stored as is).
+    // The first word with a violation drops to the byte loop, which
+    // programs exactly the bytes before the violating one.
+    std::uint8_t* const dst = storage_.data() + offset;
+    std::size_t i = 0;
+    for (; i + sizeof(std::uint64_t) <= effective; i += sizeof(std::uint64_t)) {
+        std::uint64_t current = 0;
+        std::uint64_t wanted = 0;
+        std::memcpy(&current, dst + i, sizeof current);
+        std::memcpy(&wanted, data.data() + i, sizeof wanted);
+        if ((current & wanted) != wanted) break;
+        std::memcpy(dst + i, &wanted, sizeof wanted);
+    }
+    for (; i < effective; ++i) {
+        const std::uint8_t current = dst[i];
         const std::uint8_t wanted = data[i];
         if ((current & wanted) != wanted) {
             return Status::kFlashEraseRequired;  // would need a 0 -> 1 flip
         }
-        storage_[offset + i] = static_cast<std::uint8_t>(current & wanted);
+        dst[i] = wanted;
     }
     if (!powered) {
         // The unreached tail is not a clean half-write: cells the program

@@ -17,6 +17,7 @@
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/u256.hpp"
+#include "support/oracles.hpp"
 
 namespace upkit::crypto {
 namespace {
@@ -174,6 +175,36 @@ TEST(CrcTest, Crc32Chained) {
     const std::uint32_t whole = crc32(all);
     const std::uint32_t part = crc32(ByteSpan(all).subspan(4), crc32(ByteSpan(all).subspan(0, 4)));
     EXPECT_EQ(part, whole);
+}
+
+TEST(CrcTest, Crc32MatchesBitwiseOracleAtEveryOffset) {
+    // Slice-by-8 folds eight bytes per step and finishes the tail byte by
+    // byte: every length 0-70 at every start offset 0-7 covers each split
+    // of a buffer into steps and tail, with the default and a nonzero seed.
+    Rng rng(0xC3C32);
+    const Bytes buf = rng.bytes(7 + 70);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 70; ++len) {
+            const ByteSpan span = ByteSpan(buf).subspan(offset, len);
+            EXPECT_EQ(crc32(span), crc32_reference(span)) << offset << "/" << len;
+            EXPECT_EQ(crc32(span, 0x8E3A11C5u), crc32_reference(span, 0x8E3A11C5u))
+                << offset << "/" << len;
+        }
+    }
+}
+
+TEST(CrcTest, Crc32ChainsAcrossWordBoundaries) {
+    // A CRC seeded with the CRC of everything before it equals the CRC of
+    // the whole, wherever the split falls: before, on and after each
+    // eight-byte step.
+    Rng rng(0xC3C33);
+    const Bytes all = rng.bytes(40);
+    const std::uint32_t whole = crc32_reference(all);
+    for (std::size_t split = 0; split <= all.size(); ++split) {
+        const ByteSpan head = ByteSpan(all).subspan(0, split);
+        const ByteSpan tail = ByteSpan(all).subspan(split);
+        EXPECT_EQ(crc32(tail, crc32(head)), whole) << split;
+    }
 }
 
 TEST(CrcTest, Crc16CheckValue) {

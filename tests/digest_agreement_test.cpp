@@ -7,12 +7,16 @@
 // tail-block bug in any path (the 55/56 and 63/64/65 padding boundaries,
 // or the multi-block fast path's block accounting) shows up as a digest
 // mismatch — so this suite pins every streaming shape to the rolled
-// reference kernel (sha256_reference, tests/support/), then runs full
-// updates at the edge sizes end to end.
+// reference kernel (sha256_reference, tests/support/), pins the dispatched
+// kernels (SHA-NI / ARMv8 SHA2 where the CPU has them) to the generic ones
+// by name, then runs full updates at the edge sizes end to end.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string_view>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256x4.hpp"
 #include "support/oracles.hpp"
@@ -102,34 +106,67 @@ TEST(DigestAgreementTest, Sha256x4MatchesReferenceOnRaggedLanes) {
 }
 
 TEST(DigestAgreementTest, Sha256x4ForcedGenericMatchesDispatchedPath) {
-    // UPKIT_FORCE_SCALAR_SHA pins the generic lanes; digests must be
-    // byte-identical either way, and the override must actually take effect
-    // (sha256x4_impl reports kGeneric while set). Single-threaded test —
-    // setenv is process-global. The prior value is restored on exit so the
-    // test also passes when CI runs the whole suite under the override.
-    const char* prior = ::getenv("UPKIT_FORCE_SCALAR_SHA");
-    const auto before = crypto::sha256x4_impl();
+    // The generic SWAR lanes, called by name, and the dispatched entry
+    // (hardware lanes in turn on a host with SHA extensions) must give
+    // byte-identical digests. The override is read once, when the kernel
+    // is chosen: under CI's UPKIT_FORCE_SCALAR_SHA=1 rerun the process
+    // must have chosen the generic kernel.
+    const char* forced = std::getenv("UPKIT_FORCE_SCALAR_SHA");
+    if (forced != nullptr && std::string_view(forced) == "1") {
+        EXPECT_EQ(crypto::sha256_impl(), crypto::Sha256Impl::kGeneric);
+    }
     Bytes bufs[4] = {patterned(4097), patterned(256), patterned(0), patterned(65)};
     ByteSpan spans[4];
     for (std::size_t i = 0; i < 4; ++i) spans[i] = ByteSpan(bufs[i]);
 
-    crypto::Sha256Digest dispatched[4];
-    crypto::sha256x4_digest(spans, dispatched, 4);
-
-    ::setenv("UPKIT_FORCE_SCALAR_SHA", "1", 1);
-    EXPECT_EQ(crypto::sha256x4_impl(), crypto::Sha256x4Impl::kGeneric);
-    crypto::Sha256Digest generic[4];
-    crypto::sha256x4_digest(spans, generic, 4);
-    if (prior != nullptr) {
-        ::setenv("UPKIT_FORCE_SCALAR_SHA", prior, 1);
-    } else {
-        ::unsetenv("UPKIT_FORCE_SCALAR_SHA");
+    for (std::size_t lanes = 1; lanes <= 4; ++lanes) {
+        crypto::Sha256Digest dispatched[4];
+        crypto::sha256x4_digest(spans, dispatched, lanes);
+        crypto::Sha256Digest generic[4];
+        crypto::sha256x4_digest_generic(spans, generic, lanes);
+        for (std::size_t i = 0; i < lanes; ++i) {
+            EXPECT_EQ(dispatched[i], generic[i]) << "lanes " << lanes << " lane " << i;
+            EXPECT_EQ(dispatched[i], crypto::sha256_reference(bufs[i])) << "lane " << i;
+        }
     }
-    EXPECT_EQ(crypto::sha256x4_impl(), before);
+}
 
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(dispatched[i], generic[i]) << "lane " << i;
-        EXPECT_EQ(dispatched[i], crypto::sha256_reference(bufs[i])) << "lane " << i;
+TEST(DigestAgreementTest, DispatchedCompressMatchesGenericOnBlockRuns) {
+    // sha256_compress runs the kernel the process chose (SHA-NI, ARMv8 SHA2
+    // or generic); sha256_compress_generic is always the portable one. Runs
+    // of 0..kMaxBlocks blocks from several starting states, at an aligned
+    // and an unaligned address, must leave the same state both ways, and
+    // one multi-block run must equal the same blocks fed one at a time.
+    constexpr std::size_t kMaxBlocks = 9;
+    const Bytes data = patterned(kMaxBlocks * crypto::kSha256BlockSize + 1);
+    using State = std::array<std::uint32_t, 8>;
+    std::vector<State> starts = {crypto::kSha256Init, State{}};
+    starts.push_back(State{});
+    starts.back().fill(0xFFFFFFFFu);
+    Rng rng(0x5A256);
+    for (int k = 0; k < 3; ++k) {
+        State s;
+        for (auto& word : s) word = rng.next_u32();
+        starts.push_back(s);
+    }
+    for (std::size_t start = 0; start < starts.size(); ++start) {
+        for (const std::size_t shift : {std::size_t{0}, std::size_t{1}}) {
+            const std::uint8_t* const blocks = data.data() + shift;
+            for (std::size_t n = 0; n <= kMaxBlocks; ++n) {
+                State dispatched = starts[start];
+                State generic = starts[start];
+                State stepped = starts[start];
+                crypto::sha256_compress(dispatched, blocks, n);
+                crypto::sha256_compress_generic(generic, blocks, n);
+                for (std::size_t b = 0; b < n; ++b) {
+                    crypto::sha256_compress(stepped, blocks + b * crypto::kSha256BlockSize, 1);
+                }
+                EXPECT_EQ(dispatched, generic) << "start " << start << " shift " << shift
+                                               << " blocks " << n;
+                EXPECT_EQ(stepped, generic) << "start " << start << " shift " << shift
+                                            << " blocks " << n;
+            }
+        }
     }
 }
 

@@ -51,6 +51,37 @@ TEST(SimFlashTest, RewriteWithoutEraseRejected) {
     EXPECT_EQ(dev.write(0, Bytes{0x01}), Status::kFlashEraseRequired);
 }
 
+TEST(SimFlashTest, RejectedWriteProgramsExactlyThePrefix) {
+    // Programming runs a word (8 bytes) at a time and drops to bytes at the
+    // first word with a 0 -> 1 violation. A 17-byte write whose violation
+    // sits at byte 5 (inside the first word) or byte 13 (inside the second,
+    // after a clean word) programs exactly the bytes before it and leaves
+    // the violating byte and everything after untouched, at an aligned and
+    // an unaligned start.
+    for (const std::uint64_t base : {std::uint64_t{0}, std::uint64_t{4096 + 3}}) {
+        for (const std::size_t bad : {std::size_t{5}, std::size_t{13}}) {
+            SimFlash dev(small_geometry(), fast_timings());
+            ASSERT_EQ(dev.write(base + bad, Bytes{0x0F}), Status::kOk);
+            Bytes data(17);
+            for (std::size_t i = 0; i < data.size(); ++i) {
+                data[i] = static_cast<std::uint8_t>(0x40 + i);  // bit 6 set: 0x0F rejects it
+            }
+            EXPECT_EQ(dev.write(base, data), Status::kFlashEraseRequired) << base << "/" << bad;
+            const ByteSpan after = dev.raw().subspan(base, data.size());
+            EXPECT_EQ(Bytes(after.begin(), after.begin() + bad),
+                      Bytes(data.begin(), data.begin() + bad))
+                << base << "/" << bad;
+            EXPECT_EQ(after[bad], 0x0F) << base << "/" << bad;
+            EXPECT_EQ(Bytes(after.begin() + bad + 1, after.end()),
+                      Bytes(data.size() - bad - 1, 0xFF))
+                << base << "/" << bad;
+            // A rejected write is not counted.
+            EXPECT_EQ(dev.total_writes(), 1u);
+            EXPECT_EQ(dev.bytes_written(), 1u);
+        }
+    }
+}
+
 TEST(SimFlashTest, ClearingMoreBitsIsAllowed) {
     // 1->0 transitions without erase are how real flash behaves.
     SimFlash dev(small_geometry(), fast_timings());

@@ -729,6 +729,117 @@ TEST(P256DiffTest, Verify2RejectsForgedCancellationPair) {
     }
 }
 
+// A curve point with x-coordinate `x` (either root y), or nullopt when
+// x^3 - 3x + b is not a square mod p. b comes from G, and p = 3 mod 4, so
+// a root is rhs^((p + 1) / 4).
+std::optional<AffinePoint> point_with_x(const U256& x) {
+    const P256& curve = P256::instance();
+    const Montgomery& fp = curve.field();
+    const auto x3_minus_3x = [&](const U256& xm) {
+        return fp.sub(fp.mul(fp.sqr(xm), xm), fp.add(fp.add(xm, xm), xm));
+    };
+    const AffinePoint& g = curve.generator();
+    const U256 b = fp.sub(fp.sqr(fp.to_mont(g.y)), x3_minus_3x(fp.to_mont(g.x)));
+    const U256 rhs = fp.add(x3_minus_3x(fp.to_mont(x)), b);
+    U256 e;
+    (void)add(e, fp.modulus(), U256::one());
+    const U256 ym = fp.pow(rhs, shr1(shr1(e)));
+    if (!(fp.sqr(ym) == rhs)) return std::nullopt;
+    return AffinePoint{x, fp.from_mont(ym)};
+}
+
+TEST(P256DiffTest, Verify2ReachesRPlusNCandidates) {
+    // An x-coordinate x(R) >= n reduces to r = x(R) - n, so verify2 must
+    // try r + n too: as R1's x in x_matches, and as a lift candidate for
+    // R2. Only r < p - n (about 2^-130 of the range) has such a candidate,
+    // so honest signatures practically never reach it. A key P = (n + r, y)
+    // does: it signs the all-zero digest with (r, s) = (r, r), since then
+    // u1 = 0 and u2 = 1, R = P, and x(R) mod n = r. For r = 3 only n + 3 is
+    // an x-coordinate; for r = 6 both 6 and n + 6 are, the corner where the
+    // combination cannot tell which R2 was meant and the verifier falls
+    // back to two sequential verifies.
+    const P256& curve = P256::instance();
+    const auto plus_n = [&](std::uint64_t r) {
+        U256 x;
+        (void)add(x, curve.n(), U256::from_u64(r));
+        return x;
+    };
+    ASSERT_FALSE(point_with_x(U256::from_u64(3)).has_value());
+    ASSERT_TRUE(point_with_x(U256::from_u64(6)).has_value());
+    const Sha256Digest zero{};
+    const auto edge_key = [&](std::uint64_t r) {
+        const auto p = point_with_x(plus_n(r));
+        EXPECT_TRUE(p.has_value()) << r;
+        const auto key = PublicKey::from_point(p.value_or(curve.generator()));
+        EXPECT_TRUE(key.has_value()) << r;
+        return key ? key.value() : PublicKey{};
+    };
+    const auto edge_signature = [](std::uint64_t r) {
+        Signature sig{};
+        U256::from_u64(r).to_be_bytes(MutByteSpan(sig.data(), 32));
+        U256::from_u64(r).to_be_bytes(MutByteSpan(sig.data() + 32, 32));
+        return sig;
+    };
+    const PublicKey pub3 = edge_key(3);
+    const PublicKey pub6 = edge_key(6);
+    const PreparedPublicKey key3(pub3);
+    const PreparedPublicKey key6(pub6);
+    const Signature sig3 = edge_signature(3);
+    const Signature sig6 = edge_signature(6);
+    EXPECT_TRUE(ecdsa_verify(key3, zero, sig3));
+    EXPECT_TRUE(ecdsa_verify_generic(pub3, zero, sig3));
+    EXPECT_TRUE(ecdsa_verify(key6, zero, sig6));
+    EXPECT_TRUE(ecdsa_verify_generic(pub6, zero, sig6));
+
+    Rng rng(0x5EED0015);
+    const PrivateKey honest = PrivateKey::generate(rng.bytes(32));
+    const PreparedPublicKey honest_key(honest.public_key());
+    const Sha256Digest digest = Sha256::digest(rng.bytes(48));
+    const Signature honest_sig = ecdsa_sign(honest, digest);
+
+    // r = 3 first: R1 = P matches only through x_matches' r1 + n candidate.
+    EXPECT_TRUE(ecdsa_verify2(key3, zero, sig3, honest_key, digest, honest_sig));
+    // r = 3 second: 3 does not lift, so R2 comes from the r2 + n candidate.
+    EXPECT_TRUE(ecdsa_verify2(honest_key, digest, honest_sig, key3, zero, sig3));
+    // Both at once, and r = 6 first (only x_matches sees r1).
+    EXPECT_TRUE(ecdsa_verify2(key3, zero, sig3, key3, zero, sig3));
+    EXPECT_TRUE(ecdsa_verify2(key6, zero, sig6, honest_key, digest, honest_sig));
+    // r = 6 second: both candidates lift, so the verdict comes from the
+    // sequential fallback.
+    EXPECT_TRUE(ecdsa_verify2(honest_key, digest, honest_sig, key6, zero, sig6));
+
+    // The combination itself, with the edge signature's u = (0, 1): r1 + n
+    // and the r2 + n lift accept, and both live candidates give nullopt.
+    const Montgomery& fn = curve.order();
+    const U256 hr = U256::from_be_bytes(ByteSpan(honest_sig.data(), 32));
+    const U256 hs = U256::from_be_bytes(ByteSpan(honest_sig.data() + 32, 32));
+    const U256 hw = mod_inv(fn, hs);
+    const U256 hu1 = mod_mul(fn, fn.reduce(U256::from_be_bytes(digest)), hw);
+    const U256 hu2 = mod_mul(fn, hr, hw);
+    const std::uint64_t gamma = 0x9E3779B97F4A7C15ull;
+    const auto first = curve.verify2_combination(U256::zero(), U256::one(), key3.table(),
+                                                 U256::from_u64(3), hu1, hu2,
+                                                 honest_key.table(), hr, gamma);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_TRUE(*first);
+    const auto second = curve.verify2_combination(hu1, hu2, honest_key.table(), hr,
+                                                  U256::zero(), U256::one(), key3.table(),
+                                                  U256::from_u64(3), gamma);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_TRUE(*second);
+    const auto both_live = curve.verify2_combination(hu1, hu2, honest_key.table(), hr,
+                                                     U256::zero(), U256::one(), key6.table(),
+                                                     U256::from_u64(6), gamma);
+    EXPECT_FALSE(both_live.has_value());
+
+    // Tampered edge signatures still fail, alone and in a pair.
+    Signature bad3 = sig3;
+    bad3[63] ^= 0x01;
+    EXPECT_FALSE(ecdsa_verify(key3, zero, bad3));
+    EXPECT_FALSE(ecdsa_verify2(key3, zero, bad3, honest_key, digest, honest_sig));
+    EXPECT_FALSE(ecdsa_verify2(honest_key, digest, honest_sig, key3, zero, bad3));
+}
+
 // ------------------------------------------------------ ECDSA verify paths
 
 TEST(P256DiffTest, PreparedKeysShareInternedTables) {

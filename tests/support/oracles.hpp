@@ -65,6 +65,11 @@ bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
 /// the baseline of bench/device_verify's SHA-256 speedup reading.
 Sha256Digest sha256_reference(ByteSpan data);
 
+/// CRC-32 one bit at a time over the reflected polynomial 0xEDB88320, with
+/// crc32's seed convention: the reference the slice-by-8 crc32 is pinned
+/// against.
+std::uint32_t crc32_reference(ByteSpan data, std::uint32_t seed = 0);
+
 }  // namespace upkit::crypto
 
 namespace upkit::diff {
