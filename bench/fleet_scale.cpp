@@ -2,9 +2,9 @@
 // servers and emits one machine-readable JSON line per cell (wall clock,
 // makespan, completion percentiles, campaign fingerprint, verify-memo
 // counters). Within a sweep, every (devices, edges) group is run at each
-// shard count and the campaign fingerprints must match bit-for-bit — the
-// bench exits nonzero on a mismatch, so CI's smoke cell doubles as a
-// determinism gate at scale.
+// shard count, and the campaign fingerprints and the verify-memo hit and
+// miss counts must match exactly — the bench exits nonzero on a mismatch,
+// so CI's smoke cell doubles as a determinism gate at scale.
 //
 //   fleet_scale [devices_csv] [shards_csv] [edges_csv] [max_run_seconds]
 //   defaults:    1000,100000,1000000  1,8   1,4        0 (no gate)
@@ -197,6 +197,7 @@ int main(int argc, char** argv) {
     for (const std::size_t devices : device_counts) {
         for (const std::size_t edges : edge_counts) {
             std::uint64_t group_fp = 0;
+            crypto::VerifyMemoStats group_memo;
             bool group_fp_set = false;
             for (const std::size_t shards : shard_counts) {
                 CellResult cell;
@@ -224,8 +225,11 @@ int main(int argc, char** argv) {
                 const std::uint64_t fp = cell.report.fingerprint();
                 if (!group_fp_set) {
                     group_fp = fp;
+                    group_memo = cell.memo;
                     group_fp_set = true;
-                } else if (fp != group_fp) {
+                    continue;
+                }
+                if (fp != group_fp) {
                     std::fprintf(stderr,
                                  "fleet_scale: fingerprint diverged at "
                                  "devices=%zu edges=%zu shards=%zu: "
@@ -233,6 +237,21 @@ int main(int argc, char** argv) {
                                  devices, edges, shards,
                                  static_cast<unsigned long long>(fp),
                                  static_cast<unsigned long long>(group_fp));
+                    rc = 1;
+                }
+                // The memo counts a miss per distinct triple and a hit per
+                // other lookup, so its counters are shard-independent too.
+                if (cell.memo.hits != group_memo.hits ||
+                    cell.memo.misses != group_memo.misses) {
+                    std::fprintf(stderr,
+                                 "fleet_scale: verify memo diverged at "
+                                 "devices=%zu edges=%zu shards=%zu: "
+                                 "%llu/%llu hits/misses != %llu/%llu\n",
+                                 devices, edges, shards,
+                                 static_cast<unsigned long long>(cell.memo.hits),
+                                 static_cast<unsigned long long>(cell.memo.misses),
+                                 static_cast<unsigned long long>(group_memo.hits),
+                                 static_cast<unsigned long long>(group_memo.misses));
                     rc = 1;
                 }
             }

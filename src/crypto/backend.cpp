@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "common/bytes.hpp"
@@ -19,7 +20,8 @@ namespace {
 // 128-bit FNV pair for the table key; at the few-million entries a 1M-device
 // campaign produces, a collision needs ~2^64 entries — not a concern. The
 // map is guarded by a plain mutex: verify() calls come from shard workers,
-// and the critical section is two hash probes (TSan runs the fleet suite).
+// and each critical section is one hash probe or insert (TSan runs the
+// fleet suite).
 
 struct MemoKey {
     std::uint64_t lo = 0;
@@ -63,6 +65,36 @@ MemoKey memo_key(const PublicKey& key, const Sha256Digest& digest, ByteSpan sign
     return k;
 }
 
+/// Looks k up, counting a hit when the memo holds it.
+std::optional<bool> memo_find(VerifyMemo& memo, const MemoKey& k) {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    const auto it = memo.results.find(k);
+    if (it == memo.results.end()) return std::nullopt;
+    ++memo.hits;
+    return it->second;
+}
+
+/// Stores k's verdict. A miss is counted only when this insert wins; a
+/// caller that lost the race to another thread inserting the same triple
+/// counts a hit. Every lookup thus counts once, and misses equal the
+/// number of distinct triples, whatever the thread interleaving.
+void memo_store(VerifyMemo& memo, const MemoKey& k, bool ok) {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    if (memo.results.emplace(k, ok).second) {
+        ++memo.misses;
+    } else {
+        ++memo.hits;
+    }
+}
+
+/// Verifies a triple the memo did not hold and stores its own verdict.
+bool memo_verify(VerifyMemo& memo, const MemoKey& k, const PreparedPublicKey& key,
+                 const Sha256Digest& digest, ByteSpan signature) {
+    const bool ok = ecdsa_verify(key, digest, signature);
+    memo_store(memo, k, ok);
+    return ok;
+}
+
 /// Consults the memo around ecdsa_verify. Signature length is checked
 /// first so malformed input never lands in the table.
 bool memoized_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
@@ -73,21 +105,8 @@ bool memoized_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
     }
     const MemoKey k = memo_key(key.key(), digest, signature);
     VerifyMemo& memo = verify_memo();
-    {
-        std::lock_guard<std::mutex> lock(memo.mu);
-        auto it = memo.results.find(k);
-        if (it != memo.results.end()) {
-            ++memo.hits;
-            return it->second;
-        }
-    }
-    const bool ok = ecdsa_verify(key, digest, signature);
-    {
-        std::lock_guard<std::mutex> lock(memo.mu);
-        ++memo.misses;
-        memo.results.emplace(k, ok);
-    }
-    return ok;
+    if (const std::optional<bool> known = memo_find(memo, k)) return *known;
+    return memo_verify(memo, k, key, digest, signature);
 }
 
 /// Both software libraries wrap the same from-scratch ECDSA core (that code
@@ -116,55 +135,26 @@ public:
         // Per-signature memo: the batch answers "both valid?", but the memo
         // stores individual verdicts (a later single verify of either half
         // must see the same answer), so hits and misses are counted per
-        // entry, not per pair.
+        // entry, not per pair. A pair with one half known verifies only
+        // the other; only a pair with both halves unknown pays for the
+        // batch.
         const MemoKey k1 = memo_key(key1.key(), digest1, signature1);
         const MemoKey k2 = memo_key(key2.key(), digest2, signature2);
         VerifyMemo& memo = verify_memo();
-        bool have1 = false;
-        bool have2 = false;
-        bool v1 = false;
-        bool v2 = false;
-        {
-            std::lock_guard<std::mutex> lock(memo.mu);
-            if (auto it = memo.results.find(k1); it != memo.results.end()) {
-                have1 = true;
-                v1 = it->second;
-            }
-            if (auto it = memo.results.find(k2); it != memo.results.end()) {
-                have2 = true;
-                v2 = it->second;
-            }
-            memo.hits += static_cast<std::uint64_t>(have1) + static_cast<std::uint64_t>(have2);
-        }
-        if (have1 && have2) return v1 && v2;
-        const bool pair_ok =
-            ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2);
-        if (pair_ok) {
-            // Both halves proven valid by the batch; memoize the misses.
-            std::lock_guard<std::mutex> lock(memo.mu);
-            if (!have1) {
-                ++memo.misses;
-                memo.results.emplace(k1, true);
-            }
-            if (!have2) {
-                ++memo.misses;
-                memo.results.emplace(k2, true);
-            }
+        std::optional<bool> v1 = memo_find(memo, k1);
+        std::optional<bool> v2 = memo_find(memo, k2);
+        if (!v1 && !v2 &&
+            ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2)) {
+            // Both halves proven valid by the batch.
+            memo_store(memo, k1, true);
+            memo_store(memo, k2, true);
             return true;
         }
-        // The batch only rejects the pair; attribute per signature so each
-        // missing half is memoized with its own verdict.
-        auto resolve = [&](const PreparedPublicKey& key, const Sha256Digest& digest,
-                           ByteSpan signature, const MemoKey& k) {
-            const bool ok = ecdsa_verify(key, digest, signature);
-            std::lock_guard<std::mutex> lock(memo.mu);
-            ++memo.misses;
-            memo.results.emplace(k, ok);
-            return ok;
-        };
-        if (!have1) v1 = resolve(key1, digest1, signature1, k1);
-        if (!have2) v2 = resolve(key2, digest2, signature2, k2);
-        return v1 && v2;
+        // One half is known, or the batch rejected the pair: each missing
+        // half is verified alone and memoized with its own verdict.
+        if (!v1) v1 = memo_verify(memo, k1, key1, digest1, signature1);
+        if (!v2) v2 = memo_verify(memo, k2, key2, digest2, signature2);
+        return *v1 && *v2;
     }
 
     Expected<Signature> sign(const PrivateKey& key,

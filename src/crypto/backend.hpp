@@ -91,8 +91,12 @@ inline double double_verify_seconds(const BackendCosts& costs) {
 /// single verdict — the answer is a pure function of the key. OFF by
 /// default: the small suites want the real kernels exercised.
 /// bench/fleet_scale and the perfbench fleet_rollout workload opt in.
-/// Hits/misses are counted so tests can prove both the reuse and the
-/// equivalence of results with the memo on and off.
+/// verify2() with one half memoized verifies only the other half. Every
+/// lookup counts once: a miss when its insert is the first for that
+/// triple, else a hit, so misses equal the distinct triples and neither
+/// counter depends on how threads interleave. Tests use them to prove
+/// both the reuse and the equivalence of results with the memo on and
+/// off.
 struct VerifyMemoStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;

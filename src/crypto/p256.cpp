@@ -12,31 +12,33 @@ const char* kBHex = "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d
 const char* kGxHex = "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
 const char* kGyHex = "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
 
-/// One width-4 Booth (signed fixed-window) digit: value is
-/// neg_mask ? -magnitude : magnitude, magnitude in [0, 8].
+/// One Booth (signed fixed-window) digit: value is
+/// neg_mask ? -magnitude : magnitude, magnitude in [0, 2^(bits-1)].
 struct BoothDigit {
     std::uint64_t magnitude;
     std::uint64_t neg_mask;  // all-ones when negative
 };
 
-/// Digit w of the Booth recoding of k: the 5-bit window of (k << 1) at bit
-/// 4w (i.e. bits 4w-1 .. 4w+3 of k, with b_{-1} = 0), folded to a signed
-/// digit of weight 2^(4w). Window 64 sees only bit 255 and absorbs the
-/// final recoding carry. Branch-free in k; `window` is a public loop index.
-BoothDigit booth4(const U256& k, unsigned window) {
+/// Digit w of the width-`bits` Booth recoding of k: the (bits+1)-bit window
+/// of (k << 1) at bit bits*w (i.e. bits bits*w-1 .. bits*w+bits-1 of k,
+/// with b_{-1} = 0 and bits above 255 read as 0), folded to a signed digit
+/// of weight 2^(bits*w). The last window, 256/bits, absorbs the final
+/// recoding carry. Branch-free in k; `window` and `bits` are public.
+BoothDigit booth(const U256& k, unsigned window, unsigned bits) {
+    const std::uint64_t mask = (std::uint64_t{1} << (bits + 1)) - 1;
     std::uint64_t v;
     if (window == 0) {
-        v = (k.w[0] << 1) & 0x1f;
+        v = (k.w[0] << 1) & mask;
     } else {
-        const unsigned bitpos = 4 * window - 1;
+        const unsigned bitpos = bits * window - 1;
         const unsigned limb = bitpos / 64;
         const unsigned off = bitpos % 64;
         std::uint64_t chunk = k.w[limb] >> off;
-        if (off > 59 && limb + 1 < 4) chunk |= k.w[limb + 1] << (64 - off);
-        v = chunk & 0x1f;
+        if (off + bits + 1 > 64 && limb + 1 < 4) chunk |= k.w[limb + 1] << (64 - off);
+        v = chunk & mask;
     }
-    const std::uint64_t s = ct::mask_from_bit(v >> 4);
-    const std::uint64_t d = ct::select(s, 31 - v, v);
+    const std::uint64_t s = ct::mask_from_bit(v >> bits);
+    const std::uint64_t d = ct::select(s, mask - v, v);
     return BoothDigit{(d >> 1) + (d & 1), s};
 }
 
@@ -52,13 +54,13 @@ P256::P256()
       fn_(U256::from_hex(kOrderHex)),
       g_{U256::from_hex(kGxHex), U256::from_hex(kGyHex)},
       comb_(kCombWindows * kCombRowEntries),
-      ct_base_(kCtWindows * kCtRowEntries) {
+      ct_base_(kCtBaseWindows * kCtBaseRowEntries) {
     b_mont_ = fp_.to_mont(U256::from_hex(kBHex));
     // No entry of either table is infinity: a comb scalar d * 2^(8w) is in
-    // [1, n-1] (255 * 2^248 < n), and a Booth scalar j * 2^(4w) with j <= 8
-    // is never divisible by the prime n.
+    // [1, n-1] (255 * 2^248 < n), and a Booth scalar j * 2^(6w) with
+    // j <= 32 is never divisible by the prime n.
     build_rows(g_, kCombWindows, kCombWindowBits, kCombRowEntries, comb_.data());
-    build_rows(g_, kCtWindows, kCtWindowBits, kCtRowEntries, ct_base_.data());
+    build_rows(g_, kCtBaseWindows, kCtBaseWindowBits, kCtBaseRowEntries, ct_base_.data());
 }
 
 bool P256::on_curve(const AffinePoint& p) const {
@@ -283,22 +285,28 @@ P256::MontAffine P256::ct_select_entry(const MontAffine* row, unsigned count,
 
 P256::Jacobian P256::ct_booth_mul_base(const U256& k) const {
     // LSB-first walk: one full-row scan plus one masked mixed addition per
-    // window, 65 of each, no doublings — a fixed operation sequence for
+    // window, 43 of each, no doublings — a fixed operation sequence for
     // every scalar.
     //
     // Masked-add exceptional case: madd breaks silently when the partial
-    // sum equals ±q (h == 0 with q live). The partial sum after window w
-    // is the Booth prefix of k — as an integer it lies strictly inside
-    // (-2^(4(w+1)), 2^(4(w+1))) — while a row-(w+1) entry's scalar is
-    // j * 2^(4(w+1)), so a collision requires wrapping mod n. That is
-    // impossible below the carry window and confined to a handful of
-    // adversarially constructed scalars at it; RFC 6979 nonces and honest
-    // keys never land there.
+    // sum equals ±q (h == 0 with q live). Before window m the partial sum
+    // is the Booth prefix P = (k mod 2^(6m)) - b_(6m-1) * 2^(6m), an
+    // integer with |P| <= 2^(6m-1); P == 0 is the masked infinity case.
+    // Window m's entry is ±j * 2^(6m) with 1 <= j <= 32, so as integers
+    // P != ±entry, and a collision needs P ∓ j * 2^(6m) to be a nonzero
+    // multiple of n. Its size is below 2^(6m-1) + 2^(6m+5) < 2^(6m+6),
+    // under n > 2^255 for every m <= 41. At the last window, m = 42, bits
+    // 256 and 257 are 0, so the digit d is in [0, 16] and P = k - d*2^252.
+    // P == -d*2^252 (mod n) would mean k == 0 mod n, which is excluded;
+    // P == +d*2^252 means k == d*2^253 (mod n), and none of those 16
+    // residues has d as its own last digit (p256_diff_test runs each). No
+    // reduced nonzero scalar reaches an exceptional addition.
     Jacobian acc{};
-    for (unsigned w = 0; w < kCtWindows; ++w) {
-        const BoothDigit d = booth4(k, w);
-        const MontAffine entry = ct_select_entry(ct_base_.data() + w * kCtRowEntries,
-                                                 kCtRowEntries, d.magnitude, d.neg_mask);
+    for (unsigned w = 0; w < kCtBaseWindows; ++w) {
+        const BoothDigit d = booth(k, w, kCtBaseWindowBits);
+        const MontAffine entry =
+            ct_select_entry(ct_base_.data() + w * kCtBaseRowEntries, kCtBaseRowEntries,
+                            d.magnitude, d.neg_mask);
         acc = ct_add_mixed(acc, entry, ct::is_zero_mask(d.magnitude));
     }
     return acc;
@@ -399,21 +407,21 @@ std::optional<AffinePoint> P256::mul_ct(const U256& k, const AffinePoint& p) con
     if (ct::declassify_value(k_reduced.is_zero())) return std::nullopt;
     // Row of {1..8} * P. P is public (the peer's key, prime order), so the
     // variable-time construction is fine and no entry is infinity.
-    std::array<MontAffine, kCtRowEntries> row;
-    build_rows(p, 1, 0, kCtRowEntries, row.data());
+    std::array<MontAffine, kCtMulRowEntries> row;
+    build_rows(p, 1, 0, kCtMulRowEntries, row.data());
     // MSB-first Booth walk: four branchless doublings then one full-row
     // scan and masked addition per window — 256 ct_dbl + 65 ct_madd, a
     // fixed sequence for every scalar. Exceptional madd cases (partial sum
     // == ±jP) require the running scalar to hit one of 17 residues mod n —
     // probability ~2^-250 per addition for any honest key.
     Jacobian acc{};
-    for (int w = static_cast<int>(kCtWindows) - 1; w >= 0; --w) {
-        if (w + 1 < static_cast<int>(kCtWindows)) {
-            for (unsigned b = 0; b < kCtWindowBits; ++b) acc = ct_dbl(acc);
+    for (int w = static_cast<int>(kCtMulWindows) - 1; w >= 0; --w) {
+        if (w + 1 < static_cast<int>(kCtMulWindows)) {
+            for (unsigned b = 0; b < kCtMulWindowBits; ++b) acc = ct_dbl(acc);
         }
-        const BoothDigit d = booth4(k_reduced, static_cast<unsigned>(w));
+        const BoothDigit d = booth(k_reduced, static_cast<unsigned>(w), kCtMulWindowBits);
         const MontAffine entry =
-            ct_select_entry(row.data(), kCtRowEntries, d.magnitude, d.neg_mask);
+            ct_select_entry(row.data(), kCtMulRowEntries, d.magnitude, d.neg_mask);
         acc = ct_add_mixed(acc, entry, ct::is_zero_mask(d.magnitude));
     }
     return to_affine(acc);

@@ -103,12 +103,13 @@ public:
     /// scalars (signing nonces, private keys) go through mul_base_ct.
     std::optional<AffinePoint> mul_base(const U256& k) const;
 
-    /// k * G for a SECRET scalar: signed fixed-window (Booth) walk over a
-    /// dedicated 65-row table, each digit fetched by scanning the full row
-    /// with constant-time selects and folded in with a masked mixed
-    /// addition — a fixed operation sequence with no secret-dependent
-    /// branch or table index. ~2x the cost of the comb walk; the price of
-    /// closing the nonce cache-timing channel on the signing path.
+    /// k * G for a SECRET scalar: signed 6-bit fixed-window (Booth) walk
+    /// over a dedicated 43-row table of 32 entries, each digit fetched by
+    /// scanning the full row with constant-time selects and folded in with
+    /// a masked mixed addition — a fixed operation sequence with no
+    /// secret-dependent branch or table index. ~2x the cost of the comb
+    /// walk; the price of closing the nonce cache-timing channel on the
+    /// signing path.
     std::optional<AffinePoint> mul_base_ct(const U256& k) const;
 
     /// k * P against a per-key table: the interleaved wNAF walk, 64
@@ -117,8 +118,8 @@ public:
     std::optional<AffinePoint> mul(const U256& k, const Precomputed& p) const;
 
     /// k * P for a SECRET scalar (the ECDH hot spot: device and ephemeral
-    /// private keys). MSB-first Booth windows over an on-the-fly row of
-    /// {1..8}P with branchless doublings, constant-time row scans, and
+    /// private keys). MSB-first 4-bit Booth windows over an on-the-fly row
+    /// of {1..8}P with branchless doublings, constant-time row scans, and
     /// masked additions. Costs roughly the generic ladder; ECDH runs once
     /// per encrypted session, so constant-time is the only concern here.
     std::optional<AffinePoint> mul_ct(const U256& k, const AffinePoint& p) const;
@@ -227,11 +228,18 @@ private:
 
     // ---- constant-time (secret-scalar) machinery ------------------------
 
-    /// Width-4 signed (Booth) windows: 64 real windows plus the recoding
-    /// carry at position 256, magnitudes in [0, 8].
-    static constexpr unsigned kCtWindowBits = 4;
-    static constexpr unsigned kCtWindows = 256 / kCtWindowBits + 1;  // 65
-    static constexpr unsigned kCtRowEntries = 1u << (kCtWindowBits - 1);  // 8
+    /// Signed (Booth) window widths, one per caller. mul_base_ct reads a
+    /// table built once, so it takes 6-bit windows: 42 windows cover bits
+    /// 0..251 and a 43rd absorbs bits 252..255 and the recoding carry,
+    /// magnitudes in [0, 32] (the last one in [0, 16]). mul_ct builds its
+    /// row on every call, so it keeps 4-bit windows: 64 plus the carry at
+    /// position 256, magnitudes in [0, 8].
+    static constexpr unsigned kCtBaseWindowBits = 6;
+    static constexpr unsigned kCtBaseWindows = 256 / kCtBaseWindowBits + 1;  // 43
+    static constexpr unsigned kCtBaseRowEntries = 1u << (kCtBaseWindowBits - 1);  // 32
+    static constexpr unsigned kCtMulWindowBits = 4;
+    static constexpr unsigned kCtMulWindows = 256 / kCtMulWindowBits + 1;  // 65
+    static constexpr unsigned kCtMulRowEntries = 1u << (kCtMulWindowBits - 1);  // 8
 
     /// Branchless doubling: dbl_2001b() with no guard. The formulas are
     /// complete for infinity (z = 0 gives z3 = (y + z)^2 - y^2 - z^2 =
@@ -242,8 +250,8 @@ private:
     /// Masked mixed addition: madd-2007-bl computed unconditionally, with
     /// the p-is-infinity and q-is-zero cases resolved by constant-time
     /// selects instead of branches. The exceptional same-x cases (double /
-    /// inverse) are unreachable for the Booth walks' partial sums except
-    /// for a single scalar value (see the .cpp analysis).
+    /// inverse) are unreachable for mul_base_ct's partial sums and need a
+    /// ~2^-250 coincidence in mul_ct's (see the analyses in the .cpp).
     Jacobian ct_add_mixed(const Jacobian& p, const MontAffine& q,
                           std::uint64_t q_zero_mask) const;
 
@@ -254,8 +262,8 @@ private:
                                std::uint64_t magnitude, std::uint64_t neg_mask) const;
 
     /// Fixed-sequence Booth walk over the dedicated base-point table:
-    /// 65 masked additions, zero doublings, no secret-dependent control
-    /// flow. k must be reduced and nonzero.
+    /// 43 full-row scans and 43 masked additions, zero doublings, no
+    /// secret-dependent control flow. k must be reduced and nonzero.
     Jacobian ct_booth_mul_base(const U256& k) const;
 
     // One 255-entry row per byte of the scalar: row w holds
@@ -271,8 +279,8 @@ private:
     AffinePoint g_;
     U256 b_mont_;  // curve coefficient b, Montgomery form
     std::vector<MontAffine> comb_;  // [window * kCombRowEntries + digit - 1]
-    // Booth table for the constant-time fixed-base walk:
-    // [window * kCtRowEntries + j - 1] = j * 2^(4 window) * G, j in [1, 8].
+    // Booth table for the constant-time fixed-base walk (88 KB):
+    // [window * kCtBaseRowEntries + j - 1] = j * 2^(6 window) * G, j in [1, 32].
     std::vector<MontAffine> ct_base_;
 };
 

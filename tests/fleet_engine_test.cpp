@@ -496,7 +496,7 @@ TEST(FleetEngineTest, VerifyMemoCountersSurfaceInReport) {
     // pair — the vendor triple is shared fleet-wide (one miss total), the
     // server triple is token-bound (one miss per device) — and the
     // bootloader's re-verification of the stored manifest answers both
-    // halves from the memo, so hits cover at least that boot re-check.
+    // halves from the memo.
     crypto::set_verify_memo_enabled(true);
     crypto::verify_memo_reset();
     World warm;
@@ -506,8 +506,10 @@ TEST(FleetEngineTest, VerifyMemoCountersSurfaceInReport) {
     crypto::set_verify_memo_enabled(false);
     crypto::verify_memo_reset();
     ASSERT_EQ(on.succeeded, 4u);
-    EXPECT_GE(on.verify_memo.misses, 4u);  // >= one token-bound triple per device
-    EXPECT_GE(on.verify_memo.hits, 2u * 4u);  // boot re-verifies both signatures
+    EXPECT_EQ(on.verify_memo.misses, 1u + 4u);  // the vendor triple + one per device
+    // Four lookups per device (agent and bootloader, two halves each);
+    // every one but the five first sightings is a hit.
+    EXPECT_EQ(on.verify_memo.hits, 4u * 4u - (1u + 4u));
 }
 
 /// The mixed campaign again, but under a server model with per-operation

@@ -25,7 +25,9 @@
 //      pure in (seed, region, device, t) and replay deterministically;
 //      unconfigured plans keep their legacy fingerprint.
 //   5. Verify memo — the opt-in signature-verification memo changes no
-//      observable campaign output, only the crypto op count.
+//      observable campaign output, only the crypto op count; a pair with
+//      one memoized half verifies only the other; and the hit/miss
+//      counters do not depend on the shard count or thread interleaving.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -33,10 +35,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fleet.hpp"
 #include "crypto/backend.hpp"
+#include "crypto/ct.hpp"
+#include "crypto/ecdsa.hpp"
 #include "net/link.hpp"
 #include "sim/chaos.hpp"
 #include "sim/shard.hpp"
@@ -509,45 +514,186 @@ TEST(VerifyMemoTest, DisabledByDefaultAndInvisibleToResults) {
     EXPECT_GT(after.misses, 0u);
 }
 
+/// One signed claim: the (key, digest, signature) triple the memo keys on.
+struct Claim {
+    crypto::PreparedPublicKey key;
+    crypto::Sha256Digest digest{};
+    crypto::Signature sig{};
+};
+
+Claim sign_claim(const char* seed, const char* message) {
+    const crypto::PrivateKey key = crypto::PrivateKey::generate(to_bytes(seed));
+    Claim c{crypto::PreparedPublicKey(key.public_key()),
+            crypto::Sha256::digest(to_bytes(message)), {}};
+    c.sig = crypto::ecdsa_sign(key, c.digest);
+    return c;
+}
+
+Claim forged(Claim c) {
+    c.sig[40] ^= 0x01;  // s changes: the signature no longer verifies
+    return c;
+}
+
+/// A memo-on software backend and one (vendor, server) claim pair.
+class VerifyMemoPairTest : public ::testing::Test {
+protected:
+    VerifyMemoPairTest() {
+        crypto::set_verify_memo_enabled(true);
+        crypto::verify_memo_reset();
+    }
+
+    bool verify_one(const Claim& c) const { return backend_->verify(c.key, c.digest, c.sig); }
+
+    bool verify_pair(const Claim& v, const Claim& s) const {
+        return backend_->verify2(v.key, v.digest, v.sig, s.key, s.digest, s.sig);
+    }
+
+    /// Counter movement since the last mark().
+    crypto::VerifyMemoStats delta() const {
+        const crypto::VerifyMemoStats now = crypto::verify_memo_stats();
+        return {now.hits - mark_.hits, now.misses - mark_.misses};
+    }
+    void mark() { mark_ = crypto::verify_memo_stats(); }
+
+    MemoGuard guard_;
+    const std::unique_ptr<crypto::CryptoBackend> backend_ = crypto::make_tinycrypt_backend();
+    const Claim vendor_ = sign_claim("memo-vendor", "payload v2");
+    const Claim server_ = sign_claim("memo-server", "manifest for device 7");
+    crypto::VerifyMemoStats mark_;
+};
+
+TEST_F(VerifyMemoPairTest, KnownHalfMeansOnlyTheOtherIsVerified) {
+    ASSERT_TRUE(verify_one(vendor_));  // the fleet-wide half, memoized
+    mark();
+    crypto::ct::trace_begin();
+    EXPECT_TRUE(verify_pair(vendor_, server_));
+    const std::vector<std::uint16_t> pair_ops = crypto::ct::trace_take();
+    EXPECT_EQ(delta().hits, 1u);
+    EXPECT_EQ(delta().misses, 1u);
+
+    // The pair cost exactly one single verification of the server half:
+    // the same group operations, not the four-point batch walk.
+    crypto::ct::trace_begin();
+    EXPECT_TRUE(crypto::ecdsa_verify(server_.key, server_.digest, server_.sig));
+    const std::vector<std::uint16_t> single_ops = crypto::ct::trace_take();
+    EXPECT_FALSE(single_ops.empty());
+    EXPECT_EQ(pair_ops, single_ops);
+}
+
+TEST_F(VerifyMemoPairTest, ForgedServerHalfIsMemoizedAsRejected) {
+    const Claim bad_server = forged(server_);
+    ASSERT_TRUE(verify_one(vendor_));
+    mark();
+    EXPECT_FALSE(verify_pair(vendor_, bad_server));
+    EXPECT_EQ(delta().hits, 1u);
+    EXPECT_EQ(delta().misses, 1u);
+
+    // The forged half's own verdict is in the memo: false, as a hit.
+    EXPECT_FALSE(verify_one(bad_server));
+    EXPECT_EQ(delta().hits, 2u);
+    EXPECT_EQ(delta().misses, 1u);
+}
+
+TEST_F(VerifyMemoPairTest, KnownInvalidVendorHalfStillMemoizesTheServerHalf) {
+    const Claim bad_vendor = forged(vendor_);
+    ASSERT_FALSE(verify_one(bad_vendor));  // memoized as invalid
+    mark();
+    EXPECT_FALSE(verify_pair(bad_vendor, server_));
+    EXPECT_EQ(delta().hits, 1u);
+    EXPECT_EQ(delta().misses, 1u);
+
+    // The server half was verified alone and memoized valid.
+    EXPECT_TRUE(verify_one(server_));
+    EXPECT_EQ(delta().hits, 2u);
+    EXPECT_EQ(delta().misses, 1u);
+}
+
+TEST_F(VerifyMemoPairTest, ConcurrentFirstLookupsOfOneTripleCountOneMiss) {
+    // Four threads verify the same unseen triple at once. When they run in
+    // parallel, each misses the lookup and runs the kernel, but only the
+    // insert that wins counts a miss; the others count hits.
+    constexpr unsigned kThreads = 4;
+    std::atomic<unsigned> ready{0};
+    std::atomic<unsigned> valid{0};
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < kThreads; ++i) {
+        threads.emplace_back([&] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            if (verify_one(vendor_)) valid.fetch_add(1);
+        });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(valid.load(), kThreads);
+    EXPECT_EQ(delta().misses, 1u);
+    EXPECT_EQ(delta().hits, kThreads - 1);
+}
+
 // ------------------------------------------------- synthetic fleets
 
+/// add_synthetic() is the bench's bulk construction path: a fresh 24-device
+/// fleet provisioned at v1 on lossless links, then a campaign to v2.
+void run_synthetic(unsigned shards, RunResult& out) {
+    TestEnv env(4 * 1024);
+    FleetCampaign campaign{env.server};
+    SyntheticFleetSpec spec;
+    spec.count = 24;
+    spec.base = env.device_config();
+    spec.link = net::ble_gatt();
+    spec.app_id = kAppId;
+    spec.provision_version = 1;
+    ASSERT_EQ(campaign.add_synthetic(spec), Status::kOk);
+    ASSERT_EQ(campaign.size(), 24u);
+    env.publish_os_update(2, 31);  // published after provisioning
+    campaign.set_shards(shards);
+    sim::Tracer tracer;
+    sim::JsonlSink jsonl(out.trace);
+    sim::FingerprintSink fp;
+    tracer.add_sink(jsonl);
+    tracer.add_sink(fp);
+    campaign.set_tracer(&tracer);
+    FleetPolicy policy;
+    policy.wave_size = 8;
+    policy.wave_stagger_s = 2.0;
+    out.report = campaign.run(kAppId, policy);
+    out.trace_fp = fp.fingerprint();
+    out.trace_events = fp.events();
+}
+
 TEST(SyntheticFleetTest, AddSyntheticProvisionsAndShardsAgree) {
-    // add_synthetic() is the bench's bulk construction path: build a fresh
-    // 24-device fleet (provisioned at v1, campaign to v2) per shard count
-    // and expect the pinned outputs at every one.
-    const auto build_and_run = [](unsigned shards, RunResult& out) {
-        TestEnv env(4 * 1024);
-        FleetCampaign campaign{env.server};
-        SyntheticFleetSpec spec;
-        spec.count = 24;
-        spec.base = env.device_config();
-        spec.link = net::ble_gatt();
-        spec.app_id = kAppId;
-        spec.provision_version = 1;
-        ASSERT_EQ(campaign.add_synthetic(spec), Status::kOk);
-        ASSERT_EQ(campaign.size(), 24u);
-        env.publish_os_update(2, 31);  // published after provisioning
-        campaign.set_shards(shards);
-        sim::Tracer tracer;
-        sim::JsonlSink jsonl(out.trace);
-        sim::FingerprintSink fp;
-        tracer.add_sink(jsonl);
-        tracer.add_sink(fp);
-        campaign.set_tracer(&tracer);
-        FleetPolicy policy;
-        policy.wave_size = 8;
-        policy.wave_stagger_s = 2.0;
-        out.report = campaign.run(kAppId, policy);
-        out.trace_fp = fp.fingerprint();
-        out.trace_events = fp.events();
-    };
-    const RunResult got = run_battery(build_and_run, kGoldenSynthetic);
+    // Build a fresh fleet per shard count and expect the pinned outputs at
+    // every one.
+    const RunResult got = run_battery(run_synthetic, kGoldenSynthetic);
     EXPECT_EQ(got.report.succeeded, 24u);
     // Device identity plumbing: ids and versions came out as specified.
     EXPECT_EQ(got.report.devices.front().device_id, 0x10001u);
     EXPECT_EQ(got.report.devices.back().device_id, 0x10001u + 23u);
     for (const CampaignDeviceResult& d : got.report.devices) {
         EXPECT_EQ(d.final_version, 2u);
+    }
+}
+
+TEST(VerifyMemoTest, CountersMatchAtEveryShardCount) {
+    // A miss is counted only by the insert that wins, so the counters are
+    // a function of the campaign, not of how shard workers interleave
+    // their first lookups of the shared vendor triple. That interleaving
+    // depends on timing: counters that counted every failed lookup as a
+    // miss pass here (and in the concurrent-lookup test above) whenever
+    // the workers happen not to overlap.
+    MemoGuard guard;
+    crypto::set_verify_memo_enabled(true);
+    for (unsigned shards : {0u, 1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        crypto::verify_memo_reset();
+        RunResult run;
+        run_synthetic(shards, run);
+        ASSERT_EQ(run.report.succeeded, 24u);
+        for (const CampaignDeviceResult& d : run.report.devices) ASSERT_EQ(d.attempts, 1u);
+        // Distinct triples: the one v2 vendor signature, plus one
+        // token-bound server signature per session (one per device). The
+        // agent and the bootloader each check both: 4 lookups per device.
+        EXPECT_EQ(run.report.verify_memo.misses, 1u + 24u);
+        EXPECT_EQ(run.report.verify_memo.hits, 4u * 24u - (1u + 24u));
     }
 }
 

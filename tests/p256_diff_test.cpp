@@ -123,7 +123,8 @@ TEST(P256DiffTest, CombMatchesLadderOnOrderEdges) {
 
 TEST(P256DiffTest, CtBoothMatchesLadderOnSeededScalars) {
     // mul_base_ct shares nothing with the ladder beyond the group law: a
-    // dedicated 65-row table, signed-window recoding, masked additions.
+    // dedicated 43-row table, 6-bit signed-window recoding, masked
+    // additions.
     const P256& curve = P256::instance();
     Rng rng(0x5EED0007);
     for (std::size_t i = 0; i < kCases; ++i) {
@@ -144,13 +145,32 @@ TEST(P256DiffTest, CtBoothMatchesLadderOnEdgeScalars) {
     EXPECT_EQ(one->x, curve.generator().x);
     EXPECT_EQ(one->y, curve.generator().y);
 
-    // Single-bit scalars hit every Booth window (including the carry
-    // window: bit 255 set recodes to a digit at position 256); all-ones
-    // windows maximize the negative-digit / borrow chains.
+    // Single-bit scalars hit every Booth window and reach the carry window
+    // (bits 252..255 recode into window 42); bit 6w + 5 gives window w its
+    // -32 digit, the most negative one.
     for (unsigned b = 0; b < 256; ++b) {
         U256 k;
         k.w[b / 64] = 1ull << (b % 64);
         expect_same(curve.mul_base_ct(k), P256Oracle::mul_base_generic(k), "ct 2^b", b);
+    }
+    // A run of six ones at bits 6w - 1 .. 6w + 4, i.e. 0x3f << (6w - 1),
+    // gives window w its +32 digit, the last entry of its row. Window 0
+    // tops out at +31 (b_-1 = 0) and the carry window at +16.
+    for (unsigned w = 1; w < 42; ++w) {
+        U256 k;
+        for (unsigned b = 6 * w - 1; b < 6 * w + 5; ++b) k.w[b / 64] |= 1ull << (b % 64);
+        expect_same(curve.mul_base_ct(k), P256Oracle::mul_base_generic(k), "ct +32", w);
+    }
+    // The only scalars whose carry-window addition could double its
+    // partial sum: d * 2^253 mod n for each carry digit d in [1, 16]
+    // (ct_booth_mul_base's exceptional-case argument).
+    U256 k_double = U256::zero();
+    U256 step;
+    step.w[3] = 1ull << 61;  // 2^253 < n
+    for (unsigned d = 1; d <= 16; ++d) {
+        k_double = curve.order().add(k_double, step);
+        expect_same(curve.mul_base_ct(k_double), P256Oracle::mul_base_generic(k_double),
+                    "ct d*2^253", d);
     }
     U256 n_minus_1;
     sub(n_minus_1, n, U256::one());
