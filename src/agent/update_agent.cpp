@@ -22,17 +22,17 @@ constexpr double kDecryptCpuSecondsPerKb = 0.0005;
 
 UpdateAgent::UpdateAgent(const AgentConfig& config, slots::SlotManager& slots,
                          const verify::Verifier& verifier, const sim::PlatformProfile& platform,
-                         sim::VirtualClock* clock, sim::EnergyMeter* meter, ByteSpan nonce_seed)
+                         sim::VirtualClock& clock, sim::EnergyMeter& meter, ByteSpan nonce_seed)
     : config_(config),
       slots_(&slots),
       verifier_(&verifier),
       platform_(&platform),
-      clock_(clock),
-      meter_(meter),
+      clock_(&clock),
+      meter_(&meter),
       nonce_drbg_(nonce_seed, to_bytes("upkit-agent-nonce")) {}
 
 void UpdateAgent::charge_cpu(double seconds) {
-    sim::charge_cpu(*platform_, clock_, meter_, seconds,
+    sim::charge_cpu(*platform_, *clock_, *meter_, seconds,
                     verifier_->backend().costs().active_current_ma);
 }
 
@@ -47,7 +47,7 @@ void UpdateAgent::set_state(FsmState next) {
     assert(transition_allowed(state_, next) && "illegal FSM transition");
     if (tracer_ != nullptr) {
         tracer_->emit(sim::TraceEvent{
-            .t = clock_ != nullptr ? clock_->now() - trace_offset_ : 0.0,
+            .t = clock_->now() - trace_offset_,
             .device_id = config_.identity.device_id,
             .type = sim::TraceType::kFsmTransition,
             .from = to_string(state_),
@@ -82,7 +82,7 @@ Expected<manifest::DeviceToken> UpdateAgent::request_device_token() {
     token.device_id = config_.identity.device_id;
     token.nonce = draw_nonce();
     token.current_version =
-        config_.enable_differential ? config_.identity.installed_version : 0;
+        config_.identity.supports_differential ? config_.identity.installed_version : 0;
     prepare_chunk_state(token);
     token_ = token;
     ++stats_.tokens_issued;
@@ -220,11 +220,11 @@ Status UpdateAgent::verify_and_accept(verify::ImageHeader header, ByteSpan heade
     const slots::SlotConfig* target = slots_->slot(config_.target_slot);
     // Both ECDSA verifications (vendor + server), priced as one batched
     // pass when the backend's cost model is calibrated for it.
-    const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
-    charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
-    const Status verdict =
-        verifier_->verify_manifest(header, *token_, config_.identity, *target);
-    if (clock_ != nullptr) stats_.verification_seconds += clock_->now() - verify_start;
+    const Status verdict = [&] {
+        const sim::PhaseTimer timer(*clock_, stats_.verification_seconds);
+        charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
+        return verifier_->verify_manifest(header, *token_, config_.identity, *target);
+    }();
     if (verdict != Status::kOk) {
         ++stats_.manifests_rejected;
         return fail(verdict);
@@ -382,12 +382,12 @@ Status UpdateAgent::verify_firmware_now() {
 
     // Digest over the reconstructed firmware (the tee computed it on the
     // fly; the modelled device pays the SHA-256 time here).
-    const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
-    charge_cpu(verifier_->backend().costs().sha256_seconds_per_kb *
-               static_cast<double>(manifest_->firmware_size) / 1024.0);
-    const Status verdict =
-        verifier_->verify_firmware_digest(*manifest_, pipeline_->firmware_digest());
-    if (clock_ != nullptr) stats_.verification_seconds += clock_->now() - verify_start;
+    const Status verdict = [&] {
+        const sim::PhaseTimer timer(*clock_, stats_.verification_seconds);
+        charge_cpu(verifier_->backend().costs().sha256_seconds_per_kb *
+                   static_cast<double>(manifest_->firmware_size) / 1024.0);
+        return verifier_->verify_firmware_digest(*manifest_, pipeline_->firmware_digest());
+    }();
     if (verdict != Status::kOk) {
         ++stats_.firmwares_rejected;
         return fail(verdict);

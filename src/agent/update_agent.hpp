@@ -28,15 +28,14 @@
 namespace upkit::agent {
 
 struct AgentConfig {
+    /// Device facts, including whether differential support (which costs
+    /// agent flash/RAM) is built in.
     verify::DeviceIdentity identity;
 
     /// Slot the new image is stored into.
     std::uint32_t target_slot = 1;
     /// Slot holding the currently-running image (differential base).
     std::uint32_t installed_slot = 0;
-
-    /// Differential support costs agent flash/RAM; devices may disable it.
-    bool enable_differential = true;
 
     /// Content-addressed chunk support: when set, device tokens advertise
     /// the digest prefixes of chunks present in the installed image (the
@@ -79,10 +78,9 @@ struct AgentStats {
 
 class UpdateAgent {
 public:
-    /// `clock`/`meter` may be null for un-timed functional use.
     UpdateAgent(const AgentConfig& config, slots::SlotManager& slots,
                 const verify::Verifier& verifier, const sim::PlatformProfile& platform,
-                sim::VirtualClock* clock, sim::EnergyMeter* meter, ByteSpan nonce_seed);
+                sim::VirtualClock& clock, sim::EnergyMeter& meter, ByteSpan nonce_seed);
 
     // ---- propagation-phase entry points (push and pull both use these) ----
 

@@ -5,7 +5,7 @@
 namespace upkit::boot {
 
 void Bootloader::charge_cpu(double seconds) {
-    sim::charge_cpu(*platform_, clock_, meter_, seconds,
+    sim::charge_cpu(*platform_, *clock_, *meter_, seconds,
                     verifier_->backend().costs().active_current_ma);
 }
 
@@ -38,8 +38,6 @@ Status Bootloader::verify_slot_image(const Candidate& candidate, Bytes& scratch)
 }
 
 Expected<BootReport> Bootloader::boot() {
-    verification_seconds_ = 0.0;
-    loading_seconds_ = 0.0;
     charge_cpu(config_.reboot_seconds);  // MCU reset + init
 
     BootReport report;
@@ -48,13 +46,9 @@ Expected<BootReport> Bootloader::boot() {
     // the journal knows the last durable step and the swap is completed
     // before any image is examined. A second cut in here simply repeats
     // this on the next boot.
-    {
-        const double load_start = clock_ != nullptr ? clock_->now() : 0.0;
-        auto resumed = slots_->resume_swap();
-        if (clock_ != nullptr) loading_seconds_ += clock_->now() - load_start;
-        if (!resumed) return resumed.status();
-        report.resumed_interrupted_swap = *resumed;
-    }
+    auto resumed = slots_->resume_swap();
+    if (!resumed) return resumed.status();
+    report.resumed_interrupted_swap = *resumed;
 
     // Trial revert next: the previous boot armed a trial that was never
     // confirmed — whatever ended that boot (watchdog at window expiry,
@@ -90,9 +84,10 @@ Expected<BootReport> Bootloader::boot() {
     // per candidate would be pure waste).
     Bytes scratch;
     for (const Candidate& candidate : candidates) {
-        const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
-        const Status verdict = verify_slot_image(candidate, scratch);
-        if (clock_ != nullptr) verification_seconds_ += clock_->now() - verify_start;
+        const Status verdict = [&] {
+            const sim::PhaseTimer timer(*clock_, report.verification_seconds);
+            return verify_slot_image(candidate, scratch);
+        }();
 
         if (verdict == Status::kFlashPowerLoss) {
             // The flash died mid-verification: this is not a bad image, the
@@ -109,7 +104,6 @@ Expected<BootReport> Bootloader::boot() {
             continue;
         }
 
-        const double load_start = clock_ != nullptr ? clock_->now() : 0.0;
         const bool is_bootable =
             std::find(config_.bootable_slots.begin(), config_.bootable_slots.end(),
                       candidate.slot_id) != config_.bootable_slots.end();
@@ -125,17 +119,12 @@ Expected<BootReport> Bootloader::boot() {
                 used = std::max<std::uint64_t>(
                     used, old->header.firmware_offset + old->header.manifest.firmware_size);
             }
-            const Status swapped = slots_->swap(candidate.slot_id, boot_slot, used);
-            if (swapped != Status::kOk) {
-                if (clock_ != nullptr) loading_seconds_ += clock_->now() - load_start;
-                return swapped;
-            }
+            UPKIT_RETURN_IF_ERROR(slots_->swap(candidate.slot_id, boot_slot, used));
             report.installed_from_staging = true;
         }
 
         // "Jump": transfer of control to the application image.
         charge_cpu(0.001);
-        if (clock_ != nullptr) loading_seconds_ += clock_->now() - load_start;
 
         if (config_.trial_boot) {
             if (confirmed_version_ == 0) {
@@ -148,8 +137,7 @@ Expected<BootReport> Bootloader::boot() {
                     .state = agent::TrialState::kArmed,
                     .version = candidate.header.manifest.version,
                     .slot = boot_slot,
-                    .deadline_s = (clock_ != nullptr ? clock_->now() : 0.0) +
-                                  config_.confirm_window_s};
+                    .deadline_s = clock_->now() + config_.confirm_window_s};
                 report.trial_boot = true;
             } else if (trial_.state != agent::TrialState::kRolledBack) {
                 trial_.state = agent::TrialState::kNone;
@@ -158,8 +146,6 @@ Expected<BootReport> Bootloader::boot() {
 
         report.booted_slot = boot_slot;
         report.booted = candidate.header.manifest;
-        report.verification_seconds = verification_seconds_;
-        report.loading_seconds = loading_seconds_;
         return report;
     }
     // Distinguish "no valid image anywhere" (a true brick: device stays in
@@ -178,7 +164,7 @@ Expected<BootReport> Bootloader::boot() {
 
 Status Bootloader::confirm_boot() {
     if (trial_.state != agent::TrialState::kArmed) return Status::kFailedPrecondition;
-    if (clock_ != nullptr && clock_->now() > trial_.deadline_s) {
+    if (clock_->now() > trial_.deadline_s) {
         // Too late: the watchdog window has already closed. The trial stays
         // armed so the revert still happens at the next boot.
         return Status::kTimeout;

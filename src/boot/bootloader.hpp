@@ -64,34 +64,26 @@ struct BootReport {
     /// (the previous boot's trial expired without confirmation).
     bool rolled_back = false;
     /// Device-seconds this boot spent verifying candidates (signatures +
-    /// streamed re-digest) and loading (swap/copy + jump) — the per-phase
-    /// split the fleet campaign reports aggregate.
+    /// streamed re-digest); the session driver books the rest of the boot
+    /// as loading (the Fig. 8a phase split).
     double verification_seconds = 0.0;
-    double loading_seconds = 0.0;
 };
 
 class Bootloader {
 public:
     Bootloader(const BootConfig& config, slots::SlotManager& slots,
                const verify::Verifier& verifier, const sim::PlatformProfile& platform,
-               sim::VirtualClock* clock, sim::EnergyMeter* meter)
+               sim::VirtualClock& clock, sim::EnergyMeter& meter)
         : config_(config),
           slots_(&slots),
           verifier_(&verifier),
           platform_(&platform),
-          clock_(clock),
-          meter_(meter) {}
+          clock_(&clock),
+          meter_(&meter) {}
 
     /// Performs a full boot: scan, verify, install-if-needed, "jump".
     /// Returns kNotFound when no valid image exists anywhere.
     Expected<BootReport> boot();
-
-    /// Seconds the verification part of the last boot took (for the
-    /// phase-accounting in the Fig. 8 benches).
-    double last_verification_seconds() const { return verification_seconds_; }
-
-    /// Seconds the loading part (swap/copy + jump) of the last boot took.
-    double last_loading_seconds() const { return loading_seconds_; }
 
     /// Confirms the armed trial (application self-test passed). Returns
     /// kFailedPrecondition with no trial armed, kTimeout past the window
@@ -127,9 +119,6 @@ private:
     const sim::PlatformProfile* platform_;
     sim::VirtualClock* clock_;
     sim::EnergyMeter* meter_;
-
-    double verification_seconds_ = 0.0;
-    double loading_seconds_ = 0.0;
 
     /// Trial bookkeeping. On real hardware this lives in a flash trailer
     /// (MCUboot's image trailer); here the Bootloader object survives the

@@ -39,14 +39,6 @@ inline std::uint64_t load_le64(ByteSpan in) {
     return v;
 }
 
-inline void store_be32(MutByteSpan out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * (3 - i)));
-}
-
-inline void store_be64(MutByteSpan out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * (7 - i)));
-}
-
 inline std::uint32_t load_be32(ByteSpan in) {
     std::uint32_t v = 0;
     for (std::size_t i = 0; i < 4; ++i) v = (v << 8) | in[i];

@@ -21,12 +21,27 @@ flash::FlashTimings internal_timings(const sim::PlatformProfile& p) {
                                .read_bandwidth_bps = p.flash_read_bandwidth_bps};
 }
 
+/// The swap journal lives in the top sectors of the bootloader-reserved
+/// region (the bootloader owns it: only boot-time code swaps slots).
+std::uint64_t journal_offset(const DeviceConfig& config) {
+    const std::uint64_t journal_bytes =
+        slots::SwapJournal::kSectorCount * config.platform->flash_sector_bytes;
+    assert(config.bootloader_reserved >= journal_bytes + config.platform->flash_sector_bytes &&
+           "reserved flash too small for bootloader + swap journal");
+    return config.bootloader_reserved - journal_bytes;
+}
+
 }  // namespace
 
-Device::Device(const DeviceConfig& config) : config_(config), meter_(*config.platform) {
+Device::Device(const DeviceConfig& config)
+    : config_(config),
+      meter_(*config.platform),
+      internal_(std::make_unique<flash::SimFlash>(internal_geometry(*config.platform),
+                                                  internal_timings(*config.platform))),
+      swap_journal_(*internal_, journal_offset(config)),
+      slot_manager_(swap_journal_) {
     const sim::PlatformProfile& p = *config_.platform;
 
-    internal_ = std::make_unique<flash::SimFlash>(internal_geometry(p), internal_timings(p));
     internal_->attach(&clock_, &meter_);
     if (config_.layout == SlotLayout::kStaticExternal) {
         assert(p.has_external_flash && "layout requires an external flash part");
@@ -92,21 +107,12 @@ Device::Device(const DeviceConfig& config) : config_(config), meter_(*config.pla
     boot_config.trial_boot = config_.trial_boot;
     boot_config.confirm_window_s = config_.boot_confirm_window_s;
     bootloader_ = std::make_unique<boot::Bootloader>(boot_config, slot_manager_, *verifier_,
-                                                     *config_.platform, &clock_, &meter_);
+                                                     *config_.platform, clock_, meter_);
 }
 
 void Device::build_slots() {
     const sim::PlatformProfile& p = *config_.platform;
     const std::uint64_t sector = p.flash_sector_bytes;
-
-    // The swap journal lives in the top sectors of the bootloader-reserved
-    // region (the bootloader owns it: only boot-time code swaps slots).
-    const std::uint64_t journal_bytes = slots::SwapJournal::kSectorCount * sector;
-    assert(config_.bootloader_reserved >= journal_bytes + sector &&
-           "reserved flash too small for bootloader + swap journal");
-    swap_journal_ = std::make_unique<slots::SwapJournal>(
-        *internal_, config_.bootloader_reserved - journal_bytes);
-    slot_manager_.set_journal(swap_journal_.get());
 
     std::uint64_t slot_size = config_.slot_size;
     if (slot_size == 0) {
@@ -151,7 +157,6 @@ void Device::restart_agent() {
     agent_config.identity = identity_;
     agent_config.installed_slot = installed_slot_;
     agent_config.target_slot = target_slot_;
-    agent_config.enable_differential = config_.enable_differential;
     agent_config.enable_chunked = config_.enable_chunked;
     agent_config.pipeline_buffer = config_.pipeline_buffer != 0
                                        ? config_.pipeline_buffer
@@ -164,7 +169,7 @@ void Device::restart_agent() {
     put_le64(seed, config_.seed);
     put_le64(seed, boot_count_);
     agent_ = std::make_unique<agent::UpdateAgent>(agent_config, slot_manager_, *verifier_,
-                                                  *config_.platform, &clock_, &meter_, seed);
+                                                  *config_.platform, clock_, meter_, seed);
     agent_->set_tracer(tracer_, trace_offset_);
 }
 

@@ -117,8 +117,6 @@ public:
         return encryption_key_ ? encryption_key_->public_key() : crypto::PublicKey{};
     }
 
-    std::uint64_t boot_count() const { return boot_count_; }
-
     /// Attaches a trace sink (FSM transitions and session events for this
     /// device). `campaign_offset` maps the device clock onto the campaign
     /// timeline (device time − offset = campaign time); the binding
@@ -149,7 +147,7 @@ private:
 
     std::unique_ptr<flash::SimFlash> internal_;
     std::unique_ptr<flash::SimFlash> external_;
-    std::unique_ptr<slots::SwapJournal> swap_journal_;
+    slots::SwapJournal swap_journal_;
     slots::SlotManager slot_manager_;
 
     std::shared_ptr<crypto::Atecc508> hsm_;

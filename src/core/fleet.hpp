@@ -267,11 +267,12 @@ struct CampaignReport {
     /// provisioning traffic before the campaign is excluded).
     server::ServerStats server_stats;
     /// Device-side ECDSA verify-memo traffic during this campaign
-    /// (snapshotted at run start and diffed, like server_stats). NOT mixed
-    /// into fingerprint(): the memo is shared process-wide, so under
-    /// sharding which worker's verify takes the one miss and which take
-    /// hits depends on thread interleaving — every verdict is
-    /// deterministic, the hit/miss split is not.
+    /// (snapshotted at run start and diffed, like server_stats). The
+    /// counters match at every shard count, but they are NOT mixed into
+    /// fingerprint(): the memo is a process-wide host cache, off by default,
+    /// so they depend on whether it is switched on and on what earlier work
+    /// in the process left in it, while every verdict, and so every
+    /// simulated field, is the same either way.
     crypto::VerifyMemoStats verify_memo;
     /// Discrete events the scheduler processed for this campaign.
     std::uint64_t events_processed = 0;

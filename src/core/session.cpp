@@ -75,9 +75,8 @@ Expected<boot::BootReport> SessionDriver::reboot() {
     report_.rebooted = true;
     if (boot_report) {
         const double boot_elapsed = device_->clock().now() - boot_start;
-        const double boot_verify = device_->bootloader().last_verification_seconds();
-        report_.phases.verification_s += boot_verify;
-        report_.phases.loading_s += boot_elapsed - boot_verify;
+        report_.phases.verification_s += boot_report->verification_seconds;
+        report_.phases.loading_s += boot_elapsed - boot_report->verification_seconds;
     }
     return boot_report;
 }

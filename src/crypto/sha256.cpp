@@ -335,9 +335,4 @@ Sha256Digest Sha256::digest(ByteSpan data) {
     return h.finalize();
 }
 
-Bytes sha256(ByteSpan data) {
-    const Sha256Digest d = Sha256::digest(data);
-    return Bytes(d.begin(), d.end());
-}
-
 }  // namespace upkit::crypto

@@ -81,7 +81,4 @@ private:
     std::uint64_t total_bytes_ = 0;
 };
 
-/// Digest as an owning byte buffer (convenience for wire formats).
-Bytes sha256(ByteSpan data);
-
 }  // namespace upkit::crypto

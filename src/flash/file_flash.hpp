@@ -15,7 +15,9 @@ namespace upkit::flash {
 
 class FileFlash final : public FlashDevice {
 public:
-    /// Opens (or creates, sized and 0xFF-filled) the backing file.
+    /// Opens (or creates, sized and 0xFF-filled) the backing file. A file
+    /// shorter than the geometry, such as one written for a smaller layout,
+    /// reads as erased beyond its end and is extended to full size.
     static Expected<FileFlash> open(const std::string& path, const FlashGeometry& geometry);
 
     const FlashGeometry& geometry() const override { return geometry_; }

@@ -62,7 +62,6 @@ Status Transport::chunk_to_device(ByteSpan data, std::size_t& offset, ByteSink& 
         Bytes mangled(data.begin() + static_cast<std::ptrdiff_t>(offset),
                       data.begin() + static_cast<std::ptrdiff_t>(offset + len));
         mangled[len / 2] ^= 0x40;
-        ++chunks_corrupted_;
         UPKIT_RETURN_IF_ERROR(sink.write(ByteSpan(mangled.data(), mangled.size())));
     } else {
         UPKIT_RETURN_IF_ERROR(sink.write(data.subspan(offset, len)));

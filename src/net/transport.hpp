@@ -67,7 +67,6 @@ public:
     std::uint64_t bytes_to_device() const { return bytes_down_; }
     std::uint64_t bytes_from_device() const { return bytes_up_; }
     std::uint64_t chunks_retransmitted() const { return retransmissions_; }
-    std::uint64_t chunks_corrupted() const { return chunks_corrupted_; }
 
     /// Caps retransmissions per chunk before the transfer aborts.
     void set_max_retries(unsigned retries) { max_retries_ = retries; }
@@ -91,7 +90,6 @@ private:
     std::uint64_t bytes_down_ = 0;
     std::uint64_t bytes_up_ = 0;
     std::uint64_t retransmissions_ = 0;
-    std::uint64_t chunks_corrupted_ = 0;
 };
 
 }  // namespace upkit::net

@@ -5,16 +5,14 @@
 
 namespace upkit::sim {
 
-void charge_cpu(const PlatformProfile& platform, VirtualClock* clock, EnergyMeter* meter,
+void charge_cpu(const PlatformProfile& platform, VirtualClock& clock, EnergyMeter& meter,
                 double seconds, double hsm_ma) {
     const double scaled = seconds * platform.cpu_scale();
-    if (clock != nullptr) clock->advance(scaled);
-    if (meter != nullptr) {
-        if (hsm_ma > 0) {
-            meter->charge(Component::kHsm, scaled, hsm_ma);
-        } else {
-            meter->charge(Component::kCpu, scaled);
-        }
+    clock.advance(scaled);
+    if (hsm_ma > 0) {
+        meter.charge(Component::kHsm, scaled, hsm_ma);
+    } else {
+        meter.charge(Component::kCpu, scaled);
     }
 }
 

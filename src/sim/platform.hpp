@@ -48,9 +48,8 @@ struct PlatformProfile {
 /// Charges `seconds` of CPU work, calibrated for a 64 MHz Cortex-M4, on
 /// `platform`: advances `clock` by the scaled time and bills it to `meter`
 /// as HSM time when `hsm_ma` > 0 (an attached secure element draws that
-/// current while it runs the crypto), else as CPU time. Either of `clock`
-/// and `meter` may be null.
-void charge_cpu(const PlatformProfile& platform, VirtualClock* clock, EnergyMeter* meter,
+/// current while it runs the crypto), else as CPU time.
+void charge_cpu(const PlatformProfile& platform, VirtualClock& clock, EnergyMeter& meter,
                 double seconds, double hsm_ma);
 
 /// Nordic nRF52840: 1 MB flash / 256 kB RAM, BLE + 802.15.4.

@@ -146,29 +146,6 @@ Status SlotManager::invalidate(std::uint32_t id) {
     return (*config)->device->erase_sector((*config)->offset / sector);
 }
 
-Status SlotManager::copy(std::uint32_t src, std::uint32_t dst, std::uint64_t used_bytes) {
-    auto s = checked(src);
-    if (!s) return s.status();
-    auto d = checked(dst);
-    if (!d) return d.status();
-    if ((*s)->size != (*d)->size) return Status::kInvalidArgument;
-    const std::uint64_t limit =
-        used_bytes == 0 ? (*s)->size : std::min(used_bytes, (*s)->size);
-
-    UPKIT_RETURN_IF_ERROR((*d)->device->erase_range((*d)->offset, limit));
-    const std::uint32_t chunk = (*d)->device->geometry().sector_bytes;
-    Bytes buffer(chunk);
-    for (std::uint64_t off = 0; off < limit; off += chunk) {
-        const std::size_t len =
-            static_cast<std::size_t>(std::min<std::uint64_t>(chunk, limit - off));
-        UPKIT_RETURN_IF_ERROR(
-            (*s)->device->read((*s)->offset + off, MutByteSpan(buffer.data(), len)));
-        UPKIT_RETURN_IF_ERROR(
-            (*d)->device->write((*d)->offset + off, ByteSpan(buffer.data(), len)));
-    }
-    return Status::kOk;
-}
-
 Status SlotManager::swap(std::uint32_t a, std::uint32_t b, std::uint64_t used_bytes) {
     auto sa = checked(a);
     if (!sa) return sa.status();
@@ -178,7 +155,9 @@ Status SlotManager::swap(std::uint32_t a, std::uint32_t b, std::uint64_t used_by
 
     const std::uint32_t chunk = std::max((*sa)->device->geometry().sector_bytes,
                                          (*sb)->device->geometry().sector_bytes);
-    if ((*sa)->size % chunk != 0) return Status::kInvalidArgument;
+    if ((*sa)->size % chunk != 0 || chunk > journal_->scratch_capacity()) {
+        return Status::kInvalidArgument;
+    }
     // Validate and clamp explicitly: a used_bytes beyond the slot, or one
     // whose round-up to swap granularity lands past it, must not push the
     // sector loop out of bounds.
@@ -186,29 +165,9 @@ Status SlotManager::swap(std::uint32_t a, std::uint32_t b, std::uint64_t used_by
     limit = (limit + chunk - 1) / chunk * chunk;  // round to swap granularity
     limit = std::min<std::uint64_t>(limit, (*sa)->size);
 
-    if (journal_ != nullptr && chunk <= journal_->scratch_capacity()) {
-        UPKIT_RETURN_IF_ERROR(journal_->begin(a, b, limit, chunk));
-        return journaled_swap(
-            **sa, **sb,
-            SwapJournal::State{.slot_a = a, .slot_b = b, .limit = limit, .chunk = chunk});
-    }
-
-    // Legacy sector-pair swap with two RAM buffers — no scratch sector, but
-    // NOT crash-consistent: between the erase of a sector and its rewrite
-    // the only copy of that data is in RAM.
-    Bytes buf_a(chunk);
-    Bytes buf_b(chunk);
-    for (std::uint64_t off = 0; off < limit; off += chunk) {
-        UPKIT_RETURN_IF_ERROR((*sa)->device->read((*sa)->offset + off, MutByteSpan(buf_a)));
-        UPKIT_RETURN_IF_ERROR((*sb)->device->read((*sb)->offset + off, MutByteSpan(buf_b)));
-        UPKIT_RETURN_IF_ERROR(
-            (*sa)->device->erase_range((*sa)->offset + off, chunk));
-        UPKIT_RETURN_IF_ERROR((*sa)->device->write((*sa)->offset + off, buf_b));
-        UPKIT_RETURN_IF_ERROR(
-            (*sb)->device->erase_range((*sb)->offset + off, chunk));
-        UPKIT_RETURN_IF_ERROR((*sb)->device->write((*sb)->offset + off, buf_a));
-    }
-    return Status::kOk;
+    UPKIT_RETURN_IF_ERROR(journal_->begin(a, b, limit, chunk));
+    return journaled_swap(
+        **sa, **sb, SwapJournal::State{.slot_a = a, .slot_b = b, .limit = limit, .chunk = chunk});
 }
 
 Status SlotManager::journaled_swap(const SlotConfig& a, const SlotConfig& b,
@@ -267,7 +226,6 @@ Status SlotManager::journaled_swap(const SlotConfig& a, const SlotConfig& b,
 }
 
 Expected<bool> SlotManager::resume_swap() {
-    if (journal_ == nullptr) return false;
     auto pending = journal_->pending();
     if (!pending) {
         if (pending.status() == Status::kNotFound) return false;

@@ -77,6 +77,9 @@ private:
 
 class SlotManager {
 public:
+    /// Every swap runs through `journal` (non-owning; outlives the manager).
+    explicit SlotManager(SwapJournal& journal) : journal_(&journal) {}
+
     Status add_slot(const SlotConfig& config);
 
     const SlotConfig* slot(std::uint32_t id) const;
@@ -92,30 +95,21 @@ public:
     /// the image manifest lives).
     Status invalidate(std::uint32_t id);
 
-    /// Copies src's content over dst (dst is erased first). Sizes must
-    /// match. `used_bytes` limits the copy to the sectors an image actually
-    /// occupies (0 = whole slot).
-    Status copy(std::uint32_t src, std::uint32_t dst, std::uint64_t used_bytes = 0);
-
-    /// Swaps the contents of two equally-sized slots using a single
-    /// sector-sized RAM buffer per side (no scratch slot). `used_bytes`
-    /// limits the swap to occupied sectors (0 = whole slot) — bootloaders
-    /// know both image sizes from the manifests and skip the tail.
+    /// Swaps the contents of two equally-sized slots sector pair by sector
+    /// pair through the journal. `used_bytes` limits the swap to occupied
+    /// sectors (0 = whole slot) — bootloaders know both image sizes from
+    /// the manifests and skip the tail.
     ///
-    /// With a journal attached (set_journal) the swap is crash-consistent:
-    /// every destructive step is preceded by a durable copy (journal scratch
-    /// sector or the peer slot) and followed by a journal record, so a power
-    /// cut at ANY flash operation is recoverable via resume_swap(). Without
-    /// a journal the legacy in-RAM swap runs — fast, but a cut mid-swap can
-    /// destroy both images.
+    /// The swap is crash-consistent: every destructive step is preceded by
+    /// a durable copy (journal scratch sector or the peer slot) and followed
+    /// by a journal record, so a power cut at ANY flash operation is
+    /// recoverable via resume_swap(). A pair whose sector is larger than the
+    /// journal's scratch sector is refused with kInvalidArgument before any
+    /// flash operation.
     Status swap(std::uint32_t a, std::uint32_t b, std::uint64_t used_bytes = 0);
 
-    /// Attaches the swap journal (non-owning; outlives the manager).
-    void set_journal(SwapJournal* journal) { journal_ = journal; }
-    SwapJournal* journal() { return journal_; }
-
-    /// Detects an interrupted journaled swap and drives it to completion.
-    /// Returns true when a swap was resumed, false when nothing was pending.
+    /// Detects an interrupted swap and drives it to completion. Returns
+    /// true when a swap was resumed, false when nothing was pending.
     /// Re-entrant: a second power cut during recovery leaves a journal that
     /// the next resume_swap() picks up again.
     Expected<bool> resume_swap();
@@ -127,9 +121,9 @@ private:
     Status journaled_swap(const SlotConfig& a, const SlotConfig& b,
                           const SwapJournal::State& from);
 
+    SwapJournal* journal_;
     std::map<std::uint32_t, SlotConfig> slots_;
     std::set<std::uint32_t> open_;
-    SwapJournal* journal_ = nullptr;
 };
 
 /// RandomReader over a byte window of a slot — how the patching stage reads

@@ -155,7 +155,16 @@ TEST(EdgeStorage, BothSlotsSameVersionBootsBootablePreferred) {
     // scan order).
     TestEnv env;
     auto device = env.make_device(SlotLayout::kAB);
-    ASSERT_EQ(device->slots().copy(0, 1), Status::kOk);  // clone v1 into B
+    slots::SlotManager& manager = device->slots();
+    {  // clone v1 into B
+        Bytes image(manager.slot(0)->size);
+        auto a = manager.open(0, slots::OpenMode::kReadOnly);
+        ASSERT_TRUE(a.has_value());
+        ASSERT_TRUE(a->read(MutByteSpan(image)).has_value());
+        auto b = manager.open(1, slots::OpenMode::kWriteAll);
+        ASSERT_TRUE(b.has_value());
+        ASSERT_EQ(b->write(image), Status::kOk);
+    }
     auto report = device->reboot();
     ASSERT_TRUE(report.has_value());
     EXPECT_EQ(report->booted.version, 1);

@@ -247,6 +247,26 @@ TEST(FileFlashTest, PersistsAcrossReopen) {
     std::filesystem::remove(path);
 }
 
+TEST(FileFlashTest, ShorterFileReadsErasedBeyondItsEnd) {
+    // An image file written for a smaller layout keeps its bytes; the rest
+    // of the larger geometry reads as erased and the file grows to fit.
+    const std::string path = std::filesystem::temp_directory_path() / "upkit_fileflash3.bin";
+    std::filesystem::remove(path);
+    {
+        auto dev = FileFlash::open(
+            path, FlashGeometry{.size_bytes = 8192, .sector_bytes = 4096, .page_bytes = 256});
+        ASSERT_TRUE(dev.has_value());
+        ASSERT_EQ(dev->write(8190, Bytes{0x12, 0x34}), Status::kOk);
+    }
+    auto dev = FileFlash::open(path, small_geometry());
+    ASSERT_TRUE(dev.has_value());
+    Bytes out(4);
+    ASSERT_EQ(dev->read(8190, MutByteSpan(out)), Status::kOk);
+    EXPECT_EQ(out, (Bytes{0x12, 0x34, 0xFF, 0xFF}));
+    EXPECT_EQ(std::filesystem::file_size(path), small_geometry().size_bytes);
+    std::filesystem::remove(path);
+}
+
 TEST(FileFlashTest, EnforcesEraseBeforeWrite) {
     const std::string path = std::filesystem::temp_directory_path() / "upkit_fileflash2.bin";
     std::filesystem::remove(path);

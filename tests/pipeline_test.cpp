@@ -16,11 +16,16 @@ using flash::FlashGeometry;
 using flash::FlashTimings;
 using flash::SimFlash;
 
+// Two 128 KiB slots with the swap journal's three sectors above them.
 class PipelineFixture : public ::testing::Test {
 protected:
     PipelineFixture()
-        : device_(FlashGeometry{.size_bytes = 256 * 1024, .sector_bytes = 4096, .page_bytes = 256},
-                  FlashTimings{}) {
+        : device_(FlashGeometry{.size_bytes = 256 * 1024 + slots::SwapJournal::kSectorCount * 4096,
+                                .sector_bytes = 4096,
+                                .page_bytes = 256},
+                  FlashTimings{}),
+          journal_(device_, 256 * 1024),
+          manager_(journal_) {
         EXPECT_EQ(manager_.add_slot({.id = 0,
                                      .type = slots::SlotType::kBootable,
                                      .device = &device_,
@@ -46,6 +51,7 @@ protected:
     }
 
     SimFlash device_;
+    slots::SwapJournal journal_;
     slots::SlotManager manager_;
 };
 

@@ -1,10 +1,12 @@
-// Slot-manager tests: configuration validation, open modes, copy/swap
-// across devices (internal + external flash), invalidation, and the
-// SlotReader window used by the differential pipeline.
+// Slot-manager tests: configuration validation, open modes, journaled swap
+// within a part and across parts (internal + external flash),
+// invalidation, and the SlotReader window used by the differential
+// pipeline.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "flash/sim_flash.hpp"
+#include "sim/clock.hpp"
 #include "slots/slot.hpp"
 
 namespace upkit::slots {
@@ -14,13 +16,17 @@ using flash::FlashGeometry;
 using flash::FlashTimings;
 using flash::SimFlash;
 
+// Two bootable slots on the internal part, whose top three sectors hold the
+// swap journal, and a non-bootable slot on the external part.
 class SlotFixture : public ::testing::Test {
 protected:
     SlotFixture()
         : internal_(FlashGeometry{.size_bytes = 128 * 1024, .sector_bytes = 4096, .page_bytes = 256},
                     FlashTimings{}),
           external_(FlashGeometry{.size_bytes = 256 * 1024, .sector_bytes = 4096, .page_bytes = 256},
-                    FlashTimings{}) {
+                    FlashTimings{}),
+          journal_(internal_, 128 * 1024 - SwapJournal::kSectorCount * 4096),
+          manager_(journal_) {
         EXPECT_EQ(manager_.add_slot({.id = 0,
                                      .type = SlotType::kBootable,
                                      .device = &internal_,
@@ -46,6 +52,7 @@ protected:
 
     SimFlash internal_;
     SimFlash external_;
+    SwapJournal journal_;
     SlotManager manager_;
 };
 
@@ -161,20 +168,75 @@ TEST_F(SlotFixture, HandleMoveTransfersOwnership) {
     EXPECT_FALSE(manager_.is_open(0));
 }
 
-TEST_F(SlotFixture, CopyAcrossDevices) {
+TEST_F(SlotFixture, SwapAcrossDevices) {
+    // The CC2650 static layout: the staged image on the external part is
+    // loaded into the internal bootable slot through the journal on the
+    // internal part, and the old image lands in the staging slot.
     Rng rng(5);
-    const Bytes image = rng.bytes(10 * 1024);
+    const Bytes staged = rng.bytes(10 * 1024);
+    const Bytes running = rng.bytes(10 * 1024);
     {
         auto h = manager_.open(2, OpenMode::kWriteAll);  // external NB slot
         ASSERT_TRUE(h.has_value());
-        ASSERT_EQ(h->write(image), Status::kOk);
+        ASSERT_EQ(h->write(staged), Status::kOk);
     }
-    ASSERT_EQ(manager_.copy(2, 0), Status::kOk);  // NB -> bootable (the "load")
-    auto h = manager_.open(0, OpenMode::kReadOnly);
-    ASSERT_TRUE(h.has_value());
-    Bytes out(image.size());
-    ASSERT_TRUE(h->read(MutByteSpan(out)).has_value());
-    EXPECT_EQ(out, image);
+    {
+        auto h = manager_.open(0, OpenMode::kWriteAll);
+        ASSERT_TRUE(h.has_value());
+        ASSERT_EQ(h->write(running), Status::kOk);
+    }
+    const std::uint64_t external_erases = external_.total_erases();
+    ASSERT_EQ(manager_.swap(2, 0, staged.size()), Status::kOk);  // the "load"
+    // Three 4 KiB pairs: each external sector the image occupies is erased
+    // once.
+    EXPECT_EQ(external_.total_erases() - external_erases, 3u);
+
+    Bytes out(staged.size());
+    {
+        auto h = manager_.open(0, OpenMode::kReadOnly);
+        ASSERT_TRUE(h->read(MutByteSpan(out)).has_value());
+        EXPECT_EQ(out, staged);
+    }
+    {
+        auto h = manager_.open(2, OpenMode::kReadOnly);
+        ASSERT_TRUE(h->read(MutByteSpan(out)).has_value());
+        EXPECT_EQ(out, running);
+    }
+    // The journal closed the swap: nothing is left to resume.
+    auto resumed = manager_.resume_swap();
+    ASSERT_TRUE(resumed.has_value());
+    EXPECT_FALSE(*resumed);
+}
+
+TEST(SwapJournalTest, SectorLargerThanScratchRejectedBeforeAnyFlashOp) {
+    // Slots on a part with 8 KiB sectors, the journal on one with 4 KiB
+    // sectors: a pair cannot be stashed in the scratch sector, so the swap
+    // must refuse up front rather than move the data with no durable copy.
+    sim::VirtualClock clock;
+    SimFlash big(FlashGeometry{.size_bytes = 64 * 1024, .sector_bytes = 8192, .page_bytes = 256},
+                 FlashTimings{});
+    SimFlash small(FlashGeometry{.size_bytes = 16 * 1024, .sector_bytes = 4096,
+                                 .page_bytes = 256},
+                   FlashTimings{});
+    SwapJournal journal(small, 0);
+    SlotManager manager(journal);
+    for (std::uint32_t id = 0; id < 2; ++id) {
+        ASSERT_EQ(manager.add_slot({.id = id,
+                                    .type = SlotType::kBootable,
+                                    .device = &big,
+                                    .offset = id * 16 * 1024,
+                                    .size = 16 * 1024,
+                                    .link_offset = kAnyLinkOffset}),
+                  Status::kOk);
+    }
+    big.attach(&clock, nullptr);
+    small.attach(&clock, nullptr);
+
+    EXPECT_EQ(manager.swap(0, 1), Status::kInvalidArgument);
+    // Every read, program and erase advances an attached clock.
+    EXPECT_EQ(clock.now(), 0.0);
+    EXPECT_EQ(big.total_erases() + big.total_writes(), 0u);
+    EXPECT_EQ(small.total_erases() + small.total_writes(), 0u);
 }
 
 TEST_F(SlotFixture, SwapExchangesContents) {
@@ -274,8 +336,8 @@ struct JournalRig {
     SimFlash flash{FlashGeometry{.size_bytes = 64 * 1024, .sector_bytes = 4096,
                                  .page_bytes = 256},
                    FlashTimings{}};
-    SlotManager manager;
     SwapJournal journal{flash, 64 * 1024 - 3 * 4096};
+    SlotManager manager{journal};
 
     JournalRig() {
         EXPECT_EQ(manager.add_slot({.id = 0,
@@ -292,7 +354,6 @@ struct JournalRig {
                                     .size = 16 * 1024,
                                     .link_offset = kAnyLinkOffset}),
                   Status::kOk);
-        manager.set_journal(&journal);
     }
 
     void fill(const Bytes& image_a, const Bytes& image_b) {
@@ -401,23 +462,6 @@ TEST(SwapJournalTest, ResumeSurvivesSecondCutDuringRecovery) {
     }
 }
 
-TEST(SwapJournalTest, ResumeWithoutJournalIsNoOp) {
-    SimFlash flash(FlashGeometry{.size_bytes = 64 * 1024, .sector_bytes = 4096,
-                                 .page_bytes = 256},
-                   FlashTimings{});
-    SlotManager manager;
-    ASSERT_EQ(manager.add_slot({.id = 0,
-                                .type = SlotType::kBootable,
-                                .device = &flash,
-                                .offset = 0,
-                                .size = 16 * 1024,
-                                .link_offset = kAnyLinkOffset}),
-              Status::kOk);
-    auto resumed = manager.resume_swap();
-    ASSERT_TRUE(resumed.has_value());
-    EXPECT_FALSE(*resumed);
-}
-
 TEST_F(SlotFixture, InvalidateErasesOnlyFirstSector) {
     {
         auto h = manager_.open(0, OpenMode::kWriteAll);
@@ -466,12 +510,11 @@ TEST_F(SlotFixture, SlotReaderWindowsIntoSlot) {
 TEST_F(SlotFixture, OperationsOnUnknownSlot) {
     EXPECT_EQ(manager_.open(42, OpenMode::kReadOnly).status(), Status::kNotFound);
     EXPECT_EQ(manager_.erase(42), Status::kNotFound);
-    EXPECT_EQ(manager_.copy(0, 42), Status::kNotFound);
     EXPECT_EQ(manager_.swap(42, 0), Status::kNotFound);
     EXPECT_EQ(manager_.slot(42), nullptr);
 }
 
-TEST_F(SlotFixture, CopySizeMismatchRejected) {
+TEST_F(SlotFixture, SwapSizeMismatchRejected) {
     SimFlash tiny(FlashGeometry{.size_bytes = 8192, .sector_bytes = 4096, .page_bytes = 256},
                   FlashTimings{});
     ASSERT_EQ(manager_.add_slot({.id = 7,
@@ -481,7 +524,6 @@ TEST_F(SlotFixture, CopySizeMismatchRejected) {
                                  .size = 8192,
                                  .link_offset = kAnyLinkOffset}),
               Status::kOk);
-    EXPECT_EQ(manager_.copy(0, 7), Status::kInvalidArgument);
     EXPECT_EQ(manager_.swap(0, 7), Status::kInvalidArgument);
 }
 

@@ -135,6 +135,48 @@ TEST_F(ToolsCliTest, FileBackedDeviceLifecycle) {
     EXPECT_EQ(run("upkit-device", flash + "bogus-command"), 1);
 }
 
+TEST_F(ToolsCliTest, FileBackedBootSwapsThroughJournal) {
+    ASSERT_EQ(run("upkit-keygen", "--seed v --out " + path("v")), 0);
+    ASSERT_EQ(run("upkit-keygen", "--seed s --out " + path("s")), 0);
+    const std::string keys = " --vendor-key " + path("v.priv") + " --server-key " +
+                             path("s.priv") + " --app-id 0xA0";
+    ASSERT_EQ(run("upkit-sign", "--firmware " + path("v1.bin") + keys +
+                                    " --version 1 --out " + path("img1.bin")),
+              0);
+    ASSERT_EQ(run("upkit-sign", "--firmware " + path("v2.bin") + keys +
+                                    " --version 2 --out " + path("img2.bin")),
+              0);
+    const std::string flash = "--flash " + path("dev.bin") + " ";
+    ASSERT_EQ(run("upkit-device", flash + "provision " + path("img1.bin")), 0);
+    ASSERT_EQ(run("upkit-device", flash + "stage " + path("img2.bin")), 0);
+
+    // Two 128 KiB slots, then the journal's three 4 KiB sectors. Cut the
+    // file back to the slots alone, the layout before the journal: it must
+    // still open, with the journal area erased.
+    constexpr std::uintmax_t kSlots = 2 * 128 * 1024;
+    ASSERT_EQ(fs::file_size(path("dev.bin")), kSlots + 3 * 4096);
+    fs::resize_file(path("dev.bin"), kSlots);
+
+    ASSERT_EQ(run("upkit-device", flash + "boot --vendor-pub " + path("v.pub") +
+                                      " --server-pub " + path("s.pub") + " --app-id 0xA0"),
+              0);
+    const Bytes log = read(dir_ / "out.log");
+    EXPECT_NE(std::string(log.begin(), log.end()).find("version 2 (installed from staging)"),
+              std::string::npos);
+
+    // The install went through the journal: its metadata sectors now hold
+    // a generation, and the old image is the rollback in slot 1.
+    const Bytes device = read(path("dev.bin"));
+    ASSERT_EQ(device.size(), kSlots + 3 * 4096);
+    EXPECT_FALSE(std::all_of(device.begin() + kSlots, device.begin() + kSlots + 2 * 4096,
+                             [](std::uint8_t b) { return b == 0xFF; }));
+    ASSERT_EQ(run("upkit-device", flash + "status"), 0);
+    const Bytes status = read(dir_ / "out.log");
+    const std::string text(status.begin(), status.end());
+    EXPECT_NE(text.find("slot 0: version 2"), std::string::npos);
+    EXPECT_NE(text.find("slot 1: version 1"), std::string::npos);
+}
+
 TEST_F(ToolsCliTest, DeviceBenchVerifyRunsWithoutFlashImage) {
     // The throughput probe needs no flash image and must exit 0 for both
     // software backends (it self-checks a verify before timing).

@@ -1,8 +1,10 @@
 // upkit-device — a file-backed virtual device (the paper's own trick:
 // "assigning a Linux file to each slot ... to test the modules without the
-// need of a simulator"). Two slots live inside one flash image file;
-// update images produced by upkit-sign can be staged, verified, booted,
-// and rolled back entirely from the command line.
+// need of a simulator"). Two slots and, above them, the swap journal's three
+// sectors live inside one flash image file; update images produced by
+// upkit-sign can be staged, verified, booted (the static install swaps
+// through the journal, as on a device), and rolled back entirely from the
+// command line.
 //
 //   upkit-device --flash dev.bin provision image.bin     install into slot 0
 //   upkit-device --flash dev.bin stage image.bin         stage into slot 1
@@ -24,14 +26,19 @@ using namespace upkit::tools;
 namespace {
 
 constexpr std::uint64_t kSlotSize = 128 * 1024;
+constexpr std::uint32_t kSectorBytes = 4096;
+/// The journal sits above both slots, so an image file written before it
+/// existed (two slots only) opens with an erased, idle journal.
+constexpr std::uint64_t kJournalOffset = 2 * kSlotSize;
 
 flash::FlashGeometry geometry() {
     return flash::FlashGeometry{
-        .size_bytes = 2 * kSlotSize, .sector_bytes = 4096, .page_bytes = 256};
+        .size_bytes = kJournalOffset + slots::SwapJournal::kSectorCount * kSectorBytes,
+        .sector_bytes = kSectorBytes,
+        .page_bytes = 256};
 }
 
-slots::SlotManager make_slots(flash::FileFlash& device) {
-    slots::SlotManager manager;
+void add_slots(slots::SlotManager& manager, flash::FileFlash& device) {
     (void)manager.add_slot({.id = 0,
                             .type = slots::SlotType::kBootable,
                             .device = &device,
@@ -44,14 +51,12 @@ slots::SlotManager make_slots(flash::FileFlash& device) {
                             .offset = kSlotSize,
                             .size = kSlotSize,
                             .link_offset = slots::kAnyLinkOffset});
-    return manager;
 }
 
-int write_image(flash::FileFlash& device, std::uint32_t slot_id, const Bytes& image) {
+int write_image(slots::SlotManager& manager, std::uint32_t slot_id, const Bytes& image) {
     auto m = manifest::parse_manifest(image);
     if (!m) die("not a valid update image");
     if (image.size() > kSlotSize) die("image larger than the slot");
-    slots::SlotManager manager = make_slots(device);
     auto handle = manager.open(slot_id, slots::OpenMode::kWriteAll);
     if (!handle || handle->write(image) != Status::kOk) die("slot write failed");
     std::printf("slot %u <- version %u (%zu bytes)\n", slot_id, m->version, image.size());
@@ -148,6 +153,9 @@ int main(int argc, char** argv) {
     }
     auto device = flash::FileFlash::open(*flash_path, geometry());
     if (!device) die("cannot open flash image file");
+    slots::SwapJournal journal(*device, kJournalOffset);
+    slots::SlotManager manager(journal);
+    add_slots(manager, *device);
     const std::string& command = args.positional()[0];
 
     if (command == "status") {
@@ -159,7 +167,7 @@ int main(int argc, char** argv) {
         if (args.positional().size() < 2) die("missing image path");
         auto image = read_file(args.positional()[1]);
         if (!image) die("cannot read image");
-        return write_image(*device, command == "provision" ? 0 : 1, *image);
+        return write_image(manager, command == "provision" ? 0 : 1, *image);
     }
     if (command == "boot") {
         const std::string* vendor_path = args.flag("vendor-pub");
@@ -175,7 +183,6 @@ int main(int argc, char** argv) {
         const auto backend = crypto::make_tinycrypt_backend();
         const verify::Verifier verifier(*backend, crypto::PreparedPublicKey(*vendor_key),
                                         crypto::PreparedPublicKey(*server_key));
-        slots::SlotManager manager = make_slots(*device);
 
         boot::BootConfig config;
         config.bootable_slots = {0};
@@ -183,8 +190,9 @@ int main(int argc, char** argv) {
         config.identity.app_id = static_cast<std::uint32_t>(args.flag_u64("app-id", 0));
         // Device ID is irrelevant at boot (freshness was agent-side).
 
-        boot::Bootloader bootloader(config, manager, verifier, sim::nrf52840(),
-                                    /*clock=*/nullptr, /*meter=*/nullptr);
+        sim::VirtualClock clock;
+        sim::EnergyMeter meter(sim::nrf52840());
+        boot::Bootloader bootloader(config, manager, verifier, sim::nrf52840(), clock, meter);
         auto report = bootloader.boot();
         if (!report) {
             std::printf("boot FAILED: no valid image in any slot\n");
