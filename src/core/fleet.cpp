@@ -125,6 +125,12 @@ Status FleetCampaign::add_synthetic(const SyntheticFleetSpec& spec) {
             server_->prepare_update(spec.app_id, token, spec.provision_version);
         if (!image) return image.status();
         UPKIT_RETURN_IF_ERROR(device->provision_factory(*image));
+        // Synthetic devices carry one factory image, so most sectors they
+        // wrote equal the first synthetic device's: point those at one
+        // shared, immutable copy.
+        if (!owned_.empty()) {
+            device->internal_flash().share_sectors_with(owned_.front()->internal_flash());
+        }
         members_.push_back(FleetMember{device.get(), spec.link});
         owned_.push_back(std::move(device));
     }

@@ -305,6 +305,9 @@ public:
 
     std::size_t size() const { return members_.size(); }
 
+    /// The member at `index`, in the order members were added.
+    Device& device(std::size_t index) { return *members_[index].device; }
+
     /// Where device sessions step. 0 — the default — steps them inline on
     /// the campaign's one coordinator thread. A non-zero count runs them on
     /// `shards` worker threads (devices are space-partitioned by fleet

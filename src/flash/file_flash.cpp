@@ -28,13 +28,17 @@ Expected<FileFlash> FileFlash::open(const std::string& path, const FlashGeometry
 }
 
 Status FileFlash::read(std::uint64_t offset, MutByteSpan out) {
-    if (offset + out.size() > geometry_.size_bytes) return Status::kFlashOutOfBounds;
+    if (offset > geometry_.size_bytes || out.size() > geometry_.size_bytes - offset) {
+        return Status::kFlashOutOfBounds;
+    }
     std::copy_n(content_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(), out.begin());
     return Status::kOk;
 }
 
 Status FileFlash::write(std::uint64_t offset, ByteSpan data) {
-    if (offset + data.size() > geometry_.size_bytes) return Status::kFlashOutOfBounds;
+    if (offset > geometry_.size_bytes || data.size() > geometry_.size_bytes - offset) {
+        return Status::kFlashOutOfBounds;
+    }
     for (std::size_t i = 0; i < data.size(); ++i) {
         const std::uint8_t current = content_[offset + i];
         if ((current & data[i]) != data[i]) return Status::kFlashEraseRequired;

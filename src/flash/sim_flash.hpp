@@ -5,8 +5,16 @@
 // clock / energy meter), per-sector wear counters, and power-loss fault
 // injection — a scheduled cut that leaves a partially-programmed page
 // behind, exercising the recovery paths of agent and bootloader.
+//
+// Storage is sparse: a sector that holds only the erased value owns no
+// bytes, so a device costs the sectors it wrote, not its geometry. A sector
+// may also point at an immutable copy shared with other devices holding the
+// same bytes there (a fleet's factory image); the device copies it into its
+// own storage before its first program or erase of that sector, so every
+// fault acts on private bytes.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -71,16 +79,36 @@ public:
     std::uint64_t total_writes() const { return total_writes_; }
     std::uint64_t bytes_written() const { return bytes_written_; }
 
-    /// Raw content access for test assertions.
-    ByteSpan raw() const { return storage_; }
+    /// Sector storage this device owns privately, in bytes: erased sectors
+    /// and sectors shared with other devices cost it nothing.
+    std::uint64_t resident_bytes() const;
+
+    // --- sharing ---------------------------------------------------------
+
+    /// Points every sector whose bytes equal `other`'s (same geometry) at one
+    /// immutable copy shared by both, freeing this device's private bytes
+    /// there; `other`'s private sector becomes that shared copy. Contents
+    /// read back unchanged. Not thread-safe against either device: call it
+    /// before the devices run.
+    void share_sectors_with(SimFlash& other);
 
 private:
+    struct Sector {
+        std::unique_ptr<std::uint8_t[]> own;          // this device's bytes
+        std::shared_ptr<const std::uint8_t[]> shared;  // or a shared copy
+    };
+
     bool consume_op_budget();  // false => power was cut by this operation
     void charge(double seconds);
+    /// The sector's bytes, or nullptr while it is erased.
+    const std::uint8_t* sector_data(std::uint64_t index) const;
+    /// The sector's private bytes, copying a shared sector or filling an
+    /// erased one first.
+    std::uint8_t* own_sector(std::uint64_t index);
 
     FlashGeometry geometry_;
     FlashTimings timings_;
-    Bytes storage_;
+    std::vector<Sector> sectors_;
     std::vector<std::uint64_t> wear_;
 
     sim::VirtualClock* clock_ = nullptr;

@@ -97,7 +97,9 @@ Status SlotManager::add_slot(const SlotConfig& config) {
     if (config.offset % geo.sector_bytes != 0 || config.size % geo.sector_bytes != 0) {
         return Status::kInvalidArgument;  // slots are sector-aligned
     }
-    if (config.offset + config.size > geo.size_bytes) return Status::kFlashOutOfBounds;
+    if (config.offset > geo.size_bytes || config.size > geo.size_bytes - config.offset) {
+        return Status::kFlashOutOfBounds;
+    }
     if (slots_.contains(config.id)) return Status::kAlreadyExists;
     slots_.emplace(config.id, config);
     return Status::kOk;
@@ -249,7 +251,7 @@ SlotReader::SlotReader(const SlotManager& manager, std::uint32_t slot_id, std::u
 
 Status SlotReader::read_at(std::uint64_t offset, MutByteSpan out) const {
     if (config_ == nullptr) return Status::kNotFound;
-    if (offset + out.size() > length_) return Status::kOutOfRange;
+    if (offset > length_ || out.size() > length_ - offset) return Status::kOutOfRange;
     return config_->device->read(config_->offset + skip_ + offset, out);
 }
 

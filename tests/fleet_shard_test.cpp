@@ -44,6 +44,7 @@
 #include "crypto/ecdsa.hpp"
 #include "net/link.hpp"
 #include "sim/chaos.hpp"
+#include "sim/platform.hpp"
 #include "sim/shard.hpp"
 #include "sim/trace.hpp"
 #include "test_env.hpp"
@@ -670,6 +671,75 @@ TEST(SyntheticFleetTest, AddSyntheticProvisionsAndShardsAgree) {
     EXPECT_EQ(got.report.devices.back().device_id, 0x10001u + 23u);
     for (const CampaignDeviceResult& d : got.report.devices) {
         EXPECT_EQ(d.final_version, 2u);
+    }
+}
+
+/// bench/fleet_scale's device: 16 KiB of flash in 1 KiB sectors, a 4 KiB
+/// bootloader region and two 6 KiB slots.
+const sim::PlatformProfile& fleet_sim_profile() {
+    static constexpr sim::PlatformProfile profile{
+        .name = "fleet-sim",
+        .cpu_mhz = 64.0,
+        .internal_flash_bytes = 16 * 1024,
+        .ram_bytes = 64 * 1024,
+        .flash_sector_bytes = 1024,
+        .flash_page_bytes = 256,
+        .has_external_flash = false,
+        .external_flash_bytes = 0,
+        .flash_erase_sector_s = 0.085,
+        .flash_write_page_s = 0.0053,
+        .flash_read_bandwidth_bps = 16e6,
+        .voltage = 3.0,
+        .cpu_active_ma = 6.3,
+        .radio_tx_ma = 16.4,
+        .radio_rx_ma = 11.7,
+        .flash_ma = 7.0,
+        .sleep_ma = 0.003,
+    };
+    return profile;
+}
+
+TEST(SyntheticFleetTest, DevicesHoldOnlyTheSectorsTheyWrote) {
+    // Provisioning writes 3 sectors per device, 2 of which hold the same
+    // factory image on every device and point at one shared copy; the
+    // rollout writes 3 more. The fleet is added in two calls, as perfbench
+    // adds it in batches: the first device alone owns all 3 of its sectors
+    // until later devices share 2 of them. Shard workers step devices that
+    // read the same shared sectors concurrently.
+    for (const unsigned shards : {0u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        TestEnv env(2 * 1024);
+        FleetCampaign campaign{env.server};
+        SyntheticFleetSpec spec;
+        spec.count = 1;
+        spec.base = env.device_config();
+        spec.base.platform = &fleet_sim_profile();
+        spec.base.bootloader_reserved = 4 * 1024;
+        spec.base.enable_differential = false;
+        spec.link = net::ble_gatt();
+        spec.app_id = kAppId;
+        spec.provision_version = 1;
+        ASSERT_EQ(campaign.add_synthetic(spec), Status::kOk);
+        EXPECT_EQ(campaign.device(0).internal_flash().resident_bytes(), 3u * 1024);
+        spec.count = 63;
+        spec.first_device_id += 1;
+        spec.base.seed += 1;
+        ASSERT_EQ(campaign.add_synthetic(spec), Status::kOk);
+        ASSERT_EQ(campaign.size(), 64u);
+        for (std::size_t i = 0; i < campaign.size(); ++i) {
+            EXPECT_EQ(campaign.device(i).internal_flash().resident_bytes(), 1u * 1024) << i;
+        }
+
+        env.publish_os_update(2, 31);
+        campaign.set_shards(shards);
+        FleetPolicy policy;
+        policy.wave_size = 16;
+        policy.wave_stagger_s = 2.0;
+        const CampaignReport report = campaign.run(kAppId, policy);
+        ASSERT_EQ(report.succeeded, 64u);
+        for (std::size_t i = 0; i < campaign.size(); ++i) {
+            EXPECT_EQ(campaign.device(i).internal_flash().resident_bytes(), 4u * 1024) << i;
+        }
     }
 }
 

@@ -88,6 +88,19 @@ TEST_F(SlotFixture, AddSlotValidation) {
     EXPECT_EQ(manager_.slot_ids().size(), 3u);
 }
 
+TEST_F(SlotFixture, AddSlotRejectsWrappingOffset) {
+    // offset + size wraps to 4096 for an offset 4096 below 2^64.
+    EXPECT_EQ(manager_.add_slot({.id = 9,
+                                 .type = SlotType::kBootable,
+                                 .device = &internal_,
+                                 .offset = ~std::uint64_t{0} - 4095,
+                                 .size = 8192,
+                                 .link_offset = 0}),
+              Status::kFlashOutOfBounds);
+    EXPECT_EQ(manager_.slot(9), nullptr);
+    EXPECT_EQ(manager_.slot_ids().size(), 3u);
+}
+
 TEST_F(SlotFixture, WriteAllErasesOnOpen) {
     {
         auto h = manager_.open(0, OpenMode::kWriteAll);
@@ -505,6 +518,19 @@ TEST_F(SlotFixture, SlotReaderWindowsIntoSlot) {
     ASSERT_EQ(reader.read_at(0, MutByteSpan(out)), Status::kOk);
     EXPECT_EQ(out, Bytes(image.begin() + 200, image.begin() + 210));
     EXPECT_EQ(reader.read_at(820, MutByteSpan(out)), Status::kOutOfRange);
+}
+
+TEST_F(SlotFixture, SlotReaderRejectsWrappingOffset) {
+    {
+        auto h = manager_.open(1, OpenMode::kWriteAll);
+        ASSERT_EQ(h->write(Bytes(1024, 0x00)), Status::kOk);
+    }
+    // offset + size wraps to 6 for an offset 4 below 2^64, which would read
+    // the 4 bytes before the window.
+    SlotReader reader(manager_, 1, 200, 824);
+    Bytes out(10, 0x5A);
+    EXPECT_EQ(reader.read_at(~std::uint64_t{0} - 3, MutByteSpan(out)), Status::kOutOfRange);
+    EXPECT_EQ(out, Bytes(10, 0x5A));
 }
 
 TEST_F(SlotFixture, OperationsOnUnknownSlot) {

@@ -9,10 +9,12 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
+#include "flash/flash_device.hpp"
 
 namespace upkit::crypto {
 
@@ -83,3 +85,53 @@ std::vector<std::uint32_t> build_suffix_array_doubling(ByteSpan data);
 Expected<Bytes> bspatch_all(ByteSpan old_image, ByteSpan patch);
 
 }  // namespace upkit::diff
+
+namespace upkit::flash {
+
+/// SimFlash's storage and fault model over one dense buffer of the whole
+/// geometry, programmed a byte at a time: the reference the sparse,
+/// sector-shared SimFlash is pinned against. Same bit rules, torn writes and
+/// erases (drawing the same fault_rng_ stream), power-loss plans, wear and
+/// write counters; no clock or energy charging.
+class DenseSimFlash final : public FlashDevice {
+public:
+    explicit DenseSimFlash(const FlashGeometry& geometry);
+
+    const FlashGeometry& geometry() const override { return geometry_; }
+    Status read(std::uint64_t offset, MutByteSpan out) override;
+    Status write(std::uint64_t offset, ByteSpan data) override;
+    Status erase_sector(std::uint64_t sector_index) override;
+
+    void schedule_power_loss(std::uint64_t ops) { power_loss_in_ = ops; }
+    void schedule_power_loss_range(std::vector<std::uint64_t> plan);
+    void disarm_power_loss();
+    void revive();
+    bool dead() const { return dead_; }
+    std::uint64_t power_cuts() const { return power_cuts_; }
+
+    std::uint64_t erase_count(std::uint64_t sector_index) const;
+    std::uint64_t total_erases() const { return total_erases_; }
+    std::uint64_t total_writes() const { return total_writes_; }
+    std::uint64_t bytes_written() const { return bytes_written_; }
+
+private:
+    bool consume_op_budget();
+
+    FlashGeometry geometry_;
+    Bytes storage_;
+    std::vector<std::uint64_t> wear_;
+
+    std::optional<std::uint64_t> power_loss_in_;
+    std::vector<std::uint64_t> plan_;
+    std::size_t plan_next_ = 0;
+    std::optional<std::uint64_t> plan_countdown_;
+    bool dead_ = false;
+    std::uint64_t power_cuts_ = 0;
+    Rng fault_rng_{0xFA017};
+
+    std::uint64_t total_erases_ = 0;
+    std::uint64_t total_writes_ = 0;
+    std::uint64_t bytes_written_ = 0;
+};
+
+}  // namespace upkit::flash
