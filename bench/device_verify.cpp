@@ -15,7 +15,9 @@
 // readings, and one reading times all sides of a ratio back to back, so a
 // burst of host noise lands on both sides instead of one. verify_speedup,
 // verify2_speedup and sha256_speedup are this host's live readings of the
-// three speedups that calibrate_software_costs() commits. Macro section:
+// three speedups that calibrate_software_costs() commits. The field layer
+// is reported as ns per Montgomery mul, add and sub on p and on n, without
+// a gate. Macro section:
 // the same full-image fleet campaign run twice, once under the
 // paper-anchored tinycrypt cost model and once under
 // calibrate_software_costs(), showing the campaign's device-side
@@ -45,6 +47,7 @@
 #include "core/fleet.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/modular.hpp"
 #include "crypto/p256.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha256x4.hpp"
@@ -224,6 +227,34 @@ int main(int argc, char** argv) {
                 prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
         });
     }
+    // ---- micro: the field layer, ns per Montgomery operation ---------------
+    // mul, add and sub on the field prime p and the group order n, each a
+    // dependent chain, so a reading is the latency the group law sees. Host
+    // fields only: no gate reads them.
+    const crypto::Montgomery* const moduli[2] = {&curve.field(), &curve.order()};
+    const int mont_iters = iters * 1024;
+    Readings mont_s[2][3]{};  // [p, n][mul, add, sub]
+    for (int r = 0; r < kReadings; ++r) {
+        for (int m = 0; m < 2; ++m) {
+            const crypto::Montgomery& mont = *moduli[m];
+            const crypto::U256 x = mont.reduce(scalars[1]);
+            crypto::U256 acc = mont.reduce(scalars[0]);
+            mont_s[m][0][r] = time_ops(mont_iters, [&](int) {
+                acc = mont.mul(acc, x);
+                return acc.w[0];
+            });
+            mont_s[m][1][r] = time_ops(mont_iters, [&](int) {
+                acc = mont.add(acc, x);
+                return acc.w[0];
+            });
+            mont_s[m][2][r] = time_ops(mont_iters, [&](int) {
+                acc = mont.sub(acc, x);
+                return acc.w[0];
+            });
+        }
+    }
+    auto mont_ns = [&](int m, int op) { return median(mont_s[m][op]) * 1e9; };
+
     const double wnaf_pre_speedup = median_ratio(ladder_s, pre_s);
     const double verify_speedup = median_ratio(verify_prepr_s, verify_prepared_s);
     const double verify2_speedup = median_ratio(verify_seq_pair_s, verify2_s);
@@ -327,6 +358,8 @@ int main(int argc, char** argv) {
         "\"verify_prepared_reconstruction_ops_s\":%.1f,\"verify_speedup\":%.2f,"
         "\"verify_sequential_pair_ops_s\":%.1f,\"verify2_ops_s\":%.1f,"
         "\"verify2_speedup\":%.2f,"
+        "\"mont_mul_p_ns\":%.1f,\"mont_add_p_ns\":%.1f,\"mont_sub_p_ns\":%.1f,"
+        "\"mont_mul_n_ns\":%.1f,\"mont_add_n_ns\":%.1f,\"mont_sub_n_ns\":%.1f,"
         "\"sha256_mb_s\":%.1f,\"sha256_reference_mb_s\":%.1f,"
         "\"sha256_speedup\":%.2f,"
         "\"sha256x4_impl\":\"%s\",\"sha256x4_mb_s\":%.1f,"
@@ -342,7 +375,8 @@ int main(int argc, char** argv) {
         fleet, iters, ops_s(ladder_s), ops_s(pre_s), wnaf_pre_speedup,
         ops_s(verify_prepared_s),
         ops_s(verify_prepr_s), verify_speedup, ops_s(verify_seq_pair_s), ops_s(verify2_s),
-        verify2_speedup, sha_mb_s, sha_ref_mb_s, median_ratio(sha_ref_s, sha_s),
+        verify2_speedup, mont_ns(0, 0), mont_ns(0, 1), mont_ns(0, 2), mont_ns(1, 0),
+        mont_ns(1, 1), mont_ns(1, 2), sha_mb_s, sha_ref_mb_s, median_ratio(sha_ref_s, sha_s),
         crypto::sha256_impl_name(crypto::sha256_impl()), sha_x4_mb_s, sha_x4_generic_mb_s,
         sha_x4_speedup, sha_x4_generic_speedup, paper.verify_seconds, calibrated.verify_seconds,
         calibrated.verify2_seconds, paper.sha256_seconds_per_kb,

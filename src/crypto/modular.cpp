@@ -17,6 +17,13 @@ std::uint64_t neg_inv64(std::uint64_t n) {
     return ~x + 1;  // -(n^-1)
 }
 
+// lo:hi = x * y, the one place a 128-bit value remains.
+inline void mul64(std::uint64_t x, std::uint64_t y, std::uint64_t& lo, std::uint64_t& hi) {
+    const u128 p = static_cast<u128>(x) * y;
+    lo = static_cast<std::uint64_t>(p);
+    hi = static_cast<std::uint64_t>(p >> 64);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const U256& modulus) : n_(modulus) {
@@ -56,47 +63,53 @@ U256 Montgomery::sub(const U256& a, const U256& b) const {
 }
 
 U256 Montgomery::mul(const U256& a, const U256& b) const {
-    // CIOS: coarsely integrated operand scanning, 4x64-bit limbs.
-    std::uint64_t t[6] = {};  // t[4] = high word, t[5] = extra carry bit
+    // CIOS: coarsely integrated operand scanning, 4x64-bit limbs. Each row
+    // x * y (x = a or n, y one word) is four 64x64->128 products; their low
+    // words and their high words (one limb up) are added into t in two
+    // carry chains, so every addition runs on the carry pair.
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;  // t < 2n between rounds
+    std::uint64_t lo[4], hi[4];
+    auto row = [&](const U256& x, std::uint64_t y) {
+        mul64(x.w[0], y, lo[0], hi[0]);
+        mul64(x.w[1], y, lo[1], hi[1]);
+        mul64(x.w[2], y, lo[2], hi[2]);
+        mul64(x.w[3], y, lo[3], hi[3]);
+    };
 
     for (std::size_t i = 0; i < 4; ++i) {
-        // t += a * b[i]
-        std::uint64_t carry = 0;
-        for (std::size_t j = 0; j < 4; ++j) {
-            const u128 s = static_cast<u128>(a.w[j]) * b.w[i] + t[j] + carry;
-            t[j] = static_cast<std::uint64_t>(s);
-            carry = static_cast<std::uint64_t>(s >> 64);
-        }
-        {
-            const u128 s = static_cast<u128>(t[4]) + carry;
-            t[4] = static_cast<std::uint64_t>(s);
-            t[5] = static_cast<std::uint64_t>(s >> 64);
-        }
+        // t += a * b[i]; t5 takes the carry out of the top word.
+        row(a, b.w[i]);
+        Carry c = adc(0, t0, lo[0], t0);
+        c = adc(c, t1, lo[1], t1);
+        c = adc(c, t2, lo[2], t2);
+        c = adc(c, t3, lo[3], t3);
+        t4 += c;  // t4 <= 1 before, so no carry out
+        c = adc(0, t1, hi[0], t1);
+        c = adc(c, t2, hi[1], t2);
+        c = adc(c, t3, hi[2], t3);
+        c = adc(c, t4, hi[3], t4);
+        std::uint64_t t5 = c;
 
-        // m = t[0] * n0 mod 2^64; t += m * n; t >>= 64
-        const std::uint64_t m = t[0] * n0_;
-        {
-            const u128 s = static_cast<u128>(m) * n_.w[0] + t[0];
-            carry = static_cast<std::uint64_t>(s >> 64);
-        }
-        for (std::size_t j = 1; j < 4; ++j) {
-            const u128 s = static_cast<u128>(m) * n_.w[j] + t[j] + carry;
-            t[j - 1] = static_cast<std::uint64_t>(s);
-            carry = static_cast<std::uint64_t>(s >> 64);
-        }
-        {
-            const u128 s = static_cast<u128>(t[4]) + carry;
-            t[3] = static_cast<std::uint64_t>(s);
-            t[4] = t[5] + static_cast<std::uint64_t>(s >> 64);
-            t[5] = 0;
-        }
+        // m = t0 * n0 mod 2^64; t += m * n, which zeroes t0; t >>= 64.
+        row(n_, t0 * n0_);
+        c = adc(0, t0, lo[0], t0);
+        c = adc(c, t1, lo[1], t1);
+        c = adc(c, t2, lo[2], t2);
+        c = adc(c, t3, lo[3], t3);
+        c = adc(c, t4, 0, t4);
+        t5 += c;
+        c = adc(0, t1, hi[0], t0);
+        c = adc(c, t2, hi[1], t1);
+        c = adc(c, t3, hi[2], t2);
+        c = adc(c, t4, hi[3], t3);
+        t4 = t5 + c;
     }
 
-    U256 out{{t[0], t[1], t[2], t[3]}};
-    // Branchless final reduction (t[4] is 0 or 1 after the last round).
+    const U256 out{{t0, t1, t2, t3}};
+    // Branchless final reduction (t4 is 0 or 1 after the last round).
     U256 reduced;
     const std::uint64_t borrow = ::upkit::crypto::sub(reduced, out, n_);
-    const std::uint64_t take = ct::mask_from_bit(ct::nonzero_bit(t[4]) | (borrow ^ 1));
+    const std::uint64_t take = ct::mask_from_bit(ct::nonzero_bit(t4) | (borrow ^ 1));
     return ct_select(take, reduced, out);
 }
 

@@ -4,6 +4,13 @@
 // the same code verifies signatures and runs the scalar arithmetic — the
 // kind of code sharing UpKit relies on to stay within constrained-device
 // flash budgets.
+//
+// Every limb addition and subtraction here runs on u256.hpp's carry pair
+// (adc/sbb: the carry flag on x86-64, portable 128-bit C++ elsewhere and
+// under MemorySanitizer). mul is CIOS with each row's 64x64->128 products
+// added in two carry chains; add, sub and reduce are the inline U256
+// add/sub followed by a mask-selected correction. Nothing branches on an
+// operand, so all of them take secrets.
 #pragma once
 
 #include "crypto/u256.hpp"

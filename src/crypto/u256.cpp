@@ -3,8 +3,6 @@
 #include <bit>
 #include <cassert>
 
-#include "crypto/ct.hpp"
-
 namespace upkit::crypto {
 
 using u128 = unsigned __int128;
@@ -79,26 +77,6 @@ int cmp(const U256& a, const U256& b) {
     return 0;
 }
 
-std::uint64_t add(U256& out, const U256& a, const U256& b) {
-    u128 carry = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        const u128 sum = static_cast<u128>(a.w[i]) + b.w[i] + carry;
-        out.w[i] = static_cast<std::uint64_t>(sum);
-        carry = sum >> 64;
-    }
-    return static_cast<std::uint64_t>(carry);
-}
-
-std::uint64_t sub(U256& out, const U256& a, const U256& b) {
-    u128 borrow = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        const u128 diff = static_cast<u128>(a.w[i]) - b.w[i] - borrow;
-        out.w[i] = static_cast<std::uint64_t>(diff);
-        borrow = (diff >> 64) & 1;
-    }
-    return static_cast<std::uint64_t>(borrow);
-}
-
 std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b) {
     std::array<std::uint64_t, 8> out{};
     for (std::size_t i = 0; i < 4; ++i) {
@@ -120,21 +98,6 @@ U256 shl1(const U256& a) {
         out.w[i] = (a.w[i] << 1) | carry;
         carry = a.w[i] >> 63;
     }
-    return out;
-}
-
-std::uint64_t ct_is_zero_mask(const U256& a) {
-    return ct::is_zero_mask(a.w[0] | a.w[1] | a.w[2] | a.w[3]);
-}
-
-std::uint64_t ct_lt_mask(const U256& a, const U256& b) {
-    U256 scratch;
-    return ct::mask_from_bit(sub(scratch, a, b));
-}
-
-U256 ct_select(std::uint64_t mask, const U256& a, const U256& b) {
-    U256 out;
-    for (std::size_t i = 0; i < 4; ++i) out.w[i] = ct::select(mask, a.w[i], b.w[i]);
     return out;
 }
 

@@ -39,19 +39,38 @@ Status FileFlash::write(std::uint64_t offset, ByteSpan data) {
     if (offset > geometry_.size_bytes || data.size() > geometry_.size_bytes - offset) {
         return Status::kFlashOutOfBounds;
     }
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const std::uint8_t current = content_[offset + i];
-        if ((current & data[i]) != data[i]) return Status::kFlashEraseRequired;
-        content_[offset + i] = static_cast<std::uint8_t>(current & data[i]);
+    // A rejected write keeps the prefix before its first 0 -> 1 byte
+    // programmed, as SimFlash does, and that prefix reaches the file too.
+    Status status = Status::kOk;
+    std::size_t programmed = 0;
+    for (; programmed < data.size(); ++programmed) {
+        std::uint8_t& cell = content_[offset + programmed];
+        if ((cell & data[programmed]) != data[programmed]) {
+            status = Status::kFlashEraseRequired;
+            break;
+        }
+        cell = static_cast<std::uint8_t>(cell & data[programmed]);
     }
-    return sync();
+    UPKIT_RETURN_IF_ERROR(write_back(offset, programmed));
+    return status;
 }
 
 Status FileFlash::erase_sector(std::uint64_t sector_index) {
     if (sector_index >= geometry_.sector_count()) return Status::kFlashOutOfBounds;
     const std::uint64_t base = sector_index * geometry_.sector_bytes;
     std::fill_n(content_.begin() + static_cast<std::ptrdiff_t>(base), geometry_.sector_bytes, 0xFF);
-    return sync();
+    return write_back(base, geometry_.sector_bytes);
+}
+
+Status FileFlash::write_back(std::uint64_t offset, std::uint64_t length) {
+    if (length == 0) return Status::kOk;
+    // open() sized the file, so the range is overwritten in place.
+    std::fstream out(path_, std::ios::binary | std::ios::in | std::ios::out);
+    if (!out) return Status::kFlashIoError;
+    out.seekp(static_cast<std::streamoff>(offset));
+    out.write(reinterpret_cast<const char*>(content_.data() + offset),  // lint: status-checked (good() below)
+              static_cast<std::streamsize>(length));
+    return out.good() ? Status::kOk : Status::kFlashIoError;
 }
 
 Status FileFlash::sync() {

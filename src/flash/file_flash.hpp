@@ -4,7 +4,8 @@
 // which gives the ability to work with devices supporting a file system, as
 // well as to test the modules without the need of a simulator" (Sect. V).
 // Semantics are identical to SimFlash (erase-before-write enforced) but the
-// content persists in a host file.
+// content persists in a host file: each write or erase overwrites only the
+// bytes it changed, at their offset in the file.
 #pragma once
 
 #include <string>
@@ -25,13 +26,17 @@ public:
     Status write(std::uint64_t offset, ByteSpan data) override;
     Status erase_sector(std::uint64_t sector_index) override;
 
-    /// Flushes the in-memory image back to the file.
+    /// Rewrites the whole file from the in-memory image (open() does this
+    /// once, which extends a short file to full size).
     Status sync();
 
     const std::string& path() const { return path_; }
 
 private:
     FileFlash(std::string path, const FlashGeometry& geometry, Bytes content);
+
+    /// Writes content_[offset, offset + length) to the same range of the file.
+    Status write_back(std::uint64_t offset, std::uint64_t length);
 
     std::string path_;
     FlashGeometry geometry_;

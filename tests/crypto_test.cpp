@@ -227,21 +227,82 @@ TEST(U256Test, HexRoundTrip) {
               "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
 }
 
+constexpr std::uint64_t kOnes = ~0ULL;
+
+// One limb-level case: out = a op b, with the carry or borrow out of the top.
+struct LimbCase {
+    U256 a, b, out;
+    std::uint64_t carry;
+};
+
 TEST(U256Test, AddCarriesAcrossLimbs) {
-    U256 max;
-    max.w = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
-    U256 out;
-    EXPECT_EQ(add(out, max, U256::one()), 1u);
-    EXPECT_TRUE(out.is_zero());
+    // Carries that ripple across one to four limbs, from all-ones limbs
+    // and from a carry into a limb whose addend is all ones.
+    const LimbCase cases[] = {
+        {{{kOnes, kOnes, kOnes, kOnes}}, U256::one(), U256::zero(), 1},
+        {{{kOnes, 0, 0, 0}}, U256::one(), {{0, 1, 0, 0}}, 0},
+        {{{kOnes, kOnes, 0, 0}}, U256::one(), {{0, 0, 1, 0}}, 0},
+        {{{kOnes, kOnes, kOnes, 0}}, U256::one(), {{0, 0, 0, 1}}, 0},
+        {{{kOnes, 0, kOnes, 0}}, {{1, kOnes, 0, 0}}, {{0, 0, 0, 1}}, 0},
+        {{{kOnes, kOnes, kOnes, kOnes}}, {{kOnes, kOnes, kOnes, kOnes}},
+         {{kOnes - 1, kOnes, kOnes, kOnes}}, 1},
+        {{{0, kOnes, 0, kOnes}}, {{0, 1, kOnes, 0}}, {{0, 0, 0, 0}}, 1},
+    };
+    for (const LimbCase& c : cases) {
+        U256 out;
+        EXPECT_EQ(add(out, c.a, c.b), c.carry) << c.a.w[0] << " " << c.b.w[0];
+        EXPECT_EQ(out, c.out) << c.a.w[0] << " " << c.b.w[0];
+        U256 aliased = c.a;
+        EXPECT_EQ(add(aliased, aliased, c.b), c.carry);
+        EXPECT_EQ(aliased, c.out);
+    }
 }
 
 TEST(U256Test, SubBorrows) {
-    U256 out;
-    EXPECT_EQ(sub(out, U256::zero(), U256::one()), 1u);
-    U256 max;
-    max.w = {~0ULL, ~0ULL, ~0ULL, ~0ULL};
-    EXPECT_EQ(out, max);
+    // Borrows that ripple across one to four limbs, through zero limbs and
+    // through a limb whose subtrahend is all ones.
+    const LimbCase cases[] = {
+        {U256::zero(), U256::one(), {{kOnes, kOnes, kOnes, kOnes}}, 1},
+        {{{0, 1, 0, 0}}, U256::one(), {{kOnes, 0, 0, 0}}, 0},
+        {{{0, 0, 1, 0}}, U256::one(), {{kOnes, kOnes, 0, 0}}, 0},
+        {{{0, 0, 0, 1}}, U256::one(), {{kOnes, kOnes, kOnes, 0}}, 0},
+        {U256::zero(), {{kOnes, kOnes, kOnes, kOnes}}, U256::one(), 1},
+        {{{0, kOnes, 0, 0}}, {{1, kOnes, 0, 0}}, {{kOnes, kOnes, kOnes, kOnes}}, 1},
+        {{{0, 0, 0, kOnes}}, {{0, 0, 0, kOnes}}, U256::zero(), 0},
+    };
+    for (const LimbCase& c : cases) {
+        U256 out;
+        EXPECT_EQ(sub(out, c.a, c.b), c.carry) << c.a.w[0] << " " << c.b.w[0];
+        EXPECT_EQ(out, c.out) << c.a.w[0] << " " << c.b.w[0];
+        U256 aliased = c.b;
+        EXPECT_EQ(sub(aliased, c.a, aliased), c.carry);
+        EXPECT_EQ(aliased, c.out);
+    }
 }
+
+#ifdef UPKIT_LIMB_X86
+// The portable carry pair is the body on every other architecture and
+// under MemorySanitizer; it must match the x86-64 instructions word for
+// word, for both carry-in values.
+TEST(U256Test, PortableCarryPairMatchesX86) {
+    Rng rng(0xADC5BB);
+    std::vector<std::uint64_t> words = {0, 1, 2, kOnes, kOnes - 1, 1ULL << 63, (1ULL << 63) - 1};
+    for (int i = 0; i < 64; ++i) words.push_back(rng.next_u64());
+    for (const std::uint64_t a : words) {
+        for (const std::uint64_t b : words) {
+            for (const Carry in : {Carry{0}, Carry{1}}) {
+                std::uint64_t generic = 0, x86 = 0;
+                ASSERT_EQ(adc_generic(in, a, b, generic), adc_x86(in, a, b, x86))
+                    << a << " + " << b << " + " << int{in};
+                ASSERT_EQ(generic, x86) << a << " + " << b << " + " << int{in};
+                ASSERT_EQ(sbb_generic(in, a, b, generic), sbb_x86(in, a, b, x86))
+                    << a << " - " << b << " - " << int{in};
+                ASSERT_EQ(generic, x86) << a << " - " << b << " - " << int{in};
+            }
+        }
+    }
+}
+#endif
 
 TEST(U256Test, MulWideSquaresCorrectly) {
     // (2^64 - 1)^2 = 2^128 - 2^65 + 1
@@ -320,6 +381,117 @@ TEST(MontgomeryTest, InverseTimesSelfIsOne) {
         // 0 has no inverse; Fermat's 0^(n-2) gives 0.
         EXPECT_EQ(m->inv(U256{}), U256{});
     }
+}
+
+// ---- Montgomery against the independent 32-bit-limb FieldReference ------
+
+FieldWords to_words(const U256& v) {
+    FieldWords out{};
+    for (std::size_t i = 0; i < 4; ++i) {
+        out[2 * i] = static_cast<std::uint32_t>(v.w[i]);
+        out[2 * i + 1] = static_cast<std::uint32_t>(v.w[i] >> 32);
+    }
+    return out;
+}
+
+U256 from_words(const FieldWords& words) {
+    U256 out;
+    for (std::size_t i = 0; i < 4; ++i) {
+        out.w[i] = words[2 * i] | (std::uint64_t{words[2 * i + 1]} << 32);
+    }
+    return out;
+}
+
+// The P-256 prime and group order, written out independently of P256.
+constexpr FieldWords kP256Prime = {0xffffffff, 0xffffffff, 0xffffffff, 0,
+                                   0,          0,          1,          0xffffffff};
+constexpr FieldWords kP256Order = {0xfc632551, 0xf3b9cac2, 0xa7179e84, 0xbce6faad,
+                                   0xffffffff, 0xffffffff, 0,          0xffffffff};
+
+/// 0, 1, m - 1, m - 2, 2^255, and values whose limbs are 0 or 2^64 - 1,
+/// so carries and borrows ripple across one to four limbs.
+std::vector<U256> edge_operands(const U256& m) {
+    std::vector<U256> out = {U256::zero(), U256::one()};
+    U256 v;
+    sub(v, m, U256::one());
+    out.push_back(v);
+    sub(v, m, U256::from_u64(2));
+    out.push_back(v);
+    out.push_back(U256{{0, 0, 0, 1ULL << 63}});
+    for (std::size_t k = 1; k <= 4; ++k) {
+        U256 low{}, high{};
+        for (std::size_t i = 0; i < 4; ++i) (i < k ? low : high).w[i] = kOnes;
+        out.push_back(low);   // 2^64k - 1
+        if (k < 4) out.push_back(high);  // 2^256 - 2^64k
+    }
+    out.push_back(U256{{kOnes, 0, kOnes, 0}});
+    out.push_back(U256{{0, kOnes, 0, kOnes}});
+    return out;
+}
+
+void expect_matches_field_reference(const Montgomery& m, const FieldWords& modulus,
+                                    std::uint64_t seed) {
+    const FieldReference ref(modulus);
+    ASSERT_EQ(to_words(m.modulus()), modulus);
+
+    // reduce() takes any 256-bit value; the rest take values below m,
+    // which the reference's own reduction supplies.
+    std::vector<U256> raw = edge_operands(m.modulus());
+    const std::size_t edges = raw.size();
+    Rng rng(seed);
+    for (int i = 0; i < 48; ++i) {
+        U256 v;
+        for (auto& limb : v.w) limb = rng.next_u64();
+        raw.push_back(v);
+    }
+    std::vector<U256> operands;
+    for (const U256& v : raw) {
+        ASSERT_EQ(to_words(m.reduce(v)), ref.reduce(to_words(v))) << "reduce " << v.w[0];
+        operands.push_back(from_words(ref.reduce(to_words(v))));
+    }
+    for (const U256& a : operands) {
+        ASSERT_EQ(to_words(m.to_mont(a)), ref.to_mont(to_words(a))) << "to_mont " << a.w[0];
+        ASSERT_EQ(to_words(m.from_mont(a)), ref.from_mont(to_words(a)))
+            << "from_mont " << a.w[0];
+    }
+    // Every pair of edge operands, then each edge operand and consecutive
+    // random pairs.
+    auto check_pair = [&](const U256& a, const U256& b) {
+        const FieldWords aw = to_words(a), bw = to_words(b);
+        ASSERT_EQ(to_words(m.mul(a, b)), ref.mont_mul(aw, bw)) << "mul " << a.w[0] << " " << b.w[0];
+        ASSERT_EQ(to_words(m.add(a, b)), ref.add(aw, bw)) << "add " << a.w[0] << " " << b.w[0];
+        ASSERT_EQ(to_words(m.sub(a, b)), ref.sub(aw, bw)) << "sub " << a.w[0] << " " << b.w[0];
+    };
+    for (std::size_t i = 0; i < operands.size(); ++i) {
+        for (std::size_t j = 0; j < operands.size(); ++j) {
+            if (i < edges || j < edges || j == i + 1) check_pair(operands[i], operands[j]);
+        }
+    }
+}
+
+TEST(MontgomeryTest, FieldPrimeMatchesFieldReference) {
+    expect_matches_field_reference(P256::instance().field(), kP256Prime, 0xF1E1D);
+}
+
+TEST(MontgomeryTest, GroupOrderMatchesFieldReference) {
+    expect_matches_field_reference(P256::instance().order(), kP256Order, 0x0DE2);
+}
+
+TEST(MontgomeryTest, FieldReferenceMatchesSmallIntegers) {
+    // The reference's own anchor: plain integer arithmetic on small values.
+    const FieldReference ref(kP256Prime);
+    const FieldWords a = {123456789}, b = {987654321};
+    const std::uint64_t prod = 123456789ULL * 987654321ULL;
+    EXPECT_EQ(ref.mul(a, b), (FieldWords{static_cast<std::uint32_t>(prod),
+                                        static_cast<std::uint32_t>(prod >> 32)}));
+    EXPECT_EQ(ref.add(a, b), (FieldWords{123456789 + 987654321}));
+    EXPECT_EQ(ref.sub(b, a), (FieldWords{987654321 - 123456789}));
+    EXPECT_EQ(ref.mont_mul(ref.to_mont(a), ref.to_mont(b)), ref.to_mont(ref.mul(a, b)));
+    EXPECT_EQ(ref.from_mont(ref.to_mont(a)), a);
+    FieldWords p_minus_1 = kP256Prime;
+    p_minus_1[0] -= 1;
+    EXPECT_EQ(ref.sub(FieldWords{}, FieldWords{1}), p_minus_1);
+    EXPECT_EQ(ref.add(p_minus_1, FieldWords{1}), FieldWords{});
 }
 
 TEST(MontgomeryTest, PowMatchesRepeatedMul) {

@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/rng.hpp"
@@ -514,6 +516,51 @@ TEST(FileFlashTest, EnforcesEraseBeforeWrite) {
     EXPECT_EQ(dev->write(0, Bytes{0x01}), Status::kFlashEraseRequired);
     ASSERT_EQ(dev->erase_sector(0), Status::kOk);
     EXPECT_EQ(dev->write(0, Bytes{0x01}), Status::kOk);
+    std::filesystem::remove(path);
+}
+
+TEST(FileFlashTest, OperationsRewriteOnlyTheirOwnRange) {
+    // Each write or erase overwrites its own bytes in the file and nothing
+    // else: a byte changed in the file behind the device's back, outside
+    // both ranges, survives them.
+    const std::string path = std::filesystem::temp_directory_path() / "upkit_fileflash6.bin";
+    std::filesystem::remove(path);
+    auto dev = FileFlash::open(path, small_geometry());
+    ASSERT_TRUE(dev.has_value());
+    constexpr std::uint64_t kOutside = 3 * 4096 + 7;
+    {
+        std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+        file.seekp(kOutside);
+        file.put(0x42);
+        ASSERT_TRUE(file.good());
+    }
+    ASSERT_EQ(dev->write(100, to_bytes("in range")), Status::kOk);
+    ASSERT_EQ(dev->erase_sector(1), Status::kOk);
+    std::ifstream file(path, std::ios::binary);
+    const Bytes on_disk((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
+    ASSERT_EQ(on_disk.size(), small_geometry().size_bytes);
+    EXPECT_EQ(on_disk[kOutside], 0x42);
+    EXPECT_EQ(to_string(Bytes(on_disk.begin() + 100, on_disk.begin() + 108)), "in range");
+    std::filesystem::remove(path);
+}
+
+TEST(FileFlashTest, RejectedWritePersistsItsProgrammedPrefix) {
+    // The file holds what read() returns: a write rejected at its third
+    // byte keeps its first two programmed across a reopen, as SimFlash
+    // keeps them in memory.
+    const std::string path = std::filesystem::temp_directory_path() / "upkit_fileflash7.bin";
+    std::filesystem::remove(path);
+    {
+        auto dev = FileFlash::open(path, small_geometry());
+        ASSERT_TRUE(dev.has_value());
+        ASSERT_EQ(dev->write(502, Bytes{0x0F}), Status::kOk);
+        EXPECT_EQ(dev->write(500, Bytes{0x12, 0x34, 0x40, 0x56}), Status::kFlashEraseRequired);
+    }
+    auto dev = FileFlash::open(path, small_geometry());
+    ASSERT_TRUE(dev.has_value());
+    Bytes out(4);
+    ASSERT_EQ(dev->read(500, MutByteSpan(out)), Status::kOk);
+    EXPECT_EQ(out, (Bytes{0x12, 0x34, 0x0F, 0xFF}));
     std::filesystem::remove(path);
 }
 

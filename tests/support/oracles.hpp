@@ -4,6 +4,8 @@
 // fast path stays pinned against an independent answer.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -54,6 +56,43 @@ private:
     static P256::Jacobian scalar_mul(const U256& k, const P256::Jacobian& p);
     static P256::Jacobian lift(const std::optional<AffinePoint>& p);
     static P256::MontAffine lift_affine(const AffinePoint& q);
+};
+
+/// A 256-bit value as eight 32-bit little-endian words: FieldReference's
+/// own representation, so that it shares no code with U256.
+using FieldWords = std::array<std::uint32_t, 8>;
+
+/// Arithmetic modulo one odd 256-bit modulus on 32-bit limbs in 64-bit
+/// accumulators, reduced one bit at a time: the reference the U256 limb
+/// layer and Montgomery are pinned against. It shares no code with either,
+/// so a carry bug in the limb layer cannot hide on both sides of a check.
+class FieldReference {
+public:
+    /// `modulus` must be odd and at least 2^255.
+    explicit FieldReference(const FieldWords& modulus) : m_(modulus) {}
+
+    /// a mod m, for any 256-bit a.
+    FieldWords reduce(const FieldWords& a) const;
+    /// a * b mod m.
+    FieldWords mul(const FieldWords& a, const FieldWords& b) const;
+    /// a + b mod m.
+    FieldWords add(const FieldWords& a, const FieldWords& b) const;
+    /// a - b mod m.
+    FieldWords sub(const FieldWords& a, const FieldWords& b) const;
+    /// a * 2^256 mod m: into the Montgomery domain.
+    FieldWords to_mont(const FieldWords& a) const;
+    /// a * 2^-256 mod m: out of the Montgomery domain.
+    FieldWords from_mont(const FieldWords& a) const;
+    /// a * b * 2^-256 mod m: the Montgomery product.
+    FieldWords mont_mul(const FieldWords& a, const FieldWords& b) const {
+        return from_mont(mul(a, b));
+    }
+
+private:
+    /// x mod m for a little-endian value of `words` 32-bit words.
+    FieldWords mod(const std::uint32_t* x, std::size_t words) const;
+
+    FieldWords m_;
 };
 
 /// ECDSA verification with its own key check and signature parsing and the
