@@ -4,7 +4,7 @@
 // Four sections, one JSON line, nonzero exit when a gate fails:
 //
 //  1. store   — publish a chain of chunked releases (successive localized
-//               edits of one image) and read the chunk store's dedup ratio
+//               edits of one image) and read the chunk index's dedup ratio
 //               (logical bytes / unique bytes). Gate: > 1.5x.
 //  2. air     — the same v1 -> v2 rollout run twice: a chunk-capable fleet
 //               vs a full-image fleet. Gate: chunked bytes-on-air strictly

@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
     const double sign_s = seconds_since(t0) / kSignIters;
 
     // ---- micro: chunk-ingest digest throughput ---------------------------
-    // Publish-time chunk validation (and ChunkStore ingest) digests every
-    // chunk of the image. Before: one Sha256::digest call per chunk. After:
+    // Publish-time chunk validation digests every chunk of the image
+    // once. Before: one Sha256::digest call per chunk. After:
     // the same slices through the multi-buffer kernel, four lanes at a
     // time. Same chunk table both ways, digests cross-checked. On a host
     // with SHA extensions both sides run the one hardware kernel, so the

@@ -50,16 +50,4 @@ std::uint32_t crc32(ByteSpan data, std::uint32_t seed) {
     return c ^ 0xFFFFFFFFu;
 }
 
-std::uint16_t crc16_ccitt(ByteSpan data, std::uint16_t seed) {
-    std::uint16_t crc = seed;
-    for (std::uint8_t b : data) {
-        crc = static_cast<std::uint16_t>(crc ^ (static_cast<std::uint16_t>(b) << 8));
-        for (int bit = 0; bit < 8; ++bit) {
-            crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                                 : static_cast<std::uint16_t>(crc << 1);
-        }
-    }
-    return crc;
-}
-
 }  // namespace upkit::crypto

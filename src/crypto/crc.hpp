@@ -1,11 +1,11 @@
-// CRC-32 (IEEE 802.3) and CRC-16 (CCITT-FALSE).
+// CRC-32 (IEEE 802.3).
 //
 // Not used by UpKit's own verifier — the paper explicitly calls CRC-only
 // verification (TinyOS/Deluge, Sparrow) *insufficient* against tampering.
-// They are implemented here for the baseline comparators and for the
+// It is implemented here for the CRC-only baseline comparator and the
 // attack-scenario experiments that demonstrate exactly that insufficiency.
-// crc32 also guards the swap journal's records and sector copies against
-// torn writes (slots/), which is why it runs slice-by-8.
+// It also guards the swap journal's records and sector copies against torn
+// writes (slots/), which is why it runs slice-by-8.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +17,5 @@ namespace upkit::crypto {
 /// CRC-32/ISO-HDLC: poly 0x04C11DB7 reflected, init 0xFFFFFFFF, final XOR.
 /// crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(ByteSpan data, std::uint32_t seed = 0);
-
-/// CRC-16/CCITT-FALSE: poly 0x1021, init 0xFFFF.
-/// crc16_ccitt("123456789") == 0x29B1.
-std::uint16_t crc16_ccitt(ByteSpan data, std::uint16_t seed = 0xFFFF);
 
 }  // namespace upkit::crypto

@@ -14,13 +14,6 @@ std::optional<PublicKey> Atecc508::key_in_slot(unsigned slot) const {
     return slots_[slot]->key();
 }
 
-bool Atecc508::holds(const PublicKey& key) const {
-    for (const auto& slot : slots_) {
-        if (slot && slot->key() == key) return true;
-    }
-    return false;
-}
-
 Expected<bool> Atecc508::verify(unsigned slot, const Sha256Digest& digest,
                                 ByteSpan signature) const {
     if (slot >= kKeySlots) return Status::kOutOfRange;

@@ -32,9 +32,6 @@ public:
 
     std::optional<PublicKey> key_in_slot(unsigned slot) const;
 
-    /// True if `key` is provisioned in any slot.
-    bool holds(const PublicKey& key) const;
-
     /// Hardware ECDSA verify against the key stored in `slot`, through the
     /// slot's handle.
     Expected<bool> verify(unsigned slot, const Sha256Digest& digest, ByteSpan signature) const;

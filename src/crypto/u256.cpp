@@ -5,8 +5,6 @@
 
 namespace upkit::crypto {
 
-using u128 = unsigned __int128;
-
 U256 U256::from_be_bytes(ByteSpan bytes32) {
     assert(bytes32.size() == 32);
     U256 out;
@@ -77,20 +75,6 @@ int cmp(const U256& a, const U256& b) {
     return 0;
 }
 
-std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b) {
-    std::array<std::uint64_t, 8> out{};
-    for (std::size_t i = 0; i < 4; ++i) {
-        std::uint64_t carry = 0;
-        for (std::size_t j = 0; j < 4; ++j) {
-            const u128 t = static_cast<u128>(a.w[i]) * b.w[j] + out[i + j] + carry;
-            out[i + j] = static_cast<std::uint64_t>(t);
-            carry = static_cast<std::uint64_t>(t >> 64);
-        }
-        out[i + 4] = carry;
-    }
-    return out;
-}
-
 U256 shl1(const U256& a) {
     U256 out;
     std::uint64_t carry = 0;
@@ -99,14 +83,6 @@ U256 shl1(const U256& a) {
         carry = a.w[i] >> 63;
     }
     return out;
-}
-
-void ct_cswap(std::uint64_t mask, U256& a, U256& b) {
-    for (std::size_t i = 0; i < 4; ++i) {
-        const std::uint64_t t = mask & (a.w[i] ^ b.w[i]);
-        a.w[i] ^= t;
-        b.w[i] ^= t;
-    }
 }
 
 U256 shr1(const U256& a) {

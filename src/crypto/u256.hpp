@@ -16,12 +16,11 @@
 // the inner loops of the Montgomery product and the group law, where an
 // out-of-line call costs more than the four-limb chain it runs.
 //
-// The limb primitives (add/sub/mul_wide/shifts) are constant-time: fixed
-// iteration counts, no data-dependent branches. The comparison helpers
-// split in two: cmp()/operator< are variable-time conveniences for public
-// values, while ct_lt_mask()/ct_is_zero_mask()/ct_select()/ct_cswap() are
-// the branchless forms the hardened secret-scalar kernels are written
-// against.
+// The limb primitives (add/sub/shifts) are constant-time: fixed iteration
+// counts, no data-dependent branches. The comparison helpers split in two:
+// cmp()/operator< are variable-time conveniences for public values, while
+// ct_lt_mask()/ct_is_zero_mask()/ct_select() are the branchless forms the
+// hardened secret-scalar kernels are written against.
 #pragma once
 
 #include <array>
@@ -146,9 +145,6 @@ inline std::uint64_t sub(U256& out, const U256& a, const U256& b) {
     return sbb(c, a.w[3], b.w[3], out.w[3]);
 }
 
-/// 512-bit product a * b, little-endian limbs.
-std::array<std::uint64_t, 8> mul_wide(const U256& a, const U256& b);
-
 /// Logical shifts.
 U256 shl1(const U256& a);
 U256 shr1(const U256& a);
@@ -171,8 +167,5 @@ inline U256 ct_select(std::uint64_t mask, const U256& a, const U256& b) {
     return U256{{ct::select(mask, a.w[0], b.w[0]), ct::select(mask, a.w[1], b.w[1]),
                  ct::select(mask, a.w[2], b.w[2]), ct::select(mask, a.w[3], b.w[3])}};
 }
-
-/// Swaps a and b when mask is all-ones; no-op when all-zeros.
-void ct_cswap(std::uint64_t mask, U256& a, U256& b);
 
 }  // namespace upkit::crypto

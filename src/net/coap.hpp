@@ -5,9 +5,9 @@
 // format those libraries speak — header, token, delta-encoded options,
 // payload — plus the Block1/Block2 options used for firmware-sized
 // transfers, and a Blockwise helper that frames a resource into a message
-// sequence. The link simulation (net/transport.hpp) models airtime; this
-// layer provides faithful on-air byte counts and a protocol surface for
-// interop-style tests.
+// sequence. A standalone codec: the link simulation (net/transport.hpp)
+// models airtime and byte counts without framing through it, so only the
+// protocol tests exercise it.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 // SMP (Simple Management Protocol) framing — the protocol mcumgr speaks
-// over BLE GATT or serial, used here by the push path and by the baseline
-// comparisons. An SMP frame is an 8-byte header followed by a CBOR map
-// body; image uploads are `image upload` requests in the IMG group
-// carrying {off, data, len?, sha?} exactly like mcumgr's.
+// over BLE GATT or serial. A standalone codec: the push path and the
+// baseline comparisons model their transfers in net/transport.hpp and do
+// not frame through it. An SMP frame is an 8-byte header followed by a
+// CBOR map body; image uploads are `image upload` requests in the IMG
+// group carrying {off, data, len?, sha?} exactly like mcumgr's.
 #pragma once
 
 #include <optional>

@@ -1,48 +1,12 @@
 #include "server/chunk_store.hpp"
 
-#include "crypto/sha256x4.hpp"
-
 namespace upkit::server {
 
-Status ChunkStore::ingest(ByteSpan image, const std::vector<manifest::ChunkRef>& table) {
-    for (const manifest::ChunkRef& ref : table) {
-        if (ref.length == 0 ||
-            static_cast<std::uint64_t>(ref.offset) + ref.length > image.size()) {
-            return Status::kInvalidArgument;
-        }
-    }
-    // Digest pre-pass over the refs that would store new bytes: the store
-    // is content-addressed, so a slice filed under a digest it doesn't
-    // match would be served to every later release sharing that digest.
-    // The fresh slices are independent buffers — batched through the
-    // multi-buffer kernel — and a mismatch rejects the whole table before
-    // any entry is touched (no partial ingest). Refs whose digest is
-    // already stored need no byte check: the digest is the key, and the
-    // stored bytes were validated when they were first filed.
-    std::vector<const manifest::ChunkRef*> fresh;
-    for (const manifest::ChunkRef& ref : table) {
-        if (!entries_.contains(ref.digest)) fresh.push_back(&ref);
-    }
-    if (!fresh.empty()) {
-        std::vector<ByteSpan> slices(fresh.size());
-        std::vector<crypto::Sha256Digest> digests(fresh.size());
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            slices[i] = image.subspan(fresh[i]->offset, fresh[i]->length);
-        }
-        crypto::sha256_multi(slices.data(), digests.data(), slices.size());
-        for (std::size_t i = 0; i < fresh.size(); ++i) {
-            if (!ct_equal(ByteSpan(digests[i].data(), digests[i].size()),
-                          ByteSpan(fresh[i]->digest.data(), fresh[i]->digest.size()))) {
-                return Status::kBadDigest;
-            }
-        }
-    }
+void ChunkStore::ingest(const std::vector<manifest::ChunkRef>& table) {
     for (const manifest::ChunkRef& ref : table) {
         ++stats_.ingested;
-        auto [it, inserted] = entries_.try_emplace(ref.digest);
+        auto [it, inserted] = entries_.try_emplace(ref.digest, Entry{ref.length, 0});
         if (inserted) {
-            const ByteSpan slice = image.subspan(ref.offset, ref.length);
-            it->second.bytes.assign(slice.begin(), slice.end());
             ++stats_.chunks;
             stats_.unique_bytes += ref.length;
         } else {
@@ -51,7 +15,6 @@ Status ChunkStore::ingest(ByteSpan image, const std::vector<manifest::ChunkRef>&
         ++it->second.refs;
         stats_.logical_bytes += ref.length;
     }
-    return Status::kOk;
 }
 
 void ChunkStore::release(const std::vector<manifest::ChunkRef>& table) {
@@ -60,17 +23,12 @@ void ChunkStore::release(const std::vector<manifest::ChunkRef>& table) {
         if (it == entries_.end()) continue;
         stats_.logical_bytes -= ref.length;
         if (--it->second.refs == 0) {
-            stats_.unique_bytes -= it->second.bytes.size();
+            stats_.unique_bytes -= it->second.length;
             --stats_.chunks;
             ++stats_.released;
             entries_.erase(it);
         }
     }
-}
-
-const Bytes* ChunkStore::find(const crypto::Sha256Digest& digest) const {
-    const auto it = entries_.find(digest);
-    return it == entries_.end() ? nullptr : &it->second.bytes;
 }
 
 }  // namespace upkit::server

@@ -1,23 +1,22 @@
-// Content-addressed chunk store: digest -> bytes, refcounted.
+// Content-addressed chunk index: digest -> (length, refs), refcounted.
 //
-// Replaces the per-endpoint-pair delta cache. Where that cache keyed
-// generated patches by (from-digest, to-digest) — O(version pairs) entries
-// that the response cache starved into uselessness — the chunk store holds
-// each distinct chunk of every published image exactly once, keyed by its
-// SHA-256. Chunks shared across versions (content-defined chunking keeps
-// most cut points stable across an edit) are stored once and referenced by
-// every release that contains them; the dedup ratio the store achieves is
-// exactly the payload dedup a fleet sees across staggered upgrades.
+// Counts each distinct content-defined chunk of every published chunked
+// release once, keyed by its SHA-256. It holds no bytes: the releases the
+// update server retains for deltas hold them, and a chunked response
+// slices the release it serves. Chunks shared across versions
+// (content-defined chunking keeps most cut points stable across an edit)
+// are counted once and referenced by every release that contains them, so
+// the index's dedup ratio (logical over unique bytes) is exactly the
+// payload dedup a fleet sees across staggered upgrades.
 //
 // Refcounts track how many published releases reference a chunk, so
-// retiring a release frees only the bytes no other version still needs.
+// retiring a release drops only the chunks no other version still needs.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "manifest/manifest.hpp"
 
 namespace upkit::server {
@@ -25,35 +24,29 @@ namespace upkit::server {
 class ChunkStore {
 public:
     struct Stats {
-        std::uint64_t chunks = 0;         // unique chunks currently held
-        std::uint64_t unique_bytes = 0;   // bytes actually stored
+        std::uint64_t chunks = 0;         // unique chunks currently indexed
+        std::uint64_t unique_bytes = 0;   // bytes one copy per digest would hold
         std::uint64_t logical_bytes = 0;  // what whole-image storage would hold
         std::uint64_t ingested = 0;       // chunk references processed by ingest()
-        std::uint64_t deduped = 0;        // references that matched an existing chunk
-        std::uint64_t released = 0;       // chunks freed when their refcount hit zero
+        std::uint64_t deduped = 0;        // references that matched an indexed chunk
+        std::uint64_t released = 0;       // chunks dropped when their refcount hit zero
+        bool operator==(const Stats&) const = default;
     };
 
-    /// Adds one image's chunks (one refcount per table entry; bytes stored
-    /// only for digests not yet present). The table must lie within the
-    /// image (kInvalidArgument otherwise) and every not-yet-stored slice
-    /// must actually hash to its claimed digest (kBadDigest otherwise,
-    /// checked in one multi-buffer pass) — both with no partial ingest.
-    Status ingest(ByteSpan image, const std::vector<manifest::ChunkRef>& table);
+    /// Adds one image's chunk table: one refcount per entry, and a new
+    /// index entry for each digest not yet present. The caller has already
+    /// checked the table against the image (UpdateServer::publish).
+    void ingest(const std::vector<manifest::ChunkRef>& table);
 
     /// Drops one image's references; chunks no other release still
-    /// references are erased.
+    /// references leave the index.
     void release(const std::vector<manifest::ChunkRef>& table);
 
-    /// The stored bytes for `digest`, or nullptr. Pure lookup — the caller
-    /// owns hit/miss accounting.
-    const Bytes* find(const crypto::Sha256Digest& digest) const;
-
-    std::size_t size() const { return entries_.size(); }
     const Stats& stats() const { return stats_; }
 
 private:
     struct Entry {
-        Bytes bytes;
+        std::uint32_t length = 0;
         std::uint32_t refs = 0;
     };
 

@@ -5,6 +5,7 @@
 
 #include "common/endian.hpp"
 #include "common/fnv1a.hpp"
+#include "compress/lzss.hpp"
 #include "crypto/content_key.hpp"
 #include "crypto/poly1305.hpp"
 #include "crypto/sha256x4.hpp"
@@ -24,6 +25,9 @@ constexpr std::size_t kServerSigOffset = 136;
 // full-image update: a delta that barely saves air time is not worth the
 // on-device patching cost.
 constexpr double kDeltaThreshold = 0.9;
+
+// Response-cache LRU capacity in envelopes.
+constexpr std::size_t kResponseCacheCapacity = 64;
 
 // FNV-1a over a have-list, as the response-cache key component: devices
 // holding the same chunk set share one cached envelope.
@@ -74,9 +78,12 @@ Status UpdateServer::publish(Release release) {
     }
     if (release.manifest.chunked) {
         // The table is distribution metadata this server re-signs per
-        // request, so it is validated at ingest: structure (contiguous
-        // tiling of the image) and every per-chunk digest.
-        if (manifest::validate_chunk_table(release.manifest) != Status::kOk) {
+        // request, and chunked responses slice the image by it, so it is
+        // checked here, once: it must tile an image of exactly the size the
+        // release carries (before any slice is read), and every per-chunk
+        // digest must match.
+        if (manifest::validate_chunk_table(release.manifest) != Status::kOk ||
+            release.manifest.firmware_size != release.firmware.size()) {
             return Status::kBadManifest;
         }
         // All per-chunk digests at once through the multi-buffer kernel —
@@ -100,10 +107,7 @@ Status UpdateServer::publish(Release release) {
     auto& versions = releases_[release.manifest.app_id];
     const std::uint16_t version = release.manifest.version;
     if (versions.contains(version)) return Status::kAlreadyExists;
-    if (release.manifest.chunked) {
-        UPKIT_RETURN_IF_ERROR(
-            chunk_store_.ingest(release.firmware, release.manifest.chunk_table));
-    }
+    if (release.manifest.chunked) chunk_store_.ingest(release.manifest.chunk_table);
     versions.emplace(version, std::move(release));
     return Status::kOk;
 }
@@ -118,7 +122,8 @@ Status UpdateServer::retire_release(std::uint32_t app_id, std::uint16_t version)
         chunk_store_.release(it->second.manifest.chunk_table);
     }
     apps->second.erase(it);
-    invalidate_caches();
+    response_lru_.clear();
+    response_index_.clear();
     return Status::kOk;
 }
 
@@ -154,19 +159,6 @@ bool UpdateServer::register_device_key(std::uint32_t device_id,
     return true;
 }
 
-void UpdateServer::set_response_cache_capacity(std::size_t entries) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    response_capacity_ = entries;
-    response_lru_.clear();
-    response_index_.clear();
-}
-
-// Assumes mu_ is held by the caller (set_lzss_params, retire_release).
-void UpdateServer::invalidate_caches() {
-    response_lru_.clear();
-    response_index_.clear();
-}
-
 bool UpdateServer::maybe_encrypt(const manifest::DeviceToken& token, Bytes& payload) const {
     if (!encrypt_) return false;
     const auto key_it = device_keys_.find(token.device_id);
@@ -200,12 +192,17 @@ bool UpdateServer::maybe_encrypt(const manifest::DeviceToken& token, Bytes& payl
 std::optional<Bytes> UpdateServer::compressed_delta(const Release& base,
                                                     const Release& latest,
                                                     ServiceReceipt& receipt) const {
+    receipt.delta_attempted = true;
     ++stats_.delta_generations;
     receipt.delta_input_bytes = base.firmware.size() + latest.firmware.size();
     auto patch = diff::bsdiff(base.firmware, latest.firmware);
     if (!patch) return std::nullopt;
-    auto compressed = compress::lzss_compress(*patch, lzss_params_);
-    if (!compressed) return std::nullopt;
+    // Default parameters: the window the device's decoder is built with.
+    auto compressed = compress::lzss_compress(*patch);
+    if (!compressed || static_cast<double>(compressed->size()) >=
+                           kDeltaThreshold * static_cast<double>(latest.firmware.size())) {
+        return std::nullopt;
+    }
     return std::move(*compressed);
 }
 
@@ -226,16 +223,10 @@ Bytes UpdateServer::assemble_chunks(const Release& release,
             stats_.chunk_bytes_deduped += ref.length;
             continue;
         }
-        const Bytes* stored = chunk_store_.find(ref.digest);
-        if (stored != nullptr) {
-            ++stats_.chunk_hits;
-            append(payload, ByteSpan(stored->data(), stored->size()));
-        } else {
-            // Published before the store existed (or raced a retirement):
-            // slice the retained image directly.
-            ++stats_.chunk_misses;
-            append(payload, ByteSpan(release.firmware.data() + ref.offset, ref.length));
-        }
+        // publish() checked that the table tiles this image and that every
+        // slice hashes to its digest.
+        append(payload, ByteSpan(release.firmware.data() + ref.offset, ref.length));
+        ++stats_.chunk_hits;
         ++receipt.chunks_sent;
         ++stats_.chunks_served;
         stats_.chunk_bytes_served += ref.length;
@@ -244,10 +235,10 @@ Bytes UpdateServer::assemble_chunks(const Release& release,
     return payload;
 }
 
-std::optional<UpdateResponse> UpdateServer::response_from_cache(
-    const ResponseKey& key, const manifest::DeviceToken& token,
+std::optional<UpdateResponse> UpdateServer::cached_response(
+    const ResponseKey& key, bool cacheable, const manifest::DeviceToken& token,
     ServiceReceipt receipt) const {
-    if (response_capacity_ == 0) return std::nullopt;
+    if (!cacheable) return std::nullopt;
     const auto it = response_index_.find(key);
     if (it == response_index_.end()) {
         ++stats_.response_misses;
@@ -284,29 +275,30 @@ std::optional<UpdateResponse> UpdateServer::response_from_cache(
     return response;
 }
 
-void UpdateServer::store_response(const ResponseKey& key,
-                                  const UpdateResponse& response) const {
-    if (response_capacity_ == 0) return;
-    if (response_index_.contains(key)) return;
-    response_lru_.push_front(ResponseEntry{key, response.manifest,
-                                           response.manifest_bytes, response.payload});
-    response_index_[key] = response_lru_.begin();
-    if (response_lru_.size() > response_capacity_) {
-        ++stats_.response_evictions;
-        response_index_.erase(response_lru_.back().key);
-        response_lru_.pop_back();
+UpdateResponse UpdateServer::seal_sign_store(const ResponseKey& key, bool cacheable,
+                                             const Release& release,
+                                             const manifest::DeviceToken& token,
+                                             Bytes payload, ServiceReceipt receipt) const {
+    manifest::Manifest m = release.manifest;  // vendor fields + vendor signature
+    m.device_id = token.device_id;
+    m.nonce = token.nonce;
+    m.differential = key.differential;
+    m.old_version = key.old_version;
+    if (!key.chunked) {
+        // Unchunked shapes never ship the table: the flag and table are
+        // server-controlled wire fields (outside the vendor signature), so
+        // stripping them yields exactly the historical 200-byte manifest.
+        m.chunked = false;
+        m.chunk_table.clear();
     }
-}
-
-UpdateResponse UpdateServer::finalize(manifest::Manifest m, Bytes payload,
-                                      const crypto::Signature& suit_vendor_sig,
-                                      ServiceReceipt receipt) const {
+    m.encrypted = maybe_encrypt(token, payload);
     m.payload_size = static_cast<std::uint32_t>(payload.size());
+
     UpdateResponse response;
     if (suit_mode_) {
         suit::Envelope envelope;
-        m.vendor_signature = suit_vendor_sig;  // SUIT-form vendor signature
-        envelope.vendor_signature = suit_vendor_sig;
+        m.vendor_signature = release.suit_vendor_signature;  // SUIT-form vendor signature
+        envelope.vendor_signature = release.suit_vendor_signature;
         envelope.manifest_bstr = suit::cbor_encode(suit::manifest_map(m));
         envelope.server_signature = crypto::ecdsa_sign(
             key_, crypto::Sha256::digest(
@@ -325,112 +317,74 @@ UpdateResponse UpdateServer::finalize(manifest::Manifest m, Bytes payload,
     response.manifest = m;
     response.payload = std::move(payload);
     response.receipt = receipt;
-    return response;
-}
 
-Expected<UpdateResponse> UpdateServer::prepare_update(
-    std::uint32_t app_id, const manifest::DeviceToken& token) const {
-    // Held end to end: every helper below touches the caches, counters, or
-    // the ephemeral-key counter. Deployment concurrency is ServerModel's
-    // job; this lock is for memory safety under threaded drivers.
-    const std::lock_guard<std::mutex> lock(mu_);
-    return prepare_update_locked(app_id, token, 0);
+    if (cacheable && !response_index_.contains(key)) {
+        response_lru_.push_front(ResponseEntry{key, response.manifest,
+                                               response.manifest_bytes, response.payload});
+        response_index_[key] = response_lru_.begin();
+        if (response_lru_.size() > kResponseCacheCapacity) {
+            ++stats_.response_evictions;
+            response_index_.erase(response_lru_.back().key);
+            response_lru_.pop_back();
+        }
+    }
+    return response;
 }
 
 Expected<UpdateResponse> UpdateServer::prepare_update(
     std::uint32_t app_id, const manifest::DeviceToken& token,
     std::uint16_t version) const {
+    // Held end to end: every helper below touches the caches, counters, or
+    // the ephemeral-key counter. Deployment concurrency is ServerModel's
+    // job; this lock is for memory safety under threaded drivers.
     const std::lock_guard<std::mutex> lock(mu_);
-    return prepare_update_locked(app_id, token, version);
-}
-
-Expected<UpdateResponse> UpdateServer::prepare_update_locked(
-    std::uint32_t app_id, const manifest::DeviceToken& token,
-    std::uint16_t target) const {
     ++stats_.requests;
     const auto apps = releases_.find(app_id);
     if (apps == releases_.end() || apps->second.empty()) return Status::kNotFound;
-    const auto pinned = target == 0 ? apps->second.end() : apps->second.find(target);
-    if (target != 0 && pinned == apps->second.end()) return Status::kNotFound;
-    const Release& latest =
-        target == 0 ? apps->second.rbegin()->second : pinned->second;
+    const auto& versions = apps->second;
+    const auto target = version == 0 ? std::prev(versions.end()) : versions.find(version);
+    if (target == versions.end()) return Status::kNotFound;
+    const Release& release = target->second;
 
     // Encrypted payloads are sealed per (device, nonce) and SUIT envelopes
     // are re-encoded per request: neither can reuse a cached envelope.
-    const bool cacheable_envelope =
+    const bool cacheable =
         !suit_mode_ && !(encrypt_ && device_keys_.contains(token.device_id));
     ServiceReceipt receipt;
 
-    manifest::Manifest m = latest.manifest;  // vendor fields + vendor signature
-    m.device_id = token.device_id;
-    m.nonce = token.nonce;
-
-    // Chunked (have/want) path: the release carries a chunk table and the
+    // Every shape below is one cache-or-build step keyed by what it ships.
+    // Chunked (have/want): the release carries a chunk table and the
     // device reported which chunk digests it already holds; serve only the
-    // missing chunks from the content-addressed store. Encrypted transport
-    // falls back to legacy paths — an AEAD-sealed payload cannot survive
-    // per-chunk re-requests.
-    if (latest.manifest.chunked && token.supports_chunked() && cacheable_envelope) {
-        const ResponseKey key{app_id, latest.manifest.version, 0, false, true,
+    // missing chunks. Encrypted transport takes the unchunked shapes — an
+    // AEAD-sealed payload cannot survive per-chunk re-requests.
+    if (release.manifest.chunked && token.supports_chunked() && cacheable) {
+        const ResponseKey key{app_id, target->first, 0, false, true,
                               have_list_hash(token.have)};
-        if (auto hit = response_from_cache(key, token, receipt)) return *hit;
-        m.differential = false;
-        m.old_version = 0;
-        Bytes payload = assemble_chunks(latest, token, receipt);
-        UpdateResponse response =
-            finalize(m, std::move(payload), latest.suit_vendor_signature, receipt);
-        store_response(key, response);
-        return response;
+        if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
+        Bytes payload = assemble_chunks(release, token, receipt);
+        return seal_sign_store(key, cacheable, release, token, std::move(payload), receipt);
     }
 
-    // Legacy paths never ship the table: the flag and table are
-    // server-controlled wire fields (outside the vendor signature), so
-    // stripping them yields exactly the historical 200-byte manifest.
-    m.chunked = false;
-    m.chunk_table.clear();
-
-    // Differential path: the token advertises the installed version and we
-    // still hold that release.
+    // Differential: the token advertises the installed version and we still
+    // hold that release. A cached differential envelope proves the
+    // threshold decision, so a hit skips bsdiff entirely; a patch not worth
+    // shipping falls through to the full image.
     if (token.supports_differential()) {
-        const auto base = apps->second.find(token.current_version);
-        if (base != apps->second.end() &&
-            base->second.manifest.version < latest.manifest.version) {
-            const ResponseKey key{app_id, latest.manifest.version,
-                                  token.current_version, true};
-            if (cacheable_envelope) {
-                // A cached differential envelope proves the threshold
-                // decision: no need to touch the delta cache at all.
-                if (auto hit = response_from_cache(key, token, receipt)) return *hit;
-            }
-            receipt.delta_attempted = true;
-            auto compressed = compressed_delta(base->second, latest, receipt);
-            if (compressed &&
-                static_cast<double>(compressed->size()) <
-                    kDeltaThreshold * static_cast<double>(latest.firmware.size())) {
-                m.differential = true;
-                m.old_version = token.current_version;
-                m.encrypted = maybe_encrypt(token, *compressed);
-                UpdateResponse response = finalize(m, std::move(*compressed),
-                                                   latest.suit_vendor_signature, receipt);
-                if (cacheable_envelope) store_response(key, response);
-                return response;
+        const auto base = versions.find(token.current_version);
+        if (base != versions.end() && base->first < target->first) {
+            const ResponseKey key{app_id, target->first, token.current_version, true};
+            if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
+            if (auto patch = compressed_delta(base->second, release, receipt)) {
+                return seal_sign_store(key, cacheable, release, token, std::move(*patch),
+                                       receipt);
             }
         }
     }
 
-    // Full-image path.
-    const ResponseKey key{app_id, latest.manifest.version, 0, false};
-    if (cacheable_envelope) {
-        if (auto hit = response_from_cache(key, token, receipt)) return *hit;
-    }
-    m.differential = false;
-    m.old_version = 0;
-    Bytes payload = latest.firmware;
-    m.encrypted = maybe_encrypt(token, payload);
-    UpdateResponse response =
-        finalize(m, std::move(payload), latest.suit_vendor_signature, receipt);
-    if (cacheable_envelope) store_response(key, response);
-    return response;
+    // Full image.
+    const ResponseKey key{app_id, target->first, 0, false};
+    if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
+    return seal_sign_store(key, cacheable, release, token, release.firmware, receipt);
 }
 
 }  // namespace upkit::server

@@ -8,18 +8,21 @@
 // and LZSS-compresses it; otherwise it ships the full image.
 //
 // The request path is the fleet-scale hot path, so the expensive,
-// token-independent work is cached content-addressed:
-//  - chunk store: every published image's content-defined chunks, keyed by
-//    chunk SHA-256 and refcounted across releases (server/chunk_store.hpp).
-//    A device that reports the chunk digests it already holds (have/want
-//    negotiation) is served only the missing chunks — payload bytes dedup
-//    across versions and across endpoints. This replaces the retired
-//    per-endpoint-pair bsdiff cache, which the response cache had starved
-//    to a 0% hit rate by construction;
+// token-independent work is cached or counted once:
 //  - response cache: serialized response envelopes keyed by the release
 //    and transport shape (including the have-list hash for chunked
 //    responses); per request only the token-dependent bytes (device ID,
-//    nonce, server signature) are re-filled and re-signed.
+//    nonce, server signature) are re-filled and re-signed. Every shape
+//    (chunked, differential, full image) takes the same cache-or-build
+//    path: one lookup, and on a miss one seal-sign-store step;
+//  - chunked releases: publish() checks a release's chunk table once (it
+//    must tile the image the release carries, and every chunk must hash to
+//    its digest), and a device that reports the chunk digests it already
+//    holds (have/want negotiation) is served only the missing chunks,
+//    sliced from the retained release. The chunk index
+//    (server/chunk_store.hpp) counts the distinct chunks across releases
+//    for the storage dedup statistics; the releases hold the bytes, and
+//    the serve path never reads the index.
 // The per-request freshness signature is the one cost that can never be
 // cached — which is exactly why mul_base runs off a comb table now.
 #pragma once
@@ -30,7 +33,6 @@
 #include <optional>
 #include <vector>
 
-#include "compress/lzss.hpp"
 #include "crypto/ecdsa.hpp"
 #include "server/chunk_store.hpp"
 #include "server/vendor_server.hpp"
@@ -48,8 +50,8 @@ struct ServiceReceipt {
     std::size_t payload_bytes = 0;
     /// Bytes fed to bsdiff when a delta was generated (old + new image).
     std::size_t delta_input_bytes = 0;
-    /// Chunked (have/want) responses: payload assembled from the chunk
-    /// store, counting only the chunks the device was missing.
+    /// Chunked (have/want) responses: payload sliced from the release,
+    /// counting only the chunks the device was missing.
     bool chunked = false;
     unsigned chunks_sent = 0;
     std::size_t chunk_bytes_deduped = 0;  // bytes skipped: device already had them
@@ -74,10 +76,10 @@ struct ServerStats {
     std::uint64_t response_hits = 0;
     std::uint64_t response_misses = 0;
     std::uint64_t response_evictions = 0;
-    /// Chunk-store serving counters (have/want responses).
+    /// Chunked-response serving counters (have/want responses).
     std::uint64_t chunked_responses = 0;
-    std::uint64_t chunk_hits = 0;          // chunks served from the store
-    std::uint64_t chunk_misses = 0;        // fell back to slicing the release image
+    std::uint64_t chunk_hits = 0;          // chunks served (equals chunks_served)
+    std::uint64_t chunk_misses = 0;        // always 0: every served chunk was checked at publish
     std::uint64_t chunks_served = 0;
     std::uint64_t chunk_bytes_served = 0;
     std::uint64_t chunk_bytes_deduped = 0; // bytes devices already held
@@ -165,49 +167,37 @@ public:
     /// deltas can be derived against whatever a device currently runs.
     /// With a vendor key set (set_vendor_key), the release is verified
     /// first: kBadVendorSignature / kBadDigest on failure. A chunked
-    /// release (manifest carries a chunk table) is structurally validated,
-    /// its per-chunk digests checked against the image, and its chunks
-    /// ingested into the content-addressed store.
+    /// release (manifest carries a chunk table) is checked once, before
+    /// any chunk is served: the table must tile an image of exactly the
+    /// size the release carries (kBadManifest), and every chunk must hash
+    /// to its digest (kBadDigest). Its chunks are then counted in the
+    /// chunk index.
     Status publish(Release release);
 
-    /// Unpublishes one release and drops its chunk-store references;
-    /// chunks no other release shares are freed. Cached response
+    /// Unpublishes one release and drops its chunk-index references;
+    /// chunks no other release shares leave the index. Cached response
     /// envelopes are invalidated wholesale (retirement is rare).
     Status retire_release(std::uint32_t app_id, std::uint16_t version);
 
     /// The latest version available for `app_id` (the "announcement").
     std::optional<std::uint16_t> latest_version(std::uint32_t app_id) const;
 
-    /// Builds the device-bound, doubly-signed update image for a token.
-    Expected<UpdateResponse> prepare_update(std::uint32_t app_id,
-                                            const manifest::DeviceToken& token) const;
-
-    /// Same, but bound to a specific published version instead of the
-    /// latest (kNotFound when unpublished). Factory provisioning uses this:
-    /// a synthetic fleet built after version N+1 is announced still boots
-    /// from a version-N image, exactly like hardware that left the factory
-    /// before the campaign.
+    /// Builds the device-bound, doubly-signed update image for a token,
+    /// from the latest release or, with a nonzero `version`, from that
+    /// published version (kNotFound when unpublished). Factory
+    /// provisioning pins a version: a synthetic fleet built after version
+    /// N+1 is announced still boots from a version-N image, exactly like
+    /// hardware that left the factory before the campaign.
     Expected<UpdateResponse> prepare_update(std::uint32_t app_id,
                                             const manifest::DeviceToken& token,
-                                            std::uint16_t version) const;
-
-    compress::LzssParams lzss_params() const { return lzss_params_; }
-    void set_lzss_params(const compress::LzssParams& params) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        lzss_params_ = params;
-        invalidate_caches();  // cached patches were compressed with the old params
-    }
+                                            std::uint16_t version = 0) const;
 
     /// Service model used by campaign simulations (defaults to an ideal,
     /// uncontended server so single-session experiments are unaffected).
     const ServerModel& model() const { return model_; }
     void set_model(const ServerModel& model) { model_ = model; }
 
-    // --- hot-path caches --------------------------------------------------
-
-    /// Response-cache LRU capacity in entries; 0 disables the cache.
-    /// Changing the capacity drops the existing entries.
-    void set_response_cache_capacity(std::size_t entries);
+    // --- hot-path counters ------------------------------------------------
 
     /// Snapshot of the counters, taken under the server mutex (by value:
     /// a reference would race with concurrent prepare_update calls).
@@ -216,7 +206,7 @@ public:
         return stats_;
     }
 
-    /// Chunk-store occupancy/dedup snapshot (unique vs logical bytes —
+    /// Chunk-index occupancy/dedup snapshot (unique vs logical bytes —
     /// the storage-side dedup ratio).
     ChunkStore::Stats chunk_store_stats() const {
         const std::lock_guard<std::mutex> lock(mu_);
@@ -269,44 +259,43 @@ private:
         Bytes payload;
     };
 
-    /// Shared body of both prepare_update overloads; the caller holds mu_.
-    /// `target` of 0 means "latest".
-    Expected<UpdateResponse> prepare_update_locked(std::uint32_t app_id,
-                                                   const manifest::DeviceToken& token,
-                                                   std::uint16_t target) const;
-
-    UpdateResponse finalize(manifest::Manifest m, Bytes payload,
-                            const crypto::Signature& suit_vendor_sig,
-                            ServiceReceipt receipt) const;
     /// Wraps `payload` as [ephemeral pub (64)] [ciphertext] when the device
     /// has a registered key; returns whether it did.
     bool maybe_encrypt(const manifest::DeviceToken& token, Bytes& payload) const;
 
-    /// Generates the bsdiff+LZSS patch for base -> latest (nullopt when
-    /// generation fails). Uncached: the response cache absorbs repeats,
-    /// and the retired delta cache never hit behind it.
+    /// Generates the bsdiff+LZSS patch for base -> latest; nullopt when
+    /// generation fails or the patch is not worth shipping over the full
+    /// image. Uncached: the response cache absorbs repeats, and the
+    /// retired delta cache never hit behind it.
     std::optional<Bytes> compressed_delta(const Release& base, const Release& latest,
                                           ServiceReceipt& receipt) const;
 
     /// Assembles the missing-chunk payload for a chunked release against a
-    /// device have-list. Updates chunk counters and `receipt`.
+    /// device have-list, slicing the release image. Updates chunk counters
+    /// and `receipt`.
     Bytes assemble_chunks(const Release& release, const manifest::DeviceToken& token,
                           ServiceReceipt& receipt) const;
 
-    /// Response-cache fast path: re-fills token fields + signature in a
-    /// cached envelope. Only serves native-format, unencrypted responses.
-    std::optional<UpdateResponse> response_from_cache(
-        const ResponseKey& key, const manifest::DeviceToken& token,
-        ServiceReceipt receipt) const;
-    void store_response(const ResponseKey& key, const UpdateResponse& response) const;
+    /// The cache half of every response shape: when the envelope is
+    /// cacheable, the one cached under `key` with the token fields
+    /// re-filled and re-signed, counting the hit or the miss. Only
+    /// native-format, unencrypted envelopes are cacheable.
+    std::optional<UpdateResponse> cached_response(const ResponseKey& key, bool cacheable,
+                                                  const manifest::DeviceToken& token,
+                                                  ServiceReceipt receipt) const;
 
-    void invalidate_caches();
+    /// The build half: binds `release` to the token in the shape `key`
+    /// names, seals `payload` to the device when it has a registered key,
+    /// signs the envelope, and caches it under `key` when cacheable.
+    UpdateResponse seal_sign_store(const ResponseKey& key, bool cacheable,
+                                   const Release& release,
+                                   const manifest::DeviceToken& token, Bytes payload,
+                                   ServiceReceipt receipt) const;
 
     crypto::PrivateKey key_;
     crypto::PreparedPublicKey public_key_;
     crypto::PreparedPublicKey vendor_key_;  // invalid until set_vendor_key
     std::map<std::uint32_t, std::map<std::uint16_t, Release>> releases_;  // app -> version
-    compress::LzssParams lzss_params_{};
     ServerModel model_{};
 
     bool encrypt_ = false;
@@ -322,16 +311,15 @@ private:
     /// end to end: the deployment's real concurrency is modelled by
     /// ServerModel service slots, so the in-process lock is about memory
     /// safety (TSan-clean fleet engines), not throughput. The private
-    /// helpers below assume the caller holds it.
+    /// helper functions assume the caller holds it.
     mutable std::mutex mu_;
 
     // Response LRU cache: most recent at the list front; the map points
     // into the list. Mutable: prepare_update is logically const (same
     // token -> same response bytes); caches and counters are bookkeeping.
-    std::size_t response_capacity_ = 64;
     mutable std::list<ResponseEntry> response_lru_;
     mutable std::map<ResponseKey, std::list<ResponseEntry>::iterator> response_index_;
-    /// Content-addressed chunks of every published chunked release.
+    /// Chunk counts of every published chunked release (no bytes).
     ChunkStore chunk_store_;
     mutable ServerStats stats_;
 };

@@ -36,8 +36,8 @@ public:
         std::uint32_t app_id = 0;
         std::uint32_t link_offset = slots::kAnyLinkOffset;
         /// Attach a content-defined chunk table (diff/cdc.hpp) so the
-        /// update server can ingest the image into its chunk store and
-        /// serve have/want devices only the chunks they miss.
+        /// update server can serve have/want devices only the chunks they
+        /// miss.
         bool chunked = false;
     };
 

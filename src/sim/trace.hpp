@@ -42,7 +42,7 @@ enum class TraceType : std::uint8_t {
 };
 
 /// Bit layout of the `code` field on kServerCache events.
-inline constexpr std::uint32_t kCacheBitChunked = 1;      // payload from the chunk store
+inline constexpr std::uint32_t kCacheBitChunked = 1;      // payload of missing chunks
 inline constexpr std::uint32_t kCacheBitResponseHit = 2;  // envelope from response cache
 inline constexpr std::uint32_t kCacheBitDeltaAttempt = 4; // bsdiff delta generated
 

@@ -1,13 +1,13 @@
-// Property tests for the update server's hot-path caches, chunk store, and
+// Property tests for the update server's hot-path caches, chunk index, and
 // key-rotation bookkeeping (src/server/update_server).
 //
 // The caches are pure accelerations: a response-cache hit must be byte-equal
 // to an envelope built from scratch for the same token (RFC 6979 makes
-// re-signing reproducible), and the content-addressed chunk store must hand
-// back exactly the bytes a fresh slice of the release image would — content
-// addressing by chunk digests makes a stale hit structurally impossible,
-// which these tests pin down observationally. Key rotation is the one server
-// mutation that must NOT be transparent: a device still holding the
+// re-signing reproducible), a chunked response must be exactly the fresh
+// slices of the release image its table was checked against at publish, and
+// the chunk index must count each distinct chunk once across releases.
+// Retiring a release drops every cached envelope. Key rotation is the one
+// server mutation that must NOT be transparent: a device still holding the
 // pre-rotation key has to fail the AEAD tag on everything sealed after the
 // rotation.
 #include <gtest/gtest.h>
@@ -39,13 +39,12 @@ manifest::DeviceToken token_for(std::uint32_t device_id, std::uint32_t nonce,
     return {.device_id = device_id, .nonce = nonce, .current_version = current_version};
 }
 
-/// The reference the delta cache must reproduce: bsdiff + LZSS with the
-/// server's compression parameters, no cache involved.
-Bytes reference_patch(const Bytes& from, const Bytes& to,
-                      const compress::LzssParams& params) {
+/// The reference every delta must reproduce: bsdiff + LZSS with the default
+/// compression parameters (the server's), no cache involved.
+Bytes reference_patch(const Bytes& from, const Bytes& to) {
     auto patch = diff::bsdiff(from, to);
     EXPECT_TRUE(patch.has_value());
-    auto compressed = compress::lzss_compress(*patch, params);
+    auto compressed = compress::lzss_compress(*patch, compress::LzssParams{});
     EXPECT_TRUE(compressed.has_value());
     return *compressed;
 }
@@ -55,25 +54,26 @@ Bytes reference_patch(const Bytes& from, const Bytes& to,
 TEST(ServerCacheTest, DeltaGenerationIsDeterministicAndCounted) {
     // With the per-endpoint-pair patch cache retired, every uncached
     // differential request regenerates — and RFC-determinism makes every
-    // regeneration byte-equal to an out-of-band reference patch.
-    TestEnv env;
+    // regeneration byte-equal to an out-of-band reference patch. Two
+    // servers built from the same seeds each answer one cold request.
+    TestEnv env, twin;
     const Bytes v2 = env.publish_os_update(2, 91);
-    env.server.set_response_cache_capacity(0);  // force regeneration
+    twin.publish_os_update(2, 91);
 
     const auto first = env.server.prepare_update(kAppId, token_for(0x2001, 7, 1));
     ASSERT_TRUE(first.has_value());
     ASSERT_TRUE(first->manifest.differential);
     EXPECT_TRUE(first->receipt.delta_attempted);
 
-    const auto second = env.server.prepare_update(kAppId, token_for(0x2002, 8, 1));
+    const auto second = twin.server.prepare_update(kAppId, token_for(0x2002, 8, 1));
     ASSERT_TRUE(second.has_value());
     EXPECT_TRUE(second->receipt.delta_attempted);
 
-    const Bytes reference =
-        reference_patch(env.base_firmware, v2, env.server.lzss_params());
+    const Bytes reference = reference_patch(env.base_firmware, v2);
     EXPECT_EQ(first->payload, reference);
     EXPECT_EQ(second->payload, reference);
-    EXPECT_EQ(env.server.stats().delta_generations, 2u);
+    EXPECT_EQ(env.server.stats().delta_generations, 1u);
+    EXPECT_EQ(twin.server.stats().delta_generations, 1u);
 }
 
 TEST(ServerCacheTest, ResponseCacheAbsorbsRepeatDeltaGeneration) {
@@ -93,25 +93,29 @@ TEST(ServerCacheTest, ResponseCacheAbsorbsRepeatDeltaGeneration) {
     EXPECT_EQ(env.server.stats().delta_generations, 1u);
 }
 
-TEST(ServerCacheTest, CompressionParamChangeInvalidatesCachedEnvelopes) {
+TEST(ServerCacheTest, RetireReleaseInvalidatesCachedEnvelopes) {
+    // A different image republished under a retired version must not be
+    // answered from an envelope built for the retired one.
     TestEnv env;
-    const Bytes v2 = env.publish_os_update(2, 95);
-    ASSERT_TRUE(env.server.prepare_update(kAppId, token_for(0x4001, 1, 1)).has_value());
+    env.publish_os_update(2, 93);
+    const auto before = env.server.prepare_update(kAppId, token_for(0x4001, 1, 0));
+    ASSERT_TRUE(before.has_value());
+    ASSERT_FALSE(before->manifest.differential);
 
-    compress::LzssParams narrow;
-    narrow.window_bits = 9;
-    env.server.set_lzss_params(narrow);  // drops envelopes built with the old window
+    ASSERT_EQ(env.server.retire_release(kAppId, 2), Status::kOk);
+    const Bytes v2 = env.publish_os_update(2, 94);
+    ASSERT_NE(v2, before->payload);
 
-    const auto after = env.server.prepare_update(kAppId, token_for(0x4002, 2, 1));
+    const auto after = env.server.prepare_update(kAppId, token_for(0x4002, 2, 0));
     ASSERT_TRUE(after.has_value());
-    EXPECT_FALSE(after->receipt.response_cache_hit);  // old entry must not survive
-    EXPECT_EQ(after->payload, reference_patch(env.base_firmware, v2, narrow));
+    EXPECT_FALSE(after->receipt.response_cache_hit);  // the old envelope is gone
+    EXPECT_EQ(after->payload, v2);
 }
 
-// ------------------------------------------------------------ chunk store
+// ------------------------------------------------------------ chunk index
 
 /// Publishes `firmware` as a chunked release (vendor attaches the
-/// content-defined chunk table; the server ingests it into the store).
+/// content-defined chunk table; the server checks it and counts its chunks).
 void publish_chunked(TestEnv& env, std::uint16_t version, const Bytes& firmware) {
     ASSERT_EQ(env.server.publish(env.vendor.create_release(
                   firmware, {.version = version, .app_id = kAppId, .chunked = true})),
@@ -180,7 +184,8 @@ TEST(ServerCacheTest, ChunkedResponseServesOnlyMissingChunks) {
     const ServerStats& s = env.server.stats();
     EXPECT_EQ(s.chunked_responses, 1u);
     EXPECT_GT(s.chunk_hits, 0u);
-    EXPECT_EQ(s.chunk_misses, 0u);  // every chunk was ingested at publish
+    EXPECT_EQ(s.chunk_hits, s.chunks_served);
+    EXPECT_EQ(s.chunk_misses, 0u);  // every chunk was checked at publish
     EXPECT_GT(s.chunk_bytes_deduped, 0u);
 }
 
@@ -226,7 +231,7 @@ TEST(ServerCacheTest, RetireReleaseFreesOnlyUnsharedChunks) {
     EXPECT_LT(after.unique_bytes, both.unique_bytes);
     EXPECT_GT(after.chunks, 0u);
 
-    // v2 is the latest again and serves intact from the store.
+    // v2 is the latest again and serves intact.
     manifest::DeviceToken token = token_for(0x8001, 9, 0);
     token.have.push_back(1);
     const auto response = env.server.prepare_update(kAppId, token);
@@ -287,7 +292,6 @@ TEST(ServerCacheTest, ResponseCacheHitIsByteIdenticalToColdServer) {
     TestEnv warm, cold;
     warm.publish_os_update(2, 97);
     cold.publish_os_update(2, 97);
-    cold.server.set_response_cache_capacity(0);
 
     ASSERT_TRUE(warm.server.prepare_update(kAppId, token_for(0x6001, 21, 1)).has_value());
     const auto cached = warm.server.prepare_update(kAppId, token_for(0x6002, 22, 1));
@@ -474,21 +478,50 @@ TEST(ServerCacheTest, ServersHandOutOnePreparedKey) {
 TEST(ServerCacheTest, PublishRejectsTamperedReleases) {
     TestEnv env;
     env.server.set_vendor_key(env.vendor.public_key());
+    // No vendor key here: only the chunk check bounds a table against the
+    // image it describes. One chunked release is already indexed.
+    TestEnv keyless(64 * 1024);
+    publish_chunked(keyless, 2, sim::mutate_app_change(keyless.base_firmware, 79, 600));
+
+    // A rejected release is not admitted and leaves the chunk index as it was.
+    const auto expect_rejected = [](TestEnv& target, server::Release release,
+                                    Status expected) {
+        const auto latest = target.server.latest_version(kAppId);
+        const auto store = target.server.chunk_store_stats();
+        EXPECT_EQ(target.server.publish(std::move(release)), expected);
+        EXPECT_EQ(target.server.latest_version(kAppId), latest);
+        EXPECT_EQ(target.server.chunk_store_stats(), store);
+    };
 
     // Firmware mutated after vendor signing: digest check fails.
     const Bytes fw = sim::mutate_os_version(env.base_firmware, 77);
     server::Release bad_fw =
         env.vendor.create_release(fw, {.version = 5, .app_id = kAppId});
     bad_fw.firmware[100] ^= 0x01;
-    EXPECT_EQ(env.server.publish(std::move(bad_fw)), Status::kBadDigest);
+    expect_rejected(env, std::move(bad_fw), Status::kBadDigest);
 
     // Forged vendor signature: signature check fails before the digest one.
     server::Release bad_sig =
         env.vendor.create_release(fw, {.version = 5, .app_id = kAppId});
     bad_sig.manifest.vendor_signature[3] ^= 0x01;
-    EXPECT_EQ(env.server.publish(std::move(bad_sig)), Status::kBadVendorSignature);
+    expect_rejected(env, std::move(bad_sig), Status::kBadVendorSignature);
 
-    // Neither tampered release was admitted.
+    // One chunk-table digest flipped: the vendor signature does not cover
+    // the table, so the release reaches the per-chunk check.
+    server::Release bad_chunk =
+        env.vendor.create_release(fw, {.version = 5, .app_id = kAppId, .chunked = true});
+    auto& table = bad_chunk.manifest.chunk_table;
+    ASSERT_GT(table.size(), 1u);
+    table[table.size() / 2].digest[0] ^= 0x01;
+    expect_rejected(env, std::move(bad_chunk), Status::kBadDigest);
+
+    // A 64 KiB chunked release whose firmware is cut to a 1 KiB buffer: the
+    // table is bounded against the image before any chunk is read.
+    server::Release cut = keyless.vendor.create_release(
+        keyless.base_firmware, {.version = 5, .app_id = kAppId, .chunked = true});
+    cut.firmware = Bytes(cut.firmware.begin(), cut.firmware.begin() + 1024);
+    expect_rejected(keyless, std::move(cut), Status::kBadManifest);
+
     EXPECT_EQ(env.server.latest_version(kAppId), 1);
 
     // The untampered release goes through.
