@@ -2,6 +2,8 @@
 // devices, and fixed-width table printing with paper-vs-measured columns.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +84,27 @@ inline std::size_t parse_count(const char* arg, const char* usage) {
     }
     return static_cast<std::size_t>(n);
 }
+
+/// Readings per host-timed micro quantity. One reading times every side of
+/// a ratio back to back, so a burst of host noise lands on both sides
+/// instead of one, and gates read the median of the readings.
+inline constexpr int kReadings = 5;
+using Readings = std::array<double, kReadings>;
+
+inline double median(Readings r) {
+    std::sort(r.begin(), r.end());
+    return r[kReadings / 2];
+}
+
+/// Median over readings of num[i] / den[i].
+inline double median_ratio(const Readings& num, const Readings& den) {
+    Readings r{};
+    for (int i = 0; i < kReadings; ++i) r[i] = num[i] / den[i];
+    return median(r);
+}
+
+/// Operations per second at the median per-operation time.
+inline double ops_s(const Readings& seconds) { return 1.0 / median(seconds); }
 
 /// "who wins / by how much" helper.
 inline double percent_less(double smaller, double larger) {

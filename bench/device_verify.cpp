@@ -64,25 +64,6 @@ double seconds_since(Clock::time_point t0) {
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Readings per micro quantity; the gates read their median.
-constexpr int kReadings = 5;
-using Readings = std::array<double, kReadings>;
-
-double median(Readings r) {
-    std::sort(r.begin(), r.end());
-    return r[kReadings / 2];
-}
-
-/// Median over readings of num[i] / den[i].
-double median_ratio(const Readings& num, const Readings& den) {
-    Readings r{};
-    for (int i = 0; i < kReadings; ++i) r[i] = num[i] / den[i];
-    return median(r);
-}
-
-/// Operations per second at the median per-operation time.
-double ops_s(const Readings& seconds) { return 1.0 / median(seconds); }
-
 constexpr double kWnafGate = 2.5;     // precomputed wNAF vs generic ladder
 constexpr double kShaFloorMbS = 150;  // unrolled kernel, host RelWithDebInfo
 constexpr double kBatch2Gate = 1.5;   // verify2 vs two sequential prepared verifies

@@ -153,6 +153,17 @@ void Device::build_slots() {
 }
 
 void Device::restart_agent() {
+    agent_.reset();
+    agent_boot_ = boot_count_;
+    agent_hook_ = health_hook_;
+}
+
+agent::UpdateAgent& Device::agent() {
+    if (agent_ == nullptr) start_agent();
+    return *agent_;
+}
+
+void Device::start_agent() {
     agent::AgentConfig agent_config;
     agent_config.identity = identity_;
     agent_config.installed_slot = installed_slot_;
@@ -163,11 +174,11 @@ void Device::restart_agent() {
                                        : config_.platform->flash_sector_bytes;
     agent_config.encryption_key = encryption_key_.get();
     agent_config.self_test_seconds = config_.self_test_seconds;
-    agent_config.self_test_hook = health_hook_;
+    agent_config.self_test_hook = agent_hook_;
 
     Bytes seed;
     put_le64(seed, config_.seed);
-    put_le64(seed, boot_count_);
+    put_le64(seed, agent_boot_);
     agent_ = std::make_unique<agent::UpdateAgent>(agent_config, slot_manager_, *verifier_,
                                                   *config_.platform, clock_, meter_, seed);
     agent_->set_tracer(tracer_, trace_offset_);

@@ -94,7 +94,12 @@ public:
     /// restarts the agent against the newly-active slot.
     Expected<boot::BootReport> reboot();
 
-    agent::UpdateAgent& agent() { return *agent_; }
+    /// The update agent of the running boot. It is built on first use from
+    /// what that boot left (slots, identity, boot count, health hook), so a
+    /// device that runs no session holds none, and the agent is allocated
+    /// by the thread that first steps the device, not by whichever thread
+    /// provisioned it.
+    agent::UpdateAgent& agent();
     boot::Bootloader& bootloader() { return *bootloader_; }
     slots::SlotManager& slots() { return slot_manager_; }
     flash::SimFlash& internal_flash() { return *internal_; }
@@ -120,7 +125,7 @@ public:
     /// Attaches a trace sink (FSM transitions and session events for this
     /// device). `campaign_offset` maps the device clock onto the campaign
     /// timeline (device time − offset = campaign time); the binding
-    /// survives reboots (reboot() re-applies it to the fresh agent).
+    /// survives reboots (each boot's agent picks it up when it is built).
     void set_tracer(sim::Tracer* tracer, double campaign_offset = 0.0) {
         tracer_ = tracer;
         trace_offset_ = campaign_offset;
@@ -139,7 +144,10 @@ public:
 
 private:
     void build_slots();
+    /// Drops the running agent and records the boot its successor starts
+    /// from; agent() builds that successor on first use.
     void restart_agent();
+    void start_agent();
 
     DeviceConfig config_;
     sim::VirtualClock clock_;
@@ -160,7 +168,9 @@ private:
     std::uint32_t target_slot_ = 1;
     std::uint64_t boot_count_ = 0;
 
-    std::unique_ptr<agent::UpdateAgent> agent_;
+    std::unique_ptr<agent::UpdateAgent> agent_;  // null until agent() after each boot
+    std::uint64_t agent_boot_ = 0;                  // boot_count_ the agent starts from
+    std::function<bool(std::uint16_t)> agent_hook_;  // health_hook_ at that boot
     std::unique_ptr<boot::Bootloader> bootloader_;
 
     sim::Tracer* tracer_ = nullptr;

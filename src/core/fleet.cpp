@@ -1,6 +1,10 @@
 #include "core/fleet.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "common/fnv1a.hpp"
 
@@ -109,32 +113,76 @@ std::uint64_t CampaignReport::fingerprint() const {
 }
 
 Status FleetCampaign::add_synthetic(const SyntheticFleetSpec& spec) {
-    owned_.reserve(owned_.size() + spec.count);
-    members_.reserve(members_.size() + spec.count);
-    for (std::size_t k = 0; k < spec.count; ++k) {
-        DeviceConfig cfg = spec.base;
-        cfg.device_id = spec.first_device_id + static_cast<std::uint32_t>(k);
-        cfg.app_id = spec.app_id;
-        cfg.seed = spec.base.seed + k;
-        auto device = std::make_unique<Device>(cfg);
-        manifest::DeviceToken token;
-        token.device_id = cfg.device_id;
-        token.nonce = 0;
-        token.current_version = 0;
-        auto image =
-            server_->prepare_update(spec.app_id, token, spec.provision_version);
-        if (!image) return image.status();
-        UPKIT_RETURN_IF_ERROR(device->provision_factory(*image));
-        // Synthetic devices carry one factory image, so most sectors they
-        // wrote equal the first synthetic device's: point those at one
-        // shared, immutable copy.
-        if (!owned_.empty()) {
-            device->internal_flash().share_sectors_with(owned_.front()->internal_flash());
-        }
-        members_.push_back(FleetMember{device.get(), spec.link});
-        owned_.push_back(std::move(device));
+    if (spec.count == 0) return Status::kOk;
+    std::vector<std::unique_ptr<Device>> built(spec.count);
+    std::size_t first = 0;
+    if (owned_.empty()) {
+        auto device = build_synthetic(spec, 0);
+        if (!device) return device.status();
+        built[0] = std::move(*device);
+        first = 1;
     }
-    return Status::kOk;
+    // Synthetic devices carry one factory image, so most sectors they wrote
+    // equal the campaign's first synthetic device's: point those at one
+    // shared, immutable copy. Sharing moves the source's private sectors
+    // into shared storage, so workers share one device at a time, under mu.
+    flash::SimFlash& source = (owned_.empty() ? built[0] : owned_.front())->internal_flash();
+    std::mutex mu;
+    Status error = Status::kOk;  // the lowest failing index's status, under mu
+
+    // Workers take the next index and build that device. Indices go out in
+    // order, so once one fails, every index taken later lies past it.
+    std::atomic<std::size_t> next{first};
+    std::atomic<std::size_t> failed_at{spec.count};
+    const auto work = [&] {
+        for (std::size_t k = next++; k < failed_at.load(); k = next++) {
+            auto device = build_synthetic(spec, k);
+            const std::lock_guard<std::mutex> lock(mu);
+            if (!device) {
+                if (k < failed_at.load()) {
+                    failed_at.store(k);
+                    error = device.status();
+                }
+                return;
+            }
+            (*device)->internal_flash().share_sectors_with(source);
+            built[k] = std::move(*device);
+        }
+    };
+    const std::size_t workers = std::min<std::size_t>(
+        std::max(std::thread::hardware_concurrency(), 1u), spec.count - first);
+    {
+        std::vector<std::jthread> threads;  // joined when this scope ends
+        for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(work);
+        work();  // the calling thread is one of the workers
+    }
+
+    // Every index below failed_at was built; nothing at or after it joins.
+    const std::size_t added = failed_at.load();
+    owned_.reserve(owned_.size() + added);
+    members_.reserve(members_.size() + added);
+    for (std::size_t k = 0; k < added; ++k) {
+        members_.push_back(FleetMember{built[k].get(), spec.link});
+        owned_.push_back(std::move(built[k]));
+    }
+    return error;
+}
+
+Expected<std::unique_ptr<Device>> FleetCampaign::build_synthetic(const SyntheticFleetSpec& spec,
+                                                                 std::size_t k) const {
+    DeviceConfig cfg = spec.base;
+    cfg.device_id = spec.first_device_id + static_cast<std::uint32_t>(k);
+    cfg.app_id = spec.app_id;
+    cfg.seed = spec.base.seed + k;
+    auto device = std::make_unique<Device>(cfg);
+    manifest::DeviceToken token;
+    token.device_id = cfg.device_id;
+    token.nonce = 0;
+    token.current_version = 0;
+    auto image = server_->prepare_update(spec.app_id, token, spec.provision_version);
+    if (!image) return image.status();
+    UPKIT_RETURN_IF_ERROR(device->provision_factory(*image));
+    return device;
 }
 
 }  // namespace upkit::core

@@ -131,7 +131,9 @@ struct EdgeTopology {
 /// published, and may be older than the campaign version, exactly like
 /// hardware that shipped before the rollout. Provisioning happens in
 /// add_synthetic(), outside the campaign timeline, so run() measures the
-/// rollout, not the factory.
+/// rollout, not the factory. add_synthetic() builds the devices on worker
+/// threads, one per host core, and adds them in index order: every device,
+/// counter and later report is byte-identical at any worker count.
 struct SyntheticFleetSpec {
     std::size_t count = 0;
     DeviceConfig base;
@@ -300,7 +302,24 @@ public:
     /// Builds and factory-provisions `spec.count` campaign-owned devices
     /// (ids spec.first_device_id + k, nonce seeds spec.base.seed + k) from
     /// `spec.provision_version`, which must be published on the server.
-    /// Returns the first provisioning error, adding no device after it.
+    ///
+    /// The campaign's first synthetic device is the share source: the
+    /// sectors a later synthetic device holds equal to it point at one
+    /// shared copy. When the campaign has none yet, device 0 of this call
+    /// is built on the calling thread first, and its error returns before
+    /// any worker starts. The rest are built on min(host cores, devices
+    /// left) threads, the calling thread among them, each building one
+    /// device at a time. The mutable state they share is the server and
+    /// the verify memo, each behind its own mutex, and the source device's
+    /// flash, which they share sectors with under a mutex this call owns.
+    /// The devices are then appended in index order, so every device,
+    /// server counter and memo counter, and every report run() produces
+    /// afterwards, is byte-identical at any worker count.
+    ///
+    /// On an error, returns the status of the lowest failing index and
+    /// adds no device at or after it. Workers may have requested images
+    /// for devices past that index, so the server counters then count
+    /// them too.
     Status add_synthetic(const SyntheticFleetSpec& spec);
 
     std::size_t size() const { return members_.size(); }
@@ -334,6 +353,11 @@ public:
     CampaignReport run(std::uint32_t app_id, const FleetPolicy& policy = {});
 
 private:
+    /// Builds synthetic device `k` of `spec` and provisions it from the
+    /// server. Touches nothing of the campaign, so workers call it at once.
+    Expected<std::unique_ptr<Device>> build_synthetic(const SyntheticFleetSpec& spec,
+                                                      std::size_t k) const;
+
     server::UpdateServer* server_;
     std::vector<FleetMember> members_;
     std::vector<std::unique_ptr<Device>> owned_;  // add_synthetic devices

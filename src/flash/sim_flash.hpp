@@ -87,9 +87,13 @@ public:
 
     /// Points every sector whose bytes equal `other`'s (same geometry) at one
     /// immutable copy shared by both, freeing this device's private bytes
-    /// there; `other`'s private sector becomes that shared copy. Contents
-    /// read back unchanged. Not thread-safe against either device: call it
-    /// before the devices run.
+    /// there; `other`'s private sector becomes that shared copy the first
+    /// time it matches. Contents read back unchanged. Not thread-safe
+    /// against either device, since it moves `other`'s sectors: call it
+    /// before the devices run, and serialize calls that share one `other`
+    /// (FleetCampaign::add_synthetic's workers share with the campaign's
+    /// source device under one mutex). Once shared, a copy is immutable, so
+    /// devices on different threads may read it at once.
     void share_sectors_with(SimFlash& other);
 
 private:

@@ -159,7 +159,8 @@ bool UpdateServer::register_device_key(std::uint32_t device_id,
     return true;
 }
 
-bool UpdateServer::maybe_encrypt(const manifest::DeviceToken& token, Bytes& payload) const {
+bool UpdateServer::maybe_encrypt(  // lint: requires-lock(mu_)
+    const manifest::DeviceToken& token, Bytes& payload) const {
     if (!encrypt_) return false;
     const auto key_it = device_keys_.find(token.device_id);
     if (key_it == device_keys_.end()) return false;
@@ -189,9 +190,8 @@ bool UpdateServer::maybe_encrypt(const manifest::DeviceToken& token, Bytes& payl
     return true;
 }
 
-std::optional<Bytes> UpdateServer::compressed_delta(const Release& base,
-                                                    const Release& latest,
-                                                    ServiceReceipt& receipt) const {
+std::optional<Bytes> UpdateServer::compressed_delta(  // lint: requires-lock(mu_)
+    const Release& base, const Release& latest, ServiceReceipt& receipt) const {
     receipt.delta_attempted = true;
     ++stats_.delta_generations;
     receipt.delta_input_bytes = base.firmware.size() + latest.firmware.size();
@@ -206,9 +206,9 @@ std::optional<Bytes> UpdateServer::compressed_delta(const Release& base,
     return std::move(*compressed);
 }
 
-Bytes UpdateServer::assemble_chunks(const Release& release,
-                                    const manifest::DeviceToken& token,
-                                    ServiceReceipt& receipt) const {
+Bytes UpdateServer::assemble_chunks(  // lint: requires-lock(mu_)
+    const Release& release, const manifest::DeviceToken& token,
+    ServiceReceipt& receipt) const {
     receipt.chunked = true;
     Bytes payload;
     // The have-list is sorted (canonical wire order), so membership is a
@@ -235,7 +235,7 @@ Bytes UpdateServer::assemble_chunks(const Release& release,
     return payload;
 }
 
-std::optional<UpdateResponse> UpdateServer::cached_response(
+std::optional<UpdateServer::UnsignedResponse> UpdateServer::cached_response(  // lint: requires-lock(mu_)
     const ResponseKey& key, bool cacheable, const manifest::DeviceToken& token,
     ServiceReceipt receipt) const {
     if (!cacheable) return std::nullopt;
@@ -248,37 +248,34 @@ std::optional<UpdateResponse> UpdateServer::cached_response(
     response_lru_.splice(response_lru_.begin(), response_lru_, it->second);
     const ResponseEntry& entry = *it->second;
 
-    UpdateResponse response;
+    UnsignedResponse pending;
+    UpdateResponse& response = pending.response;
     response.manifest = entry.manifest;
     response.manifest.device_id = token.device_id;
     response.manifest.nonce = token.nonce;
     response.manifest_bytes = entry.manifest_bytes;
     response.payload = entry.payload;
 
-    // Re-fill the token-dependent wire bytes and re-sign: the freshness
-    // signature covers everything but itself (bytes before offset 136 plus
-    // any chunk table after offset 200), so a patched envelope is
+    // Re-fill the token-dependent wire bytes: the freshness signature
+    // covers everything but itself (bytes before offset 136 plus any chunk
+    // table after offset 200), so once signed, a patched envelope is
     // byte-identical to one built from scratch.
     Bytes& wire = response.manifest_bytes;
     store_le32(MutByteSpan(wire.data() + kDeviceIdOffset, 4), token.device_id);
     store_le32(MutByteSpan(wire.data() + kNonceOffset, 4), token.nonce);
-    response.manifest.server_signature =
-        crypto::ecdsa_sign(key_, server_signed_wire_digest(wire));
-    std::memcpy(wire.data() + kServerSigOffset,
-                response.manifest.server_signature.data(), crypto::kSignatureSize);
+    pending.tbs = server_signed_wire_digest(wire);
     ++stats_.sign_ops;
 
     receipt.sign_ops += 1;
     receipt.response_cache_hit = true;
     receipt.payload_bytes = response.payload.size();
     response.receipt = receipt;
-    return response;
+    return pending;
 }
 
-UpdateResponse UpdateServer::seal_sign_store(const ResponseKey& key, bool cacheable,
-                                             const Release& release,
-                                             const manifest::DeviceToken& token,
-                                             Bytes payload, ServiceReceipt receipt) const {
+UpdateServer::UnsignedResponse UpdateServer::seal_store(  // lint: requires-lock(mu_)
+    const ResponseKey& key, bool cacheable, const Release& release,
+    const manifest::DeviceToken& token, Bytes payload, ServiceReceipt receipt) const {
     manifest::Manifest m = release.manifest;  // vendor fields + vendor signature
     m.device_id = token.device_id;
     m.nonce = token.nonce;
@@ -294,27 +291,25 @@ UpdateResponse UpdateServer::seal_sign_store(const ResponseKey& key, bool cachea
     m.encrypted = maybe_encrypt(token, payload);
     m.payload_size = static_cast<std::uint32_t>(payload.size());
 
-    UpdateResponse response;
+    UnsignedResponse pending;
+    UpdateResponse& response = pending.response;
     if (suit_mode_) {
         suit::Envelope envelope;
         m.vendor_signature = release.suit_vendor_signature;  // SUIT-form vendor signature
         envelope.vendor_signature = release.suit_vendor_signature;
         envelope.manifest_bstr = suit::cbor_encode(suit::manifest_map(m));
-        envelope.server_signature = crypto::ecdsa_sign(
-            key_, crypto::Sha256::digest(
-                      suit::server_tbs(envelope.manifest_bstr, envelope.vendor_signature)));
-        m.server_signature = envelope.server_signature;
-        response.manifest_bytes = envelope.encode();
+        pending.tbs = crypto::Sha256::digest(
+            suit::server_tbs(envelope.manifest_bstr, envelope.vendor_signature));
+        pending.envelope = std::move(envelope);
         response.suit_encoding = true;
     } else {
-        m.server_signature =
-            crypto::ecdsa_sign(key_, crypto::Sha256::digest(m.server_signed_bytes()));
         response.manifest_bytes = manifest::serialize(m);
+        pending.tbs = server_signed_wire_digest(response.manifest_bytes);
     }
     ++stats_.sign_ops;
     receipt.sign_ops += 1;
     receipt.payload_bytes = payload.size();
-    response.manifest = m;
+    response.manifest = std::move(m);
     response.payload = std::move(payload);
     response.receipt = receipt;
 
@@ -328,15 +323,37 @@ UpdateResponse UpdateServer::seal_sign_store(const ResponseKey& key, bool cachea
             response_lru_.pop_back();
         }
     }
-    return response;
+    return pending;
+}
+
+UpdateResponse UpdateServer::sign(UnsignedResponse pending) const {
+    UpdateResponse& response = pending.response;
+    response.manifest.server_signature = crypto::ecdsa_sign(key_, pending.tbs);
+    if (pending.envelope) {
+        pending.envelope->server_signature = response.manifest.server_signature;
+        response.manifest_bytes = pending.envelope->encode();
+    } else {
+        std::memcpy(response.manifest_bytes.data() + kServerSigOffset,
+                    response.manifest.server_signature.data(), crypto::kSignatureSize);
+    }
+    return std::move(response);
 }
 
 Expected<UpdateResponse> UpdateServer::prepare_update(
     std::uint32_t app_id, const manifest::DeviceToken& token,
     std::uint16_t version) const {
-    // Held end to end: every helper below touches the caches, counters, or
-    // the ephemeral-key counter. Deployment concurrency is ServerModel's
-    // job; this lock is for memory safety under threaded drivers.
+    auto pending = prepare_unsigned(app_id, token, version);
+    if (!pending) return pending.status();
+    return sign(std::move(*pending));
+}
+
+Expected<UpdateServer::UnsignedResponse> UpdateServer::prepare_unsigned(
+    std::uint32_t app_id, const manifest::DeviceToken& token,
+    std::uint16_t version) const {
+    // Held over everything but the signature: every helper below touches
+    // the caches, counters, or the ephemeral-key counter. Deployment
+    // concurrency is ServerModel's job; this lock is for memory safety
+    // under threaded drivers.
     const std::lock_guard<std::mutex> lock(mu_);
     ++stats_.requests;
     const auto apps = releases_.find(app_id);
@@ -360,9 +377,11 @@ Expected<UpdateResponse> UpdateServer::prepare_update(
     if (release.manifest.chunked && token.supports_chunked() && cacheable) {
         const ResponseKey key{app_id, target->first, 0, false, true,
                               have_list_hash(token.have)};
-        if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
+        if (auto hit = cached_response(key, cacheable, token, receipt)) {
+            return std::move(*hit);
+        }
         Bytes payload = assemble_chunks(release, token, receipt);
-        return seal_sign_store(key, cacheable, release, token, std::move(payload), receipt);
+        return seal_store(key, cacheable, release, token, std::move(payload), receipt);
     }
 
     // Differential: the token advertises the installed version and we still
@@ -373,18 +392,19 @@ Expected<UpdateResponse> UpdateServer::prepare_update(
         const auto base = versions.find(token.current_version);
         if (base != versions.end() && base->first < target->first) {
             const ResponseKey key{app_id, target->first, token.current_version, true};
-            if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
+            if (auto hit = cached_response(key, cacheable, token, receipt)) {
+                return std::move(*hit);
+            }
             if (auto patch = compressed_delta(base->second, release, receipt)) {
-                return seal_sign_store(key, cacheable, release, token, std::move(*patch),
-                                       receipt);
+                return seal_store(key, cacheable, release, token, std::move(*patch), receipt);
             }
         }
     }
 
     // Full image.
     const ResponseKey key{app_id, target->first, 0, false};
-    if (auto hit = cached_response(key, cacheable, token, receipt)) return *hit;
-    return seal_sign_store(key, cacheable, release, token, release.firmware, receipt);
+    if (auto hit = cached_response(key, cacheable, token, receipt)) return std::move(*hit);
+    return seal_store(key, cacheable, release, token, release.firmware, receipt);
 }
 
 }  // namespace upkit::server

@@ -24,7 +24,8 @@
 //    for the storage dedup statistics; the releases hold the bytes, and
 //    the serve path never reads the index.
 // The per-request freshness signature is the one cost that can never be
-// cached — which is exactly why mul_base runs off a comb table now.
+// cached — which is exactly why mul_base runs off a comb table now, and why
+// it is the one step prepare_update runs outside the server mutex.
 #pragma once
 
 #include <list>
@@ -38,6 +39,7 @@
 #include "server/vendor_server.hpp"
 #include "sim/chaos.hpp"
 #include "sim/trace.hpp"
+#include "suit/suit.hpp"
 
 namespace upkit::server {
 
@@ -276,52 +278,81 @@ private:
     Bytes assemble_chunks(const Release& release, const manifest::DeviceToken& token,
                           ServiceReceipt& receipt) const;
 
+    /// A response built under mu_ that still lacks its server signature:
+    /// `tbs` is the digest the signature covers. A native envelope already
+    /// sits in manifest_bytes with a placeholder signature; a SUIT response
+    /// keeps its envelope, encoded once signed.
+    struct UnsignedResponse {
+        UpdateResponse response;
+        crypto::Sha256Digest tbs{};
+        std::optional<suit::Envelope> envelope;
+    };
+
+    /// Everything prepare_update does but the signature, under mu_.
+    Expected<UnsignedResponse> prepare_unsigned(std::uint32_t app_id,
+                                                const manifest::DeviceToken& token,
+                                                std::uint16_t version) const;
+
     /// The cache half of every response shape: when the envelope is
     /// cacheable, the one cached under `key` with the token fields
-    /// re-filled and re-signed, counting the hit or the miss. Only
-    /// native-format, unencrypted envelopes are cacheable.
-    std::optional<UpdateResponse> cached_response(const ResponseKey& key, bool cacheable,
-                                                  const manifest::DeviceToken& token,
-                                                  ServiceReceipt receipt) const;
+    /// re-filled, counting the hit or the miss and the signature it will
+    /// need. Only native-format, unencrypted envelopes are cacheable.
+    std::optional<UnsignedResponse> cached_response(const ResponseKey& key, bool cacheable,
+                                                    const manifest::DeviceToken& token,
+                                                    ServiceReceipt receipt) const;
 
     /// The build half: binds `release` to the token in the shape `key`
     /// names, seals `payload` to the device when it has a registered key,
-    /// signs the envelope, and caches it under `key` when cacheable.
-    UpdateResponse seal_sign_store(const ResponseKey& key, bool cacheable,
-                                   const Release& release,
-                                   const manifest::DeviceToken& token, Bytes payload,
-                                   ServiceReceipt receipt) const;
+    /// counts the signature it will need, and caches the unsigned envelope
+    /// under `key` when cacheable.
+    UnsignedResponse seal_store(const ResponseKey& key, bool cacheable, const Release& release,
+                                const manifest::DeviceToken& token, Bytes payload,
+                                ServiceReceipt receipt) const;
+
+    /// Signs `pending` with the server key and writes the signature into
+    /// its wire bytes, for either encoding. Reads only the immutable key, so
+    /// it runs without mu_: RFC 6979 makes the signature a pure function of
+    /// key and digest, whichever thread computes it.
+    UpdateResponse sign(UnsignedResponse pending) const;
 
     crypto::PrivateKey key_;
     crypto::PreparedPublicKey public_key_;
-    crypto::PreparedPublicKey vendor_key_;  // invalid until set_vendor_key
-    std::map<std::uint32_t, std::map<std::uint16_t, Release>> releases_;  // app -> version
+    // Invalid until set_vendor_key.
+    crypto::PreparedPublicKey vendor_key_;  // lint: guarded-by(mu_)
+    // app -> version -> release
+    std::map<std::uint32_t, std::map<std::uint16_t, Release>> releases_;  // lint: guarded-by(mu_)
     ServerModel model_{};
 
     bool encrypt_ = false;
     bool suit_mode_ = false;
-    std::map<std::uint32_t, crypto::PublicKey> device_keys_;
-    std::map<std::uint32_t, std::uint32_t> device_key_generation_;
-    std::vector<KeyRotation> key_rotations_;
+    std::map<std::uint32_t, crypto::PublicKey> device_keys_;        // lint: guarded-by(mu_)
+    std::map<std::uint32_t, std::uint32_t> device_key_generation_;  // lint: guarded-by(mu_)
+    std::vector<KeyRotation> key_rotations_;                        // lint: guarded-by(mu_)
     sim::Tracer* tracer_ = nullptr;
-    mutable std::uint64_t ephemeral_counter_ = 0;
+    mutable std::uint64_t ephemeral_counter_ = 0;  // lint: guarded-by(mu_)
 
     /// One coarse mutex over the mutable state (caches, counters, the
     /// ephemeral-key counter, release/key maps). prepare_update holds it
-    /// end to end: the deployment's real concurrency is modelled by
-    /// ServerModel service slots, so the in-process lock is about memory
-    /// safety (TSan-clean fleet engines), not throughput. The private
-    /// helper functions assume the caller holds it.
+    /// over the lookup, the build (chunk assembly, delta, encryption), the
+    /// cache insert and the counters, and releases it before the one step
+    /// it does not cover: signing, which reads only the immutable key, so
+    /// threaded callers sign in parallel. The deployment's real concurrency
+    /// is modelled by ServerModel service slots, so the in-process lock is
+    /// about memory safety (TSan-clean fleet engines and provisioning
+    /// workers). The private helper functions other than sign() assume the
+    /// caller holds it (`requires-lock`), and upkit-lint's lock-discipline
+    /// rule checks every mutation of the fields annotated `guarded-by`.
     mutable std::mutex mu_;
 
     // Response LRU cache: most recent at the list front; the map points
     // into the list. Mutable: prepare_update is logically const (same
     // token -> same response bytes); caches and counters are bookkeeping.
-    mutable std::list<ResponseEntry> response_lru_;
-    mutable std::map<ResponseKey, std::list<ResponseEntry>::iterator> response_index_;
+    mutable std::list<ResponseEntry> response_lru_;  // lint: guarded-by(mu_)
+    mutable std::map<ResponseKey, std::list<ResponseEntry>::iterator>
+        response_index_;  // lint: guarded-by(mu_)
     /// Chunk counts of every published chunked release (no bytes).
-    ChunkStore chunk_store_;
-    mutable ServerStats stats_;
+    ChunkStore chunk_store_;     // lint: guarded-by(mu_)
+    mutable ServerStats stats_;  // lint: guarded-by(mu_)
 };
 
 }  // namespace upkit::server

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "common/endian.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/ecdsa.hpp"
@@ -740,6 +741,163 @@ TEST(SyntheticFleetTest, DevicesHoldOnlyTheSectorsTheyWrote) {
         for (std::size_t i = 0; i < campaign.size(); ++i) {
             EXPECT_EQ(campaign.device(i).internal_flash().resident_bytes(), 4u * 1024) << i;
         }
+    }
+}
+
+/// The fleet of the parallel-provisioning tests: 48 fleet-sim devices at
+/// v1. One add_synthetic call builds them on worker threads; a call with
+/// count = 1 provisions its one device alone.
+constexpr std::size_t kParallelFleet = 48;
+
+SyntheticFleetSpec parallel_spec(const TestEnv& env) {
+    SyntheticFleetSpec spec;
+    spec.count = kParallelFleet;
+    spec.base = env.device_config();
+    spec.base.platform = &fleet_sim_profile();
+    spec.base.bootloader_reserved = 4 * 1024;
+    spec.base.enable_differential = false;
+    spec.link = net::ble_gatt();
+    spec.app_id = kAppId;
+    spec.provision_version = 1;
+    return spec;
+}
+
+/// Adds `spec`'s devices in one call, or in one call per device with the
+/// same ids and seeds.
+void provision(FleetCampaign& campaign, const SyntheticFleetSpec& spec, bool one_call) {
+    if (one_call) {
+        ASSERT_EQ(campaign.add_synthetic(spec), Status::kOk);
+        return;
+    }
+    for (std::size_t k = 0; k < spec.count; ++k) {
+        SyntheticFleetSpec one = spec;
+        one.count = 1;
+        one.first_device_id = spec.first_device_id + static_cast<std::uint32_t>(k);
+        one.base.seed = spec.base.seed + k;
+        ASSERT_EQ(campaign.add_synthetic(one), Status::kOk);
+    }
+}
+
+/// Both slots of every device, read with the flash detached from the
+/// device's clock and meter, so the rollout afterwards starts from the
+/// same device time.
+std::vector<Bytes> slot_bytes(FleetCampaign& campaign) {
+    std::vector<Bytes> out;
+    for (std::size_t i = 0; i < campaign.size(); ++i) {
+        Device& device = campaign.device(i);
+        device.internal_flash().attach(nullptr, nullptr);
+        for (const std::uint32_t id : {0u, 1u}) {
+            const slots::SlotConfig* slot = device.slots().slot(id);
+            Bytes bytes(slot->size);
+            EXPECT_EQ(slot->device->read(slot->offset, bytes), Status::kOk);
+            out.push_back(std::move(bytes));
+        }
+        device.internal_flash().attach(&device.clock(), &device.meter());
+    }
+    return out;
+}
+
+TEST(SyntheticFleetTest, ParallelProvisioningMatchesOneDeviceCalls) {
+    // One add_synthetic call provisions the fleet on worker threads; 48
+    // one-device calls provision it one device at a time. From the same
+    // seeds both must leave the same fleet: each device's private sectors
+    // and slot bytes, the server's counters, the verify-memo counters, and
+    // the rollout after it, at 0 and 4 shards.
+    MemoGuard guard;
+    crypto::set_verify_memo_enabled(true);
+    struct Provisioned {
+        std::vector<std::uint64_t> resident;
+        std::vector<Bytes> slots;
+        server::ServerStats server;
+        crypto::VerifyMemoStats memo;
+        std::uint64_t fingerprint = 0;
+    };
+    for (const unsigned shards : {0u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        Provisioned fleets[2];
+        for (const bool one_call : {true, false}) {
+            TestEnv env(2 * 1024);
+            FleetCampaign campaign{env.server};
+            crypto::verify_memo_reset();
+            provision(campaign, parallel_spec(env), one_call);
+            ASSERT_EQ(campaign.size(), kParallelFleet);
+            Provisioned& p = fleets[one_call ? 0 : 1];
+            p.memo = crypto::verify_memo_stats();
+            p.server = env.server.stats();
+            for (std::size_t i = 0; i < campaign.size(); ++i) {
+                EXPECT_EQ(campaign.device(i).identity().device_id, 0x10001u + i);
+                p.resident.push_back(campaign.device(i).internal_flash().resident_bytes());
+            }
+            p.slots = slot_bytes(campaign);
+
+            env.publish_os_update(2, 31);
+            campaign.set_shards(shards);
+            FleetPolicy policy;
+            policy.wave_size = 16;
+            policy.wave_stagger_s = 2.0;
+            const CampaignReport report = campaign.run(kAppId, policy);
+            EXPECT_EQ(report.succeeded, kParallelFleet);
+            p.fingerprint = report.fingerprint();
+        }
+        const Provisioned& parallel = fleets[0];
+        const Provisioned& alone = fleets[1];
+        EXPECT_EQ(parallel.resident, alone.resident);
+        EXPECT_TRUE(parallel.slots == alone.slots);
+        EXPECT_EQ(parallel.server.requests, alone.server.requests);
+        EXPECT_EQ(parallel.server.sign_ops, alone.server.sign_ops);
+        EXPECT_EQ(parallel.server.response_hits, alone.server.response_hits);
+        EXPECT_EQ(parallel.server.response_misses, alone.server.response_misses);
+        EXPECT_EQ(parallel.server.delta_generations, alone.server.delta_generations);
+        EXPECT_EQ(parallel.server.requests, kParallelFleet);
+        // Each first boot looks up both halves of its double signature:
+        // the one vendor triple and the device's own server triple.
+        EXPECT_EQ(parallel.memo.misses, alone.memo.misses);
+        EXPECT_EQ(parallel.memo.hits, alone.memo.hits);
+        EXPECT_EQ(parallel.memo.misses, 1u + kParallelFleet);
+        EXPECT_EQ(parallel.memo.hits, kParallelFleet - 1);
+        EXPECT_EQ(parallel.fingerprint, alone.fingerprint);
+    }
+}
+
+TEST(SyntheticFleetTest, FailedProvisioningKeepsOnlyTheDevicesBeforeTheFailure) {
+    // The share source fails: add_synthetic returns before any worker
+    // starts, so the server answered one request.
+    {
+        TestEnv env(2 * 1024);
+        FleetCampaign campaign{env.server};
+        SyntheticFleetSpec spec = parallel_spec(env);
+        spec.provision_version = 9;  // never published
+        EXPECT_EQ(campaign.add_synthetic(spec), Status::kNotFound);
+        EXPECT_EQ(campaign.size(), 0u);
+        EXPECT_EQ(env.server.stats().requests, 1u);
+    }
+    // Devices 5 and 9 fail on workers: their factory images come sealed to
+    // a registered key and cannot boot. The call returns device 5's status,
+    // as a one-device call for it does, and keeps devices 0 to 4 alone.
+    const auto seal_to = [](TestEnv& env, std::uint32_t device_id) {
+        env.server.set_encryption_enabled(true);
+        Bytes seed = to_bytes("sealed-factory-image");
+        put_le32(seed, device_id);
+        env.server.register_device_key(device_id,
+                                       crypto::PrivateKey::generate(seed).public_key());
+    };
+    TestEnv env(2 * 1024), lone(2 * 1024);
+    FleetCampaign campaign{env.server}, reference{lone.server};
+    SyntheticFleetSpec spec = parallel_spec(env);
+    spec.count = 16;
+    seal_to(env, spec.first_device_id + 5);
+    seal_to(env, spec.first_device_id + 9);
+    seal_to(lone, spec.first_device_id + 5);
+    SyntheticFleetSpec device5 = parallel_spec(lone);
+    device5.count = 1;
+    device5.first_device_id += 5;
+    device5.base.seed += 5;
+    const Status expected = reference.add_synthetic(device5);
+    ASSERT_NE(expected, Status::kOk);
+    EXPECT_EQ(campaign.add_synthetic(spec), expected);
+    ASSERT_EQ(campaign.size(), 5u);
+    for (std::size_t i = 0; i < campaign.size(); ++i) {
+        EXPECT_EQ(campaign.device(i).identity().device_id, spec.first_device_id + i);
     }
 }
 

@@ -90,6 +90,38 @@ TEST(TrialBootTest, FailedSelfTestRollsBackToOldVersion) {
     EXPECT_FALSE(boot->trial_boot);
 }
 
+// A device builds each boot's agent on first use, from what that boot left:
+// a health hook set after the boot reaches only the next boot's agent,
+// whether or not this boot's agent was built before the hook was set.
+TEST(TrialBootTest, HealthHookWaitsForTheNextBootEvenBeforeTheAgentIsBuilt) {
+    TestEnv env(8 * 1024);
+    auto device = env.make_device();
+    device->set_health_hook([](std::uint16_t) { return false; });
+    EXPECT_TRUE(device->agent().run_self_test(1));
+    ASSERT_TRUE(device->reboot().has_value());
+    EXPECT_FALSE(device->agent().run_self_test(1));
+}
+
+// A failed reboot keeps the running agent, so the nonces it draws come from
+// the last successful boot's stream, whether the agent was built before
+// the failed reboot or first asked for after it.
+TEST(TrialBootTest, FailedRebootKeepsTheRunningAgentsNonceStream) {
+    TestEnv env(8 * 1024);
+    std::uint32_t nonces[2] = {};
+    for (const bool built_first : {true, false}) {
+        auto device = env.make_device();
+        if (built_first) (void)device->agent();
+        const slots::SlotConfig* slot = device->slots().slot(0);
+        ASSERT_EQ(device->internal_flash().erase_range(slot->offset, slot->size),
+                  Status::kOk);
+        ASSERT_FALSE(device->reboot().has_value());  // nothing left to boot
+        const auto token = device->agent().request_device_token();
+        ASSERT_TRUE(token.has_value());
+        nonces[built_first ? 0 : 1] = token->nonce;
+    }
+    EXPECT_EQ(nonces[0], nonces[1]);
+}
+
 // The bootloader alone enforces the confirm window: if the device never
 // runs a self-test (crashed agent, wedged app), the next boot reverts.
 TEST(TrialBootTest, UnconfirmedTrialRevertsOnNextBootWithoutDriver) {

@@ -13,7 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "common/endian.hpp"
@@ -23,6 +24,7 @@
 #include "crypto/poly1305.hpp"
 #include "diff/bsdiff.hpp"
 #include "diff/cdc.hpp"
+#include "suit/suit.hpp"
 #include "test_env.hpp"
 
 namespace upkit {
@@ -532,49 +534,142 @@ TEST(ServerCacheTest, PublishRejectsTamperedReleases) {
 
 // ------------------------------------------------- threaded request safety
 
-TEST(ServerCacheTest, ConcurrentPrepareUpdateKeepsCountersAndCachesCoherent) {
-    // Hammers prepare_update from several threads: the coarse server mutex
-    // must keep the LRU caches and counters coherent (this is the test the
-    // TSan CI job leans on). Responses are checked for byte-equality
-    // against a single-threaded reference afterwards.
-    TestEnv env;
-    env.publish_os_update(2, 55);
+/// The server a threaded-request test drives: v1 plain, v2 chunked and v3
+/// chunked, in one of three serving modes. In the encrypted mode the devices
+/// with an odd id have registered keys, so their responses are sealed.
+enum class ServeMode { kNative, kSuit, kEncrypted };
 
-    constexpr unsigned kThreads = 4;
-    constexpr unsigned kRequestsPerThread = 8;
+void configure_threaded_server(TestEnv& env, ServeMode mode) {
+    publish_chunked(env, 2, sim::mutate_app_change(env.base_firmware, 56, 600));
+    publish_chunked(env, 3, sim::mutate_app_change(env.base_firmware, 57, 600));
+    if (mode == ServeMode::kSuit) env.server.set_suit_mode(true);
+    if (mode == ServeMode::kEncrypted) {
+        env.server.set_encryption_enabled(true);
+        for (std::uint32_t id = 0xA001; id < 0xA100; id += 2) {
+            Bytes seed = to_bytes("threaded-device-key");
+            put_le32(seed, id);
+            env.server.register_device_key(id, crypto::PrivateKey::generate(seed).public_key());
+        }
+    }
+}
+
+/// Every request shape, one token per request: differential from v1 and
+/// v2, full image, and have-lists of v2's chunks and of nothing the
+/// server holds. Device ids and nonces are all distinct.
+std::vector<manifest::DeviceToken> threaded_tokens(const TestEnv& env, std::size_t count) {
+    const std::vector<std::uint64_t> have_v2 =
+        have_list_for(sim::mutate_app_change(env.base_firmware, 56, 600));
+    std::vector<manifest::DeviceToken> tokens;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto id = static_cast<std::uint32_t>(0xA000 + i);
+        manifest::DeviceToken token = token_for(id, 100 + static_cast<std::uint32_t>(i), 0);
+        switch (i % 5) {
+            case 0: token.current_version = 1; break;
+            case 1: token.current_version = 2; break;
+            case 2: break;  // full image
+            case 3:
+                token.current_version = 2;
+                token.have = have_v2;
+                break;
+            default: token.have = {1}; break;
+        }
+        tokens.push_back(std::move(token));
+    }
+    return tokens;
+}
+
+/// Answers tokens[i] on `threads` threads, thread t taking t, t + threads,
+/// and so on; response i answers token i.
+std::vector<std::optional<UpdateResponse>> answer(const server::UpdateServer& server,
+                                                  const std::vector<manifest::DeviceToken>& tokens,
+                                                  unsigned threads) {
+    std::vector<std::optional<UpdateResponse>> responses(tokens.size());
     std::vector<std::thread> workers;
-    std::atomic<unsigned> failures{0};
-    for (unsigned t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&env, &failures, t] {
-            for (unsigned i = 0; i < kRequestsPerThread; ++i) {
-                const auto token =
-                    token_for(0xA000 + t, 100 + t * kRequestsPerThread + i, 1);
-                const auto response = env.server.prepare_update(kAppId, token);
-                if (!response.has_value() || !response->manifest.differential ||
-                    response->manifest.device_id != token.device_id) {
-                    ++failures;
-                }
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            for (std::size_t i = t; i < tokens.size(); i += threads) {
+                auto response = server.prepare_update(kAppId, tokens[i]);
+                if (response) responses[i] = std::move(*response);
             }
         });
     }
     for (auto& w : workers) w.join();
-    EXPECT_EQ(failures.load(), 0u);
+    return responses;
+}
 
-    const ServerStats s = env.server.stats();
-    EXPECT_EQ(s.requests, kThreads * kRequestsPerThread);
-    // Exactly one delta generation total; everything else hit the
-    // response cache.
-    EXPECT_EQ(s.delta_generations, 1u);
-    EXPECT_EQ(s.response_misses, 1u);
+/// Whether the response's server signature verifies under `key`, in
+/// either wire encoding.
+bool server_signature_verifies(const UpdateResponse& r, const crypto::PreparedPublicKey& key) {
+    crypto::Sha256Digest digest;
+    if (r.suit_encoding) {
+        const auto envelope = suit::parse_envelope(r.manifest_bytes);
+        if (!envelope) return false;
+        digest = crypto::Sha256::digest(
+            suit::server_tbs(envelope->manifest_bstr, envelope->vendor_signature));
+    } else {
+        digest = crypto::Sha256::digest(r.manifest.server_signed_bytes());
+    }
+    return crypto::ecdsa_verify(
+        key, digest, ByteSpan(r.manifest.server_signature.data(), crypto::kSignatureSize));
+}
 
-    // A post-hoc single-threaded request is byte-identical to the threaded
-    // ones' content (same token => same bytes, RFC 6979 determinism).
-    const auto threaded = env.server.prepare_update(kAppId, token_for(0xA000, 100, 1));
-    const auto reference = env.server.prepare_update(kAppId, token_for(0xA000, 100, 1));
-    ASSERT_TRUE(threaded.has_value());
-    ASSERT_TRUE(reference.has_value());
-    EXPECT_EQ(threaded->manifest_bytes, reference->manifest_bytes);
-    EXPECT_EQ(threaded->payload, reference->payload);
+TEST(ServerCacheTest, ConcurrentPrepareUpdateKeepsCountersAndCachesCoherent) {
+    // Hammers prepare_update from several threads: the server mutex must
+    // keep the response cache and the counters coherent while signatures
+    // run outside it (the TSan CI job leans on this test). Every threaded
+    // response must equal, byte for byte, the same token's response from a
+    // twin server built from the same seeds and driven on one thread; the
+    // request order differs, and RFC 6979 makes every signature a pure
+    // function of key and digest. A sealed response depends on request
+    // order through the ephemeral-key counter, by design, so for those only
+    // the signature and the counters are checked.
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kRequests = 40;
+    for (const ServeMode mode : {ServeMode::kNative, ServeMode::kSuit, ServeMode::kEncrypted}) {
+        SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+        TestEnv env(16 * 1024), twin(16 * 1024);
+        configure_threaded_server(env, mode);
+        configure_threaded_server(twin, mode);
+        const auto tokens = threaded_tokens(env, kRequests);
+        const auto threaded = answer(env.server, tokens, kThreads);
+        const auto serial = answer(twin.server, tokens, 1);
+
+        std::size_t sealed = 0;
+        for (std::size_t i = 0; i < tokens.size(); ++i) {
+            SCOPED_TRACE("token " + std::to_string(i));
+            ASSERT_TRUE(threaded[i].has_value());
+            ASSERT_TRUE(serial[i].has_value());
+            const UpdateResponse& got = *threaded[i];
+            EXPECT_EQ(got.manifest.device_id, tokens[i].device_id);
+            EXPECT_EQ(got.suit_encoding, mode == ServeMode::kSuit);
+            EXPECT_TRUE(server_signature_verifies(got, env.server.public_key()));
+            EXPECT_EQ(got.manifest.encrypted, serial[i]->manifest.encrypted);
+            if (got.manifest.encrypted) {
+                ++sealed;
+                continue;
+            }
+            EXPECT_EQ(got.manifest_bytes, serial[i]->manifest_bytes);
+            EXPECT_EQ(got.payload, serial[i]->payload);
+            EXPECT_EQ(got.manifest.server_signature, serial[i]->manifest.server_signature);
+        }
+        EXPECT_EQ(sealed > 0, mode == ServeMode::kEncrypted);
+
+        const ServerStats s = env.server.stats();
+        const ServerStats reference = twin.server.stats();
+        EXPECT_EQ(s.requests, kRequests);
+        EXPECT_EQ(s.requests, reference.requests);
+        EXPECT_EQ(s.sign_ops, reference.sign_ops);
+        EXPECT_EQ(s.response_hits, reference.response_hits);
+        EXPECT_EQ(s.response_misses, reference.response_misses);
+        EXPECT_EQ(s.delta_generations, reference.delta_generations);
+        EXPECT_EQ(s.sign_ops, kRequests);  // one freshness signature per request
+        if (mode == ServeMode::kNative) {
+            // Five cacheable shapes, each built once: two deltas, the full
+            // image and two have-lists.
+            EXPECT_EQ(s.response_misses, 5u);
+            EXPECT_EQ(s.delta_generations, 2u);
+        }
+    }
 }
 
 }  // namespace

@@ -245,6 +245,9 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
               std::string::npos)
         << out;
     EXPECT_NE(out.find("'order' mutated without 'mu' held"), std::string::npos) << out;
+    // A field annotated in x.hpp guards the member functions of x.cpp.
+    EXPECT_NE(out.find("bad_lock_split.cpp"), std::string::npos) << out;
+    EXPECT_NE(out.find("'hits_' mutated without 'mu_' held"), std::string::npos) << out;
 
     // banned-wall-clock covers all of src/, not just the device directories:
     // the server fixture's std::chrono host clock is one of its findings.

@@ -542,12 +542,30 @@ void run_must_check(const Program& program, const MustCheckRule& rule,
 
 // ---- lock discipline -----------------------------------------------------
 
+/// The header declaring `source`'s class, when the tree holds one: a
+/// class annotates its fields in x.hpp and defines its members in x.cpp.
+const FileModel* companion_header(const Program& program, const std::string& source) {
+    const std::size_t dot = source.rfind('.');
+    if (dot == std::string::npos || source.compare(dot, std::string::npos, ".cpp") != 0) {
+        return nullptr;
+    }
+    const std::string header = source.substr(0, dot) + ".hpp";
+    for (const FileModel& f : program.files) {
+        if (f.tokens.path == header) return &f;
+    }
+    return nullptr;
+}
+
 void run_lock_guard(const Program& program, const LockRule& rule,
                     std::vector<Finding>& findings) {
     for (const FileModel& f : program.files) {
-        if (f.guarded.empty() || !flow_rule_applies(rule, f.tokens.path)) continue;
+        if (!flow_rule_applies(rule, f.tokens.path)) continue;
         std::map<std::string, std::string> guard;  // field -> mutex
         for (const GuardedField& g : f.guarded) guard[g.field] = g.mutex;
+        if (const FileModel* h = companion_header(program, f.tokens.path)) {
+            for (const GuardedField& g : h->guarded) guard[g.field] = g.mutex;
+        }
+        if (guard.empty()) continue;
         const std::vector<Token>& toks = f.tokens.tokens;
 
         for (const FunctionInfo& fn : f.functions) {

@@ -31,6 +31,9 @@
 //                 scope (std::lock_guard/unique_lock/scoped_lock or a
 //                 manual mu.lock()). Functions annotated
 //                 `// lint: requires-lock(mu)` assert the caller holds it.
+//                 A source file x.cpp is checked against the fields
+//                 annotated in its own text and in x.hpp, where a class
+//                 declares the fields its member functions mutate.
 #pragma once
 
 #include <cstddef>
