@@ -83,7 +83,7 @@ int main() {
         const std::size_t len = std::min<std::size_t>(4096, half - off);
         (void)agent.offer_payload(ByteSpan(response->payload).subspan(off, len));
     }
-    device.internal_flash().schedule_power_loss(0);
+    device.internal_flash().schedule_power_loss_range({0});
     const Status cut = agent.offer_payload(
         ByteSpan(response->payload).subspan(half, std::min<std::size_t>(4096, response->payload.size() - half)));
     std::printf("power cut during flash write: %s\n", std::string(to_string(cut)).c_str());

@@ -50,9 +50,6 @@ struct AgentConfig {
     /// means encrypted payloads are rejected at the manifest.
     const crypto::PrivateKey* encryption_key = nullptr;
 
-    /// CPU time the post-install self-test burns (sensor sanity sweep,
-    /// watchdog kick, app-level health probes) before boot confirmation.
-    double self_test_seconds = 0.25;
     /// External health verdict for the running version; unset means the
     /// self-test passes. Fleet campaigns wire this to the chaos plan's
     /// per-device brick/bad-version verdicts.
@@ -97,8 +94,8 @@ public:
     Expected<manifest::DeviceToken> refresh_token();
 
     /// Runs the post-install self-test against the currently-running
-    /// version (boot-confirm protocol): charges self_test_seconds of CPU
-    /// and returns the health verdict (self_test_hook, default healthy).
+    /// version (boot-confirm protocol): charges its CPU time and returns the
+    /// health verdict (self_test_hook, default healthy).
     bool run_self_test(std::uint16_t running_version);
 
     /// Paper step 8: feeds manifest bytes. On the 200th byte the agent

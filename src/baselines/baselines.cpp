@@ -39,6 +39,11 @@ Status Lwm2mAgent::download(const server::UpdateResponse& image, net::Transport&
     return blind_store(*device_, image, transport);
 }
 
+void McubootModel::charge_cpu(double seconds) {
+    sim::charge_cpu(*device_->config().platform, device_->clock(), device_->meter(), seconds,
+                    device_->verifier().backend().costs().active_current_ma);
+}
+
 Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifest& m) {
     const slots::SlotConfig* slot = device_->slots().slot(slot_id);
     if (manifest::kManifestSize + static_cast<std::uint64_t>(m.firmware_size) > slot->size) {
@@ -48,11 +53,7 @@ Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifes
     const verify::Verifier& verifier = device_->verifier();
     // ONE signature check (mcuboot knows a single image-signing key; there
     // is no per-request server signature in its format).
-    device_->clock().advance(verifier.backend().costs().verify_seconds *
-                             device_->config().platform->cpu_scale());
-    device_->meter().charge(sim::Component::kCpu,
-                            verifier.backend().costs().verify_seconds *
-                                device_->config().platform->cpu_scale());
+    charge_cpu(verifier.backend().costs().verify_seconds);
     const crypto::Sha256Digest tbs = crypto::Sha256::digest(m.vendor_signed_bytes());
     if (!verifier.backend().verify(device_->config().vendor_key, tbs, m.vendor_signature)) {
         return Status::kBadVendorSignature;
@@ -63,15 +64,14 @@ Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifes
     const auto actual = verify::digest_slot(*slot, manifest::kManifestSize, m.firmware_size,
                                             scratch);
     if (!actual) return actual.status();
-    device_->clock().advance(verifier.backend().costs().sha256_seconds_per_kb *
-                             static_cast<double>(m.firmware_size) / 1024.0 *
-                             device_->config().platform->cpu_scale());
+    charge_cpu(verifier.backend().costs().sha256_seconds_per_kb *
+               static_cast<double>(m.firmware_size) / 1024.0);
     return verifier.verify_firmware_digest(m, *actual);
 }
 
 Expected<boot::BootReport> McubootModel::boot() {
     core::Device& device = *device_;
-    device.clock().advance(0.25);  // MCU reset
+    charge_cpu(0.25);  // MCU reset
 
     const auto read_manifest = [&](std::uint32_t slot_id) -> std::optional<manifest::Manifest> {
         const slots::SlotConfig* slot = device.slots().slot(slot_id);

@@ -66,6 +66,9 @@ public:
 
 private:
     Status verify_image(std::uint32_t slot_id, const manifest::Manifest& m);
+    /// Advances the device clock by `seconds` of 64 MHz Cortex-M4 work
+    /// scaled to its platform, billed like the UpKit bootloader's.
+    void charge_cpu(double seconds);
 
     core::Device* device_;
 };

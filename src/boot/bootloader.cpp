@@ -38,7 +38,9 @@ Status Bootloader::verify_slot_image(const Candidate& candidate, Bytes& scratch)
 }
 
 Expected<BootReport> Bootloader::boot() {
-    charge_cpu(config_.reboot_seconds);  // MCU reset + init
+    // MCU reset + clock/peripheral init before our code runs.
+    constexpr double kResetSeconds = 0.25;
+    charge_cpu(kResetSeconds);
 
     BootReport report;
 
@@ -137,7 +139,7 @@ Expected<BootReport> Bootloader::boot() {
                     .state = agent::TrialState::kArmed,
                     .version = candidate.header.manifest.version,
                     .slot = boot_slot,
-                    .deadline_s = clock_->now() + config_.confirm_window_s};
+                    .deadline_s = clock_->now() + kConfirmWindowSeconds};
                 report.trial_boot = true;
             } else if (trial_.state != agent::TrialState::kRolledBack) {
                 trial_.state = agent::TrialState::kNone;

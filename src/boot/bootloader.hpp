@@ -28,6 +28,10 @@
 
 namespace upkit::boot {
 
+/// Device-seconds an armed trial has to confirm its boot (see
+/// BootConfig::trial_boot).
+inline constexpr double kConfirmWindowSeconds = 30.0;
+
 struct BootConfig {
     /// Slots the MCU can execute from, in preference order.
     std::vector<std::uint32_t> bootable_slots;
@@ -35,16 +39,13 @@ struct BootConfig {
     std::optional<std::uint32_t> staging_slot;
     /// Device facts for compatibility checks (installed_version unused).
     verify::DeviceIdentity identity;
-    /// MCU reset + clock/peripheral init before our code runs.
-    double reboot_seconds = 0.25;
 
     /// Boot-confirm protocol (MCUboot test-swap style): booting a version
     /// that was never confirmed arms a trial. Unless the application
-    /// confirms within `confirm_window_s` (self-test passed), the watchdog
-    /// reboots the device and the *next* boot reverts to the previous
-    /// image — a bad update can never strand the device.
+    /// confirms within kConfirmWindowSeconds (self-test passed), the
+    /// watchdog reboots the device and the *next* boot reverts to the
+    /// previous image — a bad update can never strand the device.
     bool trial_boot = false;
-    double confirm_window_s = 30.0;
 };
 
 struct BootReport {

@@ -105,7 +105,6 @@ Device::Device(const DeviceConfig& config)
         boot_config.staging_slot = 1;
     }
     boot_config.trial_boot = config_.trial_boot;
-    boot_config.confirm_window_s = config_.boot_confirm_window_s;
     bootloader_ = std::make_unique<boot::Bootloader>(boot_config, slot_manager_, *verifier_,
                                                      *config_.platform, clock_, meter_);
 }
@@ -173,7 +172,6 @@ void Device::start_agent() {
                                        ? config_.pipeline_buffer
                                        : config_.platform->flash_sector_bytes;
     agent_config.encryption_key = encryption_key_.get();
-    agent_config.self_test_seconds = config_.self_test_seconds;
     agent_config.self_test_hook = agent_hook_;
 
     Bytes seed;

@@ -74,12 +74,10 @@ struct DeviceConfig {
     std::uint64_t seed = 1;  // nonce DRBG seeding (deterministic replay)
 
     /// Boot-confirm protocol: arm a trial on every boot of an unconfirmed
-    /// version; the agent's self-test must confirm within the window or the
-    /// bootloader reverts at the next boot (see boot::BootConfig).
+    /// version; the agent's self-test must confirm within
+    /// boot::kConfirmWindowSeconds or the bootloader reverts at the next
+    /// boot (see boot::BootConfig).
     bool trial_boot = false;
-    double boot_confirm_window_s = 30.0;
-    /// CPU seconds the post-install self-test costs.
-    double self_test_seconds = 0.25;
 };
 
 class Device {

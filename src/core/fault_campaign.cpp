@@ -10,6 +10,14 @@ namespace {
 constexpr std::uint32_t kAppId = 0xFA;
 constexpr std::uint32_t kDeviceId = 0x2001;
 
+/// Reboots allowed before a still-dark device counts as bricked. Each
+/// injected cut costs at most one extra reboot, so 2 + plan size is already
+/// generous.
+constexpr unsigned kMaxRebootAttempts = 8;
+
+/// Safety bound on the sweep in case self-termination never triggers.
+constexpr std::uint64_t kMaxOps = 4096;
+
 }  // namespace
 
 bool FaultCampaign::run_case(std::vector<std::uint64_t> plan,
@@ -64,8 +72,7 @@ bool FaultCampaign::run_case(std::vector<std::uint64_t> plan,
     // revives flash and resumes. Only kNotFound — no valid image anywhere —
     // is a brick.
     bool alive = false;
-    for (unsigned attempt = 0; attempt < config_.max_reboot_attempts && !alive;
-         ++attempt) {
+    for (unsigned attempt = 0; attempt < kMaxRebootAttempts && !alive; ++attempt) {
         auto boot = device.reboot();
         if (boot) {
             if (boot->resumed_interrupted_swap) ++report.swap_resumes;
@@ -96,7 +103,7 @@ bool FaultCampaign::run_case(std::vector<std::uint64_t> plan,
 
 FaultCampaignReport FaultCampaign::run() {
     FaultCampaignReport report;
-    for (std::uint64_t op = 0; op < config_.max_ops; ++op) {
+    for (std::uint64_t op = 0; op < kMaxOps; ++op) {
         const std::uint64_t cuts_before = report.cuts_fired;
         const std::uint64_t failures_before = report.bricks + report.retry_failures;
         const bool ok = run_case({op}, report);

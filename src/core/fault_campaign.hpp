@@ -30,14 +30,6 @@ struct FaultCampaignConfig {
     /// case: cut at op N, then a second cut R ops into the recovery that
     /// follows. Empty = single-fault sweep only.
     std::vector<std::uint64_t> recovery_cuts;
-
-    /// Reboots allowed before a still-dark device counts as bricked. Each
-    /// injected cut costs at most one extra reboot, so 2 + plan size is
-    /// already generous.
-    unsigned max_reboot_attempts = 8;
-
-    /// Safety bound on the sweep in case self-termination never triggers.
-    std::uint64_t max_ops = 4096;
 };
 
 struct FaultCampaignReport {

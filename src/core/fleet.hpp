@@ -85,10 +85,9 @@ struct FleetPolicy {
     unsigned breaker_max_trips = 3;
 
     /// Server-outage handling: a request that reaches a down server is
-    /// rejected kUnavailable after this timeout (the device's connect
-    /// timeout), and a mid-transfer reconnect retries every
-    /// reconnect_backoff_s until the outage window ends.
-    double outage_timeout_s = 10.0;
+    /// rejected kUnavailable after the device's 10 s connect timeout, and a
+    /// mid-transfer reconnect retries every reconnect_backoff_s until the
+    /// outage window ends.
     double reconnect_backoff_s = 5.0;
 
     /// Whether this policy uses gated staged promotion.

@@ -452,12 +452,13 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
                 // admission queue — the device's connect timeout expires and
                 // the attempt sees kUnavailable (the driver's reconnect path
                 // then waits the outage out).
+                constexpr double kConnectTimeoutS = 10.0;
                 for (ServerQueueStats* q : {&report.server, &targets[target].stats}) {
                     ++q->outage_rejections;
                 }
                 trace(sim::TraceType::kServerOutage, d.result.device_id, 0,
-                      policy.outage_timeout_s);
-                sched.schedule_in(policy.outage_timeout_s, [&, i] {
+                      kConnectTimeoutS);
+                sched.schedule_in(kConnectTimeoutS, [&, i] {
                     provide(i, std::make_shared<Expected<server::UpdateResponse>>(
                                    Status::kUnavailable));
                     consume(i);

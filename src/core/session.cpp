@@ -81,12 +81,7 @@ Expected<boot::BootReport> SessionDriver::reboot() {
     return boot_report;
 }
 
-SessionDriver::StepResult SessionDriver::yield(double t0) const {
-    return StepResult{Want::kDelay, device_->clock().now() - t0};
-}
-
 SessionDriver::StepResult SessionDriver::finish(Status status) {
-    const double t0 = device_->clock().now();
     // Don't leave the FSM armed when the session dies between the token
     // and a verdict (server error, transport failure): the next session
     // must be able to request a fresh token. (Fetch the agent anew —
@@ -108,7 +103,7 @@ SessionDriver::StepResult SessionDriver::finish(Status status) {
     report_.energy_mj = device_->meter().total_millijoules() - e_start_;
     enter_phase(Phase::kDone);
     emit(sim::TraceType::kSessionEnd, static_cast<std::uint32_t>(status), elapsed);
-    return StepResult{Want::kFinished, device_->clock().now() - t0};
+    return StepResult{Want::kFinished};
 }
 
 void SessionDriver::provide_response(Expected<server::UpdateResponse> response) {
@@ -123,7 +118,6 @@ void SessionDriver::provide_response(Expected<server::UpdateResponse> response) 
 }
 
 SessionDriver::StepResult SessionDriver::step() {
-    const double t0 = device_->clock().now();
     switch (phase_) {
         case Phase::kStart: {
             // --- propagation: device token (steps 4-5) ----------------------
@@ -134,18 +128,18 @@ SessionDriver::StepResult SessionDriver::step() {
             uplink_offset_ = 0;
             resumes_left_ = transport_resumes_;
             enter_phase(Phase::kSendToken);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kSendToken: {
             if (transport_->chunk_from_device(token_bytes_, uplink_offset_) != Status::kOk) {
                 return finish(Status::kTransportError);
             }
-            if (uplink_offset_ < token_bytes_.size()) return yield(t0);
+            if (uplink_offset_ < token_bytes_.size()) return yield();
             // Token uploaded: the server request is now in flight; the owner
             // resolves it (queueing + service) and provides the response.
             enter_phase(Phase::kAwaitServer);
-            return StepResult{Want::kServer, device_->clock().now() - t0};
+            return StepResult{Want::kServer};
         }
 
         case Phase::kAwaitServer: {
@@ -158,7 +152,7 @@ SessionDriver::StepResult SessionDriver::step() {
                     --resumes_left_;
                     reconnect_waits_ = 0;
                     enter_phase(Phase::kReconnect);
-                    return yield(t0);
+                    return yield();
                 }
                 return finish(response_status_);
             }
@@ -178,14 +172,14 @@ SessionDriver::StepResult SessionDriver::step() {
                 }
                 payload_offset_ = static_cast<std::size_t>(agent.payload_offset());
                 enter_phase(Phase::kRecvPayload);
-                return yield(t0);
+                return yield();
             }
             report_.differential = response_->manifest.differential;
             report_.chunked = response_->manifest.chunked;
             manifest_offset_ = 0;
             manifest_sink_ = BytesSink{};
             enter_phase(Phase::kRecvManifest);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kRecvManifest: {
@@ -194,7 +188,7 @@ SessionDriver::StepResult SessionDriver::step() {
                                             manifest_sink_) != Status::kOk) {
                 return finish(Status::kTransportError);
             }
-            if (manifest_offset_ < response_->manifest_bytes.size()) return yield(t0);
+            if (manifest_offset_ < response_->manifest_bytes.size()) return yield();
             agent::UpdateAgent& agent = device_->agent();
             const Status manifest_verdict =
                 response_->suit_encoding
@@ -211,7 +205,7 @@ SessionDriver::StepResult SessionDriver::step() {
                 // Chunked update fully assembled from chunks the device
                 // already held: there is no payload phase at all.
                 enter_phase(Phase::kReboot);
-                return yield(t0);
+                return yield();
             }
             chunk_poison_pending_.clear();
             if (chunk_chaos_ != nullptr && agent.chunked_transfer()) {
@@ -224,7 +218,7 @@ SessionDriver::StepResult SessionDriver::step() {
             }
             payload_offset_ = 0;
             enter_phase(Phase::kRecvPayload);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kRecvPayload: {
@@ -286,7 +280,7 @@ SessionDriver::StepResult SessionDriver::step() {
                     return finish(Status::kBadDigest);
                 }
                 payload_offset_ = static_cast<std::size_t>(agent.payload_offset());
-                return yield(t0);
+                return yield();
             }
             if (verdict == Status::kTimeout && resumes_left_ > 0) {
                 --resumes_left_;
@@ -300,19 +294,19 @@ SessionDriver::StepResult SessionDriver::step() {
                     reconnect_waits_ = 0;
                     enter_phase(Phase::kReconnect);
                 }
-                return yield(t0);
+                return yield();
             }
             if (verdict != Status::kOk) {
                 report_.rejected_after_download = true;
                 return finish(verdict);
             }
-            if (payload_offset_ < response_->payload.size()) return yield(t0);
+            if (payload_offset_ < response_->payload.size()) return yield();
             if (!agent.update_ready()) {
                 report_.rejected_after_download = true;
                 return finish(Status::kBadDigest);
             }
             enter_phase(Phase::kReboot);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kReconnect: {
@@ -321,7 +315,7 @@ SessionDriver::StepResult SessionDriver::step() {
                 if (++reconnect_waits_ >= kMaxReconnectWaits) {
                     return finish(Status::kUnavailable);
                 }
-                return yield(t0);  // still down; probe again after backoff
+                return yield();  // still down; probe again after backoff
             }
             auto token = device_->agent().refresh_token();
             if (!token) return finish(token.status());
@@ -332,7 +326,7 @@ SessionDriver::StepResult SessionDriver::step() {
             ++report_.token_refreshes;
             emit(sim::TraceType::kTokenRefresh, report_.token_refreshes, 0.0);
             enter_phase(Phase::kSendToken);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kReboot: {
@@ -346,7 +340,7 @@ SessionDriver::StepResult SessionDriver::step() {
             if (boot_report->trial_boot) {
                 report_.trial_boot = true;
                 enter_phase(Phase::kConfirm);
-                return yield(t0);
+                return yield();
             }
             return finish(Status::kOk);
         }
@@ -362,7 +356,7 @@ SessionDriver::StepResult SessionDriver::step() {
                 return finish(Status::kOk);
             }
             enter_phase(Phase::kRollback);
-            return yield(t0);
+            return yield();
         }
 
         case Phase::kRollback: {
@@ -384,7 +378,7 @@ SessionDriver::StepResult SessionDriver::step() {
         case Phase::kDone:
             break;
     }
-    return StepResult{Want::kFinished, 0.0};
+    return StepResult{Want::kFinished};
 }
 
 SessionReport UpdateSession::run(std::uint32_t app_id) {

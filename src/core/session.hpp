@@ -70,9 +70,9 @@ struct SessionReport {
 /// device — advancing the device's clock and meter exactly as the work
 /// costs — and reports how to continue:
 ///
-///   kDelay    the step consumed delay_s of virtual time; schedule the next
-///             step() after it (or call immediately, the time has already
-///             been applied to the device clock).
+///   kDelay    the step's virtual time is already applied to the device
+///             clock; schedule the next step() at the device's new time (or
+///             call immediately).
 ///   kServer   the device token is uploaded and the driver needs the server
 ///             response. The owner decides what the server round costs —
 ///             the fleet engine runs an admission queue and service model,
@@ -89,9 +89,6 @@ public:
 
     struct StepResult {
         Want want = Want::kDelay;
-        /// Virtual seconds consumed by this step (already applied to the
-        /// device clock; the fleet engine uses it to schedule the resume).
-        double delay_s = 0.0;
     };
 
     /// `transport` must outlive the driver (UpdateSession owns one; the
@@ -167,7 +164,7 @@ private:
     /// verification and loading seconds into the report's phases.
     Expected<boot::BootReport> reboot();
     StepResult finish(Status status);
-    StepResult yield(double t0) const;
+    static StepResult yield() { return StepResult{Want::kDelay}; }
 
     Device* device_;
     net::Transport* transport_;

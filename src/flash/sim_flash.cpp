@@ -80,7 +80,6 @@ void SimFlash::schedule_power_loss_range(std::vector<std::uint64_t> plan) {
 }
 
 void SimFlash::disarm_power_loss() {
-    power_loss_in_.reset();
     plan_.clear();
     plan_next_ = 0;
     plan_countdown_.reset();
@@ -89,7 +88,6 @@ void SimFlash::disarm_power_loss() {
 void SimFlash::revive() {
     const bool was_dead = dead_;
     dead_ = false;
-    power_loss_in_.reset();
     // The plan persists across reboots; the revive that follows a cut arms
     // the next entry (counted from this revive).
     if (was_dead && !plan_countdown_.has_value() && plan_next_ < plan_.size()) {
@@ -98,28 +96,15 @@ void SimFlash::revive() {
 }
 
 bool SimFlash::consume_op_budget() {
-    bool cut = false;
-    if (power_loss_in_.has_value()) {
-        if (*power_loss_in_ == 0) {
-            cut = true;
-        } else {
-            --*power_loss_in_;
-        }
+    if (!plan_countdown_.has_value()) return true;
+    if (*plan_countdown_ > 0) {
+        --*plan_countdown_;
+        return true;
     }
-    if (plan_countdown_.has_value()) {
-        if (*plan_countdown_ == 0) {
-            cut = true;
-            plan_countdown_.reset();
-        } else {
-            --*plan_countdown_;
-        }
-    }
-    if (cut) {
-        dead_ = true;
-        ++power_cuts_;
-        return false;
-    }
-    return true;
+    plan_countdown_.reset();
+    dead_ = true;
+    ++power_cuts_;
+    return false;
 }
 
 const std::uint8_t* SimFlash::sector_data(std::uint64_t index) const {

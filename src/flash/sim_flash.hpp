@@ -49,21 +49,17 @@ public:
 
     // --- fault injection -------------------------------------------------
 
-    /// Cuts power after `ops` further write/erase operations: that operation
-    /// completes only partially and every following access fails with
-    /// kFlashPowerLoss until revive() is called (the "reboot"). One-shot:
-    /// revive() cancels it even if it never fired.
-    void schedule_power_loss(std::uint64_t ops) { power_loss_in_ = ops; }
-
-    /// Arms a multi-cut plan that, unlike schedule_power_loss(), survives
-    /// revive(): plan[0] cuts power after that many further destructive ops
-    /// counted from now — across any intervening reboots, so a sweep can
-    /// reach the boot-time install — and each later entry is re-armed by the
-    /// revive() following its predecessor's cut, placing a second cut inside
-    /// the crash *recovery* itself. disarm_power_loss() cancels what's left.
+    /// Arms a power-cut plan. plan[0] cuts power after that many further
+    /// write/erase operations, counted from now across any intervening
+    /// reboots, so a sweep can reach the boot-time install. The cut
+    /// operation completes only partially, and every following access fails
+    /// with kFlashPowerLoss until revive() (the "reboot"). Each later entry
+    /// is armed by the revive() that follows its predecessor's cut, placing
+    /// a second cut inside the crash *recovery* itself. Replaces any plan
+    /// still armed.
     void schedule_power_loss_range(std::vector<std::uint64_t> plan);
 
-    /// Cancels every scheduled cut (one-shot and plan alike).
+    /// Cancels what is left of the plan.
     void disarm_power_loss();
 
     void revive();
@@ -118,7 +114,6 @@ private:
     sim::VirtualClock* clock_ = nullptr;
     sim::EnergyMeter* meter_ = nullptr;
 
-    std::optional<std::uint64_t> power_loss_in_;
     std::vector<std::uint64_t> plan_;
     std::size_t plan_next_ = 0;
     std::optional<std::uint64_t> plan_countdown_;

@@ -14,15 +14,6 @@
 
 namespace upkit::net {
 
-/// Transient channel overlay a chaos plan imposes on top of a link's
-/// steady-state parameters (see sim/chaos.hpp): added loss from an
-/// interference burst or flaky radio, and a congestion multiplier on the
-/// per-chunk protocol overhead.
-struct ChannelConditions {
-    double extra_loss = 0.0;
-    double overhead_factor = 1.0;
-};
-
 struct LinkParams {
     std::string_view name;
     std::size_t mtu = 244;             // application payload per chunk
@@ -32,13 +23,6 @@ struct LinkParams {
 
     double chunk_seconds(std::size_t payload_bytes) const {
         return static_cast<double>(payload_bytes) * 8.0 / raw_bps + per_chunk_overhead_s;
-    }
-
-    /// Chunk time under degraded conditions: congestion stretches the
-    /// protocol turnaround, not the on-air time.
-    double chunk_seconds(std::size_t payload_bytes, const ChannelConditions& cond) const {
-        return static_cast<double>(payload_bytes) * 8.0 / raw_bps +
-               per_chunk_overhead_s * cond.overhead_factor;
     }
 
     /// Effective goodput for full-MTU chunks, bytes/second.

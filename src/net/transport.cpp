@@ -4,26 +4,24 @@
 
 namespace upkit::net {
 
-double Transport::transfer_chunk_seconds(std::size_t payload_bytes, bool* aborted,
-                                         bool* corrupted) {
-    *aborted = false;
-    *corrupted = false;
+Status Transport::send_chunk(std::size_t payload_bytes, sim::Component radio) {
     // Conditions are re-evaluated per transmission attempt at the campaign
     // instant the attempt starts, so a burst or outage that begins
     // mid-chunk affects the retries but not the attempts before it. With no
     // plan bound they are neutral: one rng draw per attempt iff the link's
     // own loss is positive.
+    const double airtime = link_.chunk_seconds(payload_bytes);
+    const double campaign_t = clock_->now() - chaos_.campaign_offset;
     double seconds = 0.0;
     unsigned attempts = 0;
+    Status status = Status::kOk;
     for (;;) {
         const sim::ChaosPlan::Conditions c =
             chaos_.plan == nullptr
                 ? sim::ChaosPlan::Conditions{}
-                : chaos_.plan->conditions(clock_->now() - chaos_.campaign_offset + seconds,
-                                          chaos_.device_id, chaos_.payload_via_server,
-                                          chaos_.region);
-        seconds += link_.chunk_seconds(payload_bytes,
-                                       {c.extra_loss, c.overhead_factor});
+                : chaos_.plan->conditions(campaign_t + seconds, chaos_.device_id,
+                                          chaos_.payload_via_server, chaos_.region);
+        seconds += airtime;
         bool lost;
         if (c.blocked) {
             lost = true;  // server down: deterministic loss, no rng draw
@@ -34,52 +32,30 @@ double Transport::transfer_chunk_seconds(std::size_t payload_bytes, bool* aborte
             if (chaos_.plan != nullptr) loss = std::min(0.99, loss);
             lost = loss > 0.0 && rng_.chance(loss);
         }
-        if (!lost) {
-            *corrupted = c.corrupt;
-            return seconds;
-        }
+        if (!lost) break;
         if (++attempts > max_retries_) {
-            *aborted = true;
-            return seconds;
+            status = Status::kTimeout;
+            break;
         }
         ++retransmissions_;
     }
+    clock_->advance(seconds);
+    if (meter_ != nullptr) meter_->charge(radio, seconds);
+    return status;
 }
 
-Status Transport::chunk_to_device(ByteSpan data, std::size_t& offset, ByteSink& sink,
-                                  double* seconds) {
+Status Transport::chunk_to_device(ByteSpan data, std::size_t& offset, ByteSink& sink) {
     const std::size_t len = std::min(link_.mtu, data.size() - offset);
-    bool aborted = false;
-    bool corrupted = false;
-    const double s = transfer_chunk_seconds(len, &aborted, &corrupted);
-    clock_->advance(s);
-    if (meter_ != nullptr) meter_->charge(sim::Component::kRadioRx, s);
-    if (seconds != nullptr) *seconds = s;
-    if (aborted) return Status::kTimeout;
-    if (corrupted) {
-        // In-transit bit flip the link layer missed; the agent's digest
-        // check catches it after download.
-        Bytes mangled(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                      data.begin() + static_cast<std::ptrdiff_t>(offset + len));
-        mangled[len / 2] ^= 0x40;
-        UPKIT_RETURN_IF_ERROR(sink.write(ByteSpan(mangled.data(), mangled.size())));
-    } else {
-        UPKIT_RETURN_IF_ERROR(sink.write(data.subspan(offset, len)));
-    }
+    UPKIT_RETURN_IF_ERROR(send_chunk(len, sim::Component::kRadioRx));
+    UPKIT_RETURN_IF_ERROR(sink.write(data.subspan(offset, len)));
     offset += len;
     bytes_down_ += len;
     return Status::kOk;
 }
 
-Status Transport::chunk_from_device(ByteSpan data, std::size_t& offset, double* seconds) {
+Status Transport::chunk_from_device(ByteSpan data, std::size_t& offset) {
     const std::size_t len = std::min(link_.mtu, data.size() - offset);
-    bool aborted = false;
-    bool corrupted = false;
-    const double s = transfer_chunk_seconds(len, &aborted, &corrupted);
-    clock_->advance(s);
-    if (meter_ != nullptr) meter_->charge(sim::Component::kRadioTx, s);
-    if (seconds != nullptr) *seconds = s;
-    if (aborted) return Status::kTimeout;
+    UPKIT_RETURN_IF_ERROR(send_chunk(len, sim::Component::kRadioTx));
     offset += len;
     bytes_up_ += len;
     return Status::kOk;

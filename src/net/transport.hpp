@@ -54,15 +54,13 @@ public:
     // can yield to the event scheduler between chunks. `offset` is the
     // caller's cursor into `data`; it advances only when the chunk gets
     // through. On kTimeout (retransmission budget exhausted) the airtime
-    // was still spent and charged. `seconds` (optional) receives the time
-    // consumed by this step.
+    // was still spent and charged.
 
     /// Downlink step: on success the chunk is delivered to `sink`.
-    Status chunk_to_device(ByteSpan data, std::size_t& offset, ByteSink& sink,
-                           double* seconds = nullptr);
+    Status chunk_to_device(ByteSpan data, std::size_t& offset, ByteSink& sink);
 
     /// Uplink step (token, CoAP requests, ACKs).
-    Status chunk_from_device(ByteSpan data, std::size_t& offset, double* seconds = nullptr);
+    Status chunk_from_device(ByteSpan data, std::size_t& offset);
 
     std::uint64_t bytes_to_device() const { return bytes_down_; }
     std::uint64_t bytes_from_device() const { return bytes_up_; }
@@ -72,13 +70,15 @@ public:
     void set_max_retries(unsigned retries) { max_retries_ = retries; }
 
     /// Overlays a chaos plan on every subsequent chunk. Without a binding
-    /// the same transfer loop runs under neutral conditions: no extra loss
-    /// or overhead, and one rng draw per attempt iff the link is lossy.
+    /// the same transfer loop runs under neutral conditions: no extra loss,
+    /// and one rng draw per attempt iff the link is lossy.
     void set_chaos(const ChaosBinding& binding) { chaos_ = binding; }
 
 private:
-    double transfer_chunk_seconds(std::size_t payload_bytes, bool* aborted,
-                                  bool* corrupted);
+    /// Moves one chunk of `payload_bytes`, retransmitting lost attempts:
+    /// advances the clock by every attempt's airtime and bills it to
+    /// `radio`. kTimeout once the retransmission budget is exhausted.
+    Status send_chunk(std::size_t payload_bytes, sim::Component radio);
 
     LinkParams link_;
     sim::VirtualClock* clock_;

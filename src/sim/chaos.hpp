@@ -2,15 +2,16 @@
 //
 // A ChaosPlan is the network-layer sibling of core/fault_campaign.*: every
 // fault the campaign will ever see — interference bursts raising chunk loss,
-// latency spikes inflating protocol turnaround, in-transit chunk corruption,
-// update-server outage windows, and per-device misbehavior (flaky radios,
-// images that fail their post-install self-test) — is fixed up front from a
-// seed, before the first event runs. Nothing is drawn at fault time, so the
-// same plan against the same fleet replays byte-identically; reruns diff
-// their JSONL traces to prove it. Consumers hook in at three points:
-// net::Transport overlays conditions() on its link per chunk, the fleet
-// engine consults server_down() before admitting requests (via the
-// server::ServerModel::chaos hook), and device health hooks answer
+// update-server and regional-edge outage windows, poisoned chunks, and
+// per-device misbehavior (flaky radios, images that fail their post-install
+// self-test, drifting oscillators) — is fixed up front from a seed, before
+// the first event runs. Nothing is drawn at fault time, so the same plan
+// against the same fleet replays byte-identically; reruns diff their JSONL
+// traces to prove it. Consumers hook in at four points: net::Transport
+// overlays conditions() on its link per chunk, the fleet engine consults
+// server_down() / region_down() before admitting requests (via the
+// server::ServerModel::chaos hook), the session driver asks
+// payload_chunk_corrupted() per air chunk, and device health hooks answer
 // self_test_passes() during trial boots.
 #pragma once
 
@@ -32,49 +33,30 @@ struct LossBurst {
     double loss_probability = 0.0;
 };
 
-/// Congestion spike: per-chunk protocol overhead multiplied while active.
-struct LatencySpike {
-    double start_s = 0.0;
-    double end_s = 0.0;
-    double overhead_factor = 1.0;
-};
-
 /// Per-device misbehavior, derived deterministically from (seed, device_id)
 /// — the plan never needs the fleet roster up front.
 struct DeviceChaosProfile {
     /// Flaky radio: loss probability added for the whole campaign.
     double extra_loss = 0.0;
-    /// Window in which chunks reach this device corrupted (a bit flip the
-    /// transport cannot see; the digest check catches it after download).
-    /// end <= start means no corruption.
-    double corrupt_start_s = 0.0;
-    double corrupt_end_s = 0.0;
     /// This device's hardware rejects any new image: the post-install
     /// self-test fails regardless of version (a per-device "brick").
     bool self_test_bricks = false;
 };
 
 /// Knobs for ChaosPlan::generate(): how many windows of each kind to place
-/// in [0, horizon_s) and what device fractions misbehave.
+/// in [0, horizon_s) and what device fractions misbehave. A loss burst lasts
+/// 30 s; a flaky radio adds 0.05 loss for the whole campaign.
 struct ChaosSpec {
     std::uint64_t seed = 1;
     double horizon_s = 600.0;
 
     unsigned loss_bursts = 0;
-    double burst_duration_s = 30.0;
     double burst_loss = 0.10;
 
     unsigned outages = 0;
     double outage_duration_s = 60.0;
 
-    unsigned latency_spikes = 0;
-    double spike_duration_s = 20.0;
-    double spike_factor = 4.0;
-
     double flaky_fraction = 0.0;
-    double flaky_extra_loss = 0.05;
-    double corrupt_fraction = 0.0;
-    double corrupt_duration_s = 10.0;
     double brick_fraction = 0.0;
 
     /// Chunk-targeted corruption for content-addressed transfers: the
@@ -83,10 +65,11 @@ struct ChaosSpec {
     /// re-request path rather than whole-session failure.
     double chunk_corrupt_fraction = 0.0;
 
-    /// Per-region fault domains (multi-edge topologies): each of `regions`
-    /// regional edge servers gets `region_outages` outage windows of
-    /// region_outage_duration_s drawn from its own sub-stream, so region
-    /// r's faults never shift region r+1's (nor any of the streams above).
+    /// Per-region fault domains (multi-edge topologies): each of regions
+    /// 0 .. `regions` - 1 (the campaign's edge count) gets `region_outages`
+    /// outage windows of region_outage_duration_s drawn from its own
+    /// sub-stream, so region r's faults never shift region r+1's (nor any
+    /// of the streams above). Other regions are never down.
     unsigned regions = 0;
     unsigned region_outages = 0;
     double region_outage_duration_s = 45.0;
@@ -102,9 +85,6 @@ public:
     /// Channel overlay at a campaign instant, for one device.
     struct Conditions {
         double extra_loss = 0.0;
-        double overhead_factor = 1.0;
-        /// Delivered chunks are corrupted in transit.
-        bool corrupt = false;
         /// Chunks cannot get through at all (payload streams through the
         /// server and the server is down).
         bool blocked = false;
@@ -122,15 +102,12 @@ public:
     void add_loss_burst(double start_s, double end_s, double loss) {
         bursts_.push_back({start_s, end_s, loss});
     }
-    void add_latency_spike(double start_s, double end_s, double factor) {
-        spikes_.push_back({start_s, end_s, factor});
-    }
     /// Marks a published version as fleet-wide bad: every device's
     /// post-install self-test fails on it (the "bad image" scenario).
     void mark_bad_version(std::uint16_t version) { bad_versions_.push_back(version); }
 
-    /// Pins a regional outage window explicitly (tests; generate() derives
-    /// windows from the region sub-streams instead).
+    /// Adds a regional outage window: generate() draws each region's windows
+    /// through this, and tests pin extra ones the same way.
     void add_region_outage(unsigned region, double start_s, double end_s) {
         region_outages_.push_back({region, {start_s, end_s}});
     }
@@ -138,26 +115,17 @@ public:
     bool server_down(double t) const;
 
     /// Whether regional edge `region` is inside one of its fault windows at
-    /// campaign instant `t`. Pure in (seed, region, t): windows are
-    /// re-derived per call from the region's own sub-stream, so the answer
-    /// never depends on which other regions anyone asked about.
+    /// campaign instant `t`.
     bool region_down(unsigned region, double t) const;
-    /// End of the regional outage containing `t`; `t` itself when up.
-    double region_up_at(unsigned region, double t) const;
 
     /// Device crystal rate: local seconds per campaign second, drawn from
     /// 1 ± clock_drift_ppm·1e-6. Pure in (seed, device); exactly 1.0 when
     /// drift is unconfigured.
     double device_clock_rate(std::uint32_t device_id) const;
 
-    Conditions conditions(double t, std::uint32_t device_id,
-                          bool payload_via_server) const {
-        return conditions(t, device_id, payload_via_server, -1);
-    }
-
-    /// Region-aware overlay: `region` >= 0 means the device's payload is
-    /// served by that regional edge, so `blocked` reflects the edge's fault
-    /// domain instead of the origin's. -1 keeps the legacy origin check.
+    /// Channel overlay at campaign instant `t` for one device. `region` >= 0
+    /// means that regional edge serves the device's payload, so `blocked`
+    /// reflects the edge's fault domain; -1 means the origin serves it.
     Conditions conditions(double t, std::uint32_t device_id,
                           bool payload_via_server, int region) const;
 
@@ -186,26 +154,14 @@ private:
 
     std::vector<OutageWindow> outages_;
     std::vector<LossBurst> bursts_;
-    std::vector<LatencySpike> spikes_;
     std::vector<std::uint16_t> bad_versions_;
     std::vector<RegionOutage> region_outages_;
 
-    std::uint64_t region_seed_ = 0;
-    unsigned region_outage_count_ = 0;
-    double region_outage_duration_s_ = 0.0;
-    double region_horizon_s_ = 0.0;
-
-    std::uint64_t drift_seed_ = 0;
-    double clock_drift_ppm_ = 0.0;
-
     std::uint64_t profile_seed_ = 0;
     double flaky_fraction_ = 0.0;
-    double flaky_extra_loss_ = 0.0;
-    double corrupt_fraction_ = 0.0;
-    double corrupt_duration_s_ = 0.0;
-    double corrupt_horizon_s_ = 0.0;
     double brick_fraction_ = 0.0;
     double chunk_corrupt_fraction_ = 0.0;
+    double clock_drift_ppm_ = 0.0;
 };
 
 }  // namespace upkit::sim

@@ -34,13 +34,6 @@ void ShardPool::submit(std::size_t shard, std::function<void()> task) {
     w.cv.notify_one();
 }
 
-void ShardPool::drain() {
-    for (auto& w : workers_) {
-        std::unique_lock<std::mutex> lock(w->mu);
-        w->cv.wait(lock, [&] { return w->queue.empty() && !w->busy; });
-    }
-}
-
 void ShardPool::run(Worker& w) {
     std::unique_lock<std::mutex> lock(w.mu);
     for (;;) {
@@ -51,12 +44,9 @@ void ShardPool::run(Worker& w) {
         }
         std::function<void()> task = std::move(w.queue.front());
         w.queue.pop_front();
-        w.busy = true;
         lock.unlock();
         task();
         lock.lock();
-        w.busy = false;
-        if (w.queue.empty()) w.cv.notify_all();  // wake drain()
     }
 }
 

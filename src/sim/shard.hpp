@@ -28,6 +28,7 @@ public:
     /// Spawns `shards` worker threads. 0 is pinned up to 1: callers that
     /// want no workers at all shouldn't construct a pool.
     explicit ShardPool(std::size_t shards);
+    /// Runs every task still queued, then joins the workers.
     ~ShardPool();
 
     ShardPool(const ShardPool&) = delete;
@@ -39,17 +40,11 @@ public:
     /// sequentially in submission order, on that shard's thread.
     void submit(std::size_t shard, std::function<void()> task);
 
-    /// Blocks until every queue is empty and every worker is idle. Used at
-    /// barriers (end of run) — not needed for per-task consumption, which
-    /// synchronizes on the task's own completion flag.
-    void drain();
-
 private:
     struct Worker {
         std::mutex mu;
         std::condition_variable cv;
         std::deque<std::function<void()>> queue;
-        bool busy = false;
         bool stop = false;
         std::thread thread;
     };

@@ -63,6 +63,31 @@ TEST_F(BaselineFixture, McumgrMcubootHappyPath) {
     EXPECT_TRUE(report->installed_from_staging);
 }
 
+TEST_F(BaselineFixture, McubootBillsEveryBootSecondToTheMeter) {
+    env_.publish_os_update(2, 3);
+    const auto image = image_for_version_latest();
+    McumgrAgent agent(*device_);
+    net::Transport transport(net::ble_gatt(), device_->clock(), &device_->meter());
+    ASSERT_EQ(agent.upload(image, transport), Status::kOk);
+
+    // Reset, signature check, digest and swap each advance the clock; each
+    // must also land in the meter, as compute or as flash time.
+    const auto billed = [this] {
+        const sim::EnergyMeter& meter = device_->meter();
+        return meter.seconds(sim::Component::kCpu) + meter.seconds(sim::Component::kHsm) +
+               meter.seconds(sim::Component::kFlash);
+    };
+    const double t0 = device_->clock().now();
+    const double billed0 = billed();
+    McubootModel bootloader(*device_);
+    auto report = bootloader.boot();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_TRUE(report->installed_from_staging);
+    const double elapsed = device_->clock().now() - t0;
+    EXPECT_GT(elapsed, 0.25);
+    EXPECT_NEAR(billed() - billed0, elapsed, 1e-9);
+}
+
 TEST_F(BaselineFixture, BaselineInstallsReplayedOutdatedImage) {
     // The attacker captured the (validly signed) version-1 image earlier.
     const auto outdated = image_for_version_latest();  // still version 1

@@ -174,7 +174,7 @@ TEST(BootloaderTest, PowerLossDuringPropagationRecovers) {
         ASSERT_EQ(agent.offer_payload(ByteSpan(response->payload).subspan(off, len)),
                   Status::kOk);
     }
-    device->internal_flash().schedule_power_loss(0);
+    device->internal_flash().schedule_power_loss_range({0});
     Status s = Status::kOk;
     for (; off < response->payload.size() && s == Status::kOk; off += 4096) {
         const std::size_t len =

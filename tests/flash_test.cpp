@@ -187,7 +187,7 @@ TEST(SimFlashTest, ChargesClockAndEnergy) {
 
 TEST(SimFlashTest, PowerLossKillsDeviceUntilRevive) {
     SimFlash dev(small_geometry(), fast_timings());
-    dev.schedule_power_loss(2);  // two ops succeed, third is cut
+    dev.schedule_power_loss_range({2});  // two ops succeed, third is cut
     ASSERT_EQ(dev.erase_sector(0), Status::kOk);
     ASSERT_EQ(dev.write(0, Bytes(8, 0xA0)), Status::kOk);
     EXPECT_EQ(dev.write(8, Bytes(8, 0xB0)), Status::kFlashPowerLoss);
@@ -200,7 +200,7 @@ TEST(SimFlashTest, PowerLossKillsDeviceUntilRevive) {
 
 TEST(SimFlashTest, PowerLossLeavesPartialWrite) {
     SimFlash dev(small_geometry(), fast_timings());
-    dev.schedule_power_loss(0);
+    dev.schedule_power_loss_range({0});
     EXPECT_EQ(dev.write(0, Bytes(8, 0x00)), Status::kFlashPowerLoss);
     dev.revive();
     Bytes buf(8);
@@ -214,7 +214,7 @@ TEST(SimFlashTest, PowerLossLeavesPartialWrite) {
 TEST(SimFlashTest, PowerLossDuringEraseLeavesMixedSector) {
     SimFlash dev(small_geometry(), fast_timings());
     ASSERT_EQ(dev.write(0, Bytes(4096, 0x00)), Status::kOk);
-    dev.schedule_power_loss(0);
+    dev.schedule_power_loss_range({0});
     EXPECT_EQ(dev.erase_sector(0), Status::kFlashPowerLoss);
     dev.revive();
     Bytes buf(4096);
@@ -283,7 +283,7 @@ TEST(SimFlashTest, ResidentBytesCountOnlyPrivatelyHeldSectors) {
     EXPECT_EQ(dev.resident_bytes(), 0u);
 
     // A torn erase of an erased sector leaves garbage behind: it holds bytes.
-    dev.schedule_power_loss(0);
+    dev.schedule_power_loss_range({0});
     EXPECT_EQ(dev.erase_sector(5), Status::kFlashPowerLoss);
     EXPECT_EQ(dev.resident_bytes(), 4096u);
 }
@@ -353,9 +353,9 @@ void random_op(Rng& rng, SimFlash& sparse, DenseSimFlash& dense, std::string& wh
         ASSERT_EQ(sparse.erase_range(offset, length), dense.erase_range(offset, length)) << where;
     } else if (op < 88) {
         const std::uint64_t ops = rng.below(6);
-        where = "schedule_power_loss " + std::to_string(ops);
-        sparse.schedule_power_loss(ops);
-        dense.schedule_power_loss(ops);
+        where = "schedule_power_loss_range {" + std::to_string(ops) + "}";
+        sparse.schedule_power_loss_range({ops});
+        dense.schedule_power_loss_range({ops});
     } else if (op < 91) {
         const std::vector<std::uint64_t> plan = {rng.below(8), rng.below(4), rng.below(4)};
         where = "schedule_power_loss_range";
@@ -420,15 +420,15 @@ TEST(SimFlashDiffTest, SharedSectorsMatchDenseReferences) {
     ASSERT_EQ(b.erase_sector(2), ref_b.erase_sector(2));
     expect_same(b, ref_b, "b erases shared sector 2");
     expect_same(a, ref_a, "a after b erases");
-    b.schedule_power_loss(0);
-    ref_b.schedule_power_loss(0);
+    b.schedule_power_loss_range({0});
+    ref_b.schedule_power_loss_range({0});
     ASSERT_EQ(b.write(3 * 1024 + 100, zeros), ref_b.write(3 * 1024 + 100, zeros));
     b.revive();
     ref_b.revive();
     expect_same(b, ref_b, "b tears a write into shared sector 3");
     expect_same(a, ref_a, "a after b's torn write");
-    a.schedule_power_loss(0);
-    ref_a.schedule_power_loss(0);
+    a.schedule_power_loss_range({0});
+    ref_a.schedule_power_loss_range({0});
     ASSERT_EQ(a.erase_sector(3), ref_a.erase_sector(3));
     a.revive();
     ref_a.revive();

@@ -128,7 +128,6 @@ TEST(TrialBootTest, UnconfirmedTrialRevertsOnNextBootWithoutDriver) {
     TestEnv env(8 * 1024);
     DeviceConfig config = env.device_config(SlotLayout::kAB);
     config.trial_boot = true;
-    config.boot_confirm_window_s = 30.0;
     auto device = std::make_unique<Device>(config);
     const manifest::DeviceToken factory{
         .device_id = config.device_id, .nonce = 0, .current_version = 0};
@@ -166,7 +165,7 @@ TEST(TrialBootTest, UnconfirmedTrialRevertsOnNextBootWithoutDriver) {
     EXPECT_EQ(device->bootloader().trial_state(), agent::TrialState::kArmed);
 
     // A confirm after the window has expired is refused.
-    device->clock().advance(config.boot_confirm_window_s + 1.0);
+    device->clock().advance(boot::kConfirmWindowSeconds + 1.0);
     EXPECT_EQ(device->bootloader().confirm_boot(), Status::kTimeout);
 
     // Boot 2: armed-and-never-confirmed means revert.

@@ -19,7 +19,6 @@ void DenseSimFlash::schedule_power_loss_range(std::vector<std::uint64_t> plan) {
 }
 
 void DenseSimFlash::disarm_power_loss() {
-    power_loss_in_.reset();
     plan_.clear();
     plan_next_ = 0;
     plan_countdown_.reset();
@@ -28,35 +27,21 @@ void DenseSimFlash::disarm_power_loss() {
 void DenseSimFlash::revive() {
     const bool was_dead = dead_;
     dead_ = false;
-    power_loss_in_.reset();
     if (was_dead && !plan_countdown_.has_value() && plan_next_ < plan_.size()) {
         plan_countdown_ = plan_[plan_next_++];
     }
 }
 
 bool DenseSimFlash::consume_op_budget() {
-    bool cut = false;
-    if (power_loss_in_.has_value()) {
-        if (*power_loss_in_ == 0) {
-            cut = true;
-        } else {
-            --*power_loss_in_;
-        }
+    if (!plan_countdown_.has_value()) return true;
+    if (*plan_countdown_ > 0) {
+        --*plan_countdown_;
+        return true;
     }
-    if (plan_countdown_.has_value()) {
-        if (*plan_countdown_ == 0) {
-            cut = true;
-            plan_countdown_.reset();
-        } else {
-            --*plan_countdown_;
-        }
-    }
-    if (cut) {
-        dead_ = true;
-        ++power_cuts_;
-        return false;
-    }
-    return true;
+    plan_countdown_.reset();
+    dead_ = true;
+    ++power_cuts_;
+    return false;
 }
 
 Status DenseSimFlash::read(std::uint64_t offset, MutByteSpan out) {

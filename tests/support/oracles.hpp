@@ -141,7 +141,6 @@ public:
     Status write(std::uint64_t offset, ByteSpan data) override;
     Status erase_sector(std::uint64_t sector_index) override;
 
-    void schedule_power_loss(std::uint64_t ops) { power_loss_in_ = ops; }
     void schedule_power_loss_range(std::vector<std::uint64_t> plan);
     void disarm_power_loss();
     void revive();
@@ -160,7 +159,6 @@ private:
     Bytes storage_;
     std::vector<std::uint64_t> wear_;
 
-    std::optional<std::uint64_t> power_loss_in_;
     std::vector<std::uint64_t> plan_;
     std::size_t plan_next_ = 0;
     std::optional<std::uint64_t> plan_countdown_;
