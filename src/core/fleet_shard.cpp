@@ -43,6 +43,7 @@
 // coordinator-side fields (results, jitter RNG, cohort state, queues) are
 // never touched by workers.
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -78,8 +79,9 @@ struct CohortState {
     double complete_s = 0.0;
 };
 
-/// Contiguous cohort partition of fleet indices: canary first (when
-/// configured), then wave_size chunks in add() order.
+/// Contiguous cohort partition of fleet indices: the canary first, then
+/// wave_size chunks in add() order. Without a configured canary the first
+/// wave is the canary, so cohort k is simply [k·wave_size, (k+1)·wave_size).
 struct CohortPartition {
     std::size_t total = 0;
     std::size_t wave_size = 1;
@@ -90,19 +92,16 @@ struct CohortPartition {
         : total(total_devices),
           wave_size(policy_wave_size == 0 ? std::max<std::size_t>(total_devices, 1)
                                           : policy_wave_size),
-          canary(std::min<std::size_t>(policy_canary_size, total_devices)) {}
+          canary(std::min<std::size_t>(policy_canary_size != 0 ? policy_canary_size
+                                                               : wave_size,
+                                       total_devices)) {}
 
     unsigned cohort_of(std::size_t i) const {
-        if (canary == 0) return static_cast<unsigned>(i / wave_size);
         if (i < canary) return 0;
         return static_cast<unsigned>(1 + (i - canary) / wave_size);
     }
 
     std::pair<std::size_t, std::size_t> range(unsigned k) const {
-        if (canary == 0) {
-            const std::size_t lo = static_cast<std::size_t>(k) * wave_size;
-            return {lo, std::min(total, lo + wave_size)};
-        }
         if (k == 0) return {0, canary};
         const std::size_t lo = canary + static_cast<std::size_t>(k - 1) * wave_size;
         return {lo, std::min(total, lo + wave_size)};
@@ -377,7 +376,6 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         d.transport->set_chaos({.plan = chaos,
                                 .device_id = id,
                                 .campaign_offset = d.view.offset(),
-                                .payload_via_server = true,
                                 .region = d.serving_region});
     };
 
@@ -763,12 +761,10 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
 
     release_cohort = [&](unsigned k) {
         if (aborted) return;
-        if (paused) {
-            // Promotion landed inside a breaker pause: wait it out.
-            sched.schedule_in(policy.breaker_pause_s,
-                              [&release_cohort, k] { release_cohort(k); });
-            return;
-        }
+        // A promotion is scheduled only while the breaker is closed and
+        // every released device is terminal, so until this release no
+        // session can finish and trip the breaker.
+        assert(!paused && "cohort released inside a breaker pause");
         CohortState& w = cohorts[k];
         w.released_flag = true;
         w.release_s = sched.now();

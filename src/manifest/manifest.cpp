@@ -10,9 +10,9 @@ namespace {
 
 constexpr char kMagic[4] = {'U', 'P', 'M', 'F'};
 
-// Wire bytes [0, 136): everything up to the server signature field. Shared
-// by serialize() and server_signed_bytes() so the signature input and the
-// wire can never drift apart.
+// Wire bytes [0, kServerSignatureOffset): everything up to the server
+// signature field. Shared by serialize() and server_signed_bytes() so the
+// signature input and the wire can never drift apart.
 void append_core(Bytes& out, const Manifest& m) {
     out.insert(out.end(), kMagic, kMagic + 4);
     put_le16(out, kFormatVersion);
@@ -32,7 +32,8 @@ void append_core(Bytes& out, const Manifest& m) {
     append(out, ByteSpan(m.vendor_signature.data(), m.vendor_signature.size()));
 }
 
-// Wire bytes [200, end): chunk count + entries (chunked manifests only).
+// Wire bytes [kManifestSize, end): chunk count + entries (chunked
+// manifests only).
 void append_chunk_table(Bytes& out, const Manifest& m) {
     put_le32(out, static_cast<std::uint32_t>(m.chunk_table.size()));
     for (const ChunkRef& ref : m.chunk_table) {
@@ -104,6 +105,13 @@ std::size_t wire_size_partial(ByteSpan prefix) {
     return kManifestSize + 4 + kChunkEntrySize * count;
 }
 
+crypto::Sha256Digest server_signed_digest(ByteSpan wire) {
+    crypto::Sha256 hasher;
+    hasher.update(wire.first(kServerSignatureOffset));
+    hasher.update(wire.subspan(kManifestSize));
+    return hasher.finalize();
+}
+
 Bytes serialize(const Manifest& m) {
     Bytes out;
     out.reserve(kManifestSize);
@@ -126,8 +134,8 @@ Expected<Manifest> parse_manifest(ByteSpan data) {
     m.differential = (flags & kFlagDifferential) != 0;
     m.encrypted = (flags & kFlagEncrypted) != 0;
     m.chunked = (flags & kFlagChunked) != 0;
-    m.device_id = load_le32(data.subspan(8, 4));
-    m.nonce = load_le32(data.subspan(12, 4));
+    m.device_id = load_le32(data.subspan(kDeviceIdOffset, 4));
+    m.nonce = load_le32(data.subspan(kNonceOffset, 4));
     m.old_version = load_le16(data.subspan(16, 2));
     m.version = load_le16(data.subspan(18, 2));
     m.firmware_size = load_le32(data.subspan(20, 4));
@@ -136,7 +144,8 @@ Expected<Manifest> parse_manifest(ByteSpan data) {
     m.app_id = load_le32(data.subspan(60, 4));
     m.payload_size = load_le32(data.subspan(64, 4));
     std::memcpy(m.vendor_signature.data(), data.data() + 72, m.vendor_signature.size());
-    std::memcpy(m.server_signature.data(), data.data() + 136, m.server_signature.size());
+    std::memcpy(m.server_signature.data(), data.data() + kServerSignatureOffset,
+                m.server_signature.size());
     if (m.chunked) {
         if (data.size() < kManifestSize + 4) return Status::kBadManifest;
         const std::size_t count = load_le32(data.subspan(kManifestSize, 4));
@@ -183,11 +192,11 @@ Bytes Manifest::vendor_signed_bytes() const {
 }
 
 Bytes Manifest::server_signed_bytes() const {
-    // Everything before the server signature field (offset 136), plus the
-    // chunk table after it (offset 200 onward) when present — the only wire
-    // bytes excluded are the server signature itself.
+    // Everything before the server signature field, plus the chunk table
+    // after it when present — the only wire bytes excluded are the server
+    // signature itself.
     Bytes out;
-    out.reserve(136);
+    out.reserve(kServerSignatureOffset);
     append_core(out, *this);
     if (chunked) append_chunk_table(out, *this);
     return out;

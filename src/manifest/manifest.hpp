@@ -41,6 +41,11 @@
 namespace upkit::manifest {
 
 inline constexpr std::size_t kManifestSize = 200;
+/// Wire offsets of the token-bound fields the update server fills in per
+/// request, and of the server signature it writes last.
+inline constexpr std::size_t kDeviceIdOffset = 8;
+inline constexpr std::size_t kNonceOffset = 12;
+inline constexpr std::size_t kServerSignatureOffset = 136;
 inline constexpr std::uint16_t kFormatVersion = 1;
 inline constexpr std::uint16_t kFlagDifferential = 0x0001;
 /// Payload is ChaCha20-Poly1305 sealed: prefixed with a 64-byte ephemeral
@@ -156,6 +161,12 @@ Bytes serialize(const Manifest& m);
 
 /// Wire size `m` serializes to.
 std::size_t wire_size(const Manifest& m);
+
+/// SHA-256 of the server-signed bytes of a serialized manifest (at least
+/// kManifestSize bytes): every wire byte but the server signature field.
+/// Equals SHA-256 of server_signed_bytes() of the manifest `wire` encodes,
+/// without parsing it.
+crypto::Sha256Digest server_signed_digest(ByteSpan wire);
 
 /// Incremental framing helper for receivers assembling a manifest from a
 /// byte stream, and for slot readers sizing a header read: given the bytes

@@ -20,7 +20,7 @@ Status Transport::send_chunk(std::size_t payload_bytes, sim::Component radio) {
             chaos_.plan == nullptr
                 ? sim::ChaosPlan::Conditions{}
                 : chaos_.plan->conditions(campaign_t + seconds, chaos_.device_id,
-                                          chaos_.payload_via_server, chaos_.region);
+                                          chaos_.region);
         seconds += airtime;
         bool lost;
         if (c.blocked) {

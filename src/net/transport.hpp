@@ -19,13 +19,12 @@ namespace upkit::net {
 /// Attaches a seeded chaos plan to a transport. The plan speaks campaign
 /// time while the transport advances the device's own clock; `campaign_offset`
 /// is the device's DeviceClockView offset (campaign_t = device_t - offset).
-/// `payload_via_server` marks transfers that stream through the update
-/// server, which an outage window blocks entirely.
+/// Every transfer streams through its serving target, so an outage window
+/// of that target blocks it entirely.
 struct ChaosBinding {
     const sim::ChaosPlan* plan = nullptr;
     std::uint32_t device_id = 0;
     double campaign_offset = 0.0;
-    bool payload_via_server = true;
     /// Regional edge serving this device's payload, or -1 when the vendor
     /// origin serves it directly — selects which fault domain can block
     /// chunks (sim::ChaosPlan::region_down vs server_down).

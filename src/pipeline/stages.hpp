@@ -25,8 +25,6 @@ public:
     Status write(ByteSpan data) override;
     Status finish() override;
 
-    std::size_t capacity() const { return capacity_; }
-
 private:
     ByteSink& downstream_;
     std::size_t capacity_;

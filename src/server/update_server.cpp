@@ -16,11 +16,6 @@ namespace upkit::server {
 
 namespace {
 
-// Wire offsets of the token-dependent manifest fields (manifest/manifest.hpp).
-constexpr std::size_t kDeviceIdOffset = 8;
-constexpr std::size_t kNonceOffset = 12;
-constexpr std::size_t kServerSigOffset = 136;
-
 // Deltas at least this fraction of the full image fall back to a
 // full-image update: a delta that barely saves air time is not worth the
 // on-device patching cost.
@@ -35,18 +30,6 @@ std::uint64_t have_list_hash(const std::vector<std::uint64_t>& have) {
     Fnv1a h;
     for (std::uint64_t prefix : have) h.mix(prefix);
     return h.value();
-}
-
-// Digest over the server-signed wire bytes: everything before the server
-// signature field, plus the chunk table after it when present.
-crypto::Sha256Digest server_signed_wire_digest(const Bytes& wire) {
-    crypto::Sha256 hasher;
-    hasher.update(ByteSpan(wire.data(), kServerSigOffset));
-    if (wire.size() > manifest::kManifestSize) {
-        hasher.update(ByteSpan(wire.data() + manifest::kManifestSize,
-                               wire.size() - manifest::kManifestSize));
-    }
-    return hasher.finalize();
 }
 
 }  // namespace
@@ -257,13 +240,12 @@ std::optional<UpdateServer::UnsignedResponse> UpdateServer::cached_response(  //
     response.payload = entry.payload;
 
     // Re-fill the token-dependent wire bytes: the freshness signature
-    // covers everything but itself (bytes before offset 136 plus any chunk
-    // table after offset 200), so once signed, a patched envelope is
-    // byte-identical to one built from scratch.
+    // covers every wire byte but itself, so once signed, a patched envelope
+    // is byte-identical to one built from scratch.
     Bytes& wire = response.manifest_bytes;
-    store_le32(MutByteSpan(wire.data() + kDeviceIdOffset, 4), token.device_id);
-    store_le32(MutByteSpan(wire.data() + kNonceOffset, 4), token.nonce);
-    pending.tbs = server_signed_wire_digest(wire);
+    store_le32(MutByteSpan(wire.data() + manifest::kDeviceIdOffset, 4), token.device_id);
+    store_le32(MutByteSpan(wire.data() + manifest::kNonceOffset, 4), token.nonce);
+    pending.tbs = manifest::server_signed_digest(wire);
     ++stats_.sign_ops;
 
     receipt.sign_ops += 1;
@@ -304,7 +286,7 @@ UpdateServer::UnsignedResponse UpdateServer::seal_store(  // lint: requires-lock
         response.suit_encoding = true;
     } else {
         response.manifest_bytes = manifest::serialize(m);
-        pending.tbs = server_signed_wire_digest(response.manifest_bytes);
+        pending.tbs = manifest::server_signed_digest(response.manifest_bytes);
     }
     ++stats_.sign_ops;
     receipt.sign_ops += 1;
@@ -333,7 +315,7 @@ UpdateResponse UpdateServer::sign(UnsignedResponse pending) const {
         pending.envelope->server_signature = response.manifest.server_signature;
         response.manifest_bytes = pending.envelope->encode();
     } else {
-        std::memcpy(response.manifest_bytes.data() + kServerSigOffset,
+        std::memcpy(response.manifest_bytes.data() + manifest::kServerSignatureOffset,
                     response.manifest.server_signature.data(), crypto::kSignatureSize);
     }
     return std::move(response);

@@ -92,16 +92,14 @@ double ChaosPlan::device_clock_rate(std::uint32_t device_id) const {
 }
 
 ChaosPlan::Conditions ChaosPlan::conditions(double t, std::uint32_t device_id,
-                                            bool payload_via_server,
                                             int region) const {
     Conditions c;
     for (const auto& b : bursts_) {
         if (in_window(t, b.start_s, b.end_s)) c.extra_loss += b.loss_probability;
     }
     c.extra_loss += device_profile(device_id).extra_loss;
-    c.blocked = payload_via_server &&
-                (region >= 0 ? region_down(static_cast<unsigned>(region), t)
-                             : server_down(t));
+    c.blocked = region >= 0 ? region_down(static_cast<unsigned>(region), t)
+                            : server_down(t);
     return c;
 }
 

@@ -85,8 +85,8 @@ public:
     /// Channel overlay at a campaign instant, for one device.
     struct Conditions {
         double extra_loss = 0.0;
-        /// Chunks cannot get through at all (payload streams through the
-        /// server and the server is down).
+        /// Chunks cannot get through at all: the device's serving target
+        /// (its edge, or the origin) is down.
         bool blocked = false;
     };
 
@@ -126,8 +126,7 @@ public:
     /// Channel overlay at campaign instant `t` for one device. `region` >= 0
     /// means that regional edge serves the device's payload, so `blocked`
     /// reflects the edge's fault domain; -1 means the origin serves it.
-    Conditions conditions(double t, std::uint32_t device_id,
-                          bool payload_via_server, int region) const;
+    Conditions conditions(double t, std::uint32_t device_id, int region) const;
 
     /// Deterministic per-device profile (pure function of seed + id).
     DeviceChaosProfile device_profile(std::uint32_t device_id) const;

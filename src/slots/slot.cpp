@@ -37,12 +37,6 @@ void SlotHandle::close() {
     }
 }
 
-std::uint64_t SlotHandle::capacity() const {
-    if (manager_ == nullptr) return 0;
-    const SlotConfig* config = manager_->slot(slot_id_);
-    return config != nullptr ? config->size : 0;
-}
-
 Expected<std::size_t> SlotHandle::read(MutByteSpan out) {
     if (manager_ == nullptr) return Status::kSlotInvalid;
     const SlotConfig* config = manager_->slot(slot_id_);

@@ -58,7 +58,6 @@ public:
     Status seek(std::uint64_t position);
 
     std::uint64_t position() const { return position_; }
-    std::uint64_t capacity() const;
     bool valid() const { return manager_ != nullptr; }
 
     void close();

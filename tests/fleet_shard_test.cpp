@@ -28,6 +28,10 @@
 //      observable campaign output, only the crypto op count; a pair with
 //      one memoized half verifies only the other; and the hit/miss
 //      counters do not depend on the shard count or thread interleaving.
+//   6. Fault paths — four more battery campaigns, each reaching a path only
+//      a fault takes: a request rejected at admission, a refreshed request
+//      rejected again, a failed promotion gate, and a pausing breaker that
+//      escalates to an abort.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -75,6 +79,11 @@ struct CampaignSpec {
     double pinned_outage_start_s = 0.0;
     double wave_stagger_s = 5.0;
     unsigned wave_size = 4;
+    bool trial_boot = false;
+    /// Pins faults into the campaign's chaos plan and attaches it.
+    std::function<void(sim::ChaosPlan&)> faults;
+    /// Adjusts the rollout policy after the knobs above are applied.
+    std::function<void(FleetPolicy&)> tune;
 };
 
 /// Builds a fresh world and runs one campaign to completion. Every call
@@ -90,6 +99,7 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
             i % 2 == 0 ? SlotLayout::kAB : SlotLayout::kStaticInternal);
         config.device_id = 0x5000 + static_cast<std::uint32_t>(i);
         config.seed = static_cast<std::uint64_t>(i) + 1;
+        config.trial_boot = spec.trial_boot;
         auto device = std::make_unique<Device>(config);
         auto factory = env.server.prepare_update(
             kAppId, {.device_id = config.device_id, .nonce = 0, .current_version = 0});
@@ -129,6 +139,10 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
         plan.add_region_outage(0, spec.pinned_outage_start_s, 12.0);
         model.chaos = &plan;
     }
+    if (spec.faults) {
+        spec.faults(plan);
+        model.chaos = &plan;
+    }
     env.server.set_model(model);
 
     if (spec.edges > 0) {
@@ -159,6 +173,7 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
         policy.breaker_abort = false;
         policy.breaker_pause_s = 15.0;
     }
+    if (spec.tune) spec.tune(policy);
     out.report = campaign.run(kAppId, policy);
     out.trace_fp = fp.fingerprint();
     out.trace_events = fp.events();
@@ -354,6 +369,107 @@ TEST(ShardMergeOrderingTest, RegionOutageOpeningMidAttemptMovesTheTransfer) {
     const double t = std::stod(got.trace.substr(line + 5));  // {"t":
     EXPECT_GT(t, spec.pinned_outage_start_s);
     EXPECT_LT(t, spec.wave_stagger_s);
+}
+
+// ---------------------------------------------- rollout fault paths
+//
+// Each cell drives one fault-handling path of the engine and asserts that
+// it got there, so a later change cannot leave its pins vacuous.
+
+constexpr Golden kGoldenEnqueueOutage{0x6a1d92cb0b693cb2ull, 0xcfc5b5654617ca10ull, 59, 38};
+constexpr Golden kGoldenRefreshOutage{0x3cb4c0ad761e960cull, 0x14b8090562bb1cc3ull, 65, 48};
+constexpr Golden kGoldenFailedGate{0x255d2c877e534c58ull, 0x2f9e972e2dfaac44ull, 44, 31};
+constexpr Golden kGoldenBreakerTrips{0xd05fcd192b7cdfe5ull, 0xbe039fbc18941be5ull, 169, 91};
+
+TEST(ShardFaultPathTest, OutageOpeningDuringTheTokenUplinkRejectsAtEnqueue) {
+    // The origin goes dark at 0.15 s, while each device's one token chunk
+    // is on the air (0.085-0.195 s). The chunk started before the window,
+    // so the transport delivers it; admission finds the origin down when it
+    // lands and rejects the request. The retries after the connect timeout
+    // find the origin back.
+    CampaignSpec spec;
+    spec.devices = 2;
+    spec.faults = [](sim::ChaosPlan& plan) { plan.add_outage(0.15, 5.0); };
+    const RunResult got = run_battery(spec, kGoldenEnqueueOutage);
+    EXPECT_EQ(got.report.server.outage_rejections, 2u);
+    EXPECT_EQ(got.report.succeeded, 2u);
+    for (const CampaignDeviceResult& d : got.report.devices) EXPECT_EQ(d.attempts, 2u);
+}
+
+TEST(ShardFaultPathTest, RequestRejectedAfterATokenRefreshReconnectsAgain) {
+    // The origin is down over the payload, [1, 6): the transfer times out
+    // and the driver waits the outage out, then refreshes its token at
+    // about 7.0 s. A second window opens at 7.08 s, while that token is on
+    // the air, so the refreshed request is rejected as well. The driver
+    // must spend its second resume on another reconnect round, not end the
+    // attempt.
+    CampaignSpec spec;
+    spec.devices = 2;
+    spec.faults = [](sim::ChaosPlan& plan) {
+        plan.add_outage(1.0, 6.0);
+        plan.add_outage(7.08, 12.0);
+    };
+    spec.tune = [](FleetPolicy& policy) {
+        policy.transport_resumes = 2;
+        policy.reconnect_backoff_s = 2.0;
+    };
+    const RunResult got = run_battery(spec, kGoldenRefreshOutage);
+    EXPECT_EQ(got.report.server.outage_rejections, 2u);
+    for (const CampaignDeviceResult& d : got.report.devices) {
+        EXPECT_EQ(d.status, Status::kOk);
+        EXPECT_EQ(d.attempts, 1u);  // the rejection did not end the attempt
+        EXPECT_EQ(d.token_refreshes, 2u);
+    }
+}
+
+TEST(ShardFaultPathTest, FailedPromotionGateAbortsTheRollout) {
+    // Version 2 fails its self-test on every device, so both canaries roll
+    // back. Their 0 % success rate fails the 90 % gate; with the breaker
+    // off, only the gate can trip, and a failed gate always aborts: the
+    // other 10 devices are never offered the update.
+    CampaignSpec spec;
+    spec.devices = 12;
+    spec.trial_boot = true;
+    spec.faults = [](sim::ChaosPlan& plan) { plan.mark_bad_version(2); };
+    spec.tune = [](FleetPolicy& policy) {
+        policy.canary_size = 2;
+        policy.promote_success_rate = 0.9;
+    };
+    const RunResult got = run_battery(spec, kGoldenFailedGate);
+    ASSERT_EQ(got.report.breaker_trips.size(), 1u);
+    const BreakerTrip& trip = got.report.breaker_trips.front();
+    EXPECT_TRUE(trip.aborted);
+    EXPECT_EQ(trip.wave, 0u);
+    EXPECT_DOUBLE_EQ(trip.failure_rate, 1.0);
+    EXPECT_EQ(got.report.rolled_back_devices, 2u);
+    EXPECT_EQ(got.report.halted_devices, 10u);
+}
+
+TEST(ShardFaultPathTest, PausingBreakerTripsUntilItEscalatesToAnAbort) {
+    // A 0.6-loss burst over the first 120 s, with 3 retransmissions per
+    // chunk, sinks most attempts. The breaker pauses the first wave three
+    // times; the fourth trip exceeds breaker_max_trips and aborts, halting
+    // the two waves never released.
+    CampaignSpec spec;
+    spec.devices = 12;
+    spec.faults = [](sim::ChaosPlan& plan) { plan.add_loss_burst(0.0, 120.0, 0.6); };
+    spec.tune = [](FleetPolicy& policy) {
+        policy.max_attempts = 6;
+        policy.transport_max_retries = 3;
+        policy.breaker_failure_rate = 0.3;
+        policy.breaker_min_failures = 1;
+        policy.breaker_abort = false;
+        policy.breaker_pause_s = 30.0;
+    };
+    const RunResult got = run_battery(spec, kGoldenBreakerTrips);
+    ASSERT_EQ(got.report.breaker_trips.size(), 4u);
+    for (std::size_t k = 0; k < 3; ++k) EXPECT_FALSE(got.report.breaker_trips[k].aborted);
+    EXPECT_TRUE(got.report.breaker_trips[3].aborted);
+    EXPECT_EQ(got.report.halted_devices, 8u);
+    // The pins cover the trips: the report fingerprint mixes each one.
+    CampaignReport moved = got.report;
+    moved.breaker_trips[1].t += 1.0;
+    EXPECT_NE(moved.fingerprint(), got.report.fingerprint());
 }
 
 TEST(ShardPoolTest, TasksOnOneShardRunInFifoOrder) {

@@ -216,6 +216,24 @@ TEST(ManifestTest, ChunkedManifestRoundTripsWithTable) {
     EXPECT_EQ(serialize(*parsed), wire);  // stable re-encoding
 }
 
+TEST(ManifestTest, WireOffsetsAndSignedDigestMatchTheSerializer) {
+    // The update server patches token fields and the server signature into
+    // cached wire bytes and signs server_signed_digest(wire) without
+    // re-serializing: both must agree with serialize() and
+    // server_signed_bytes(), with and without a chunk table.
+    for (const Manifest& m : {sample_manifest(), chunked_manifest(3)}) {
+        SCOPED_TRACE(m.chunked ? "chunked" : "native");
+        const Bytes wire = serialize(m);
+        const ByteSpan view(wire);
+        EXPECT_EQ(load_le32(view.subspan(kDeviceIdOffset, 4)), m.device_id);
+        EXPECT_EQ(load_le32(view.subspan(kNonceOffset, 4)), m.nonce);
+        EXPECT_TRUE(std::equal(m.server_signature.begin(), m.server_signature.end(),
+                               wire.begin() + kServerSignatureOffset));
+        EXPECT_EQ(server_signed_digest(wire),
+                  crypto::Sha256::digest(m.server_signed_bytes()));
+    }
+}
+
 TEST(ManifestTest, SingleAndEmptyChunkTablesRoundTrip) {
     const Manifest single = chunked_manifest(1);
     auto parsed = parse_manifest(serialize(single));

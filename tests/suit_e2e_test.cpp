@@ -4,6 +4,8 @@
 // including rollback and mixed-format version chains.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "suit/suit.hpp"
 #include "test_env.hpp"
 
@@ -135,6 +137,69 @@ TEST(SuitE2eTest, CorruptedStoredSuitImageRollsBack) {
     ASSERT_TRUE(report.has_value());
     EXPECT_EQ(report->booted.version, 1);
     EXPECT_EQ(report->invalidated.size(), 1u);
+}
+
+/// Runs one SUIT update whose envelope a compromised proxy rewrites with
+/// `tamper` on its way to the device, and checks that the agent rejected
+/// it on arrival: kBadManifest before any firmware byte went over the air,
+/// no reboot, one more rejected manifest. Returns the envelope the device
+/// received.
+Bytes expect_rejected_on_arrival(const std::function<void(Bytes&)>& tamper) {
+    TestEnv env;
+    auto device = env.make_device(SlotLayout::kAB);
+    env.server.set_suit_mode(true);
+    env.publish_os_update(2, 77);
+    const std::uint64_t rejected = device->agent().stats().manifests_rejected;
+
+    Bytes received;
+    UpdateSession session(*device, env.server, net::ble_gatt());
+    session.set_interceptor([&](server::UpdateResponse& response) {
+        tamper(response.manifest_bytes);
+        received = response.manifest_bytes;
+    });
+    const SessionReport report = session.run(kAppId);
+    EXPECT_EQ(report.status, Status::kBadManifest);
+    EXPECT_TRUE(report.rejected_before_download);
+    EXPECT_FALSE(report.rebooted);
+    EXPECT_EQ(device->agent().stats().manifests_rejected, rejected + 1);
+    // Up went the legacy token, down came the envelope: nothing else.
+    EXPECT_EQ(report.bytes_over_air, manifest::kDeviceTokenSize + received.size());
+    EXPECT_EQ(device->identity().installed_version, 1);
+    return received;
+}
+
+TEST(SuitE2eTest, EnvelopeLargerThanItsHeaderRegionRejectedOnArrival) {
+    // The envelope is intact, only zero-padded past the header region the
+    // slot stores it in: the size check fires before any parsing.
+    const Bytes received = expect_rejected_on_arrival([](Bytes& envelope) {
+        envelope.resize(suit::kSuitHeaderRegion + 1, 0x00);
+    });
+    EXPECT_GT(received.size(), suit::kSuitHeaderRegion);
+}
+
+TEST(SuitE2eTest, EnvelopeThatNoLongerParsesRejectedOnArrival) {
+    const Bytes received = expect_rejected_on_arrival([](Bytes& envelope) {
+        envelope.resize(envelope.size() / 2);  // cut inside the CBOR map
+    });
+    EXPECT_LE(received.size(), suit::kSuitHeaderRegion);
+    EXPECT_FALSE(suit::parse_envelope(received).has_value());
+}
+
+TEST(SuitE2eTest, EnvelopeWithMalformedManifestRejectedOnArrival) {
+    // A well-formed envelope around a manifest of an unknown format
+    // version: the envelope parses, its manifest does not convert.
+    const Bytes received = expect_rejected_on_arrival([](Bytes& bytes) {
+        auto envelope = suit::parse_envelope(bytes);
+        ASSERT_TRUE(envelope.has_value());
+        suit::CborMap map = suit::cbor_decode(envelope->manifest_bstr)->as_map();
+        map.insert_or_assign(suit::kKeyManifestVersion, suit::CborValue(std::uint64_t{2}));
+        envelope->manifest_bstr = suit::cbor_encode(suit::CborValue(std::move(map)));
+        bytes = envelope->encode();
+    });
+    EXPECT_LE(received.size(), suit::kSuitHeaderRegion);
+    const auto envelope = suit::parse_envelope(received);
+    ASSERT_TRUE(envelope.has_value());
+    EXPECT_FALSE(suit::to_manifest(*envelope).has_value());
 }
 
 TEST(SuitE2eTest, SuitImageTooLargeForSlotRejectedBeforeDownload) {
