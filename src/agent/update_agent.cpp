@@ -1,7 +1,5 @@
 #include "agent/update_agent.hpp"
 
-#include <algorithm>
-
 #include "common/endian.hpp"
 #include "diff/cdc.hpp"
 #include "suit/suit.hpp"
@@ -195,15 +193,31 @@ void UpdateAgent::prepare_chunk_state(manifest::DeviceToken& token) {
     for (const auto& entry : installed_chunks_) token.have.push_back(entry.first);
 }
 
-Status UpdateAgent::offer_suit_manifest(ByteSpan envelope_bytes) {
+Status UpdateAgent::offer_suit_manifest(ByteSpan chunk) {
     if (state_ != FsmState::kReceiveManifest) return Status::kFsmBadState;
-    if (envelope_bytes.size() > suit::kSuitHeaderRegion) {
+    // The envelope is parsed once its frame ends (end_manifest); until then
+    // it only has to fit the fixed header region the slot stores it in.
+    if (manifest_buffer_.size() + chunk.size() > suit::kSuitHeaderRegion) {
+        ++stats_.manifests_rejected;
+        return fail(Status::kBadManifest);
+    }
+    append(manifest_buffer_, chunk);
+    return Status::kOk;
+}
+
+Status UpdateAgent::end_manifest(bool suit) {
+    if (state_ != FsmState::kReceiveManifest) {
+        // A native manifest is verified on its last byte.
+        return !suit && manifest_.has_value() ? Status::kOk : Status::kFsmBadState;
+    }
+    if (!suit) {
+        // The frame ended before the native manifest did.
         ++stats_.manifests_rejected;
         return fail(Status::kBadManifest);
     }
     set_state(FsmState::kVerifyManifest);
 
-    auto envelope = suit::parse_envelope(envelope_bytes);
+    auto envelope = suit::parse_envelope(manifest_buffer_);
     if (!envelope) {
         ++stats_.manifests_rejected;
         return fail(envelope.status());
@@ -214,9 +228,8 @@ Status UpdateAgent::offer_suit_manifest(ByteSpan envelope_bytes) {
         return fail(header.status());
     }
     // The envelope is stored zero-padded into its fixed header region.
-    Bytes region(suit::kSuitHeaderRegion, 0x00);
-    std::copy(envelope_bytes.begin(), envelope_bytes.end(), region.begin());
-    return verify_and_accept(std::move(*header), region);
+    manifest_buffer_.resize(suit::kSuitHeaderRegion, 0x00);
+    return verify_and_accept(std::move(*header), manifest_buffer_);
 }
 
 Status UpdateAgent::verify_and_accept(verify::ImageHeader header, ByteSpan header_bytes) {

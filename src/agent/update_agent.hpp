@@ -104,13 +104,16 @@ public:
     /// was rejected early — nothing was downloaded, no reboot needed.
     Status offer_manifest(ByteSpan chunk);
 
-    /// SUIT interop: accepts a complete SUIT/CBOR envelope instead of the
-    /// native manifest and verifies it on the same path (the same field
-    /// checks, then the double signature over the envelope's TBS bytes).
-    /// The envelope is stored in a fixed header region ahead of the
-    /// firmware, so the slot-fit check counts that region, and the
-    /// bootloader re-verifies the envelope after reboot.
-    Status offer_suit_manifest(ByteSpan envelope_bytes);
+    /// SUIT interop: feeds SUIT/CBOR envelope bytes into the same buffer.
+    /// The chunk that takes the envelope past the fixed header region it is
+    /// stored in, ahead of the firmware, is rejected on arrival.
+    Status offer_suit_manifest(ByteSpan chunk);
+
+    /// End of the manifest frame (`suit`: which entry fed it). A SUIT
+    /// envelope is verified now on the native path, its header region
+    /// counted in the slot-fit check; the bootloader re-verifies it after
+    /// reboot. A native manifest still missing bytes is rejected early.
+    Status end_manifest(bool suit);
 
     /// Paper step 12: feeds payload bytes through the pipeline. After the
     /// last expected byte the firmware digest is verified (step 13).

@@ -53,13 +53,13 @@ struct FleetPolicy {
 
     // --- rollout orchestration: canary, staged promotion, breaker ---------
     //
-    // Any of canary_size / promote_success_rate / breaker_failure_rate
-    // being set switches the campaign from the legacy schedule-everything
-    // release to *gated* staged promotion (the hawkBit "waves" mechanism):
-    // only the canary cohort is released at t = 0; each subsequent wave is
-    // released wave_stagger_s after the previous cohort finished AND passed
-    // its promotion gate. A halted campaign leaves unreleased devices
-    // untouched (status kCampaignHalted) — containment, not failure.
+    // Every campaign releases by cohort: the canary, then waves. Setting any
+    // of canary_size / promote_success_rate / breaker_failure_rate *gates*
+    // the release after the canary (the hawkBit "waves" mechanism): instead
+    // of at k · wave_stagger_s, each wave releases wave_stagger_s after the
+    // previous cohort finished AND passed its promotion gate. A halted
+    // campaign leaves unreleased devices untouched (status kCampaignHalted)
+    // — containment, not failure.
 
     /// Devices (in add() order) released first as the canary cohort;
     /// 0 = no separate canary (waves of wave_size from the start).
@@ -187,7 +187,7 @@ struct CampaignDeviceResult {
     bool halted = false;
 };
 
-/// Per-wave rollout accounting (gated campaigns).
+/// Per-wave rollout accounting, one entry per released cohort.
 struct WaveStats {
     unsigned wave = 0;
     unsigned released = 0;     // devices released in this wave
@@ -249,13 +249,13 @@ struct CampaignReport {
     unsigned chunked_updates = 0;
     /// Per-chunk re-requests recovered across the whole campaign.
     unsigned chunk_retries = 0;
-    /// Gated rollouts: per-wave stats and every breaker trip, in order.
+    /// Per-wave stats and every breaker trip, in order.
     std::vector<WaveStats> waves;
     std::vector<BreakerTrip> breaker_trips;
     /// Containment accounting. exposed = devices actually released (offered
     /// the update); halted = devices the breaker protected (never released,
-    /// not counted in `failed`); rolled_back / confirmed = trial-boot
-    /// verdicts among the exposed.
+    /// not counted in `failed`, unlike one the event budget never reached);
+    /// rolled_back / confirmed = trial-boot verdicts among the exposed.
     unsigned exposed_devices = 0;
     unsigned halted_devices = 0;
     unsigned rolled_back_devices = 0;

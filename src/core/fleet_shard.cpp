@@ -64,10 +64,10 @@ namespace upkit::core {
 
 namespace {
 
-/// Per-cohort rollout state (gated campaigns). Attempt counters form the
+/// Per-cohort rollout state, kept for every campaign (a cohort is never
+/// empty, so `released` is 0 until it releases). Attempt counters form the
 /// breaker's failure window and are reset when a paused breaker resumes.
 struct CohortState {
-    bool released_flag = false;
     unsigned released = 0;
     unsigned terminal = 0;
     unsigned succeeded = 0;
@@ -147,8 +147,6 @@ struct DeviceState {
     unsigned attempt = 0;  // attempts launched so far (1-based once running)
     double e0 = 0.0;
     double enqueue_t = 0.0;
-    unsigned cohort = 0;
-    bool released = false;
     bool done = false;
     /// The current attempt retargeted the origin at connect time because the
     /// home region was inside an outage window (its trace is emitted with
@@ -344,14 +342,12 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
     const sim::ChaosPlan* chaos = model.chaos;
 
     const CohortPartition part(members_.size(), policy.wave_size, policy.canary_size);
-    const std::size_t wave_size = part.wave_size;
     const unsigned cohort_count = part.count();
 
-    // Gated-rollout state. `aborted` stops retries and promotions for good;
+    // Rollout state. `aborted` stops retries and promotions for good;
     // `paused` defers them until the breaker's cool-down elapses.
-    const bool gated = policy.gated() && !members_.empty();
     std::vector<CohortState> cohorts(cohort_count);
-    unsigned next_release = 0;  // next cohort index to release
+    unsigned next_release = 0;  // next cohort the promotion gate releases
     unsigned trips = 0;
     bool aborted = false;
     bool paused = false;
@@ -663,17 +659,15 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
 
         // Attempt-level breaker window: count the outcome, then let the
         // breaker react before this device decides whether to retry.
-        CohortState* w = gated ? &cohorts[d.cohort] : nullptr;
-        if (w != nullptr) {
-            ++w->attempts_done;
-            if (last.status != Status::kOk) ++w->attempts_failed;
-            if (!aborted && !paused && policy.breaker_failure_rate > 0.0 &&
-                w->attempts_failed >= policy.breaker_min_failures) {
-                const double rate = static_cast<double>(w->attempts_failed) /
-                                    static_cast<double>(w->attempts_done);
-                if (rate > policy.breaker_failure_rate) {
-                    trip_breaker(d.cohort, rate, /*force_abort=*/false);
-                }
+        CohortState& w = cohorts[d.result.wave];
+        ++w.attempts_done;
+        if (last.status != Status::kOk) ++w.attempts_failed;
+        if (!aborted && !paused && policy.breaker_failure_rate > 0.0 &&
+            w.attempts_failed >= policy.breaker_min_failures) {
+            const double rate = static_cast<double>(w.attempts_failed) /
+                                static_cast<double>(w.attempts_done);
+            if (rate > policy.breaker_failure_rate) {
+                trip_breaker(d.result.wave, rate, /*force_abort=*/false);
             }
         }
 
@@ -721,44 +715,17 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         d.result.energy_mj = device.meter().total_millijoules() - d.e0;
         device.set_tracer(nullptr);
 
-        if (w != nullptr) {
-            ++w->terminal;
-            if (d.result.status == Status::kOk) ++w->succeeded;
-            else ++w->failed;
-            if (d.result.rolled_back) ++w->rolled_back;
-            w->complete_s = sched.now();
-            maybe_promote();
-        }
+        ++w.terminal;
+        if (d.result.status == Status::kOk) ++w.succeeded;
+        else ++w.failed;
+        if (d.result.rolled_back) ++w.rolled_back;
+        w.complete_s = sched.now();
+        maybe_promote();
     };
 
-    // Binds device i to the campaign timeline at the current instant.
-    const auto setup_device = [&](std::size_t i, unsigned wave) {
-        DeviceState& d = devs[i];
-        d.member = &members_[i];
-        Device& device = *d.member->device;
-        d.result.device_id = device.identity().device_id;
-        d.result.wave = wave;
-        d.cohort = wave;
-        d.released = true;
-        d.result.start_s = sched.now();
-        // Deterministic jitter stream: a function of the device id only,
-        // so a rerun of the same campaign replays the same delays.
-        d.jitter_rng.reseed(0x9E3779B97F4A7C15ull ^ d.result.device_id);
-        // Oscillator drift (chaos plans): exactly 1.0 when unconfigured,
-        // which keeps the clock-view arithmetic bit-identical to pre-drift.
-        const double rate =
-            chaos != nullptr ? chaos->device_clock_rate(d.result.device_id) : 1.0;
-        d.view = sim::DeviceClockView(device.clock(), sched.now(), rate);
-        d.e0 = device.meter().total_millijoules();
-        device.set_tracer(source.device_tracer(i), d.view.offset());
-        if (chaos != nullptr) {
-            const std::uint32_t id = d.result.device_id;
-            device.set_health_hook([chaos, id](std::uint16_t version) {
-                return chaos->self_test_passes(id, version);
-            });
-        }
-    };
-
+    // Binds every device of cohort k to the campaign timeline at the
+    // current instant and launches the whole cohort before opening any of
+    // it (binding and launching emit no trace).
     release_cohort = [&](unsigned k) {
         if (aborted) return;
         // A promotion is scheduled only while the breaker is closed and
@@ -766,12 +733,32 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         // session can finish and trip the breaker.
         assert(!paused && "cohort released inside a breaker pause");
         CohortState& w = cohorts[k];
-        w.released_flag = true;
         w.release_s = sched.now();
         trace(sim::TraceType::kWaveStart, 0, k, 0.0);
         const auto [lo, hi] = part.range(k);
         for (std::size_t i = lo; i < hi; ++i) {
-            setup_device(i, k);
+            DeviceState& d = devs[i];
+            d.member = &members_[i];
+            Device& device = *d.member->device;
+            d.result.device_id = device.identity().device_id;
+            d.result.wave = k;
+            d.result.start_s = sched.now();
+            // Deterministic jitter stream: a function of the device id only,
+            // so a rerun of the same campaign replays the same delays.
+            d.jitter_rng.reseed(0x9E3779B97F4A7C15ull ^ d.result.device_id);
+            // Oscillator drift (chaos plans): exactly 1.0 when unconfigured,
+            // which keeps the clock-view arithmetic bit-identical to pre-drift.
+            const double rate =
+                chaos != nullptr ? chaos->device_clock_rate(d.result.device_id) : 1.0;
+            d.view = sim::DeviceClockView(device.clock(), sched.now(), rate);
+            d.e0 = device.meter().total_millijoules();
+            device.set_tracer(source.device_tracer(i), d.view.offset());
+            if (chaos != nullptr) {
+                const std::uint32_t id = d.result.device_id;
+                device.set_health_hook([chaos, id](std::uint16_t version) {
+                    return chaos->self_test_passes(id, version);
+                });
+            }
             ++w.released;
             launch(i);
         }
@@ -779,14 +766,12 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
     };
 
     maybe_promote = [&] {
-        if (!gated || aborted || paused) return;
-        if (next_release == 0 || next_release >= cohort_count) return;
+        if (aborted || paused) return;
+        if (next_release >= cohort_count) return;
         const CohortState& prev = cohorts[next_release - 1];
-        if (!prev.released_flag || prev.terminal < prev.released) return;
+        if (prev.released == 0 || prev.terminal < prev.released) return;
         const double rate =
-            prev.released == 0
-                ? 1.0
-                : static_cast<double>(prev.succeeded) / static_cast<double>(prev.released);
+            static_cast<double>(prev.succeeded) / static_cast<double>(prev.released);
         if (policy.promote_success_rate > 0.0 && rate < policy.promote_success_rate) {
             // Gate failure: the cohort's devices are already terminal — a
             // pause cannot heal them, so a failed gate always aborts.
@@ -800,25 +785,13 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
                           [&release_cohort, k] { release_cohort(k); });
     };
 
-    if (gated) {
-        // Staged promotion: only the canary releases up front; every later
-        // wave is earned by the cohort before it passing its gate.
-        next_release = 1;
-        sched.schedule_at(0.0, [&release_cohort] { release_cohort(0); });
-    } else {
-        // Legacy release: the whole schedule is fixed up front.
-        for (std::size_t i = 0; i < members_.size(); ++i) {
-            const std::size_t wave = i / wave_size;
-            const double release_t = static_cast<double>(wave) * policy.wave_stagger_s;
-            sched.schedule_at(release_t, [&, i, wave] {
-                setup_device(i, static_cast<unsigned>(wave));
-                if (i % wave_size == 0) {
-                    trace(sim::TraceType::kWaveStart, 0,
-                          static_cast<std::uint32_t>(wave), 0.0);
-                }
-                start_attempt(i);
-            });
-        }
+    // The one read of the policy's gating: ungated, the clock releases every
+    // cohort k at k · wave_stagger_s and none is left for the gate; gated,
+    // only the canary is scheduled and the promotion gate earns the rest.
+    next_release = policy.gated() ? std::min(cohort_count, 1u) : cohort_count;
+    for (unsigned k = 0; k < next_release; ++k) {
+        sched.schedule_at(static_cast<double>(k) * policy.wave_stagger_s,
+                          [&release_cohort, k] { release_cohort(k); });
     }
 
     sched.run(event_budget_);
@@ -828,14 +801,16 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
     report.devices.reserve(devs.size());
     for (std::size_t i = 0; i < devs.size(); ++i) {
         DeviceState& d = devs[i];
-        if (gated && !d.released) {
-            // The breaker halted the campaign before this device's wave:
-            // contained, never offered the update — not an OTA failure.
+        if (d.member == nullptr) {
+            // Never released, so never offered the update: halted by an
+            // aborted rollout (contained, not an OTA failure), or stuck
+            // behind an exhausted event budget.
             d.result.device_id = members_[i].device->identity().device_id;
             d.result.wave = part.cohort_of(i);
-            d.result.status = Status::kCampaignHalted;
-            d.result.halted = true;
-            ++report.halted_devices;
+            d.result.halted = aborted;
+            d.result.status = aborted ? Status::kCampaignHalted : Status::kResourceExhausted;
+            if (aborted) ++report.halted_devices;
+            else ++report.failed;
             report.devices.push_back(std::move(d.result));
             continue;
         }
@@ -843,7 +818,7 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             // Event budget exhausted mid-session: surface the stuck device
             // rather than pretending it failed over the air.
             d.result.status = Status::kResourceExhausted;
-            if (d.member != nullptr) d.member->device->set_tracer(nullptr);
+            d.member->device->set_tracer(nullptr);
         }
         if (d.result.status == Status::kOk) {
             ++report.succeeded;
@@ -853,15 +828,12 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             ++report.failed;
         }
         report.chunk_retries += d.result.chunk_retries;
-        if (d.member != nullptr) {
-            // Battery cost of the verification seconds: CPU active draw plus
-            // the HSM's supply current where one did the verifying.
-            const Device& device = *d.member->device;
-            const double draw_ma = device.config().platform->cpu_active_ma +
-                                   device.verifier().backend().costs().active_current_ma;
-            d.result.verification_mah =
-                sim::milliamp_hours(d.result.verification_s, draw_ma);
-        }
+        // Battery cost of the verification seconds: CPU active draw plus
+        // the HSM's supply current where one did the verifying.
+        const Device& device = *d.member->device;
+        const double draw_ma = device.config().platform->cpu_active_ma +
+                               device.verifier().backend().costs().active_current_ma;
+        d.result.verification_mah = sim::milliamp_hours(d.result.verification_s, draw_ma);
         ++report.exposed_devices;
         if (d.result.confirmed) ++report.confirmed_devices;
         if (d.result.rolled_back) ++report.rolled_back_devices;
@@ -872,18 +844,16 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         report.makespan_s = std::max(report.makespan_s, d.result.end_s);
         report.devices.push_back(std::move(d.result));
     }
-    if (gated) {
-        for (unsigned k = 0; k < cohort_count; ++k) {
-            const CohortState& w = cohorts[k];
-            if (!w.released_flag) continue;
-            report.waves.push_back(WaveStats{.wave = k,
-                                             .released = w.released,
-                                             .succeeded = w.succeeded,
-                                             .failed = w.failed,
-                                             .rolled_back = w.rolled_back,
-                                             .release_s = w.release_s,
-                                             .complete_s = w.complete_s});
-        }
+    for (unsigned k = 0; k < cohort_count; ++k) {
+        const CohortState& w = cohorts[k];
+        if (w.released == 0) continue;
+        report.waves.push_back(WaveStats{.wave = k,
+                                         .released = w.released,
+                                         .succeeded = w.succeeded,
+                                         .failed = w.failed,
+                                         .rolled_back = w.rolled_back,
+                                         .release_s = w.release_s,
+                                         .complete_s = w.complete_s});
     }
     for (std::size_t r = 0; r < edge_count; ++r) {
         report.edges.push_back(EdgeReport{.region = static_cast<unsigned>(r),

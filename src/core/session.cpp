@@ -16,6 +16,20 @@ private:
     agent::UpdateAgent& agent_;
 };
 
+/// ByteSink streaming manifest chunks into the agent. A chunk the agent
+/// rejects still crossed the air, so write() always takes it and keeps
+/// the agent's verdict apart.
+struct AgentManifestSink final : ByteSink {
+    AgentManifestSink(agent::UpdateAgent& a, bool s) : agent(a), suit(s) {}
+    Status write(ByteSpan data) override {
+        verdict = suit ? agent.offer_suit_manifest(data) : agent.offer_manifest(data);
+        return Status::kOk;
+    }
+    agent::UpdateAgent& agent;
+    bool suit;
+    Status verdict = Status::kOk;
+};
+
 /// Backoff rounds spent waiting for an outage to end before the session
 /// gives up with kUnavailable (bounds the DES event count per attempt).
 constexpr unsigned kMaxReconnectWaits = 64;
@@ -177,30 +191,30 @@ SessionDriver::StepResult SessionDriver::step() {
             report_.differential = response_->manifest.differential;
             report_.chunked = response_->manifest.chunked;
             manifest_offset_ = 0;
-            manifest_sink_ = BytesSink{};
             enter_phase(Phase::kRecvManifest);
             return yield();
         }
 
         case Phase::kRecvManifest: {
             // --- propagation: manifest (step 8), verified on arrival (9) ----
-            if (transport_->chunk_to_device(response_->manifest_bytes, manifest_offset_,
-                                            manifest_sink_) != Status::kOk) {
+            // Each chunk streams into the agent's bounded manifest buffer,
+            // which rejects the chunk that overflows it.
+            agent::UpdateAgent& agent = device_->agent();
+            AgentManifestSink sink(agent, response_->suit_encoding);
+            if (transport_->chunk_to_device(response_->manifest_bytes, manifest_offset_, sink) !=
+                Status::kOk) {
                 return finish(Status::kTransportError);
             }
-            if (manifest_offset_ < response_->manifest_bytes.size()) return yield();
-            agent::UpdateAgent& agent = device_->agent();
-            const Status manifest_verdict =
-                response_->suit_encoding
-                    ? agent.offer_suit_manifest(manifest_sink_.bytes())
-                    : agent.offer_manifest(manifest_sink_.bytes());
+            const bool last = manifest_offset_ == response_->manifest_bytes.size();
+            if (sink.verdict == Status::kOk && last) sink.verdict = agent.end_manifest(sink.suit);
             agent_verify_ = agent.stats().verification_seconds - verify_base_;
-            if (manifest_verdict != Status::kOk) {
+            if (sink.verdict != Status::kOk) {
                 // Early rejection: no firmware download, no reboot (the
                 // paper's headline security/efficiency win).
                 report_.rejected_before_download = true;
-                return finish(manifest_verdict);
+                return finish(sink.verdict);
             }
+            if (!last) return yield();
             if (agent.update_ready()) {
                 // Chunked update fully assembled from chunks the device
                 // already held: there is no payload phase at all.

@@ -188,7 +188,6 @@ private:
     std::size_t uplink_offset_ = 0;
     std::optional<server::UpdateResponse> response_;
     Status response_status_ = Status::kOk;
-    BytesSink manifest_sink_;
     std::size_t manifest_offset_ = 0;
     std::size_t payload_offset_ = 0;
     unsigned resumes_left_ = 0;

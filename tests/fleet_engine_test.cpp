@@ -351,6 +351,17 @@ TEST(FleetEngineTest, WavesReleaseOnSchedule) {
     ASSERT_EQ(waves.size(), 2u);
     EXPECT_EQ(waves[0], (std::pair<double, std::uint32_t>{0.0, 0u}));
     EXPECT_EQ(waves[1], (std::pair<double, std::uint32_t>{50.0, 1u}));
+
+    // An ungated campaign reports its waves like a gated one.
+    ASSERT_EQ(report.waves.size(), 2u);
+    for (unsigned k = 0; k < 2; ++k) {
+        const WaveStats& w = report.waves[k];
+        EXPECT_EQ(w.wave, k);
+        EXPECT_DOUBLE_EQ(w.release_s, 50.0 * k);
+        EXPECT_EQ(w.released, 2u);
+        EXPECT_EQ(w.succeeded, 2u);
+        EXPECT_EQ(w.failed, 0u);
+    }
 }
 
 TEST(FleetEngineTest, EventBudgetExhaustionSurfacesStuckDevices) {
@@ -366,6 +377,33 @@ TEST(FleetEngineTest, EventBudgetExhaustionSurfacesStuckDevices) {
         EXPECT_EQ(r.status, Status::kResourceExhausted);
     }
     EXPECT_LE(report.events_processed, 10u);
+
+    // The budget runs out before the second wave's release at 1000 s: the
+    // device no release reached keeps its identity and wave, fails as
+    // stuck, and was never exposed.
+    World staged;
+    staged.add_devices(2, 0x7300, net::ble_gatt());
+    staged.env.publish_os_update(2, 81);
+    staged.campaign.set_event_budget(10);
+    FleetPolicy policy;
+    policy.wave_size = 1;
+    policy.wave_stagger_s = 1000.0;
+    const CampaignReport cut = staged.campaign.run(kAppId, policy);
+    EXPECT_LE(cut.events_processed, 10u);
+    EXPECT_EQ(cut.succeeded, 0u);
+    EXPECT_EQ(cut.failed, 2u);
+    EXPECT_EQ(cut.exposed_devices, 1u);
+    EXPECT_EQ(cut.halted_devices, 0u);
+    ASSERT_EQ(cut.devices.size(), 2u);
+    for (unsigned k = 0; k < 2; ++k) {
+        const CampaignDeviceResult& r = cut.devices[k];
+        EXPECT_EQ(r.device_id, 0x7300u + k);
+        EXPECT_EQ(r.wave, k);
+        EXPECT_EQ(r.status, Status::kResourceExhausted);
+        EXPECT_FALSE(r.halted);
+    }
+    ASSERT_EQ(cut.waves.size(), 1u);
+    EXPECT_EQ(cut.waves[0].released, 1u);
 }
 
 // ----------------------------------------------------------- scale

@@ -13,7 +13,11 @@
 //      inline run's JSONL trace byte for byte.
 //      The pins were captured from the single-heap engine the coordinator
 //      replaced, and they hold on any host: TestEnv devices keep
-//      uncalibrated costs and every server model is constant.
+//      uncalibrated costs and every server model is constant. The report
+//      fingerprint and events_processed of every ungated campaign were
+//      re-pinned when ungated campaigns began releasing by cohort: one
+//      release event per cohort instead of one per device, and WaveStats
+//      in the report. Every trace pin held.
 //   2. Reruns — the threaded source is stable against itself across runs.
 //   3. Merge ordering — same-instant ties resolve in fleet order, shard
 //      counts exceeding the fleet size (empty shards) change nothing,
@@ -263,13 +267,13 @@ RunResult run_battery(const CampaignSpec& spec, const Golden& golden) {
 // ------------------------------------------------------ golden battery
 
 // {report fingerprint, trace fingerprint, trace events, events_processed}
-constexpr Golden kGoldenPlain{0x04f557c06dc42b54ull, 0xcd10f35b1554f52cull, 146, 112};
+constexpr Golden kGoldenPlain{0x1729a747cd380d41ull, 0xcd10f35b1554f52cull, 146, 106};
 constexpr Golden kGoldenGated{0x9e1420c46f5eece2ull, 0x9ebb1cadb263166bull, 235, 160};
-constexpr Golden kGoldenTies{0x6b2835ae0620dd05ull, 0x8d2721c4f47b2225ull, 163, 126};
-constexpr Golden kGoldenEmptyShards{0x31c8507c1c58cd9bull, 0xf159a0a5234c5494ull, 55, 42};
-constexpr Golden kGoldenOutageEdge{0xf3d8f52bd78f0e00ull, 0x5cb69ca902e8412cull, 154, 112};
-constexpr Golden kGoldenMidAttemptOutage{0xf3d8f52bd78f0e00ull, 0xd804c497bad62d4cull, 154, 112};
-constexpr Golden kGoldenSynthetic{0xd5effd0f16f551efull, 0x86f90ed583ff600eull, 435, 240};
+constexpr Golden kGoldenTies{0x217b69d5b8b2da07ull, 0x8d2721c4f47b2225ull, 163, 118};
+constexpr Golden kGoldenEmptyShards{0x07d51367402929b8ull, 0xf159a0a5234c5494ull, 55, 40};
+constexpr Golden kGoldenOutageEdge{0x671c9504c0d86adaull, 0x5cb69ca902e8412cull, 154, 106};
+constexpr Golden kGoldenMidAttemptOutage{0x671c9504c0d86adaull, 0xd804c497bad62d4cull, 154, 106};
+constexpr Golden kGoldenSynthetic{0x7dec4d33b495e569ull, 0x86f90ed583ff600eull, 435, 219};
 
 TEST(ShardDifferentialTest, PlainCampaignMatchesReferenceAtEveryShardCount) {
     CampaignSpec spec;  // 8 devices, 2 waves, lossy links, single origin
@@ -376,8 +380,8 @@ TEST(ShardMergeOrderingTest, RegionOutageOpeningMidAttemptMovesTheTransfer) {
 // Each cell drives one fault-handling path of the engine and asserts that
 // it got there, so a later change cannot leave its pins vacuous.
 
-constexpr Golden kGoldenEnqueueOutage{0x6a1d92cb0b693cb2ull, 0xcfc5b5654617ca10ull, 59, 38};
-constexpr Golden kGoldenRefreshOutage{0x3cb4c0ad761e960cull, 0x14b8090562bb1cc3ull, 65, 48};
+constexpr Golden kGoldenEnqueueOutage{0xa9f82ce25f3f2e20ull, 0xcfc5b5654617ca10ull, 59, 37};
+constexpr Golden kGoldenRefreshOutage{0x7a08eb64db8c67d6ull, 0x14b8090562bb1cc3ull, 65, 47};
 constexpr Golden kGoldenFailedGate{0x255d2c877e534c58ull, 0x2f9e972e2dfaac44ull, 44, 31};
 constexpr Golden kGoldenBreakerTrips{0xd05fcd192b7cdfe5ull, 0xbe039fbc18941be5ull, 169, 91};
 

@@ -1,10 +1,16 @@
 // End-to-end tests of SUIT interop mode: the update server serves SUIT/CBOR
 // envelopes, the agent verifies + stores them in the padded header region,
 // and the bootloader re-verifies the SUIT-encoded image after reboot —
-// including rollback and mixed-format version chains.
+// including rollback and mixed-format version chains. A proxy that rewrites
+// the manifest frame, SUIT or native, gets it rejected on arrival, and the
+// device never receives more of it than its manifest buffer holds plus one
+// chunk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "suit/suit.hpp"
 #include "test_env.hpp"
@@ -139,33 +145,55 @@ TEST(SuitE2eTest, CorruptedStoredSuitImageRollsBack) {
     EXPECT_EQ(report->invalidated.size(), 1u);
 }
 
+/// One update whose manifest frame (a SUIT envelope when `suit`, else a
+/// native manifest) a compromised proxy rewrote on its way to the device.
+struct ProxiedRun {
+    SessionReport report;
+    std::uint64_t manifests_rejected = 0;  // by this session's agent
+    Bytes sent;                            // the frame the proxy passed on
+    std::vector<std::string> phases;       // session phases entered, in order
+};
+
+ProxiedRun run_proxied(bool suit, const std::function<void(Bytes&)>& tamper) {
+    TestEnv env;
+    auto device = env.make_device(SlotLayout::kAB);
+    env.server.set_suit_mode(suit);
+    env.publish_os_update(2, 77);
+    const std::uint64_t rejected = device->agent().stats().manifests_rejected;
+
+    ProxiedRun run;
+    sim::RingBufferSink sink(1 << 12);
+    sim::Tracer tracer;
+    tracer.add_sink(sink);
+    UpdateSession session(*device, env.server, net::ble_gatt());
+    session.set_tracer(&tracer);
+    session.set_interceptor([&](server::UpdateResponse& response) {
+        tamper(response.manifest_bytes);
+        run.sent = response.manifest_bytes;
+    });
+    run.report = session.run(kAppId);
+    run.manifests_rejected = device->agent().stats().manifests_rejected - rejected;
+    for (const sim::TraceEvent& ev : sink.events()) {
+        if (ev.type == sim::TraceType::kSessionPhase) run.phases.emplace_back(ev.to);
+    }
+    EXPECT_FALSE(run.report.rebooted);
+    EXPECT_EQ(device->identity().installed_version, 1);
+    return run;
+}
+
 /// Runs one SUIT update whose envelope a compromised proxy rewrites with
 /// `tamper` on its way to the device, and checks that the agent rejected
 /// it on arrival: kBadManifest before any firmware byte went over the air,
 /// no reboot, one more rejected manifest. Returns the envelope the device
 /// received.
 Bytes expect_rejected_on_arrival(const std::function<void(Bytes&)>& tamper) {
-    TestEnv env;
-    auto device = env.make_device(SlotLayout::kAB);
-    env.server.set_suit_mode(true);
-    env.publish_os_update(2, 77);
-    const std::uint64_t rejected = device->agent().stats().manifests_rejected;
-
-    Bytes received;
-    UpdateSession session(*device, env.server, net::ble_gatt());
-    session.set_interceptor([&](server::UpdateResponse& response) {
-        tamper(response.manifest_bytes);
-        received = response.manifest_bytes;
-    });
-    const SessionReport report = session.run(kAppId);
-    EXPECT_EQ(report.status, Status::kBadManifest);
-    EXPECT_TRUE(report.rejected_before_download);
-    EXPECT_FALSE(report.rebooted);
-    EXPECT_EQ(device->agent().stats().manifests_rejected, rejected + 1);
+    const ProxiedRun run = run_proxied(true, tamper);
+    EXPECT_EQ(run.report.status, Status::kBadManifest);
+    EXPECT_TRUE(run.report.rejected_before_download);
+    EXPECT_EQ(run.manifests_rejected, 1u);
     // Up went the legacy token, down came the envelope: nothing else.
-    EXPECT_EQ(report.bytes_over_air, manifest::kDeviceTokenSize + received.size());
-    EXPECT_EQ(device->identity().installed_version, 1);
-    return received;
+    EXPECT_EQ(run.report.bytes_over_air, manifest::kDeviceTokenSize + run.sent.size());
+    return run.sent;
 }
 
 TEST(SuitE2eTest, EnvelopeLargerThanItsHeaderRegionRejectedOnArrival) {
@@ -200,6 +228,45 @@ TEST(SuitE2eTest, EnvelopeWithMalformedManifestRejectedOnArrival) {
     const auto envelope = suit::parse_envelope(received);
     ASSERT_TRUE(envelope.has_value());
     EXPECT_FALSE(suit::to_manifest(*envelope).has_value());
+}
+
+TEST(SuitE2eTest, PaddedEnvelopeStopsAtTheChunkPastItsHeaderRegion) {
+    // Padded to 64 KiB, the envelope would cost the device 64 KiB of air
+    // time and RAM; the chunk that overflows the header region is the last
+    // one it receives.
+    const ProxiedRun run =
+        run_proxied(true, [](Bytes& envelope) { envelope.resize(64 * 1024, 0x00); });
+    EXPECT_EQ(run.report.status, Status::kBadManifest);
+    EXPECT_TRUE(run.report.rejected_before_download);
+    EXPECT_EQ(run.manifests_rejected, 1u);
+    EXPECT_LE(run.report.bytes_over_air,
+              manifest::kDeviceTokenSize + suit::kSuitHeaderRegion + net::ble_gatt().mtu);
+}
+
+TEST(SuitE2eTest, PaddedNativeManifestStopsAtTheChunkPastItsSize) {
+    // The native manifest's header pins its size, so the first chunk,
+    // which already runs past it, is the last one the device receives.
+    const ProxiedRun run =
+        run_proxied(false, [](Bytes& manifest) { manifest.resize(64 * 1024, 0x00); });
+    EXPECT_EQ(run.report.status, Status::kSizeExceeded);
+    EXPECT_TRUE(run.report.rejected_before_download);
+    EXPECT_LE(run.report.bytes_over_air,
+              manifest::kDeviceTokenSize + manifest::kManifestSize + net::ble_gatt().mtu);
+}
+
+TEST(SuitE2eTest, TruncatedNativeManifestRejectedWhenItsFrameEnds) {
+    // The frame ends 50 bytes short of the manifest: an early rejection,
+    // not a payload phase against an agent that never armed.
+    const ProxiedRun run = run_proxied(false, [](Bytes& manifest) { manifest.resize(150); });
+    EXPECT_EQ(run.report.status, Status::kBadManifest);
+    EXPECT_TRUE(run.report.rejected_before_download);
+    EXPECT_FALSE(run.report.rejected_after_download);
+    EXPECT_EQ(run.manifests_rejected, 1u);
+    EXPECT_EQ(run.report.bytes_over_air, manifest::kDeviceTokenSize + 150);
+    EXPECT_NE(std::find(run.phases.begin(), run.phases.end(), "recv-manifest"),
+              run.phases.end());
+    EXPECT_EQ(std::find(run.phases.begin(), run.phases.end(), "recv-payload"),
+              run.phases.end());
 }
 
 TEST(SuitE2eTest, SuitImageTooLargeForSlotRejectedBeforeDownload) {
