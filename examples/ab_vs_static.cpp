@@ -73,7 +73,8 @@ int main() {
     agent::UpdateAgent& agent = device.agent();
     auto token = agent.request_device_token();
     auto response = server.prepare_update(kApp, *token);
-    if (!response || agent.offer_manifest(response->manifest_bytes) != Status::kOk) {
+    if (!response || agent.offer_manifest(response->manifest_bytes) != Status::kOk ||
+        agent.end_manifest() != Status::kOk) {
         std::fprintf(stderr, "manifest exchange failed\n");
         return 1;
     }
@@ -115,7 +116,8 @@ int main() {
     agent::UpdateAgent& sagent = sdev.agent();
     auto stoken = sagent.request_device_token();
     auto sresponse = server.prepare_update(kApp, *stoken);
-    if (!sresponse || sagent.offer_manifest(sresponse->manifest_bytes) != Status::kOk) {
+    if (!sresponse || sagent.offer_manifest(sresponse->manifest_bytes) != Status::kOk ||
+        sagent.end_manifest() != Status::kOk) {
         std::fprintf(stderr, "manifest exchange failed\n");
         return 1;
     }

@@ -2,7 +2,6 @@
 
 #include "common/endian.hpp"
 #include "diff/cdc.hpp"
-#include "suit/suit.hpp"
 
 namespace upkit::agent {
 
@@ -130,25 +129,16 @@ bool UpdateAgent::run_self_test(std::uint16_t running_version) {
 
 Status UpdateAgent::offer_manifest(ByteSpan chunk) {
     if (state_ != FsmState::kReceiveManifest) return Status::kFsmBadState;
-    // The manifest wire is variable-length (a chunked one carries its chunk
-    // table); the total size is pinned down incrementally as header bytes
-    // arrive, and overshoot is rejected as soon as it is detectable.
-    if (const std::size_t total = manifest::wire_size_partial(manifest_buffer_);
-        total != 0 && chunk.size() > total - manifest_buffer_.size()) {
+    // The frame is parsed when it ends (end_manifest); until then it only
+    // has to fit the bytes its header occupies in the slot, which the
+    // first bytes of either encoding pin down.
+    append(manifest_buffer_, chunk);
+    const std::size_t size = verify::header_size(manifest_buffer_);
+    if (size != 0 && manifest_buffer_.size() > size) {
+        ++stats_.manifests_rejected;
         return fail(Status::kSizeExceeded);
     }
-    append(manifest_buffer_, chunk);
-    const std::size_t total = manifest::wire_size_partial(manifest_buffer_);
-    if (total == 0 || manifest_buffer_.size() < total) return Status::kOk;
-    if (manifest_buffer_.size() > total) return fail(Status::kSizeExceeded);
-
-    set_state(FsmState::kVerifyManifest);
-    auto parsed = manifest::parse_manifest(manifest_buffer_);
-    if (!parsed) {
-        ++stats_.manifests_rejected;
-        return fail(parsed.status());
-    }
-    return verify_and_accept(verify::ImageHeader(std::move(*parsed)), manifest_buffer_);
+    return Status::kOk;
 }
 
 Expected<verify::ImageHeader> UpdateAgent::read_installed_header() const {
@@ -193,42 +183,16 @@ void UpdateAgent::prepare_chunk_state(manifest::DeviceToken& token) {
     for (const auto& entry : installed_chunks_) token.have.push_back(entry.first);
 }
 
-Status UpdateAgent::offer_suit_manifest(ByteSpan chunk) {
+Status UpdateAgent::end_manifest() {
     if (state_ != FsmState::kReceiveManifest) return Status::kFsmBadState;
-    // The envelope is parsed once its frame ends (end_manifest); until then
-    // it only has to fit the fixed header region the slot stores it in.
-    if (manifest_buffer_.size() + chunk.size() > suit::kSuitHeaderRegion) {
-        ++stats_.manifests_rejected;
-        return fail(Status::kBadManifest);
-    }
-    append(manifest_buffer_, chunk);
-    return Status::kOk;
-}
-
-Status UpdateAgent::end_manifest(bool suit) {
-    if (state_ != FsmState::kReceiveManifest) {
-        // A native manifest is verified on its last byte.
-        return !suit && manifest_.has_value() ? Status::kOk : Status::kFsmBadState;
-    }
-    if (!suit) {
-        // The frame ended before the native manifest did.
-        ++stats_.manifests_rejected;
-        return fail(Status::kBadManifest);
-    }
     set_state(FsmState::kVerifyManifest);
-
-    auto envelope = suit::parse_envelope(manifest_buffer_);
-    if (!envelope) {
-        ++stats_.manifests_rejected;
-        return fail(envelope.status());
-    }
-    auto header = verify::ImageHeader::from_envelope(std::move(*envelope));
+    auto header = verify::parse_image_header(manifest_buffer_);
     if (!header) {
         ++stats_.manifests_rejected;
         return fail(header.status());
     }
-    // The envelope is stored zero-padded into its fixed header region.
-    manifest_buffer_.resize(suit::kSuitHeaderRegion, 0x00);
+    // The header lands in the slot zero-padded to the bytes it occupies.
+    manifest_buffer_.resize(verify::header_size(manifest_buffer_), 0x00);
     return verify_and_accept(std::move(*header), manifest_buffer_);
 }
 
@@ -315,8 +279,7 @@ Status UpdateAgent::verify_and_accept(verify::ImageHeader header, ByteSpan heade
         }
     }
 
-    // Store the header (native manifest or padded SUIT envelope) ahead of
-    // the firmware, then arm the pipeline.
+    // Store the header ahead of the firmware, then arm the pipeline.
     const Status ms = target_handle_.write(header_bytes);
     if (ms != Status::kOk) return fail(ms);
     pipeline_ = std::make_unique<pipeline::Pipeline>(

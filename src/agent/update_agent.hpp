@@ -98,22 +98,17 @@ public:
     /// health verdict (self_test_hook, default healthy).
     bool run_self_test(std::uint16_t running_version);
 
-    /// Paper step 8: feeds manifest bytes. On the 200th byte the agent
-    /// verifies the manifest (step 9); on success it erases/opens the target
-    /// slot and stands up the pipeline. A non-kOk result means the update
-    /// was rejected early — nothing was downloaded, no reboot needed.
+    /// Paper step 8: feeds one chunk of the manifest frame, native manifest
+    /// or SUIT envelope alike. The chunk that takes the frame past the
+    /// bytes its header occupies in the slot (verify::header_size) is
+    /// rejected on arrival with kSizeExceeded; nothing is parsed yet.
     Status offer_manifest(ByteSpan chunk);
 
-    /// SUIT interop: feeds SUIT/CBOR envelope bytes into the same buffer.
-    /// The chunk that takes the envelope past the fixed header region it is
-    /// stored in, ahead of the firmware, is rejected on arrival.
-    Status offer_suit_manifest(ByteSpan chunk);
-
-    /// End of the manifest frame (`suit`: which entry fed it). A SUIT
-    /// envelope is verified now on the native path, its header region
-    /// counted in the slot-fit check; the bootloader re-verifies it after
-    /// reboot. A native manifest still missing bytes is rejected early.
-    Status end_manifest(bool suit);
+    /// End of the manifest frame: parses it (verify::parse_image_header)
+    /// and verifies it (step 9); on success it stores the header ahead of
+    /// the firmware and stands up the pipeline. A non-kOk result means the
+    /// update was rejected early — nothing was downloaded, no reboot needed.
+    Status end_manifest();
 
     /// Paper step 12: feeds payload bytes through the pipeline. After the
     /// last expected byte the firmware digest is verified (step 13).
@@ -158,10 +153,10 @@ private:
     /// against the Fig. 4 table (fsm.hpp) and emitted to the tracer.
     void set_state(FsmState next);
     Status verify_firmware_now();
-    /// Common tail of both manifest paths: verification (step 9),
-    /// capability checks, differential base lookup, header write (native
-    /// manifest or padded SUIT envelope), pipeline arming. `header_bytes`
-    /// is what lands at the slot's start; the firmware follows it.
+    /// The tail of end_manifest: verification (step 9), capability checks,
+    /// differential base lookup, header write, pipeline arming.
+    /// `header_bytes` (the frame zero-padded to verify::header_size) is
+    /// what lands at the slot's start; the firmware follows it.
     Status verify_and_accept(verify::ImageHeader header, ByteSpan header_bytes);
     void charge_cpu(double seconds);
     /// Next token nonce: four DRBG bytes, little-endian.

@@ -44,9 +44,10 @@ void McubootModel::charge_cpu(double seconds) {
                     device_->verifier().backend().costs().active_current_ma);
 }
 
-Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifest& m) {
+Status McubootModel::verify_image(std::uint32_t slot_id, const verify::ImageHeader& header) {
     const slots::SlotConfig* slot = device_->slots().slot(slot_id);
-    if (manifest::kManifestSize + static_cast<std::uint64_t>(m.firmware_size) > slot->size) {
+    const manifest::Manifest& m = header.manifest;
+    if (header.firmware_offset + static_cast<std::uint64_t>(m.firmware_size) > slot->size) {
         return Status::kSlotTooSmall;
     }
 
@@ -61,7 +62,7 @@ Status McubootModel::verify_image(std::uint32_t slot_id, const manifest::Manifes
 
     // Digest over the stored firmware.
     Bytes scratch;
-    const auto actual = verify::digest_slot(*slot, manifest::kManifestSize, m.firmware_size,
+    const auto actual = verify::digest_slot(*slot, header.firmware_offset, m.firmware_size,
                                             scratch);
     if (!actual) return actual.status();
     charge_cpu(verifier.backend().costs().sha256_seconds_per_kb *
@@ -73,29 +74,18 @@ Expected<boot::BootReport> McubootModel::boot() {
     core::Device& device = *device_;
     charge_cpu(0.25);  // MCU reset
 
-    const auto read_manifest = [&](std::uint32_t slot_id) -> std::optional<manifest::Manifest> {
-        const slots::SlotConfig* slot = device.slots().slot(slot_id);
-        Bytes raw(manifest::kManifestSize);
-        if (slot->device->read(slot->offset, MutByteSpan(raw)) != Status::kOk) {
-            return std::nullopt;
-        }
-        auto parsed = manifest::parse_manifest(raw);
-        if (!parsed) return std::nullopt;
-        return *parsed;
-    };
-
     boot::BootReport report;
     const std::uint32_t staged_id = device.target_slot();
     const std::uint32_t primary_id = device.installed_slot();
 
     // mcuboot semantics: a staged image that passes signature+digest is
     // installed NO MATTER ITS VERSION — there is no freshness check.
-    if (auto staged = read_manifest(staged_id)) {
+    if (auto staged = verify::read_image_header(*device.slots().slot(staged_id))) {
         if (verify_image(staged_id, *staged) == Status::kOk) {
-            const std::uint64_t used = manifest::kManifestSize + staged->firmware_size;
+            const std::uint64_t used = staged->firmware_offset + staged->manifest.firmware_size;
             UPKIT_RETURN_IF_ERROR(device.slots().swap(staged_id, primary_id, used));
             report.booted_slot = primary_id;
-            report.booted = *staged;
+            report.booted = staged->manifest;
             report.installed_from_staging = true;
             return report;
         }
@@ -103,10 +93,10 @@ Expected<boot::BootReport> McubootModel::boot() {
         report.invalidated.push_back(staged_id);
     }
 
-    if (auto primary = read_manifest(primary_id)) {
+    if (auto primary = verify::read_image_header(*device.slots().slot(primary_id))) {
         if (verify_image(primary_id, *primary) == Status::kOk) {
             report.booted_slot = primary_id;
-            report.booted = *primary;
+            report.booted = primary->manifest;
             return report;
         }
     }

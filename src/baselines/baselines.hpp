@@ -65,7 +65,7 @@ public:
     Expected<boot::BootReport> boot();
 
 private:
-    Status verify_image(std::uint32_t slot_id, const manifest::Manifest& m);
+    Status verify_image(std::uint32_t slot_id, const verify::ImageHeader& header);
     /// Advances the device clock by `seconds` of 64 MHz Cortex-M4 work
     /// scaled to its platform, billed like the UpKit bootloader's.
     void charge_cpu(double seconds);

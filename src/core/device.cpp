@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "common/endian.hpp"
-#include "suit/suit.hpp"
 
 namespace upkit::core {
 
@@ -185,17 +184,11 @@ void Device::start_agent() {
 Status Device::provision_factory(const server::UpdateResponse& image) {
     if (image.manifest.differential) return Status::kInvalidArgument;
     const slots::SlotConfig* slot = slot_manager_.slot(0);
-    Bytes blob;
-    if (image.suit_encoding) {
-        // SUIT envelopes live in a fixed zero-padded header region.
-        if (image.manifest_bytes.size() > suit::kSuitHeaderRegion) {
-            return Status::kInvalidArgument;
-        }
-        blob.assign(suit::kSuitHeaderRegion, 0x00);
-        std::copy(image.manifest_bytes.begin(), image.manifest_bytes.end(), blob.begin());
-    } else {
-        blob = image.manifest_bytes;
-    }
+    // The header lands as the agent stores one: zero-padded to its size.
+    Bytes blob = image.manifest_bytes;
+    const std::size_t header = verify::header_size(blob);
+    if (blob.size() > header) return Status::kInvalidArgument;
+    blob.resize(header, 0x00);
     append(blob, image.payload);
     if (blob.size() > slot->size) return Status::kSlotTooSmall;
     UPKIT_RETURN_IF_ERROR(slot->device->erase_range(slot->offset, slot->size));

@@ -34,7 +34,7 @@ std::uint64_t CampaignReport::fingerprint() const {
         h.mix(static_cast<std::uint64_t>(d.final_version));
         h.mix(static_cast<std::uint64_t>(d.differential) | (std::uint64_t(d.chunked) << 1) |
                    (std::uint64_t(d.confirmed) << 2) | (std::uint64_t(d.rolled_back) << 3) |
-                   (std::uint64_t(d.halted) << 4));
+                   (std::uint64_t(d.status == Status::kCampaignHalted) << 4));
         h.mix(static_cast<std::uint64_t>(d.chunk_retries));
         h.mix(d.start_s);
         h.mix(d.end_s);

@@ -183,8 +183,6 @@ struct CampaignDeviceResult {
     /// Boot-confirm outcome of the final attempt.
     bool confirmed = false;
     bool rolled_back = false;
-    /// Never released: the campaign halted before this device's wave.
-    bool halted = false;
 };
 
 /// Per-wave rollout accounting, one entry per released cohort.

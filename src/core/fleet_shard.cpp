@@ -807,7 +807,6 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             // behind an exhausted event budget.
             d.result.device_id = members_[i].device->identity().device_id;
             d.result.wave = part.cohort_of(i);
-            d.result.halted = aborted;
             d.result.status = aborted ? Status::kCampaignHalted : Status::kResourceExhausted;
             if (aborted) ++report.halted_devices;
             else ++report.failed;

@@ -20,13 +20,12 @@ private:
 /// rejects still crossed the air, so write() always takes it and keeps
 /// the agent's verdict apart.
 struct AgentManifestSink final : ByteSink {
-    AgentManifestSink(agent::UpdateAgent& a, bool s) : agent(a), suit(s) {}
+    explicit AgentManifestSink(agent::UpdateAgent& a) : agent(a) {}
     Status write(ByteSpan data) override {
-        verdict = suit ? agent.offer_suit_manifest(data) : agent.offer_manifest(data);
+        verdict = agent.offer_manifest(data);
         return Status::kOk;
     }
     agent::UpdateAgent& agent;
-    bool suit;
     Status verdict = Status::kOk;
 };
 
@@ -196,17 +195,17 @@ SessionDriver::StepResult SessionDriver::step() {
         }
 
         case Phase::kRecvManifest: {
-            // --- propagation: manifest (step 8), verified on arrival (9) ----
+            // --- propagation: manifest (step 8), verified when it ends (9) -
             // Each chunk streams into the agent's bounded manifest buffer,
             // which rejects the chunk that overflows it.
             agent::UpdateAgent& agent = device_->agent();
-            AgentManifestSink sink(agent, response_->suit_encoding);
+            AgentManifestSink sink(agent);
             if (transport_->chunk_to_device(response_->manifest_bytes, manifest_offset_, sink) !=
                 Status::kOk) {
                 return finish(Status::kTransportError);
             }
             const bool last = manifest_offset_ == response_->manifest_bytes.size();
-            if (sink.verdict == Status::kOk && last) sink.verdict = agent.end_manifest(sink.suit);
+            if (sink.verdict == Status::kOk && last) sink.verdict = agent.end_manifest();
             agent_verify_ = agent.stats().verification_seconds - verify_base_;
             if (sink.verdict != Status::kOk) {
                 // Early rejection: no firmware download, no reboot (the

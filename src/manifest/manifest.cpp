@@ -90,10 +90,14 @@ std::size_t wire_size(const Manifest& m) {
                      : kManifestSize;
 }
 
+bool has_magic(ByteSpan prefix) {
+    return prefix.size() >= 4 &&
+           std::memcmp(prefix.data(), kMagic, 4) == 0;  // lint: public-data (manifest magic)
+}
+
 std::size_t wire_size_partial(ByteSpan prefix) {
     if (prefix.size() < 8) return 0;
-    if (std::memcmp(prefix.data(), kMagic, 4) != 0 ||  // lint: public-data (manifest magic)
-        load_le16(prefix.subspan(4, 2)) != kFormatVersion ||
+    if (!has_magic(prefix) || load_le16(prefix.subspan(4, 2)) != kFormatVersion ||
         (load_le16(prefix.subspan(6, 2)) & kFlagChunked) == 0) {
         return kManifestSize;
     }
@@ -122,8 +126,7 @@ Bytes serialize(const Manifest& m) {
 }
 
 Expected<Manifest> parse_manifest(ByteSpan data) {
-    if (data.size() < kManifestSize) return Status::kBadManifest;
-    if (std::memcmp(data.data(), kMagic, 4) != 0) return Status::kBadManifest;  // lint: public-data (manifest magic)
+    if (data.size() < kManifestSize || !has_magic(data)) return Status::kBadManifest;
     if (load_le16(data.subspan(4, 2)) != kFormatVersion) return Status::kBadManifest;
     const std::uint16_t flags = load_le16(data.subspan(6, 2));
     if ((flags & ~(kFlagDifferential | kFlagEncrypted | kFlagChunked)) != 0)

@@ -168,6 +168,10 @@ std::size_t wire_size(const Manifest& m);
 /// without parsing it.
 crypto::Sha256Digest server_signed_digest(ByteSpan wire);
 
+/// True when `prefix` starts with the native manifest's magic ("UPMF"); no
+/// SUIT envelope does (a CBOR map's first byte is 0xA0-0xBF).
+bool has_magic(ByteSpan prefix);
+
 /// Incremental framing helper for receivers assembling a manifest from a
 /// byte stream, and for slot readers sizing a header read: given the bytes
 /// so far, returns the total wire size once it is determined, or 0 while

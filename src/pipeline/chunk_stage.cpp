@@ -7,14 +7,6 @@
 
 namespace upkit::pipeline {
 
-std::uint64_t ChunkPlan::air_bytes() const {
-    std::uint64_t total = 0;
-    for (const Entry& e : entries) {
-        if (!e.local) total += e.ref.length;
-    }
-    return total;
-}
-
 std::size_t ChunkPlan::max_air_chunk() const {
     std::size_t largest = 0;
     for (const Entry& e : entries) {
@@ -74,7 +66,6 @@ Status ChunkStage::write(ByteSpan data) {
             // Drop the bad bytes; downstream never saw them, and index_
             // still points at this chunk so a re-sent copy slots in.
             buffer_.clear();
-            ++rejected_;
             return Status::kChunkDigestMismatch;
         }
         UPKIT_RETURN_IF_ERROR(downstream_.write(buffer_));

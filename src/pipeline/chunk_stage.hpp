@@ -48,8 +48,6 @@ struct ChunkPlan {
     };
     std::vector<Entry> entries;
 
-    /// Bytes that must travel over the air (sum of non-local lengths).
-    std::uint64_t air_bytes() const;
     /// Largest air-chunk length — the stage's reassembly buffer size.
     std::size_t max_air_chunk() const;
     /// Wire layout of the air chunks, in table order.
@@ -79,9 +77,6 @@ public:
     /// Local (installed-image) bytes forwarded downstream so far.
     std::uint64_t local_bytes() const { return local_bytes_; }
 
-    /// Air chunks that failed their digest check and were discarded.
-    std::uint64_t chunks_rejected() const { return rejected_; }
-
     std::size_t ram_usage() const { return buffer_.capacity(); }
 
 private:
@@ -94,7 +89,6 @@ private:
     Bytes buffer_;           // partial air chunk under reassembly
     std::uint64_t committed_air_ = 0;
     std::uint64_t local_bytes_ = 0;
-    std::uint64_t rejected_ = 0;
 };
 
 }  // namespace upkit::pipeline

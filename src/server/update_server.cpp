@@ -283,7 +283,6 @@ UpdateServer::UnsignedResponse UpdateServer::seal_store(  // lint: requires-lock
         pending.tbs = crypto::Sha256::digest(
             suit::server_tbs(envelope.manifest_bstr, envelope.vendor_signature));
         pending.envelope = std::move(envelope);
-        response.suit_encoding = true;
     } else {
         response.manifest_bytes = manifest::serialize(m);
         pending.tbs = manifest::server_signed_digest(response.manifest_bytes);

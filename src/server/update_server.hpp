@@ -64,8 +64,6 @@ struct UpdateResponse {
     manifest::Manifest manifest;
     Bytes manifest_bytes;  // wire manifest (native 200-byte or SUIT CBOR)
     Bytes payload;         // full firmware, or LZSS-compressed patch
-    /// manifest_bytes is a SUIT envelope instead of the native format.
-    bool suit_encoding = false;
     ServiceReceipt receipt;
 };
 

@@ -1,5 +1,7 @@
 #include "suit/suit.hpp"
 
+#include <algorithm>
+
 #include "crypto/sha256.hpp"
 
 namespace upkit::suit {
@@ -81,27 +83,13 @@ Envelope from_manifest(const manifest::Manifest& m, const crypto::PrivateKey& ve
     return envelope;
 }
 
-namespace {
-
-Expected<Envelope> envelope_from_value(const Expected<CborValue>& decoded);
-
-}  // namespace
-
 Expected<Envelope> parse_envelope(ByteSpan data) {
-    return envelope_from_value(cbor_decode(data));
-}
-
-Expected<Envelope> parse_envelope_prefix(ByteSpan region) {
-    ByteSpan view = region;
-    return envelope_from_value(cbor_decode_prefix(view));
-}
-
-namespace {
-
-Expected<Envelope> envelope_from_value(const Expected<CborValue>& decoded_in) {
-    const auto& decoded = decoded_in;
-    if (!decoded) return Status::kBadManifest;
-    if (!decoded->is_map()) return Status::kBadManifest;
+    const auto decoded = cbor_decode_prefix(data);
+    if (!decoded || !decoded->is_map()) return Status::kBadManifest;
+    // Only the zero padding of a slot's header region may follow.
+    if (std::any_of(data.begin(), data.end(), [](std::uint8_t b) { return b != 0; })) {
+        return Status::kBadManifest;
+    }
 
     const CborValue* auth = decoded->find(kKeyAuthWrapper);
     const CborValue* manifest_field = decoded->find(kKeyManifest);
@@ -124,8 +112,6 @@ Expected<Envelope> envelope_from_value(const Expected<CborValue>& decoded_in) {
     envelope.manifest_bstr = manifest_field->as_bytes();
     return envelope;
 }
-
-}  // namespace
 
 Expected<manifest::Manifest> to_manifest(const Envelope& envelope) {
     auto decoded = cbor_decode(envelope.manifest_bstr);

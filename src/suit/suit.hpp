@@ -80,13 +80,11 @@ Bytes server_tbs(const Bytes& manifest_bstr, const crypto::Signature& vendor_sig
 Envelope from_manifest(const manifest::Manifest& m, const crypto::PrivateKey& vendor_key,
                        const crypto::PrivateKey& server_key);
 
-/// Parses an envelope (no signature check — that is the verifier's job:
-/// verify::Verifier::verify_signatures over the header it converts to).
+/// Parses an envelope followed by nothing but zero bytes (the padding of
+/// its header region in a slot), with no signature check — that is the
+/// verifier's job: verify::Verifier::verify_signatures over the header it
+/// converts to.
 Expected<Envelope> parse_envelope(ByteSpan data);
-
-/// Parses an envelope from the front of a zero-padded header region (e.g.
-/// the first kSuitHeaderRegion bytes of a slot).
-Expected<Envelope> parse_envelope_prefix(ByteSpan region);
 
 /// Converts a parsed envelope into the native manifest structure (signature
 /// fields carry the SUIT signatures; field checks work unchanged).

@@ -16,25 +16,33 @@ Expected<ImageHeader> ImageHeader::from_envelope(suit::Envelope envelope) {
     return header;
 }
 
+std::size_t header_size(ByteSpan prefix) {
+    return manifest::has_magic(prefix) ? manifest::wire_size_partial(prefix)
+                                       : suit::kSuitHeaderRegion;
+}
+
+Expected<ImageHeader> parse_image_header(ByteSpan raw) {
+    if (auto native = manifest::parse_manifest(raw)) return ImageHeader(std::move(*native));
+    auto envelope = suit::parse_envelope(raw);
+    if (!envelope) return envelope.status();
+    return ImageHeader::from_envelope(std::move(*envelope));
+}
+
 Expected<ImageHeader> read_image_header(const slots::SlotConfig& slot) {
     Bytes raw(suit::kSuitHeaderRegion);
     UPKIT_RETURN_IF_ERROR(slot.device->read(slot.offset, MutByteSpan(raw)));
 
-    // Chunked native manifests are variable-length: the chunk table can
-    // extend past the fixed probe, so frame the prefix and re-read the
-    // whole header before parsing — but never past the slot, whatever
-    // entry count the (not yet authenticated) header claims.
-    const std::size_t framed = manifest::wire_size_partial(raw);
-    if (framed > raw.size() && framed <= slot.size) {
-        raw.resize(framed);
+    // A chunked native header can outgrow the probe: re-read it whole, but
+    // never past the slot, whatever entry count the (not yet authenticated)
+    // header claims.
+    const std::size_t size = header_size(raw);
+    if (size > slot.size) return Status::kBadManifest;
+    if (size > raw.size()) {
+        raw.resize(size);
         UPKIT_RETURN_IF_ERROR(slot.device->read(slot.offset, MutByteSpan(raw)));
     }
-
-    if (auto native = manifest::parse_manifest(raw)) return ImageHeader(std::move(*native));
-    // SUIT-encoded header region (interop mode).
-    auto envelope = suit::parse_envelope_prefix(raw);
-    if (!envelope) return envelope.status();
-    return ImageHeader::from_envelope(std::move(*envelope));
+    raw.resize(size);
+    return parse_image_header(raw);
 }
 
 Expected<crypto::Sha256Digest> digest_slot(const slots::SlotConfig& slot,

@@ -48,10 +48,25 @@ struct ImageHeader {
     static Expected<ImageHeader> from_envelope(suit::Envelope envelope);
 };
 
+// The one image-header rule. Every device-side reader and writer of a
+// header (the agent's manifest intake, factory provisioning, the
+// bootloader, the mcuboot baseline) frames, pads and parses it here.
+// A header's slot bytes are its received bytes, zero-padded to header_size.
+
+/// Bytes the header starting with `prefix` occupies in a slot: a native
+/// manifest's framed wire size (0 while `prefix` is too short to frame
+/// it), anything else the kSuitHeaderRegion a SUIT envelope is padded to.
+std::size_t header_size(ByteSpan prefix);
+
+/// Parses a header's slot bytes: the native format first, then a SUIT
+/// envelope followed by nothing but zero padding. kBadManifest when
+/// neither parses.
+Expected<ImageHeader> parse_image_header(ByteSpan raw);
+
 /// Reads the header at the start of `slot`: probes kSuitHeaderRegion bytes,
-/// re-reads a chunked native header that outgrows the probe (only when it
-/// still fits the slot), then parses native first, SUIT second. A failed
-/// read returns the flash's status; an unparseable header kBadManifest.
+/// re-reads a chunked native header that outgrows the probe, and parses
+/// header_size bytes. A failed read returns the flash's status; a header
+/// that does not fit the slot, or does not parse, kBadManifest.
 Expected<ImageHeader> read_image_header(const slots::SlotConfig& slot);
 
 /// SHA-256 over `size` bytes starting `offset` bytes into `slot`, streamed

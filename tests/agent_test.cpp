@@ -76,6 +76,7 @@ TEST_F(AgentFixture, HappyPathFullUpdate) {
     ASSERT_FALSE(response.manifest.differential);
 
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     EXPECT_EQ(agent.state(), FsmState::kReceiveFirmware);
     ASSERT_EQ(feed_payload(agent, response.payload), Status::kOk);
     EXPECT_EQ(agent.state(), FsmState::kReadyToReboot);
@@ -92,6 +93,7 @@ TEST_F(AgentFixture, HappyPathDifferentialUpdate) {
     ASSERT_TRUE(response.manifest.differential);
 
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     ASSERT_EQ(feed_payload(agent, response.payload, 64), Status::kOk);
     EXPECT_TRUE(agent.update_ready());
 }
@@ -110,8 +112,8 @@ TEST_F(AgentFixture, PayloadBeforeManifestRejected) {
 TEST_F(AgentFixture, GarbageManifestCleansEarly) {
     UpdateAgent& agent = device_->agent();
     ASSERT_TRUE(agent.request_device_token().has_value());
-    EXPECT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize, 0xAA)),
-              Status::kBadManifest);
+    ASSERT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize, 0xAA)), Status::kOk);
+    EXPECT_EQ(agent.end_manifest(), Status::kBadManifest);
     EXPECT_EQ(agent.state(), FsmState::kCleaning);
     EXPECT_EQ(agent.stats().manifests_rejected, 1u);
     EXPECT_EQ(agent.stats().payload_bytes_received, 0u);  // nothing downloaded
@@ -126,7 +128,8 @@ TEST_F(AgentFixture, ReplayedNonceRejectedBeforeDownload) {
     // Device starts over with a new token; the replay must die early.
     agent.clean();
     ASSERT_TRUE(agent.request_device_token().has_value());
-    EXPECT_EQ(agent.offer_manifest(captured.manifest_bytes), Status::kBadNonce);
+    ASSERT_EQ(agent.offer_manifest(captured.manifest_bytes), Status::kOk);
+    EXPECT_EQ(agent.end_manifest(), Status::kBadNonce);
     EXPECT_EQ(agent.stats().manifests_rejected, 1u);
     EXPECT_EQ(agent.stats().payload_bytes_received, 0u);
 }
@@ -144,15 +147,22 @@ TEST_F(AgentFixture, ManifestArrivingInFragments) {
     EXPECT_EQ(agent.state(), FsmState::kReceiveManifest);
     ASSERT_EQ(agent.offer_manifest(wire.subspan(50, 100)), Status::kOk);
     ASSERT_EQ(agent.offer_manifest(wire.subspan(150)), Status::kOk);
+    EXPECT_EQ(agent.state(), FsmState::kReceiveManifest);  // until the frame ends
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     EXPECT_EQ(agent.state(), FsmState::kReceiveFirmware);
 }
 
 TEST_F(AgentFixture, OversizedManifestChunkFails) {
     UpdateAgent& agent = device_->agent();
-    ASSERT_TRUE(agent.request_device_token().has_value());
-    EXPECT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize + 1, 0)),
-              Status::kSizeExceeded);
+    auto token = agent.request_device_token();
+    ASSERT_TRUE(token.has_value());
+    DeviceToken full_token = *token;
+    full_token.current_version = 0;
+    Bytes frame = fetch(full_token).manifest_bytes;
+    frame.push_back(0x00);  // one byte past the manifest's own size
+    EXPECT_EQ(agent.offer_manifest(frame), Status::kSizeExceeded);
     EXPECT_EQ(agent.state(), FsmState::kCleaning);
+    EXPECT_EQ(agent.stats().manifests_rejected, 1u);
 }
 
 TEST_F(AgentFixture, TamperedPayloadRejectedAfterDownload) {
@@ -165,6 +175,7 @@ TEST_F(AgentFixture, TamperedPayloadRejectedAfterDownload) {
     response.payload[1000] ^= 0x01;  // tampered in transit/storage
 
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     EXPECT_EQ(feed_payload(agent, response.payload), Status::kBadDigest);
     EXPECT_EQ(agent.state(), FsmState::kCleaning);
     EXPECT_EQ(agent.stats().firmwares_rejected, 1u);
@@ -178,6 +189,7 @@ TEST_F(AgentFixture, ExcessPayloadRejected) {
     full_token.current_version = 0;
     auto response = fetch(full_token);
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
 
     append(response.payload, Bytes(10, 0xEE));  // attacker pads the stream
     EXPECT_EQ(feed_payload(agent, response.payload), Status::kSizeExceeded);
@@ -193,6 +205,7 @@ TEST_F(AgentFixture, CleaningInvalidatesTargetSlot) {
     auto response = fetch(full_token);
     response.payload.back() ^= 0x01;
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     ASSERT_EQ(feed_payload(agent, response.payload), Status::kBadDigest);
 
     // The slot's manifest sector was wiped: the bootloader can't parse it,
@@ -205,8 +218,8 @@ TEST_F(AgentFixture, CleaningInvalidatesTargetSlot) {
 TEST_F(AgentFixture, RecoversAfterCleaningForNextAttempt) {
     UpdateAgent& agent = device_->agent();
     ASSERT_TRUE(agent.request_device_token().has_value());
-    ASSERT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize, 0xAA)),
-              Status::kBadManifest);
+    ASSERT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize, 0xAA)), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kBadManifest);
 
     // Second attempt, clean response: must succeed from kCleaning.
     auto token = agent.request_device_token();
@@ -215,6 +228,7 @@ TEST_F(AgentFixture, RecoversAfterCleaningForNextAttempt) {
     full_token.current_version = 0;
     const auto response = fetch(full_token);
     ASSERT_EQ(agent.offer_manifest(response.manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     ASSERT_EQ(feed_payload(agent, response.payload), Status::kOk);
     EXPECT_TRUE(agent.update_ready());
 }

@@ -88,6 +88,33 @@ TEST_F(BaselineFixture, McubootBillsEveryBootSecondToTheMeter) {
     EXPECT_NEAR(billed() - billed0, elapsed, 1e-9);
 }
 
+TEST_F(BaselineFixture, McubootInstallsAStagedChunkedImage) {
+    // A chunked image's firmware starts after its chunk table, not at the
+    // 200-byte mark: the model finds it through the verifier's header rule.
+    ASSERT_EQ(env_.server.publish(env_.vendor.create_release(
+                  sim::mutate_os_version(env_.base_firmware, 3),
+                  {.version = 2, .app_id = kAppId, .chunked = true})),
+              Status::kOk);
+    // A have-list that matches no chunk: the payload is the whole image.
+    const auto image = env_.server.prepare_update(
+        kAppId,
+        {.device_id = testenv::kDeviceId, .nonce = 7, .current_version = 0, .have = {1}});
+    ASSERT_TRUE(image.has_value());
+    ASSERT_TRUE(image->manifest.chunked);
+    ASSERT_GT(image->manifest_bytes.size(), manifest::kManifestSize);
+
+    McumgrAgent agent(*device_);
+    net::Transport transport(net::ble_gatt(), device_->clock(), &device_->meter());
+    ASSERT_EQ(agent.upload(*image, transport), Status::kOk);
+
+    McubootModel bootloader(*device_);
+    auto report = bootloader.boot();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->booted.version, 2);
+    EXPECT_TRUE(report->installed_from_staging);
+    EXPECT_TRUE(report->invalidated.empty());
+}
+
 TEST_F(BaselineFixture, BaselineInstallsReplayedOutdatedImage) {
     // The attacker captured the (validly signed) version-1 image earlier.
     const auto outdated = image_for_version_latest();  // still version 1

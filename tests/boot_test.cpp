@@ -22,6 +22,7 @@ std::uint16_t stage_update(TestEnv& env, Device& device) {
     auto response = env.server.prepare_update(kAppId, *token);
     EXPECT_TRUE(response.has_value());
     EXPECT_EQ(agent.offer_manifest(response->manifest_bytes), Status::kOk);
+    EXPECT_EQ(agent.end_manifest(), Status::kOk);
     for (std::size_t off = 0; off < response->payload.size(); off += 244) {
         const std::size_t len = std::min<std::size_t>(244, response->payload.size() - off);
         EXPECT_EQ(agent.offer_payload(ByteSpan(response->payload).subspan(off, len)),
@@ -165,6 +166,7 @@ TEST(BootloaderTest, PowerLossDuringPropagationRecovers) {
     auto response = env.server.prepare_update(kAppId, *token);
     ASSERT_TRUE(response.has_value());
     ASSERT_EQ(agent.offer_manifest(response->manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
 
     // Feed half the payload, then cut power mid-write.
     const std::size_t half = response->payload.size() / 2;

@@ -79,7 +79,8 @@ TEST(EdgeVerifier, CheapChecksRunBeforeSignatures) {
     response->manifest.vendor_signature[0] ^= 1;       // also bad signature
     response->manifest_bytes = manifest::serialize(response->manifest);
     const double cpu_before = device->meter().seconds(sim::Component::kCpu);
-    EXPECT_EQ(agent.offer_manifest(response->manifest_bytes), Status::kBadDeviceId);
+    ASSERT_EQ(agent.offer_manifest(response->manifest_bytes), Status::kOk);
+    EXPECT_EQ(agent.end_manifest(), Status::kBadDeviceId);
     // No signature time charged beyond what the field checks cost (the
     // charge happens before the call, so assert only the verdict here and
     // that the FSM cleaned up).
@@ -203,12 +204,14 @@ TEST(EdgeAgent, StatsAccumulateAcrossAttempts) {
     // Two bad manifests, then a good update.
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(agent.request_device_token().has_value());
-        ASSERT_NE(agent.offer_manifest(Bytes(manifest::kManifestSize, 0x11)), Status::kOk);
+        ASSERT_EQ(agent.offer_manifest(Bytes(manifest::kManifestSize, 0x11)), Status::kOk);
+        ASSERT_NE(agent.end_manifest(), Status::kOk);
     }
     auto token = agent.request_device_token();
     ASSERT_TRUE(token.has_value());
     auto response = env.server.prepare_update(kAppId, *token);
     ASSERT_EQ(agent.offer_manifest(response->manifest_bytes), Status::kOk);
+    ASSERT_EQ(agent.end_manifest(), Status::kOk);
     for (std::size_t off = 0; off < response->payload.size(); off += 4096) {
         const std::size_t len = std::min<std::size_t>(4096, response->payload.size() - off);
         ASSERT_EQ(agent.offer_payload(ByteSpan(response->payload).subspan(off, len)),

@@ -20,8 +20,8 @@
 #include "sim/chaos.hpp"
 #include "sim/energy.hpp"
 #include "sim/trace.hpp"
-#include "suit/suit.hpp"
 #include "test_env.hpp"
+#include "verify/verifier.hpp"
 
 namespace upkit::core {
 namespace {
@@ -144,14 +144,10 @@ TEST(TrialBootTest, UnconfirmedTrialRevertsOnNextBootWithoutDriver) {
         kAppId,
         {.device_id = config.device_id, .nonce = 1, .current_version = 0});
     ASSERT_TRUE(v2.has_value());
-    Bytes blob;
-    if (v2->suit_encoding) {
-        ASSERT_LE(v2->manifest_bytes.size(), suit::kSuitHeaderRegion);
-        blob.assign(suit::kSuitHeaderRegion, 0x00);
-        std::copy(v2->manifest_bytes.begin(), v2->manifest_bytes.end(), blob.begin());
-    } else {
-        blob = v2->manifest_bytes;
-    }
+    Bytes blob = v2->manifest_bytes;
+    const std::size_t header = verify::header_size(blob);
+    ASSERT_LE(blob.size(), header);
+    blob.resize(header, 0x00);
     append(blob, v2->payload);
     const slots::SlotConfig* slot = device->slots().slot(1);
     ASSERT_EQ(slot->device->erase_range(slot->offset, slot->size), Status::kOk);
@@ -313,8 +309,7 @@ TEST(RolloutResilienceTest, BadImageIsContainedToTheCanary) {
     EXPECT_EQ(report.waves[0].rolled_back, report.exposed_devices);
 
     for (const CampaignDeviceResult& d : report.devices) {
-        if (d.halted) {
-            EXPECT_EQ(d.status, Status::kCampaignHalted);
+        if (d.status == Status::kCampaignHalted) {
             EXPECT_EQ(d.attempts, 0u);
         } else {
             // Every exposed device auto-rolled-back and runs the old

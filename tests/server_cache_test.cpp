@@ -601,9 +601,7 @@ std::vector<std::optional<UpdateResponse>> answer(const server::UpdateServer& se
 /// either wire encoding.
 bool server_signature_verifies(const UpdateResponse& r, const crypto::PreparedPublicKey& key) {
     crypto::Sha256Digest digest;
-    if (r.suit_encoding) {
-        const auto envelope = suit::parse_envelope(r.manifest_bytes);
-        if (!envelope) return false;
+    if (const auto envelope = suit::parse_envelope(r.manifest_bytes)) {
         digest = crypto::Sha256::digest(
             suit::server_tbs(envelope->manifest_bstr, envelope->vendor_signature));
     } else {
@@ -641,7 +639,8 @@ TEST(ServerCacheTest, ConcurrentPrepareUpdateKeepsCountersAndCachesCoherent) {
             ASSERT_TRUE(serial[i].has_value());
             const UpdateResponse& got = *threaded[i];
             EXPECT_EQ(got.manifest.device_id, tokens[i].device_id);
-            EXPECT_EQ(got.suit_encoding, mode == ServeMode::kSuit);
+            EXPECT_EQ(suit::parse_envelope(got.manifest_bytes).has_value(),
+                      mode == ServeMode::kSuit);
             EXPECT_TRUE(server_signature_verifies(got, env.server.public_key()));
             EXPECT_EQ(got.manifest.encrypted, serial[i]->manifest.encrypted);
             if (got.manifest.encrypted) {

@@ -42,7 +42,7 @@ TEST(SuitE2eTest, SuitFactoryProvisioningBoots) {
     auto factory = env.server.prepare_update(
         kAppId, {.device_id = testenv::kDeviceId, .nonce = 0, .current_version = 0});
     ASSERT_TRUE(factory.has_value());
-    ASSERT_TRUE(factory->suit_encoding);
+    ASSERT_TRUE(suit::parse_envelope(factory->manifest_bytes).has_value());
     ASSERT_EQ(device.provision_factory(*factory), Status::kOk);
     EXPECT_EQ(device.identity().installed_version, 1);
 }
@@ -145,6 +145,39 @@ TEST(SuitE2eTest, CorruptedStoredSuitImageRollsBack) {
     EXPECT_EQ(report->invalidated.size(), 1u);
 }
 
+TEST(SuitE2eTest, StoredSuitImageWithNonZeroPaddingRollsBack) {
+    TestEnv env;
+    auto device = env.make_device(SlotLayout::kAB);
+    env.server.set_suit_mode(true);
+    env.publish_os_update(2, 75);
+    {
+        UpdateSession session(*device, env.server, net::ble_gatt());
+        ASSERT_EQ(session.run(kAppId).status, Status::kOk);
+        ASSERT_EQ(device->identity().installed_version, 2);
+    }
+
+    // Set the last byte of the envelope's zero padding: the envelope and
+    // its signatures are intact, but the header region no longer holds
+    // only the envelope. Flash programs 1s to 0s only, so the sector is
+    // erased and rewritten.
+    const std::uint32_t v2_slot = device->installed_slot();
+    const slots::SlotConfig* slot = device->slots().slot(v2_slot);
+    Bytes sector(slot->device->geometry().sector_bytes);
+    ASSERT_EQ(slot->device->read(slot->offset, MutByteSpan(sector)), Status::kOk);
+    ASSERT_EQ(sector[suit::kSuitHeaderRegion - 1], 0x00);
+    sector[suit::kSuitHeaderRegion - 1] = 0x01;
+    ASSERT_EQ(slot->device->erase_range(slot->offset, sector.size()), Status::kOk);
+    ASSERT_EQ(slot->device->write(slot->offset, sector), Status::kOk);
+
+    // The header no longer parses, so the bootloader passes the slot over
+    // and boots the native v1 from the other one.
+    EXPECT_EQ(verify::read_image_header(*slot).status(), Status::kBadManifest);
+    auto report = device->reboot();
+    ASSERT_TRUE(report.has_value());
+    EXPECT_EQ(report->booted.version, 1);
+    EXPECT_NE(report->booted_slot, v2_slot);
+}
+
 /// One update whose manifest frame (a SUIT envelope when `suit`, else a
 /// native manifest) a compromised proxy rewrote on its way to the device.
 struct ProxiedRun {
@@ -154,7 +187,8 @@ struct ProxiedRun {
     std::vector<std::string> phases;       // session phases entered, in order
 };
 
-ProxiedRun run_proxied(bool suit, const std::function<void(Bytes&)>& tamper) {
+ProxiedRun run_proxied(bool suit, const std::function<void(Bytes&)>& tamper,
+                       const net::LinkParams& link = net::ble_gatt()) {
     TestEnv env;
     auto device = env.make_device(SlotLayout::kAB);
     env.server.set_suit_mode(suit);
@@ -165,7 +199,7 @@ ProxiedRun run_proxied(bool suit, const std::function<void(Bytes&)>& tamper) {
     sim::RingBufferSink sink(1 << 12);
     sim::Tracer tracer;
     tracer.add_sink(sink);
-    UpdateSession session(*device, env.server, net::ble_gatt());
+    UpdateSession session(*device, env.server, link);
     session.set_tracer(&tracer);
     session.set_interceptor([&](server::UpdateResponse& response) {
         tamper(response.manifest_bytes);
@@ -183,12 +217,13 @@ ProxiedRun run_proxied(bool suit, const std::function<void(Bytes&)>& tamper) {
 
 /// Runs one SUIT update whose envelope a compromised proxy rewrites with
 /// `tamper` on its way to the device, and checks that the agent rejected
-/// it on arrival: kBadManifest before any firmware byte went over the air,
-/// no reboot, one more rejected manifest. Returns the envelope the device
-/// received.
-Bytes expect_rejected_on_arrival(const std::function<void(Bytes&)>& tamper) {
+/// it on arrival: `status` (kBadManifest unless given) before any firmware
+/// byte went over the air, no reboot, one more rejected manifest. Returns
+/// the envelope the device received.
+Bytes expect_rejected_on_arrival(const std::function<void(Bytes&)>& tamper,
+                                 Status status = Status::kBadManifest) {
     const ProxiedRun run = run_proxied(true, tamper);
-    EXPECT_EQ(run.report.status, Status::kBadManifest);
+    EXPECT_EQ(run.report.status, status);
     EXPECT_TRUE(run.report.rejected_before_download);
     EXPECT_EQ(run.manifests_rejected, 1u);
     // Up went the legacy token, down came the envelope: nothing else.
@@ -199,10 +234,32 @@ Bytes expect_rejected_on_arrival(const std::function<void(Bytes&)>& tamper) {
 TEST(SuitE2eTest, EnvelopeLargerThanItsHeaderRegionRejectedOnArrival) {
     // The envelope is intact, only zero-padded past the header region the
     // slot stores it in: the size check fires before any parsing.
-    const Bytes received = expect_rejected_on_arrival([](Bytes& envelope) {
-        envelope.resize(suit::kSuitHeaderRegion + 1, 0x00);
-    });
+    const Bytes received = expect_rejected_on_arrival(
+        [](Bytes& envelope) { envelope.resize(suit::kSuitHeaderRegion + 1, 0x00); },
+        Status::kSizeExceeded);
     EXPECT_GT(received.size(), suit::kSuitHeaderRegion);
+}
+
+TEST(SuitE2eTest, EnvelopeMayBeFollowedOnlyByZeroBytes) {
+    // Zero bytes after the envelope are the padding its header region gets
+    // in the slot anyway: the update installs.
+    {
+        TestEnv env;
+        auto device = env.make_device(SlotLayout::kAB);
+        env.server.set_suit_mode(true);
+        env.publish_os_update(2, 77);
+        UpdateSession session(*device, env.server, net::ble_gatt());
+        session.set_interceptor(
+            [](server::UpdateResponse& response) { append(response.manifest_bytes, Bytes(3)); });
+        const SessionReport report = session.run(kAppId);
+        EXPECT_EQ(report.status, Status::kOk);
+        EXPECT_EQ(report.final_version, 2);
+        EXPECT_TRUE(report.rebooted);
+    }
+    // Any other trailing byte is rejected when the frame ends.
+    const Bytes received =
+        expect_rejected_on_arrival([](Bytes& envelope) { envelope.push_back(0x01); });
+    EXPECT_LE(received.size(), suit::kSuitHeaderRegion);
 }
 
 TEST(SuitE2eTest, EnvelopeThatNoLongerParsesRejectedOnArrival) {
@@ -236,7 +293,7 @@ TEST(SuitE2eTest, PaddedEnvelopeStopsAtTheChunkPastItsHeaderRegion) {
     // one it receives.
     const ProxiedRun run =
         run_proxied(true, [](Bytes& envelope) { envelope.resize(64 * 1024, 0x00); });
-    EXPECT_EQ(run.report.status, Status::kBadManifest);
+    EXPECT_EQ(run.report.status, Status::kSizeExceeded);
     EXPECT_TRUE(run.report.rejected_before_download);
     EXPECT_EQ(run.manifests_rejected, 1u);
     EXPECT_LE(run.report.bytes_over_air,
@@ -244,14 +301,27 @@ TEST(SuitE2eTest, PaddedEnvelopeStopsAtTheChunkPastItsHeaderRegion) {
 }
 
 TEST(SuitE2eTest, PaddedNativeManifestStopsAtTheChunkPastItsSize) {
-    // The native manifest's header pins its size, so the first chunk,
-    // which already runs past it, is the last one the device receives.
-    const ProxiedRun run =
-        run_proxied(false, [](Bytes& manifest) { manifest.resize(64 * 1024, 0x00); });
-    EXPECT_EQ(run.report.status, Status::kSizeExceeded);
-    EXPECT_TRUE(run.report.rejected_before_download);
-    EXPECT_LE(run.report.bytes_over_air,
-              manifest::kDeviceTokenSize + manifest::kManifestSize + net::ble_gatt().mtu);
+    // The native manifest's header pins its size, so the chunk that runs
+    // past it is the last one the device receives, and nothing is verified:
+    // a manifest that ends on a chunk boundary waits for its frame to end.
+    // Air bytes: the 10-byte token up, then whole chunks down until one
+    // passes byte 200.
+    const struct {
+        std::size_t mtu;
+        std::uint64_t air_bytes;
+    } cases[] = {{100, 310}, {200, 410}, {244, 254}};
+    for (const auto& c : cases) {
+        SCOPED_TRACE("mtu " + std::to_string(c.mtu));
+        net::LinkParams link = net::ble_gatt();
+        link.mtu = c.mtu;
+        const ProxiedRun run = run_proxied(
+            false, [](Bytes& manifest) { manifest.resize(64 * 1024, 0x00); }, link);
+        EXPECT_EQ(run.report.status, Status::kSizeExceeded);
+        EXPECT_TRUE(run.report.rejected_before_download);
+        EXPECT_EQ(run.manifests_rejected, 1u);
+        EXPECT_EQ(run.report.phases.verification_s, 0.0);
+        EXPECT_EQ(run.report.bytes_over_air, c.air_bytes);
+    }
 }
 
 TEST(SuitE2eTest, TruncatedNativeManifestRejectedWhenItsFrameEnds) {

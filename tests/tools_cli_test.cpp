@@ -205,7 +205,7 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     for (const char* rule_id :
          {"raw-compare", "vt-scalar-mul", "secret-inverse", "banned-rand",
           "banned-unbounded-copy", "banned-wall-clock", "fsm-switch-exhaustive",
-          "discarded-flash-status", "secret-taint", "lock-discipline"}) {
+          "discarded-flash-status", "secret-taint", "lock-discipline", "header-codec"}) {
         EXPECT_NE(out.find(std::string("[") + rule_id + "]"), std::string::npos)
             << "fixture violation for rule '" << rule_id << "' not caught:\n"
             << out;
