@@ -52,7 +52,7 @@ struct AgentConfig {
 
     /// External health verdict for the running version; unset means the
     /// self-test passes. Fleet campaigns wire this to the chaos plan's
-    /// per-device brick/bad-version verdicts.
+    /// bad-version verdict.
     std::function<bool(std::uint16_t version)> self_test_hook;
 };
 

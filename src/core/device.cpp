@@ -112,16 +112,13 @@ void Device::build_slots() {
     const sim::PlatformProfile& p = *config_.platform;
     const std::uint64_t sector = p.flash_sector_bytes;
 
-    std::uint64_t slot_size = config_.slot_size;
-    if (slot_size == 0) {
-        const std::uint64_t avail = p.internal_flash_bytes - config_.bootloader_reserved;
-        slot_size = (config_.layout == SlotLayout::kStaticExternal)
-                        ? (avail / sector) * sector
-                        : (avail / 2 / sector) * sector;
-        if (config_.layout == SlotLayout::kStaticExternal) {
-            slot_size = std::min<std::uint64_t>(slot_size, p.external_flash_bytes);
-            slot_size = (slot_size / sector) * sector;
-        }
+    const std::uint64_t avail = p.internal_flash_bytes - config_.bootloader_reserved;
+    std::uint64_t slot_size = (config_.layout == SlotLayout::kStaticExternal)
+                                  ? (avail / sector) * sector
+                                  : (avail / 2 / sector) * sector;
+    if (config_.layout == SlotLayout::kStaticExternal) {
+        slot_size = std::min<std::uint64_t>(slot_size, p.external_flash_bytes);
+        slot_size = (slot_size / sector) * sector;
     }
 
     const std::uint64_t base = config_.bootloader_reserved;

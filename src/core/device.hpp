@@ -60,9 +60,8 @@ struct DeviceConfig {
 
     /// Pipeline buffer bytes; 0 = the platform's flash sector size.
     std::size_t pipeline_buffer = 0;
-    /// Slot capacity; 0 = auto-size from the platform's flash geometry.
-    std::uint64_t slot_size = 0;
-    /// Flash reserved for the (never-updated) bootloader itself.
+    /// Flash reserved for the (never-updated) bootloader itself; the slots
+    /// share what is left of the platform's flash, in whole sectors.
     std::uint64_t bootloader_reserved = 32 * 1024;
 
     /// Trust anchors, as the handles their servers prepared (copying a

@@ -105,7 +105,7 @@ struct FleetMember {
 /// Multi-server edge topology: `edges` regional servers front the vendor
 /// origin. Devices are assigned round-robin by fleet index (region =
 /// index % edges); each region has its own admission queue, payload cache,
-/// and chaos outage domain (sim::ChaosPlan::region_down). The origin stays
+/// and chaos outage domain (sim::ChaosPlan::down). The origin stays
 /// the sole signing authority — every request's device-bound manifest is
 /// prepared and signed there — so an edge caches payload bytes, not
 /// envelopes; a cache miss pulls the payload over the backhaul. edges == 0

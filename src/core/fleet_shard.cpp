@@ -65,11 +65,11 @@ namespace upkit::core {
 namespace {
 
 /// Per-cohort rollout state, kept for every campaign (a cohort is never
-/// empty, so `released` is 0 until it releases). Attempt counters form the
+/// empty, so `released` is 0 until it releases; a device is terminal once
+/// it counts in `succeeded` or `failed`). Attempt counters form the
 /// breaker's failure window and are reset when a paused breaker resumes.
 struct CohortState {
     unsigned released = 0;
-    unsigned terminal = 0;
     unsigned succeeded = 0;
     unsigned failed = 0;
     unsigned rolled_back = 0;
@@ -110,25 +110,6 @@ struct CohortPartition {
     unsigned count() const { return total == 0 ? 0 : cohort_of(total - 1) + 1; }
 };
 
-server::ServerStats stats_delta(const server::ServerStats& now,
-                                const server::ServerStats& then) {
-    server::ServerStats d;
-    d.requests = now.requests - then.requests;
-    d.sign_ops = now.sign_ops - then.sign_ops;
-    d.delta_generations = now.delta_generations - then.delta_generations;
-    d.response_hits = now.response_hits - then.response_hits;
-    d.response_misses = now.response_misses - then.response_misses;
-    d.response_evictions = now.response_evictions - then.response_evictions;
-    d.chunked_responses = now.chunked_responses - then.chunked_responses;
-    d.chunk_hits = now.chunk_hits - then.chunk_hits;
-    d.chunk_misses = now.chunk_misses - then.chunk_misses;
-    d.chunks_served = now.chunks_served - then.chunks_served;
-    d.chunk_bytes_served = now.chunk_bytes_served - then.chunk_bytes_served;
-    d.chunk_bytes_deduped = now.chunk_bytes_deduped - then.chunk_bytes_deduped;
-    d.key_rotations = now.key_rotations - then.key_rotations;
-    return d;
-}
-
 /// Everything the engine tracks for one fleet member. The session fields
 /// (view, transport, driver, serving_region) cross the handoff boundary
 /// (see the contract above); the rest is the coordinator's alone.
@@ -138,13 +119,13 @@ struct DeviceState {
     std::unique_ptr<net::Transport> transport;
     std::unique_ptr<SessionDriver> driver;
     /// Regional edge serving the current attempt (-1 = origin). Written by
-    /// the coordinator while the driver is parked; read by the driver's
-    /// outage probe mid-segment.
+    /// the coordinator while the driver is parked; handed to the driver
+    /// through the transport's chaos binding.
     int serving_region = -1;
 
+    /// `result.attempts` counts the attempts launched so far.
     CampaignDeviceResult result;
     Rng jitter_rng{0};
-    unsigned attempt = 0;  // attempts launched so far (1-based once running)
     double e0 = 0.0;
     double enqueue_t = 0.0;
     bool done = false;
@@ -366,13 +347,16 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         }
     };
 
-    // The payload transfers under the serving target's fault domain (home
-    // edge, or the origin after a fallback).
-    const auto bind_chaos = [chaos](DeviceState& d, std::uint32_t id) {
+    // The attempt sees the plan through its transport: the payload
+    // transfers, and the driver probes outages, under the serving target's
+    // fault domain (home edge, or the origin after a fallback).
+    const auto bind_chaos = [chaos](DeviceState& d) {
         d.transport->set_chaos({.plan = chaos,
-                                .device_id = id,
                                 .campaign_offset = d.view.offset(),
                                 .region = d.serving_region});
+    };
+    const auto target_of = [origin_target](int region) {
+        return region >= 0 ? static_cast<std::size_t>(region) : origin_target;
     };
 
     // Hands device i's parked driver the server's answer (a response, or a
@@ -380,10 +364,9 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
     const auto provide = [&](std::size_t i,
                              std::shared_ptr<Expected<server::UpdateResponse>> response) {
         DeviceState& d = devs[i];
-        const std::uint32_t id = d.result.device_id;
-        source.hand_off(i, sched.now(), [&d, id, chaos, bind_chaos,
+        source.hand_off(i, sched.now(), [&d, chaos, bind_chaos,
                                          response = std::move(response)] {
-            if (chaos != nullptr) bind_chaos(d, id);
+            if (chaos != nullptr) bind_chaos(d);
             d.driver->provide_response(std::move(*response));
         });
     };
@@ -423,16 +406,11 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         // The serving target was pinned at attempt start (home region, or
         // the origin after a connect-time fallback); here we only handle
         // faults that began mid-attempt.
-        std::size_t target = d.serving_region >= 0
-                                 ? static_cast<std::size_t>(d.serving_region)
-                                 : origin_target;
+        std::size_t target = target_of(d.serving_region);
         if (chaos != nullptr) {
-            bool down = target == origin_target
-                            ? chaos->server_down(sched.now())
-                            : chaos->region_down(static_cast<unsigned>(target),
-                                                 sched.now());
+            bool down = chaos->down(d.serving_region, sched.now());
             if (down && target != origin_target && topo.origin_fallback &&
-                !chaos->server_down(sched.now())) {
+                !chaos->down(-1, sched.now())) {
                 // Regional outage, origin healthy: retarget.
                 ++targets[target].fallbacks;
                 trace(sim::TraceType::kEdgeFallback, d.result.device_id,
@@ -546,26 +524,23 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
     // the first step.
     const auto launch = [&](std::size_t i) {
         DeviceState& d = devs[i];
-        ++d.attempt;
-        d.result.attempts = d.attempt;
+        const unsigned attempt = ++d.result.attempts;
         const double now = sched.now();
         // The attempt's serving target is chosen now, before the uplink: the
-        // transport's fault domain and the driver's outage probe are bound
-        // to it for the whole attempt. A device whose home region is already
-        // dark retargets the origin here (when fallback is on and the origin
-        // is up) — otherwise its uplink would time the outage out without
-        // ever reaching the admission queue.
+        // transport's chaos binding, which the driver's outage probes read
+        // too, is bound to it for the whole attempt. A device whose home
+        // region is already dark retargets the origin here (when fallback is
+        // on and the origin is up) — otherwise its uplink would time the
+        // outage out without ever reaching the admission queue.
         d.serving_region = edge_count > 0 ? static_cast<int>(i % edge_count) : -1;
         d.start_fallback = chaos != nullptr && d.serving_region >= 0 &&
-                           topo.origin_fallback &&
-                           chaos->region_down(static_cast<unsigned>(d.serving_region), now) &&
-                           !chaos->server_down(now);
+                           topo.origin_fallback && chaos->down(d.serving_region, now) &&
+                           !chaos->down(-1, now);
         if (d.start_fallback) {
-            ++targets[static_cast<std::size_t>(d.serving_region)].fallbacks;
+            ++targets[target_of(d.serving_region)].fallbacks;
             d.serving_region = -1;
         }
         const std::uint32_t id = d.result.device_id;
-        const unsigned attempt = d.attempt;
         sim::Tracer* const tracer = source.device_tracer(i);
         source.hand_off(i, now, [&d, &policy, id, attempt, now, tracer, chaos, bind_chaos] {
             d.view.sync_to(now);
@@ -580,17 +555,8 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             d.driver = std::make_unique<SessionDriver>(device, *d.transport, tracer,
                                                        d.view.offset());
             d.driver->set_transport_resumes(policy.transport_resumes);
-            if (chaos != nullptr) {
-                bind_chaos(d, id);
-                d.driver->set_outage_probe([&d, chaos] {
-                    const double t = d.view.campaign_now();
-                    return d.serving_region >= 0
-                               ? chaos->region_down(static_cast<unsigned>(d.serving_region), t)
-                               : chaos->server_down(t);
-                });
-                d.driver->set_reconnect_backoff(policy.reconnect_backoff_s);
-                d.driver->set_chunk_chaos(chaos);
-            }
+            d.driver->set_reconnect_backoff(policy.reconnect_backoff_s);
+            if (chaos != nullptr) bind_chaos(d);
         });
     };
     const auto open = [&](std::size_t i) {
@@ -599,7 +565,7 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             trace(sim::TraceType::kEdgeFallback, d.result.device_id,
                   static_cast<std::uint32_t>(i % edge_count), 0.0);
         }
-        trace(sim::TraceType::kSessionStart, d.result.device_id, d.attempt, 0.0);
+        trace(sim::TraceType::kSessionStart, d.result.device_id, d.result.attempts, 0.0);
         consume(i);
     };
     const auto start_attempt = [&](std::size_t i) {
@@ -678,13 +644,13 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
                              // re-download installs the same bad image.
                              last.status == Status::kSelfTestFailed ||
                              aborted ||
-                             d.attempt >= policy.max_attempts;
+                             d.result.attempts >= policy.max_attempts;
         if (!give_up) {
             double delay = 0.0;
             if (policy.initial_backoff_s > 0) {
                 delay = policy.initial_backoff_s *
                         std::pow(policy.backoff_factor,
-                                 static_cast<double>(d.attempt - 1));
+                                 static_cast<double>(d.result.attempts - 1));
                 delay = std::min(delay, policy.max_backoff_s);
                 // u uniform in [-1, 1): delay stays positive for jitter < 1.
                 const double u =
@@ -692,8 +658,8 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
                 delay *= 1.0 + policy.jitter * u;
                 d.result.backoff_s += delay;
             }
-            trace(sim::TraceType::kRetryScheduled, d.result.device_id, d.attempt + 1,
-                  delay);
+            trace(sim::TraceType::kRetryScheduled, d.result.device_id,
+                  d.result.attempts + 1, delay);
             if (paused) {
                 // Deferred until the breaker resumes (jitter already drawn,
                 // so the rng stream is identical either way).
@@ -715,7 +681,6 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         d.result.energy_mj = device.meter().total_millijoules() - d.e0;
         device.set_tracer(nullptr);
 
-        ++w.terminal;
         if (d.result.status == Status::kOk) ++w.succeeded;
         else ++w.failed;
         if (d.result.rolled_back) ++w.rolled_back;
@@ -746,17 +711,12 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
             // Deterministic jitter stream: a function of the device id only,
             // so a rerun of the same campaign replays the same delays.
             d.jitter_rng.reseed(0x9E3779B97F4A7C15ull ^ d.result.device_id);
-            // Oscillator drift (chaos plans): exactly 1.0 when unconfigured,
-            // which keeps the clock-view arithmetic bit-identical to pre-drift.
-            const double rate =
-                chaos != nullptr ? chaos->device_clock_rate(d.result.device_id) : 1.0;
-            d.view = sim::DeviceClockView(device.clock(), sched.now(), rate);
+            d.view = sim::DeviceClockView(device.clock(), sched.now());
             d.e0 = device.meter().total_millijoules();
             device.set_tracer(source.device_tracer(i), d.view.offset());
             if (chaos != nullptr) {
-                const std::uint32_t id = d.result.device_id;
-                device.set_health_hook([chaos, id](std::uint16_t version) {
-                    return chaos->self_test_passes(id, version);
+                device.set_health_hook([chaos](std::uint16_t version) {
+                    return chaos->self_test_passes(version);
                 });
             }
             ++w.released;
@@ -769,7 +729,7 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
         if (aborted || paused) return;
         if (next_release >= cohort_count) return;
         const CohortState& prev = cohorts[next_release - 1];
-        if (prev.released == 0 || prev.terminal < prev.released) return;
+        if (prev.released == 0 || prev.succeeded + prev.failed < prev.released) return;
         const double rate =
             static_cast<double>(prev.succeeded) / static_cast<double>(prev.released);
         if (policy.promote_success_rate > 0.0 && rate < policy.promote_success_rate) {
@@ -861,7 +821,7 @@ CampaignReport FleetCampaign::run(std::uint32_t app_id, const FleetPolicy& polic
                                           .fallbacks = targets[r].fallbacks});
     }
     report.events_processed = sched.events_processed();
-    report.server_stats = stats_delta(server_->stats(), stats_before);
+    report.server_stats = server_->stats() - stats_before;
     const crypto::VerifyMemoStats memo_after = crypto::verify_memo_stats();
     report.verify_memo = {memo_after.hits - memo_before.hits,
                           memo_after.misses - memo_before.misses};

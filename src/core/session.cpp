@@ -221,11 +221,12 @@ SessionDriver::StepResult SessionDriver::step() {
                 return yield();
             }
             chunk_poison_pending_.clear();
-            if (chunk_chaos_ != nullptr && agent.chunked_transfer()) {
+            const sim::ChaosPlan* plan = transport_->chaos_plan();
+            if (plan != nullptr && agent.chunked_transfer()) {
                 const auto& chunks = agent.air_chunks();
                 chunk_poison_pending_.assign(chunks.size(), false);
                 for (std::size_t i = 0; i < chunks.size(); ++i) {
-                    chunk_poison_pending_[i] = chunk_chaos_->payload_chunk_corrupted(
+                    chunk_poison_pending_[i] = plan->payload_chunk_corrupted(
                         device_->identity().device_id, chunks[i].table_index);
                 }
             }
@@ -299,7 +300,7 @@ SessionDriver::StepResult SessionDriver::step() {
                 --resumes_left_;
                 ++report_.transport_resumes;
                 payload_offset_ = static_cast<std::size_t>(agent.payload_offset());
-                if (outage_probe_ && outage_probe_() && !response_->manifest.encrypted) {
+                if (transport_->target_down() && !response_->manifest.encrypted) {
                     // The server is down, so an instant reconnect would just
                     // time out again: wait the outage out and re-handshake.
                     // (Encrypted payloads are bound to the original nonce
@@ -324,7 +325,7 @@ SessionDriver::StepResult SessionDriver::step() {
 
         case Phase::kReconnect: {
             device_->clock().advance(reconnect_backoff_s_);
-            if (outage_probe_ && outage_probe_()) {
+            if (transport_->target_down()) {
                 if (++reconnect_waits_ >= kMaxReconnectWaits) {
                     return finish(Status::kUnavailable);
                 }
@@ -401,7 +402,6 @@ SessionReport UpdateSession::run(std::uint32_t app_id) {
     SessionDriver driver(*device_, transport_, tracer_, trace_offset);
     driver.set_interceptor(interceptor_);
     driver.set_transport_resumes(transport_resumes_);
-    driver.set_chunk_chaos(chunk_chaos_);
 
     // Pump the driver to completion: an uncontended server answers after its
     // configured service time (zero by default), never queueing.

@@ -92,7 +92,19 @@ public:
     };
 
     /// `transport` must outlive the driver (UpdateSession owns one; the
-    /// fleet engine creates one per attempt).
+    /// fleet engine creates one per attempt). A chaos plan bound to it
+    /// (net::Transport::set_chaos) is the driver's only view of the plan:
+    ///  - a mid-payload timeout while the serving target is down
+    ///    (net::Transport::target_down) takes the reconnect path — back
+    ///    off, wait the outage out, refresh the token (fresh nonce, same
+    ///    version, so the server re-serves the identical payload), and
+    ///    resume from the agent's committed offset — instead of burning
+    ///    the remaining resumes against a dead server; each reconnect
+    ///    consumes one transport resume;
+    ///  - air chunks the plan poisons for this device are corrupted on
+    ///    their first delivery (a local bit flip before the bytes enter the
+    ///    transport), exercising the agent's per-chunk re-request path;
+    ///    chunked transfers only.
     SessionDriver(Device& device, net::Transport& transport,
                   sim::Tracer* tracer = nullptr, double trace_offset = 0.0);
 
@@ -108,26 +120,8 @@ public:
     /// link drop — only a reboot loses them). 0 disables resuming.
     void set_transport_resumes(unsigned resumes) { transport_resumes_ = resumes; }
 
-    /// Server-outage resilience: tells the driver whether the update server
-    /// is currently unreachable. With a probe set, a mid-payload timeout
-    /// that coincides with an outage takes the reconnect path — back off,
-    /// wait the outage out, refresh the token (fresh nonce, same version,
-    /// so the server re-serves the identical payload), and resume the
-    /// transfer from the agent's committed offset — instead of burning the
-    /// remaining resumes against a dead server. Each reconnect consumes one
-    /// transport resume. Without a probe behavior is unchanged.
-    void set_outage_probe(std::function<bool()> probe) {
-        outage_probe_ = std::move(probe);
-    }
-
     /// Seconds between reconnect probes while waiting out an outage.
     void set_reconnect_backoff(double seconds) { reconnect_backoff_s_ = seconds; }
-
-    /// Chunk-targeted fault injection: when a plan is attached, air chunks
-    /// it marks for this device are corrupted on their first delivery (a
-    /// local bit flip before the bytes enter the transport), exercising the
-    /// agent's per-chunk re-request path. Chunked transfers only.
-    void set_chunk_chaos(const sim::ChaosPlan* plan) { chunk_chaos_ = plan; }
 
     StepResult step();
 
@@ -172,9 +166,7 @@ private:
     double trace_offset_;
     std::function<void(server::UpdateResponse&)> interceptor_;
     unsigned transport_resumes_ = 0;
-    std::function<bool()> outage_probe_;
     double reconnect_backoff_s_ = 5.0;
-    const sim::ChaosPlan* chunk_chaos_ = nullptr;
 
     Phase phase_ = Phase::kStart;
     SessionReport report_;
@@ -220,9 +212,6 @@ public:
     /// See SessionDriver::set_transport_resumes.
     void set_transport_resumes(unsigned resumes) { transport_resumes_ = resumes; }
 
-    /// See SessionDriver::set_chunk_chaos.
-    void set_chunk_chaos(const sim::ChaosPlan* plan) { chunk_chaos_ = plan; }
-
     /// Trace session phases and FSM transitions (timeline starts at 0 when
     /// the session does).
     void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
@@ -232,6 +221,8 @@ public:
     /// report carries the outcome (including early rejections).
     SessionReport run(std::uint32_t app_id);
 
+    /// The session's transport; a chaos plan bound to it
+    /// (`transport().set_chaos(...)`) reaches the driver through it.
     net::Transport& transport() { return transport_; }
 
 private:
@@ -240,7 +231,6 @@ private:
     net::Transport transport_;
     std::function<void(server::UpdateResponse&)> interceptor_;
     unsigned transport_resumes_ = 0;
-    const sim::ChaosPlan* chunk_chaos_ = nullptr;
     sim::Tracer* tracer_ = nullptr;
 };
 

@@ -42,7 +42,7 @@ constexpr std::uint64_t top_mask(unsigned bits) {
     return bits == 0 ? 0 : ~0ull << (64u - bits);
 }
 
-unsigned log2_floor(std::size_t v) {
+constexpr unsigned log2_floor(std::size_t v) {
     unsigned bits = 0;
     while (v > 1) {
         v >>= 1;
@@ -53,22 +53,22 @@ unsigned log2_floor(std::size_t v) {
 
 }  // namespace
 
-std::size_t cut_point(ByteSpan data, const ChunkParams& params) {
+std::size_t cut_point(ByteSpan data) {
     const std::size_t n = data.size();
-    if (n <= params.min_size) return n;
+    if (n <= kMinChunk) return n;
 
     const std::uint64_t* gear = gear_table();
-    const unsigned avg_bits = log2_floor(params.avg_size);
+    constexpr unsigned avg_bits = log2_floor(kAvgChunk);
     // Normalized chunking: harder mask before the average point pushes cut
-    // points toward avg_size, easier mask after keeps max_size truncations
+    // points toward kAvgChunk, easier mask after keeps kMaxChunk truncations
     // (which break content alignment) rare.
-    const std::uint64_t mask_strict = top_mask(avg_bits + 2);
-    const std::uint64_t mask_loose = top_mask(avg_bits - 2);
-    const std::size_t normal = n < params.avg_size ? n : params.avg_size;
-    const std::size_t limit = n < params.max_size ? n : params.max_size;
+    constexpr std::uint64_t mask_strict = top_mask(avg_bits + 2);
+    constexpr std::uint64_t mask_loose = top_mask(avg_bits - 2);
+    const std::size_t normal = n < kAvgChunk ? n : kAvgChunk;
+    const std::size_t limit = n < kMaxChunk ? n : kMaxChunk;
 
     std::uint64_t h = 0;
-    std::size_t i = params.min_size;
+    std::size_t i = kMinChunk;
     for (; i < normal; ++i) {
         h = (h << 1) + gear[data[i]];
         if ((h & mask_strict) == 0) return i + 1;
@@ -80,11 +80,11 @@ std::size_t cut_point(ByteSpan data, const ChunkParams& params) {
     return limit;
 }
 
-std::vector<manifest::ChunkRef> chunk_image(ByteSpan image, const ChunkParams& params) {
+std::vector<manifest::ChunkRef> chunk_image(ByteSpan image) {
     std::vector<manifest::ChunkRef> table;
     std::size_t offset = 0;
     while (offset < image.size()) {
-        const std::size_t len = cut_point(image.subspan(offset), params);
+        const std::size_t len = cut_point(image.subspan(offset));
         manifest::ChunkRef ref;
         ref.offset = static_cast<std::uint32_t>(offset);
         ref.length = static_cast<std::uint32_t>(len);

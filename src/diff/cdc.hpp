@@ -12,7 +12,7 @@
 // detail: the device chunks its installed image with exactly this code to
 // report what it has, and the server chunks the published image to decide
 // what is missing. Any drift in gear table, masks, or bounds silently turns
-// every chunk into a "want". The gear table and default parameters are
+// every chunk into a "want". The gear table and the chunk-size bounds are
 // therefore fixed protocol constants, and tests/cdc_test.cpp pins digests.
 #pragma once
 
@@ -24,28 +24,23 @@
 
 namespace upkit::diff {
 
-/// Chunk-size bounds. avg_size must be a power of two; cut-point judgement
-/// uses FastCDC normalized chunking (a stricter mask before the average
-/// point, a looser one after) so real chunk sizes cluster near avg_size.
-struct ChunkParams {
-    std::size_t min_size = 512;
-    std::size_t avg_size = 2048;
-    std::size_t max_size = 8192;
-};
-
-/// The protocol-constant parameters both sides use unless a manifest says
-/// otherwise (it currently never does; the table itself is authoritative
-/// for installs, the params only matter for have-list agreement).
-inline constexpr ChunkParams kProtocolChunkParams{};
+/// Chunk-size bounds, protocol constants like the gear table. kAvgChunk
+/// must be a power of two; cut-point judgement uses FastCDC normalized
+/// chunking (a stricter mask before the average point, a looser one after)
+/// so real chunk sizes cluster near kAvgChunk. The table a manifest carries
+/// is authoritative for installs; the bounds only matter for have-list
+/// agreement.
+inline constexpr std::size_t kMinChunk = 512;
+inline constexpr std::size_t kAvgChunk = 2048;
+inline constexpr std::size_t kMaxChunk = 8192;
 
 /// Chunks `image` into a contiguous table of {offset, length, sha256}.
 /// Pure function of the bytes: same image, same table, every time, on both
 /// sides of the wire. Empty image yields an empty table.
-std::vector<manifest::ChunkRef> chunk_image(ByteSpan image,
-                                            const ChunkParams& params = kProtocolChunkParams);
+std::vector<manifest::ChunkRef> chunk_image(ByteSpan image);
 
 /// Next cut point (chunk length) for a buffer starting a new chunk.
 /// Exposed for the determinism regression tests.
-std::size_t cut_point(ByteSpan data, const ChunkParams& params = kProtocolChunkParams);
+std::size_t cut_point(ByteSpan data);
 
 }  // namespace upkit::diff

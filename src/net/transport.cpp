@@ -19,8 +19,7 @@ Status Transport::send_chunk(std::size_t payload_bytes, sim::Component radio) {
         const sim::ChaosPlan::Conditions c =
             chaos_.plan == nullptr
                 ? sim::ChaosPlan::Conditions{}
-                : chaos_.plan->conditions(campaign_t + seconds, chaos_.device_id,
-                                          chaos_.region);
+                : chaos_.plan->conditions(campaign_t + seconds, chaos_.region);
         seconds += airtime;
         bool lost;
         if (c.blocked) {

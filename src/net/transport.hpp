@@ -16,18 +16,19 @@
 
 namespace upkit::net {
 
-/// Attaches a seeded chaos plan to a transport. The plan speaks campaign
-/// time while the transport advances the device's own clock; `campaign_offset`
-/// is the device's DeviceClockView offset (campaign_t = device_t - offset).
-/// Every transfer streams through its serving target, so an outage window
-/// of that target blocks it entirely.
+/// An attempt's one view of a seeded chaos plan. The plan speaks campaign
+/// time while the transport advances the device's own clock;
+/// `campaign_offset` is the device's DeviceClockView offset (campaign_t =
+/// device_t - offset). Every transfer streams through its serving target,
+/// so an outage window of that target blocks it entirely, and the session
+/// driver asks the transport (target_down, chaos_plan) rather than holding
+/// a plan of its own.
 struct ChaosBinding {
     const sim::ChaosPlan* plan = nullptr;
-    std::uint32_t device_id = 0;
     double campaign_offset = 0.0;
     /// Regional edge serving this device's payload, or -1 when the vendor
-    /// origin serves it directly — selects which fault domain can block
-    /// chunks (sim::ChaosPlan::region_down vs server_down).
+    /// origin serves it directly: the fault domain sim::ChaosPlan::down
+    /// reads.
     int region = -1;
 };
 
@@ -72,6 +73,16 @@ public:
     /// the same transfer loop runs under neutral conditions: no extra loss,
     /// and one rng draw per attempt iff the link is lossy.
     void set_chaos(const ChaosBinding& binding) { chaos_ = binding; }
+
+    /// The bound plan, or null.
+    const sim::ChaosPlan* chaos_plan() const { return chaos_.plan; }
+
+    /// Whether the bound plan has the serving target down at the device's
+    /// current instant (false without a plan).
+    bool target_down() const {
+        return chaos_.plan != nullptr &&
+               chaos_.plan->down(chaos_.region, clock_->now() - chaos_.campaign_offset);
+    }
 
 private:
     /// Moves one chunk of `payload_bytes`, retransmitting lost attempts:

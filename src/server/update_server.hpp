@@ -87,6 +87,26 @@ struct ServerStats {
     std::uint64_t publish_verifies = 0;    // vendor-signature checks at publish
 };
 
+/// Field-wise difference: the counts accrued between two stats() reads.
+inline ServerStats operator-(const ServerStats& now, const ServerStats& then) {
+    return ServerStats{
+        .requests = now.requests - then.requests,
+        .sign_ops = now.sign_ops - then.sign_ops,
+        .delta_generations = now.delta_generations - then.delta_generations,
+        .response_hits = now.response_hits - then.response_hits,
+        .response_misses = now.response_misses - then.response_misses,
+        .response_evictions = now.response_evictions - then.response_evictions,
+        .chunked_responses = now.chunked_responses - then.chunked_responses,
+        .chunk_hits = now.chunk_hits - then.chunk_hits,
+        .chunk_misses = now.chunk_misses - then.chunk_misses,
+        .chunks_served = now.chunks_served - then.chunks_served,
+        .chunk_bytes_served = now.chunk_bytes_served - then.chunk_bytes_served,
+        .chunk_bytes_deduped = now.chunk_bytes_deduped - then.chunk_bytes_deduped,
+        .key_rotations = now.key_rotations - then.key_rotations,
+        .publish_verifies = now.publish_verifies - then.publish_verifies,
+    };
+}
+
 /// Operational model of the server deployment, for campaign simulation.
 ///
 /// prepare_update() itself is a pure function; what a rollout at scale

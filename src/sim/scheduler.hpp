@@ -101,46 +101,25 @@ public:
 
     /// Binds `clock` to the campaign timeline; the device's current local
     /// time is declared to correspond to campaign instant `campaign_t`.
-    /// `rate` models oscillator drift: the device's crystal ticks `rate`
-    /// local seconds per campaign second (sim::ChaosPlan derives per-device
-    /// rates a few ppm off 1.0). The rate == 1.0 path keeps the original
-    /// offset-only arithmetic bit-for-bit, so undrifted campaigns replay
-    /// byte-identically against pre-drift builds.
-    DeviceClockView(VirtualClock& clock, double campaign_t, double rate = 1.0)
-        : clock_(&clock),
-          offset_(clock.now() - campaign_t),
-          rate_(rate),
-          bind_local_(clock.now()),
-          bind_campaign_(campaign_t) {}
+    DeviceClockView(VirtualClock& clock, double campaign_t)
+        : clock_(&clock), offset_(clock.now() - campaign_t) {}
 
     /// Idles the device forward to campaign instant `t` (no-op if the device
     /// is already at or past it — its own work may have outrun the wait).
     void sync_to(double t) {
-        const double target = rate_ == 1.0
-                                  ? t + offset_
-                                  : bind_local_ + (t - bind_campaign_) * rate_;
+        const double target = t + offset_;
         if (clock_->now() < target) clock_->advance(target - clock_->now());
     }
 
-    double campaign_now() const {
-        return rate_ == 1.0 ? clock_->now() - offset_
-                            : bind_campaign_ + (clock_->now() - bind_local_) / rate_;
-    }
+    double campaign_now() const { return clock_->now() - offset_; }
 
-    /// device-local time minus this = campaign time (trace emitters use it).
-    /// With drift this is the offset at the binding instant: emitters keep
-    /// the cheap affine map and their timestamps skew by the accumulated
-    /// drift — exactly what a device with a fast crystal reports.
+    /// device-local time minus this = campaign time (trace emitters and the
+    /// transport's chaos binding use it).
     double offset() const { return offset_; }
-
-    double rate() const { return rate_; }
 
 private:
     VirtualClock* clock_ = nullptr;
     double offset_ = 0.0;
-    double rate_ = 1.0;
-    double bind_local_ = 0.0;
-    double bind_campaign_ = 0.0;
 };
 
 }  // namespace upkit::sim

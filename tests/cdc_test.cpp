@@ -24,17 +24,16 @@ Bytes test_image(std::size_t size, std::uint64_t seed) {
 
 /// Structural invariants every chunk table must satisfy: contiguous tiling
 /// of [0, image.size()), size bounds (the final chunk may undershoot
-/// min_size), and per-chunk digests that match the image slices.
-void check_table(const Bytes& image, const std::vector<manifest::ChunkRef>& table,
-                 const ChunkParams& params = kProtocolChunkParams) {
+/// kMinChunk), and per-chunk digests that match the image slices.
+void check_table(const Bytes& image, const std::vector<manifest::ChunkRef>& table) {
     std::uint64_t next = 0;
     for (std::size_t i = 0; i < table.size(); ++i) {
         const manifest::ChunkRef& ref = table[i];
         EXPECT_EQ(ref.offset, next) << "chunk " << i;
         EXPECT_GT(ref.length, 0u) << "chunk " << i;
-        EXPECT_LE(ref.length, params.max_size) << "chunk " << i;
+        EXPECT_LE(ref.length, kMaxChunk) << "chunk " << i;
         if (i + 1 < table.size()) {
-            EXPECT_GE(ref.length, params.min_size) << "chunk " << i;
+            EXPECT_GE(ref.length, kMinChunk) << "chunk " << i;
         }
         const auto digest =
             crypto::Sha256::digest(ByteSpan(image.data() + ref.offset, ref.length));
@@ -52,9 +51,8 @@ TEST(CdcTest, TablesTileImagesOfAwkwardSizes) {
     // One byte, sub-minimum, exactly min/avg/max, off-by-one around max,
     // and a large image: the table always tiles exactly.
     for (const std::size_t size :
-         {std::size_t{1}, std::size_t{100}, kProtocolChunkParams.min_size,
-          kProtocolChunkParams.min_size - 1, kProtocolChunkParams.avg_size,
-          kProtocolChunkParams.max_size, kProtocolChunkParams.max_size + 1,
+         {std::size_t{1}, std::size_t{100}, kMinChunk, kMinChunk - 1, kAvgChunk,
+          kMaxChunk, kMaxChunk + 1,
           std::size_t{64 * 1024 + 13}}) {
         const Bytes image = test_image(size, 77 + size);
         check_table(image, chunk_image(image));
@@ -62,7 +60,7 @@ TEST(CdcTest, TablesTileImagesOfAwkwardSizes) {
 }
 
 TEST(CdcTest, SubMinimumImageIsOneChunk) {
-    const Bytes image = test_image(kProtocolChunkParams.min_size - 1, 5);
+    const Bytes image = test_image(kMinChunk - 1, 5);
     const auto table = chunk_image(image);
     ASSERT_EQ(table.size(), 1u);
     EXPECT_EQ(table[0].length, image.size());

@@ -138,7 +138,7 @@ TEST(ChunkUpdateTest, PoisonedChunksAreReRequestedNotFatal) {
     const sim::ChaosPlan plan = sim::ChaosPlan::generate(spec);
 
     UpdateSession session(*device, env.server, net::ble_gatt());
-    session.set_chunk_chaos(&plan);
+    session.transport().set_chaos({.plan = &plan});
     const SessionReport report = session.run(kAppId);
     ASSERT_EQ(report.status, Status::kOk);
     EXPECT_TRUE(report.chunked);
@@ -160,7 +160,7 @@ TEST(ChunkUpdateTest, ChunkChaosReplaysByteIdentically) {
         spec.chunk_corrupt_fraction = 0.5;
         const sim::ChaosPlan plan = sim::ChaosPlan::generate(spec);
         UpdateSession session(*device, env.server, net::ble_gatt());
-        session.set_chunk_chaos(&plan);
+        session.transport().set_chaos({.plan = &plan});
         out = session.run(kAppId);
     };
 
