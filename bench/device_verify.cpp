@@ -17,7 +17,9 @@
 // verify2_speedup and sha256_speedup are this host's live readings of the
 // three speedups that calibrate_software_costs() commits. The field layer
 // is reported as ns per Montgomery mul, add and sub on p and on n, without
-// a gate. Macro section:
+// a gate. mul on p runs the reduction specialised to the P-256 prime's
+// shape and mul on n generic CIOS, so mont_mul_n_ns - mont_mul_p_ns reads
+// the specialisation's gain on the host at hand. Macro section:
 // the same full-image fleet campaign run twice, once under the
 // paper-anchored tinycrypt cost model and once under
 // calibrate_software_costs(), showing the campaign's device-side

@@ -7,10 +7,17 @@
 //
 // Every limb addition and subtraction here runs on u256.hpp's carry pair
 // (adc/sbb: the carry flag on x86-64, portable 128-bit C++ elsewhere and
-// under MemorySanitizer). mul is CIOS with each row's 64x64->128 products
-// added in two carry chains; add, sub and reduce are the inline U256
-// add/sub followed by a mask-selected correction. Nothing branches on an
-// operand, so all of them take secrets.
+// under MemorySanitizer). mul has two bodies, and the constructor picks
+// one from the whole modulus. For the P-256 field prime p, which is -1 mod
+// 2^64, mul forms the whole 512-bit product and reduces it in four rounds,
+// each adding m * p as m << 32, m >> 32 and one 64x64 product by p's top
+// limb (the route of Gueron-Krasnov and OpenSSL's ecp_nistz256). Every
+// other modulus, the group order among them, takes CIOS with each row's
+// 64x64->128 products added in two carry chains. Both add the same
+// multiple of the modulus, so they return the same bits. add, sub and
+// reduce are the inline U256 add/sub followed by a mask-selected
+// correction. Nothing branches on an operand (mul's body depends on the
+// public modulus alone), so all of them take secrets.
 #pragma once
 
 #include "crypto/u256.hpp"
@@ -61,6 +68,7 @@ private:
     U256 r_mod_n_;   // 2^256 mod n
     U256 r2_;        // 2^512 mod n
     std::uint64_t n0_ = 0;  // -n^-1 mod 2^64
+    bool p256_prime_ = false;  // n is the P-256 field prime: mul reduces by its shape
 };
 
 }  // namespace upkit::crypto

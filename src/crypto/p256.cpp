@@ -95,17 +95,17 @@ P256::Jacobian P256::dbl_2001b(const Jacobian& p) const {
     const U256 delta = fp_.sqr(p.z);
     const U256 gamma = fp_.sqr(p.y);
     const U256 beta = fp_.mul(p.x, gamma);
-    const U256 alpha = fp_.mul(fp_.add(fp_.add(fp_.sub(p.x, delta), fp_.sub(p.x, delta)),
-                                       fp_.sub(p.x, delta)),
+    const U256 x_minus_delta = fp_.sub(p.x, delta);
+    const U256 alpha = fp_.mul(fp_.add(fp_.add(x_minus_delta, x_minus_delta), x_minus_delta),
                                fp_.add(p.x, delta));
-    U256 x3 = fp_.sub(fp_.sqr(alpha), fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    x3 = fp_.sub(x3, fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
+    const U256 two_beta = fp_.add(beta, beta);
+    const U256 four_beta = fp_.add(two_beta, two_beta);
+    const U256 x3 = fp_.sub(fp_.sub(fp_.sqr(alpha), four_beta), four_beta);
     const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.y, p.z)), gamma), delta);
-    const U256 four_beta = fp_.add(fp_.add(beta, beta), fp_.add(beta, beta));
     const U256 gamma2 = fp_.sqr(gamma);
-    const U256 eight_gamma2 =
-        fp_.add(fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)),
-                fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)));
+    const U256 two_gamma2 = fp_.add(gamma2, gamma2);
+    const U256 four_gamma2 = fp_.add(two_gamma2, two_gamma2);
+    const U256 eight_gamma2 = fp_.add(four_gamma2, four_gamma2);
     const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(four_beta, x3)), eight_gamma2);
     return Jacobian{x3, y3, z3};
 }
@@ -128,7 +128,8 @@ P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
     const U256 s1 = fp_.mul(fp_.mul(p.y, q.z), z2z2);
     const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
     const U256 h = fp_.sub(u2, u1);
-    const U256 r = fp_.add(fp_.sub(s2, s1), fp_.sub(s2, s1));
+    const U256 s2_minus_s1 = fp_.sub(s2, s1);
+    const U256 r = fp_.add(s2_minus_s1, s2_minus_s1);
     if (h.is_zero()) {
         if (r.is_zero()) return dbl(p);  // same point
         return Jacobian{};               // P + (-P) = infinity
@@ -150,9 +151,11 @@ P256::Jacobian P256::madd_2007bl(const Jacobian& p, const MontAffine& q) const {
     const U256 u2 = fp_.mul(q.x, z1z1);
     const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
     const U256 h = fp_.sub(u2, p.x);
-    const U256 r = fp_.add(fp_.sub(s2, p.y), fp_.sub(s2, p.y));
+    const U256 s2_minus_y1 = fp_.sub(s2, p.y);
+    const U256 r = fp_.add(s2_minus_y1, s2_minus_y1);
     const U256 hh = fp_.sqr(h);
-    const U256 i = fp_.add(fp_.add(hh, hh), fp_.add(hh, hh));
+    const U256 two_hh = fp_.add(hh, hh);
+    const U256 i = fp_.add(two_hh, two_hh);
     const U256 j = fp_.mul(h, i);
     const U256 v = fp_.mul(p.x, i);
     const U256 x3 = fp_.sub(fp_.sub(fp_.sqr(r), j), fp_.add(v, v));

@@ -372,31 +372,16 @@ TEST(MontgomeryTest, InverseTimesSelfIsOne) {
 
 // ---- Montgomery against the independent 32-bit-limb FieldReference ------
 
-FieldWords to_words(const U256& v) {
-    FieldWords out{};
-    for (std::size_t i = 0; i < 4; ++i) {
-        out[2 * i] = static_cast<std::uint32_t>(v.w[i]);
-        out[2 * i + 1] = static_cast<std::uint32_t>(v.w[i] >> 32);
-    }
-    return out;
-}
-
-U256 from_words(const FieldWords& words) {
-    U256 out;
-    for (std::size_t i = 0; i < 4; ++i) {
-        out.w[i] = words[2 * i] | (std::uint64_t{words[2 * i + 1]} << 32);
-    }
-    return out;
-}
-
 // The P-256 prime and group order, written out independently of P256.
 constexpr FieldWords kP256Prime = {0xffffffff, 0xffffffff, 0xffffffff, 0,
                                    0,          0,          1,          0xffffffff};
 constexpr FieldWords kP256Order = {0xfc632551, 0xf3b9cac2, 0xa7179e84, 0xbce6faad,
                                    0xffffffff, 0xffffffff, 0,          0xffffffff};
 
-/// 0, 1, m - 1, m - 2, 2^255, and values whose limbs are 0 or 2^64 - 1,
-/// so carries and borrows ripple across one to four limbs.
+/// 0, 1, m - 1, m - 2, 2^255, values whose limbs are 0 or 2^64 - 1, so
+/// carries and borrows ripple across one to four limbs, and the shapes that
+/// drive the P-256 reduction's shifted m*p terms: R mod m, R^2 mod m,
+/// 2^224, 2^96 - 1 and (2^32 - 1) * 2^64k.
 std::vector<U256> edge_operands(const U256& m) {
     std::vector<U256> out = {U256::zero(), U256::one()};
     U256 v;
@@ -413,46 +398,69 @@ std::vector<U256> edge_operands(const U256& m) {
     }
     out.push_back(U256{{kOnes, 0, kOnes, 0}});
     out.push_back(U256{{0, kOnes, 0, kOnes}});
+    U256 r_mod_m;
+    sub(r_mod_m, U256::zero(), m);  // 2^256 - m, below m since m > 2^255
+    out.push_back(r_mod_m);
+    const FieldReference ref(to_field_words(m));
+    out.push_back(from_field_words(ref.to_mont(to_field_words(r_mod_m))));  // R^2 mod m
+    out.push_back(U256{{0, 0, 0, 1ULL << 32}});       // 2^224
+    out.push_back(U256{{kOnes, 0xffffffff, 0, 0}});   // 2^96 - 1
+    for (std::size_t k = 0; k < 4; ++k) {
+        U256 shifted{};
+        shifted.w[k] = 0xffffffff;  // (2^32 - 1) * 2^64k
+        out.push_back(shifted);
+    }
     return out;
 }
 
 void expect_matches_field_reference(const Montgomery& m, const FieldWords& modulus,
                                     std::uint64_t seed) {
     const FieldReference ref(modulus);
-    ASSERT_EQ(to_words(m.modulus()), modulus);
+    ASSERT_EQ(to_field_words(m.modulus()), modulus);
 
     // reduce() takes any 256-bit value; the rest take values below m,
     // which the reference's own reduction supplies.
+    constexpr std::size_t kRandomOperands = 4096;
+    constexpr std::size_t kCrossedRandoms = 48;  // paired with every edge operand
     std::vector<U256> raw = edge_operands(m.modulus());
     const std::size_t edges = raw.size();
     Rng rng(seed);
-    for (int i = 0; i < 48; ++i) {
+    for (std::size_t i = 0; i < kRandomOperands; ++i) {
         U256 v;
         for (auto& limb : v.w) limb = rng.next_u64();
         raw.push_back(v);
     }
     std::vector<U256> operands;
     for (const U256& v : raw) {
-        ASSERT_EQ(to_words(m.reduce(v)), ref.reduce(to_words(v))) << "reduce " << v.w[0];
-        operands.push_back(from_words(ref.reduce(to_words(v))));
+        const FieldWords reduced = ref.reduce(to_field_words(v));
+        ASSERT_EQ(to_field_words(m.reduce(v)), reduced) << "reduce " << v.w[0];
+        operands.push_back(from_field_words(reduced));
     }
     for (const U256& a : operands) {
-        ASSERT_EQ(to_words(m.to_mont(a)), ref.to_mont(to_words(a))) << "to_mont " << a.w[0];
-        ASSERT_EQ(to_words(m.from_mont(a)), ref.from_mont(to_words(a)))
+        ASSERT_EQ(to_field_words(m.to_mont(a)), ref.to_mont(to_field_words(a)))
+            << "to_mont " << a.w[0];
+        ASSERT_EQ(to_field_words(m.from_mont(a)), ref.from_mont(to_field_words(a)))
             << "from_mont " << a.w[0];
     }
-    // Every pair of edge operands, then each edge operand and consecutive
-    // random pairs.
+    // Every edge operand with every edge operand and the first random
+    // ones, both ways round, then every consecutive random pair.
     auto check_pair = [&](const U256& a, const U256& b) {
-        const FieldWords aw = to_words(a), bw = to_words(b);
-        ASSERT_EQ(to_words(m.mul(a, b)), ref.mont_mul(aw, bw)) << "mul " << a.w[0] << " " << b.w[0];
-        ASSERT_EQ(to_words(m.add(a, b)), ref.add(aw, bw)) << "add " << a.w[0] << " " << b.w[0];
-        ASSERT_EQ(to_words(m.sub(a, b)), ref.sub(aw, bw)) << "sub " << a.w[0] << " " << b.w[0];
+        const FieldWords aw = to_field_words(a), bw = to_field_words(b);
+        ASSERT_EQ(to_field_words(m.mul(a, b)), ref.mont_mul(aw, bw))
+            << "mul " << a.w[0] << " " << b.w[0];
+        ASSERT_EQ(to_field_words(m.add(a, b)), ref.add(aw, bw))
+            << "add " << a.w[0] << " " << b.w[0];
+        ASSERT_EQ(to_field_words(m.sub(a, b)), ref.sub(aw, bw))
+            << "sub " << a.w[0] << " " << b.w[0];
     };
-    for (std::size_t i = 0; i < operands.size(); ++i) {
-        for (std::size_t j = 0; j < operands.size(); ++j) {
-            if (i < edges || j < edges || j == i + 1) check_pair(operands[i], operands[j]);
+    for (std::size_t i = 0; i < edges; ++i) {
+        for (std::size_t j = 0; j < edges + kCrossedRandoms; ++j) {
+            check_pair(operands[i], operands[j]);
+            if (j >= edges) check_pair(operands[j], operands[i]);
         }
+    }
+    for (std::size_t i = edges; i + 1 < operands.size(); ++i) {
+        check_pair(operands[i], operands[i + 1]);
     }
 }
 
@@ -462,6 +470,15 @@ TEST(MontgomeryTest, FieldPrimeMatchesFieldReference) {
 
 TEST(MontgomeryTest, GroupOrderMatchesFieldReference) {
     expect_matches_field_reference(P256::instance().order(), kP256Order, 0x0DE2);
+}
+
+TEST(MontgomeryTest, PrimeLookalikeTakesTheGenericReduction) {
+    // p + 2^128 is odd, above 2^255 and -1 mod 2^64 like p (so n0 = 1), but
+    // it is not p: the reduction specialised to p's shape must not serve it.
+    FieldWords lookalike = kP256Prime;
+    lookalike[4] = 1;
+    const Montgomery m(from_field_words(lookalike));
+    expect_matches_field_reference(m, lookalike, 0x100C);
 }
 
 TEST(MontgomeryTest, FieldReferenceMatchesSmallIntegers) {

@@ -11,7 +11,9 @@
 // construction and the mixed-addition formula down. The same treatment
 // covers ecdsa_sign (whose r must match the ladder's x-coordinate of k*G
 // for the RFC 6979 nonce) and ecdsa_verify against the ladder-based
-// ecdsa_verify_generic.
+// ecdsa_verify_generic. The ladder is built on the group-law bodies
+// themselves, so those are checked against the affine slope formulas on
+// FieldReference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,6 +299,73 @@ TEST(P256DiffTest, MixedAdditionAndDoublingEdgeCases) {
     }
     EXPECT_FALSE(P256Oracle::dbl(std::nullopt).has_value());
     EXPECT_FALSE(P256Oracle::ct_dbl(std::nullopt).has_value());
+}
+
+TEST(P256DiffTest, FormulaBodiesMatchAffineSlopeOracle) {
+    // The ladder is built on dbl and add, so it cannot catch a wrong
+    // rewrite of the formula bodies. The affine chord-and-tangent law on
+    // FieldReference can: it shares no code with Montgomery or the
+    // Jacobian formulas. Each input is lifted with its own random z.
+    const P256& curve = P256::instance();
+    const U256& p_mod = curve.field().modulus();
+    Rng rng(0x5EED0016);
+    const auto random_z = [&] {
+        U256 z;
+        do z = curve.field().reduce(random_u256(rng)); while (z.is_zero());
+        return z;
+    };
+    const auto negate = [&](const AffinePoint& a) {
+        AffinePoint out = a;
+        sub(out.y, p_mod, a.y);
+        return out;
+    };
+    // p + q through add and madd_2007bl, and 2p through dbl_2001b. At
+    // p == ±q madd's z3 is 0 (add_mixed resolves that case on its output).
+    const auto check = [&](const AffinePoint& a, const AffinePoint& b, const char* what,
+                           std::size_t i) {
+        const auto sum = P256Oracle::affine_add(a, b);
+        expect_same(P256Oracle::add(a, random_z(), b, random_z()), sum, what, i);
+        const bool same_x = a.x == b.x;
+        expect_same(P256Oracle::madd_2007bl(a, random_z(), b),
+                    same_x ? std::nullopt : sum, what, i);
+        expect_same(P256Oracle::dbl_2001b(a, random_z()), P256Oracle::affine_add(a, a), what, i);
+        if (sum) {
+            EXPECT_TRUE(curve.on_curve(*sum)) << what << " case " << i;
+        }
+    };
+
+    // Seeded multiples of G, P + P and P + (-P).
+    for (std::size_t i = 0; i < 24; ++i) {
+        const auto a = curve.mul_base(random_u256(rng));
+        const auto b = curve.mul_base(random_u256(rng));
+        ASSERT_TRUE(a && b) << i;
+        check(*a, *b, "P+Q", i);
+        check(*a, *a, "P+P", i);
+        check(*a, negate(*a), "P+(-P)", i);
+        EXPECT_FALSE(P256Oracle::affine_add(*a, negate(*a)).has_value()) << i;
+    }
+
+    // Sums whose x lies just below p: R = (p - k, y) for the first liftable
+    // k, reached as (R - Q) + Q for a seeded Q.
+    std::size_t near = 0;
+    for (std::uint64_t k = 1; near < 8; ++k) {
+        U256 x;
+        sub(x, p_mod, U256::from_u64(k));
+        const auto r = P256Oracle::lift_x(x);
+        if (!r) continue;
+        ASSERT_TRUE(curve.on_curve(*r)) << k;
+        const auto q = curve.mul_base(random_u256(rng));
+        ASSERT_TRUE(q.has_value()) << k;
+        const auto p_point = P256Oracle::affine_add(*r, negate(*q));
+        ASSERT_TRUE(p_point.has_value()) << k;
+        const auto sum = P256Oracle::affine_add(*p_point, *q);
+        ASSERT_TRUE(sum.has_value()) << k;
+        EXPECT_EQ(sum->x, r->x) << k;
+        EXPECT_EQ(sum->y, r->y) << k;
+        check(*p_point, *q, "near-p sum", static_cast<std::size_t>(k));
+        check(*r, *q, "near-p operand", static_cast<std::size_t>(k));
+        ++near;
+    }
 }
 
 // -------------------------------------------------------------- mul_add

@@ -52,9 +52,36 @@ public:
     /// 2p through ct_dbl.
     static std::optional<AffinePoint> ct_dbl(const std::optional<AffinePoint>& p);
 
+    // The formula bodies themselves, without their wrappers' guards. A
+    // point lifts to Jacobian as (x z^2, y z^3, z) for a nonzero plain
+    // z < p, and the result is normalized back (z3 == 0 reads as infinity).
+
+    /// 2p through dbl_2001b.
+    static std::optional<AffinePoint> dbl_2001b(const AffinePoint& p, const U256& z);
+    /// p + q through madd_2007bl (q affine). It has no special cases: at
+    /// p == ±q its z3 is 0.
+    static std::optional<AffinePoint> madd_2007bl(const AffinePoint& p, const U256& z,
+                                                  const AffinePoint& q);
+    /// p + q through add, which doubles at p == q and returns infinity at
+    /// p == -q.
+    static std::optional<AffinePoint> add(const AffinePoint& p, const U256& pz,
+                                          const AffinePoint& q, const U256& qz);
+
+    // The affine chord-and-tangent law on FieldReference, inverting by
+    // Fermat. It shares no code with Montgomery or the Jacobian formulas,
+    // so it checks the bodies the ladder above is built from.
+
+    /// p + q by the slope formulas: p == q doubles, p == -q is infinity.
+    static std::optional<AffinePoint> affine_add(const std::optional<AffinePoint>& p,
+                                                 const std::optional<AffinePoint>& q);
+    /// A curve point with x-coordinate x < p (either root), or nullopt when
+    /// x^3 - 3x + b is not a square mod p.
+    static std::optional<AffinePoint> lift_x(const U256& x);
+
 private:
     static P256::Jacobian scalar_mul(const U256& k, const P256::Jacobian& p);
     static P256::Jacobian lift(const std::optional<AffinePoint>& p);
+    static P256::Jacobian lift_scaled(const AffinePoint& p, const U256& z);
     static P256::MontAffine lift_affine(const AffinePoint& q);
 };
 
@@ -94,6 +121,24 @@ private:
 
     FieldWords m_;
 };
+
+/// U256 to FieldReference words and back, limb by limb.
+inline FieldWords to_field_words(const U256& v) {
+    FieldWords out{};
+    for (std::size_t i = 0; i < 4; ++i) {
+        out[2 * i] = static_cast<std::uint32_t>(v.w[i]);
+        out[2 * i + 1] = static_cast<std::uint32_t>(v.w[i] >> 32);
+    }
+    return out;
+}
+
+inline U256 from_field_words(const FieldWords& words) {
+    U256 out;
+    for (std::size_t i = 0; i < 4; ++i) {
+        out.w[i] = words[2 * i] | (std::uint64_t{words[2 * i + 1]} << 32);
+    }
+    return out;
+}
 
 /// ECDSA verification with its own key check and signature parsing and the
 /// ladder on both scalar-mul halves: the reference ecdsa_verify is pinned
